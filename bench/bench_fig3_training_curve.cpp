@@ -22,8 +22,8 @@ int main(int argc, char** argv) {
                  "Parallel rollout environments K (results depend on (seed, K) but "
                  "never on thread count)");
     cli.flag_int("train-threads", 0,
-                 "Worker threads for the rollout fan-out (0 = all cores; never "
-                 "changes results)");
+                 "Worker threads for rollout collection and the PPO update (0 = all "
+                 "cores; never changes results)");
     cli.flag_bool("warm-start", false,
              "Initialize the policy mean at the best Boltzmann rule (shows the "
              "pipeline surpassing JSQ(2) within the small default budget)");

@@ -152,8 +152,10 @@ int main(int argc, char** argv) {
     // --- 4. PPO training step: collect + allocation-free batched update ----
     // The update phase shares the hot-path contract with the simulators:
     // after the warmup iteration sizes the GEMM workspaces, the SGD epochs
-    // must not touch the heap. Rows feed the CI perf artifact so training
-    // throughput is tracked alongside sim throughput.
+    // must not touch the heap. The contract holds on the inline path
+    // (train_threads = 1); a multi-thread fan-out allocates its per-call
+    // strip cursors. Rows feed the CI perf artifact so training throughput
+    // is tracked alongside sim throughput.
     {
         ExperimentConfig experiment = scenario_or_die("table1").experiment;
         experiment.dt = 5.0;
@@ -165,6 +167,7 @@ int main(int argc, char** argv) {
         ppo.minibatch_size = 125;
         ppo.num_epochs = full ? 6 : 3;
         ppo.num_envs = 1;
+        ppo.train_threads = 1;
         const auto factory = [&config]() -> std::unique_ptr<rl::Env> {
             return std::make_unique<MfcRlEnv>(config, RuleParameterization::Logits);
         };

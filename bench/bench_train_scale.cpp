@@ -1,9 +1,12 @@
 /// Training-stack scaling benchmark: throughput and speedup of the batched
 /// + multi-threaded PPO/CEM pipeline on the MFC MDP.
 ///
-///   1. Update phase, single thread: the batched GEMM update vs the legacy
-///      per-sample update on the identical collected batch (target >= 3x; the
-///      two paths are bit-identical in results, verified here).
+///   1. Update phase: the batched GEMM update vs the legacy per-sample
+///      update on the identical collected batch, single thread (target >= 3x;
+///      losses agree to 1e-12, FMA contraction being the only difference,
+///      verified here), then the batched update at 1/2/4 `train_threads`
+///      (two fan-outs per minibatch), whose losses and parameters must be
+///      bitwise equal to the 1-thread update.
 ///   2. Rollout collection: K parallel env slots at 1/2/4/8 worker threads
 ///      vs the serial single-env baseline (fixed-order merge keeps results
 ///      (seed, K)-deterministic; scaling with cores lands on CI/real
@@ -13,14 +16,19 @@
 ///      fixed (seed, num_envs), and CEM scores thread-count-invariant —
 ///      the bench exits nonzero on any mismatch.
 ///
-/// `--json` emits steps/sec and speedup rows (`update_*`, `rollout_*`,
-/// `cem_*`) for the CI Release bench artifact.
+/// `--json` emits steps/sec and speedup rows (`update_*`, including
+/// `update_batched_seconds_threads=T` and `update_thread_speedup_x`,
+/// `rollout_*`, `cem_*`) for the CI Release bench artifact.
 #include "bench_common.hpp"
 #include "support/trace.hpp"
 
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <span>
 #include <thread>
+#include <vector>
 
 namespace {
 
@@ -44,12 +52,18 @@ rl::PpoConfig trainer_config(bool full, std::size_t num_envs, std::size_t train_
     return ppo;
 }
 
+/// Bitwise equality of two double sequences (bit patterns, not values).
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+    return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
 bool identical(const rl::PpoIterationStats& a, const rl::PpoIterationStats& b) {
+    const std::array<double, 6> x{a.mean_episode_return, a.mean_kl, a.policy_loss,
+                                  a.value_loss,          a.entropy, a.kl_coeff};
+    const std::array<double, 6> y{b.mean_episode_return, b.mean_kl, b.policy_loss,
+                                  b.value_loss,          b.entropy, b.kl_coeff};
     return a.timesteps_total == b.timesteps_total &&
-           a.episodes_completed == b.episodes_completed &&
-           a.mean_episode_return == b.mean_episode_return && a.mean_kl == b.mean_kl &&
-           a.policy_loss == b.policy_loss && a.value_loss == b.value_loss &&
-           a.entropy == b.entropy && a.kl_coeff == b.kl_coeff;
+           a.episodes_completed == b.episodes_completed && same_bits(x, y);
 }
 
 /// Batched-vs-scalar losses agree to 1e-12 (the only permitted divergence
@@ -86,7 +100,7 @@ int main(int argc, char** argv) {
     MfcConfig config = experiment.mfc();
     config.horizon = 30;
 
-    // --- 1. Update phase: batched GEMM vs legacy per-sample, single thread -
+    // --- 1. Update phase: batched GEMM vs per-sample, then thread scaling --
     {
         rl::PpoTrainer batched(mfc_factory(config), trainer_config(full, 1, 1, true),
                                Rng(seed));
@@ -133,6 +147,41 @@ int main(int argc, char** argv) {
         } else {
             std::printf("  batched == per-sample: losses agree to 1e-12\n");
         }
+
+        // Update-thread scaling: the same update on 1/2/4 train_threads.
+        // Each trainer runs the identical two updates, so losses and final
+        // parameters must match the 1-thread run bit for bit.
+        struct Run {
+            double seconds = 0.0;
+            rl::PpoIterationStats stats;
+            std::vector<double> params;
+        };
+        std::vector<Run> runs;
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+            rl::PpoTrainer trainer(mfc_factory(config), trainer_config(full, 1, threads, true),
+                                   Rng(seed));
+            Run run;
+            trainer.collect_phase(run.stats);
+            run.seconds = time_update(trainer, run.stats);
+            const auto p = trainer.policy().network().parameters();
+            const auto v = trainer.value_network().parameters();
+            run.params.assign(p.begin(), p.end());
+            run.params.insert(run.params.end(), v.begin(), v.end());
+            char label[64];
+            std::snprintf(label, sizeof(label), "update_batched_seconds_threads=%zu", threads);
+            timings.record(label, run.seconds);
+            std::printf("  batched update, %zu thread%s: %.3f s (%.2fx)\n", threads,
+                        threads == 1 ? "" : "s", run.seconds,
+                        runs.empty() ? 1.0 : runs.front().seconds / run.seconds);
+            if (!runs.empty() && (!identical(runs.front().stats, run.stats) ||
+                                  !same_bits(runs.front().params, run.params))) {
+                std::printf("  FAIL: %zu-thread update differs from the 1-thread update\n",
+                            threads);
+                ++failures;
+            }
+            runs.push_back(std::move(run));
+        }
+        timings.record("update_thread_speedup_x", runs.front().seconds / runs.back().seconds);
     }
 
     // --- 2. Rollout collection: K env slots, thread sweep ------------------
@@ -211,7 +260,7 @@ int main(int argc, char** argv) {
         }
     }
 
-    // --- 4. Determinism: bit-identical losses at 1/2/8 threads -------------
+    // --- 4. Determinism: bitwise equal losses at 1/2/8 threads -------------
     {
         auto run = [&](std::size_t threads) {
             rl::PpoTrainer trainer(mfc_factory(config), trainer_config(false, 4, threads, true),

@@ -338,7 +338,7 @@ int main(int argc, char** argv) {
              "'ppo' (Table 2 pipeline on the MFC MDP)");
     cli.flag_int("train-threads", 0,
                  "Worker threads for trainer fan-outs (CEM population / PPO rollout "
-                 "slots; 0 = all cores; never changes results)");
+                 "slots and update; 0 = all cores; never changes results)");
     cli.flag_int("num-envs", 1,
                  "Parallel PPO rollout environments K (results depend on (seed, K), "
                  "never on thread count)");

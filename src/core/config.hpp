@@ -76,9 +76,9 @@ struct ExperimentConfig {
     /// either way, off = the pre-pipeline barrier for A/B benching
     /// (`--pipeline` CLI flag).
     bool pipeline = true;
-    /// Worker threads for the training fan-outs — PPO rollout slots and CEM
-    /// population evaluation (0 = all hardware threads). Never changes
-    /// results (`--train-threads` CLI/bench flag).
+    /// Worker threads for the training fan-outs — PPO rollout slots, the
+    /// PPO minibatch update and CEM population evaluation (0 = all hardware
+    /// threads). Never changes results (`--train-threads` CLI/bench flag).
     std::size_t train_threads = 0;
     /// K parallel rollout environments for PPO training; part of the
     /// result-determining (seed, K) pair (`--num-envs` CLI/bench flag).

@@ -16,10 +16,6 @@
 
 namespace mflb {
 
-namespace {
-constexpr std::size_t kRowTile = 4; ///< C-row tile: fits L1 alongside one streamed B row.
-} // namespace
-
 MFLB_SIMD_CLONES
 void gemm_nt_acc(std::size_t m, std::size_t n, std::size_t k,
                  const double* __restrict a, const double* __restrict b,
@@ -28,7 +24,7 @@ void gemm_nt_acc(std::size_t m, std::size_t n, std::size_t k,
     // accumulators, each summing in ascending p order (same order as the
     // naive dot product, so results are bit-identical to it).
     std::size_t i = 0;
-    for (; i + kRowTile <= m; i += kRowTile) {
+    for (; i + kGemmRowTile <= m; i += kGemmRowTile) {
         const double* a0 = a + (i + 0) * k;
         const double* a1 = a + (i + 1) * k;
         const double* a2 = a + (i + 2) * k;
@@ -103,16 +99,17 @@ void gemm_nt_acc(std::size_t m, std::size_t n, std::size_t k,
 }
 
 MFLB_SIMD_CLONES
-void gemm_tn_acc(std::size_t m, std::size_t n, std::size_t k,
-                 const double* __restrict a, const double* __restrict b,
-                 double* __restrict c) noexcept {
+void gemm_tn_acc_rows(std::size_t m, std::size_t n, std::size_t k, std::size_t i0,
+                      std::size_t i1, const double* __restrict a, const double* __restrict b,
+                      double* __restrict c) noexcept {
     // Sum of k rank-1 updates accumulated in ascending p (sample) order —
-    // identical addition order to a per-sample gradient loop. Same 4x8
-    // register tile as gemm_nn_acc; only the A indexing differs (A is k x m,
-    // so the four scalars per p are the contiguous a[p][i..i+3]).
+    // identical addition order to a per-sample gradient loop. 4x8 register
+    // tile; A is k x m, so the four scalars per p are the contiguous
+    // a[p][i..i+3]. Tiles start at i0, so a range whose bounds sit on the
+    // tile grid runs every row through the same code as the full call.
     constexpr std::size_t kTj = 8;
-    std::size_t i = 0;
-    for (; i + kRowTile <= m; i += kRowTile) {
+    std::size_t i = i0;
+    for (; i + kGemmRowTile <= i1; i += kGemmRowTile) {
         std::size_t j = 0;
         for (; j + kTj <= n; j += kTj) {
             double acc0[kTj], acc1[kTj], acc2[kTj], acc3[kTj];
@@ -158,7 +155,7 @@ void gemm_tn_acc(std::size_t m, std::size_t n, std::size_t k,
             c[(i + 3) * n + j] = s3;
         }
     }
-    for (; i < m; ++i) {
+    for (; i < i1; ++i) {
         std::size_t j = 0;
         for (; j + kTj <= n; j += kTj) {
             double acc[kTj];
@@ -186,13 +183,19 @@ void gemm_tn_acc(std::size_t m, std::size_t n, std::size_t k,
     }
 }
 
-void transpose(std::size_t rows, std::size_t cols, const double* __restrict in,
-               double* __restrict out) noexcept {
+void gemm_tn_acc(std::size_t m, std::size_t n, std::size_t k, const double* a, const double* b,
+                 double* c) noexcept {
+    gemm_tn_acc_rows(m, n, k, 0, m, a, b, c);
+}
+
+void transpose_rows(std::size_t rows, std::size_t cols, std::size_t row_begin,
+                    std::size_t row_end, const double* __restrict in,
+                    double* __restrict out) noexcept {
     // 8x8 blocks keep both the source rows and the destination rows within
     // cache lines; plain copies, no arithmetic, so no ordering concerns.
     constexpr std::size_t kBlock = 8;
-    for (std::size_t r0 = 0; r0 < rows; r0 += kBlock) {
-        const std::size_t r1 = std::min(rows, r0 + kBlock);
+    for (std::size_t r0 = row_begin; r0 < row_end; r0 += kBlock) {
+        const std::size_t r1 = std::min(row_end, r0 + kBlock);
         for (std::size_t c0 = 0; c0 < cols; c0 += kBlock) {
             const std::size_t c1 = std::min(cols, c0 + kBlock);
             for (std::size_t r = r0; r < r1; ++r) {
@@ -202,6 +205,10 @@ void transpose(std::size_t rows, std::size_t cols, const double* __restrict in,
             }
         }
     }
+}
+
+void transpose(std::size_t rows, std::size_t cols, const double* in, double* out) noexcept {
+    transpose_rows(rows, cols, 0, rows, in, out);
 }
 
 } // namespace mflb

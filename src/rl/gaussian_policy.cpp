@@ -144,13 +144,23 @@ void GaussianPolicy::evaluate_batch(std::span<const double> obs, std::span<const
                                     std::span<double> means, std::span<double> log_stds,
                                     std::span<double> log_probs,
                                     std::span<double> entropies) const {
-    if (actions.size() != batch * action_dim_ || means.size() != batch * action_dim_ ||
-        log_stds.size() != batch * action_dim_ || log_probs.size() != batch ||
-        entropies.size() != batch) {
-        throw std::invalid_argument("GaussianPolicy::evaluate_batch: size mismatch");
+    net_.begin_batch(ws, batch);
+    evaluate_rows(obs, actions, 0, batch, ws, means, log_stds, log_probs, entropies);
+}
+
+void GaussianPolicy::evaluate_rows(std::span<const double> obs, std::span<const double> actions,
+                                   std::size_t r0, std::size_t r1, Mlp::BatchWorkspace& ws,
+                                   std::span<double> means, std::span<double> log_stds,
+                                   std::span<double> log_probs,
+                                   std::span<double> entropies) const {
+    const std::size_t rows = r1 - r0;
+    if (r0 > r1 || actions.size() != rows * action_dim_ || means.size() != rows * action_dim_ ||
+        log_stds.size() != rows * action_dim_ || log_probs.size() != rows ||
+        entropies.size() != rows) {
+        throw std::invalid_argument("GaussianPolicy::evaluate_rows: size mismatch");
     }
-    const std::span<const double> out = net_.forward_cached_batch(obs, batch, ws);
-    for (std::size_t row = 0; row < batch; ++row) {
+    const std::span<const double> out = net_.forward_rows(obs, r0, r1, ws);
+    for (std::size_t row = 0; row < rows; ++row) {
         const double* raw = out.data() + row * 2 * action_dim_;
         const double* a = actions.data() + row * action_dim_;
         double* mu = means.data() + row * action_dim_;
@@ -179,21 +189,47 @@ void GaussianPolicy::backward_batch(Mlp::BatchWorkspace& ws, std::size_t batch,
                                     std::span<const double> old_log_stds,
                                     std::span<double> grad_out,
                                     std::span<double> grad_params) const {
+    output_gradients(ws, 0, batch, actions, means, log_stds, c_logp, c_entropy, c_kl, old_means,
+                     old_log_stds, grad_out);
+    net_.backward_batch(ws, grad_out, grad_params);
+}
+
+void GaussianPolicy::backprop_rows(Mlp::BatchWorkspace& ws, std::size_t r0, std::size_t r1,
+                                   std::span<const double> actions,
+                                   std::span<const double> means,
+                                   std::span<const double> log_stds,
+                                   std::span<const double> c_logp, double c_entropy,
+                                   double c_kl, std::span<const double> old_means,
+                                   std::span<const double> old_log_stds,
+                                   std::span<double> grad_out) const {
+    output_gradients(ws, r0, r1, actions, means, log_stds, c_logp, c_entropy, c_kl, old_means,
+                     old_log_stds, grad_out);
+    net_.backprop_rows(ws, r0, r1, grad_out);
+}
+
+void GaussianPolicy::output_gradients(const Mlp::BatchWorkspace& ws, std::size_t r0,
+                                      std::size_t r1, std::span<const double> actions,
+                                      std::span<const double> means,
+                                      std::span<const double> log_stds,
+                                      std::span<const double> c_logp, double c_entropy,
+                                      double c_kl, std::span<const double> old_means,
+                                      std::span<const double> old_log_stds,
+                                      std::span<double> grad_out) const {
+    const std::size_t rows = r1 - r0;
     const bool with_kl = c_kl != 0.0 && !old_means.empty();
-    if (actions.size() != batch * action_dim_ || means.size() != batch * action_dim_ ||
-        log_stds.size() != batch * action_dim_ || c_logp.size() != batch ||
-        grad_out.size() != batch * 2 * action_dim_ ||
-        (with_kl && (old_means.size() != batch * action_dim_ ||
-                     old_log_stds.size() != batch * action_dim_))) {
-        throw std::invalid_argument("GaussianPolicy::backward_batch: size mismatch");
+    if (r0 > r1 || r1 > ws.batch || actions.size() != rows * action_dim_ ||
+        means.size() != rows * action_dim_ || log_stds.size() != rows * action_dim_ ||
+        c_logp.size() != rows || grad_out.size() != rows * 2 * action_dim_ ||
+        (with_kl && (old_means.size() != rows * action_dim_ ||
+                     old_log_stds.size() != rows * action_dim_))) {
+        throw std::invalid_argument("GaussianPolicy::backward: size mismatch");
     }
-    const std::span<const double> raw_rows(ws.activations.back().data(),
-                                           batch * 2 * action_dim_);
-    for (std::size_t row = 0; row < batch; ++row) {
+    const double* raw_rows = ws.activations.back().data() + r0 * 2 * action_dim_;
+    for (std::size_t row = 0; row < rows; ++row) {
         const double* a = actions.data() + row * action_dim_;
         const double* mu_row = means.data() + row * action_dim_;
         const double* ls_row = log_stds.data() + row * action_dim_;
-        const double* raw = raw_rows.data() + row * 2 * action_dim_;
+        const double* raw = raw_rows + row * 2 * action_dim_;
         double* g = grad_out.data() + row * 2 * action_dim_;
         const double cp = c_logp[row];
         for (std::size_t i = 0; i < action_dim_; ++i) {
@@ -220,7 +256,6 @@ void GaussianPolicy::backward_batch(Mlp::BatchWorkspace& ws, std::size_t batch,
             g[action_dim_ + i] = (raw_ls > kMinLogStd && raw_ls < kMaxLogStd) ? g_ls : 0.0;
         }
     }
-    net_.backward_batch(ws, grad_out, grad_params);
 }
 
 void GaussianPolicy::set_initial_mean(std::span<const double> mean) {

@@ -82,24 +82,40 @@ public:
     /// Batched evaluate over `batch` row-major (obs, action) rows: writes the
     /// clamped moments (batch × action_dim each), per-row log-densities and
     /// entropies, and caches activations in `ws` for backward_batch(). Row b
-    /// is bit-identical to evaluate() on that row. Allocation-free.
+    /// agrees with evaluate() on that row to 1e-12. Allocation-free.
     void evaluate_batch(std::span<const double> obs, std::span<const double> actions,
                         std::size_t batch, Mlp::BatchWorkspace& ws, std::span<double> means,
                         std::span<double> log_stds, std::span<double> log_probs,
                         std::span<double> entropies) const;
+    /// evaluate_batch() for rows [r0, r1) of a pass begun with
+    /// network().begin_batch(); every span holds just those rows. The row
+    /// and concurrency rules are Mlp::forward_rows()'s.
+    void evaluate_rows(std::span<const double> obs, std::span<const double> actions,
+                       std::size_t r0, std::size_t r1, Mlp::BatchWorkspace& ws,
+                       std::span<double> means, std::span<double> log_stds,
+                       std::span<double> log_probs, std::span<double> entropies) const;
 
     /// Batched counterpart of backward(): accumulates into `grad_params` the
     /// gradient of Σ_b c_logp[b]·log π(a_b|s_b) + c_entropy·H + c_kl·KL(old_b‖·),
     /// reusing the activations cached by evaluate_batch(). `grad_out` is
     /// caller scratch sized batch × 2·action_dim; `old_means`/`old_log_stds`
-    /// may be empty when c_kl == 0. Bit-identical to per-row backward()
-    /// calls in ascending row order. Allocation-free.
+    /// may be empty when c_kl == 0. Agrees with per-row backward() calls in
+    /// ascending row order to 1e-12. Allocation-free.
     void backward_batch(Mlp::BatchWorkspace& ws, std::size_t batch,
                         std::span<const double> actions, std::span<const double> means,
                         std::span<const double> log_stds, std::span<const double> c_logp,
                         double c_entropy, double c_kl, std::span<const double> old_means,
                         std::span<const double> old_log_stds, std::span<double> grad_out,
                         std::span<double> grad_params) const;
+    /// The per-row half of backward_batch() for rows [r0, r1) (every span
+    /// holds just those rows): writes their output gradients into `grad_out`
+    /// and back-propagates them (Mlp::backprop_rows()). The parameter
+    /// gradient is then summed by network().accumulate_gradient().
+    void backprop_rows(Mlp::BatchWorkspace& ws, std::size_t r0, std::size_t r1,
+                       std::span<const double> actions, std::span<const double> means,
+                       std::span<const double> log_stds, std::span<const double> c_logp,
+                       double c_entropy, double c_kl, std::span<const double> old_means,
+                       std::span<const double> old_log_stds, std::span<double> grad_out) const;
 
     /// Analytic KL(N(old) || N(current at obs)). Used for the adaptive KL
     /// penalty coefficient of RLlib-style PPO.
@@ -122,6 +138,14 @@ public:
     static constexpr double kMaxLogStd = 2.0;
 
 private:
+    /// dLoss/d(raw network output) for rows [r0, r1) of the current pass.
+    void output_gradients(const Mlp::BatchWorkspace& ws, std::size_t r0, std::size_t r1,
+                          std::span<const double> actions, std::span<const double> means,
+                          std::span<const double> log_stds, std::span<const double> c_logp,
+                          double c_entropy, double c_kl, std::span<const double> old_means,
+                          std::span<const double> old_log_stds,
+                          std::span<double> grad_out) const;
+
     std::size_t obs_dim_;
     std::size_t action_dim_;
     Mlp net_;

@@ -161,19 +161,18 @@ Mlp::BatchWorkspace::BatchWorkspace(const Mlp& net, std::size_t max_batch_rows)
     }
     const std::vector<std::size_t>& layers = net.layer_sizes();
     activations.resize(layers.size());
-    std::size_t widest = 0;
-    std::size_t largest_weights = 0;
+    deltas.resize(layers.size() - 1);
+    wt.resize(layers.size() - 1);
     for (std::size_t l = 0; l < layers.size(); ++l) {
         activations[l].assign(max_batch * layers[l], 0.0);
         widest = std::max(widest, layers[l]);
         if (l + 1 < layers.size()) {
-            largest_weights = std::max(largest_weights, layers[l] * layers[l + 1]);
+            deltas[l].assign(max_batch * layers[l + 1], 0.0);
+            wt[l].assign(layers[l] * layers[l + 1], 0.0);
         }
     }
-    delta.assign(max_batch * widest, 0.0);
-    delta_next.assign(max_batch * widest, 0.0);
-    wt.assign(largest_weights, 0.0);
     at.assign(max_batch * widest, 0.0);
+    gates = std::make_unique<TransposeGate[]>(layers.size() - 1);
 }
 
 void Mlp::forward_batch(std::span<const double> inputs, std::size_t batch, BatchWorkspace& ws,
@@ -187,101 +186,167 @@ void Mlp::forward_batch(std::span<const double> inputs, std::size_t batch, Batch
 
 std::span<const double> Mlp::forward_cached_batch(std::span<const double> inputs,
                                                   std::size_t batch, BatchWorkspace& ws) const {
-    if (ws.activations.size() != layers_.size() || batch > ws.max_batch) {
-        throw std::invalid_argument("Mlp::forward_cached_batch: workspace too small");
-    }
-    if (inputs.size() != batch * layers_.front()) {
-        throw std::invalid_argument("Mlp::forward_cached_batch: wrong inputs size");
-    }
-    ws.batch = batch;
-    std::copy(inputs.begin(), inputs.end(), ws.activations[0].begin());
-    const std::size_t num_layers = layers_.size();
-    for (std::size_t l = 0; l + 1 < num_layers; ++l) {
-        const std::size_t in_dim = layers_[l];
-        const std::size_t out_dim = layers_[l + 1];
-        const double* w = params_.data() + weight_offset(l); // row-major out x in
-        const double* b = params_.data() + bias_offset(l);
-        const double* x = ws.activations[l].data();
-        double* y = ws.activations[l + 1].data();
-        // Seed each output row with the bias, then accumulate X · Wᵀ in
-        // ascending input order — the same FP addition order as the scalar
-        // path (which starts its accumulator at the bias). Both operands are
-        // transposed into the workspace so the product runs through the
-        // k-major gemm_tn kernel; transposition reorders memory, never the
-        // per-element addition sequence.
-        for (std::size_t row = 0; row < batch; ++row) {
-            std::copy(b, b + out_dim, y + row * out_dim);
-        }
-        transpose(out_dim, in_dim, w, ws.wt.data());   // -> in x out
-        transpose(batch, in_dim, x, ws.at.data());     // -> in x batch
-        gemm_tn_acc(batch, out_dim, in_dim, ws.at.data(), ws.wt.data(), y);
-        if (l + 2 < num_layers) {
-            for (std::size_t idx = 0; idx < batch * out_dim; ++idx) {
-                y[idx] = std::tanh(y[idx]);
-            }
-        }
-    }
-    return std::span<const double>(ws.activations.back().data(), batch * layers_.back());
+    begin_batch(ws, batch);
+    return forward_rows(inputs, 0, batch, ws);
 }
 
 void Mlp::backward_batch(BatchWorkspace& ws, std::span<const double> grad_outputs,
                          std::span<double> grad_params, std::span<double> grad_inputs) const {
-    const std::size_t batch = ws.batch;
-    if (batch == 0 || ws.activations.size() != layers_.size()) {
+    if (ws.batch == 0) {
         throw std::invalid_argument("Mlp::backward_batch: workspace not from forward");
     }
-    if (grad_outputs.size() != batch * layers_.back()) {
-        throw std::invalid_argument("Mlp::backward_batch: wrong grad_outputs size");
+    backprop_rows(ws, 0, ws.batch, grad_outputs, grad_inputs);
+    for (std::size_t l = 0; l + 1 < layers_.size(); ++l) {
+        accumulate_gradient(ws, l, 0, layers_[l + 1], grad_params);
     }
-    if (grad_params.size() != params_.size()) {
-        throw std::invalid_argument("Mlp::backward_batch: wrong grad_params size");
+}
+
+void Mlp::begin_batch(BatchWorkspace& ws, std::size_t batch) const {
+    if (ws.activations.size() != layers_.size() || batch > ws.max_batch) {
+        throw std::invalid_argument("Mlp::begin_batch: workspace too small");
     }
-    if (!grad_inputs.empty() && grad_inputs.size() != batch * layers_.front()) {
-        throw std::invalid_argument("Mlp::backward_batch: wrong grad_inputs size");
+    ws.batch = batch;
+    for (std::size_t l = 0; l + 1 < layers_.size(); ++l) {
+        ws.gates[l].claimed.store(0, std::memory_order_relaxed);
+        ws.gates[l].done.store(0, std::memory_order_relaxed);
     }
-    std::copy(grad_outputs.begin(), grad_outputs.end(), ws.delta.begin());
-    for (std::size_t l = layers_.size() - 1; l-- > 0;) {
+}
+
+const double* Mlp::transposed_weights(BatchWorkspace& ws, std::size_t layer) const {
+    // The weight rows are cut into blocks; every call that needs this layer
+    // claims blocks until none are left, then waits for the blocks other
+    // calls still hold. The first calls to arrive thus share the transpose,
+    // and no claimed block waits on anything, so the wait always ends.
+    constexpr unsigned kBlockRows = 32;
+    const std::size_t in_dim = layers_[layer];
+    const std::size_t out_dim = layers_[layer + 1];
+    const auto blocks = static_cast<unsigned>((out_dim + kBlockRows - 1) / kBlockRows);
+    BatchWorkspace::TransposeGate& gate = ws.gates[layer];
+    double* wt = ws.wt[layer].data();
+    if (gate.done.load(std::memory_order_acquire) == blocks) {
+        return wt;
+    }
+    const double* w = params_.data() + weight_offset(layer);
+    for (unsigned b = gate.claimed.fetch_add(1, std::memory_order_relaxed); b < blocks;
+         b = gate.claimed.fetch_add(1, std::memory_order_relaxed)) {
+        const std::size_t o0 = std::size_t{b} * kBlockRows;
+        transpose_rows(out_dim, in_dim, o0, std::min(out_dim, o0 + kBlockRows), w, wt);
+        if (gate.done.fetch_add(1, std::memory_order_acq_rel) + 1 == blocks) {
+            gate.done.notify_all();
+        }
+    }
+    for (unsigned d = gate.done.load(std::memory_order_acquire); d < blocks;
+         d = gate.done.load(std::memory_order_acquire)) {
+        gate.done.wait(d, std::memory_order_acquire);
+    }
+    return wt;
+}
+
+std::span<const double> Mlp::forward_rows(std::span<const double> inputs, std::size_t r0,
+                                          std::size_t r1, BatchWorkspace& ws) const {
+    if (ws.activations.size() != layers_.size() || r0 > r1 || r1 > ws.batch) {
+        throw std::invalid_argument("Mlp::forward_rows: rows outside the pass");
+    }
+    const std::size_t rows = r1 - r0;
+    if (inputs.size() != rows * layers_.front()) {
+        throw std::invalid_argument("Mlp::forward_rows: wrong inputs size");
+    }
+    std::copy(inputs.begin(), inputs.end(),
+              ws.activations[0].begin() + static_cast<std::ptrdiff_t>(r0 * layers_.front()));
+    double* at = ws.at.data() + r0 * ws.widest;
+    const std::size_t num_layers = layers_.size();
+    for (std::size_t l = 0; l + 1 < num_layers; ++l) {
         const std::size_t in_dim = layers_[l];
         const std::size_t out_dim = layers_[l + 1];
-        const double* w = params_.data() + weight_offset(l);
-        double* gw = grad_params.data() + weight_offset(l);
-        double* gb = grad_params.data() + bias_offset(l);
-        const double* x = ws.activations[l].data();
-        const double* y = ws.activations[l + 1].data();
-        double* delta = ws.delta.data();
-        const bool is_output = (l + 2 == layers_.size());
+        const double* b = params_.data() + bias_offset(l);
+        const double* x = ws.activations[l].data() + r0 * in_dim;
+        double* y = ws.activations[l + 1].data() + r0 * out_dim;
+        // Seed each output row with the bias, then accumulate X · Wᵀ in
+        // ascending input order — the same FP addition order as the scalar
+        // path (which starts its accumulator at the bias). Both operands are
+        // transposed so the product runs through the k-major gemm_tn kernel;
+        // transposition reorders memory, never the per-element addition
+        // sequence.
+        for (std::size_t row = 0; row < rows; ++row) {
+            std::copy(b, b + out_dim, y + row * out_dim);
+        }
+        const double* wt = transposed_weights(ws, l); // in x out
+        transpose(rows, in_dim, x, at);               // -> in x rows
+        gemm_tn_acc(rows, out_dim, in_dim, at, wt, y);
+        if (l + 2 < num_layers) {
+            for (std::size_t idx = 0; idx < rows * out_dim; ++idx) {
+                y[idx] = std::tanh(y[idx]);
+            }
+        }
+    }
+    return std::span<const double>(ws.activations.back().data() + r0 * layers_.back(),
+                                   rows * layers_.back());
+}
 
+void Mlp::backprop_rows(BatchWorkspace& ws, std::size_t r0, std::size_t r1,
+                        std::span<const double> grad_outputs,
+                        std::span<double> grad_inputs) const {
+    if (ws.activations.size() != layers_.size() || r0 > r1 || r1 > ws.batch) {
+        throw std::invalid_argument("Mlp::backprop_rows: rows outside the pass");
+    }
+    const std::size_t rows = r1 - r0;
+    if (grad_outputs.size() != rows * layers_.back()) {
+        throw std::invalid_argument("Mlp::backprop_rows: wrong grad_outputs size");
+    }
+    if (!grad_inputs.empty() && grad_inputs.size() != rows * layers_.front()) {
+        throw std::invalid_argument("Mlp::backprop_rows: wrong grad_inputs size");
+    }
+    const std::size_t last = layers_.size() - 2;
+    std::copy(grad_outputs.begin(), grad_outputs.end(),
+              ws.deltas[last].begin() + static_cast<std::ptrdiff_t>(r0 * layers_.back()));
+    double* at = ws.at.data() + r0 * ws.widest;
+    for (std::size_t l = last + 1; l-- > 0;) {
+        const std::size_t in_dim = layers_[l];
+        const std::size_t out_dim = layers_[l + 1];
+        double* delta = ws.deltas[l].data() + r0 * out_dim;
         // For hidden layers y = tanh(pre), so dpre = delta * (1 - y^2).
-        if (!is_output) {
-            for (std::size_t idx = 0; idx < batch * out_dim; ++idx) {
+        if (l != last) {
+            const double* y = ws.activations[l + 1].data() + r0 * out_dim;
+            for (std::size_t idx = 0; idx < rows * out_dim; ++idx) {
                 delta[idx] *= 1.0 - y[idx] * y[idx];
             }
         }
-        // Bias gradient: per-sample contributions in ascending row order.
-        for (std::size_t row = 0; row < batch; ++row) {
-            const double* d = delta + row * out_dim;
-            for (std::size_t o = 0; o < out_dim; ++o) {
-                gb[o] += d[o];
-            }
+        if (l == 0 && grad_inputs.empty()) {
+            break;
         }
-        // Weight gradient: Δᵀ · X accumulated in ascending sample order.
-        gemm_tn_acc(out_dim, in_dim, batch, delta, x, gw);
-        if (l > 0 || !grad_inputs.empty()) {
-            // Input deltas Δ · W as Δᵀᵀ · W: transpose Δ to out × batch so
-            // the product is k-major too (o-ascending accumulation, exactly
-            // the scalar path's order).
-            double* next = ws.delta_next.data();
-            std::fill(next, next + batch * in_dim, 0.0);
-            transpose(batch, out_dim, delta, ws.at.data()); // -> out x batch
-            gemm_tn_acc(batch, in_dim, out_dim, ws.at.data(), w, next);
-            std::swap(ws.delta, ws.delta_next);
+        double* next = l > 0 ? ws.deltas[l - 1].data() + r0 * in_dim : grad_inputs.data();
+        // Input deltas Δ · W as Δᵀᵀ · W: transpose Δ to out × rows so the
+        // product is k-major too (o-ascending accumulation, exactly the
+        // scalar path's order).
+        std::fill(next, next + rows * in_dim, 0.0);
+        transpose(rows, out_dim, delta, at); // -> out x rows
+        gemm_tn_acc(rows, in_dim, out_dim, at, params_.data() + weight_offset(l), next);
+    }
+}
+
+void Mlp::accumulate_gradient(const BatchWorkspace& ws, std::size_t layer, std::size_t o0,
+                              std::size_t o1, std::span<double> grad_params) const {
+    if (layer + 1 >= layers_.size() || o0 > o1 || o1 > layers_[layer + 1] ||
+        ws.deltas.size() + 1 != layers_.size()) {
+        throw std::invalid_argument("Mlp::accumulate_gradient: units outside the layer");
+    }
+    if (grad_params.size() != params_.size()) {
+        throw std::invalid_argument("Mlp::accumulate_gradient: wrong grad_params size");
+    }
+    const std::size_t in_dim = layers_[layer];
+    const std::size_t out_dim = layers_[layer + 1];
+    const double* delta = ws.deltas[layer].data();
+    // Bias gradient: per-sample contributions in ascending row order.
+    double* gb = grad_params.data() + bias_offset(layer);
+    for (std::size_t row = 0; row < ws.batch; ++row) {
+        const double* d = delta + row * out_dim;
+        for (std::size_t o = o0; o < o1; ++o) {
+            gb[o] += d[o];
         }
     }
-    if (!grad_inputs.empty()) {
-        std::copy(ws.delta.begin(), ws.delta.begin() + static_cast<std::ptrdiff_t>(
-                                                           batch * layers_.front()),
-                  grad_inputs.begin());
-    }
+    // Weight gradient: Δᵀ · X accumulated in ascending sample order.
+    gemm_tn_acc_rows(out_dim, in_dim, ws.batch, o0, o1, delta, ws.activations[layer].data(),
+                     grad_params.data() + weight_offset(layer));
 }
 
 std::span<double> Mlp::output_bias() noexcept {

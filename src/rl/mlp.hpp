@@ -11,14 +11,22 @@
 ///    `backward_batch`) over row-major (batch × dim) buffers, built on the
 ///    cache-blocked GEMM kernels of math/gemm.hpp. The GEMM kernels
 ///    accumulate every reduction in ascending order, so the batched passes
-///    are bit-identical to running the per-sample path row by row.
+///    agree with running the per-sample path row by row to 1e-12 (the only
+///    difference is FMA contraction in the kernels' AVX2 clone).
+/// The batched pass also comes in pieces for multi-threaded training: after
+/// a serial `begin_batch`, `forward_rows` and `backprop_rows` work on one
+/// range of rows each, and `accumulate_gradient` sums one range of a
+/// layer's output units over all rows. Ranges on the GEMM row-tile grid give
+/// results bitwise equal to the whole-batch pass, however they are split.
 /// The `BatchWorkspace` is constructor-sized for a maximum batch, making the
 /// steady-state training step allocation-free.
 #pragma once
 
 #include "support/rng.hpp"
 
+#include <atomic>
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -61,18 +69,32 @@ public:
 
     /// Batch-major scratch, constructor-sized so the steady-state training
     /// step never touches the heap. Buffers hold up to `max_batch` rows; a
-    /// forward with `batch` ≤ max_batch packs its rows contiguously.
+    /// pass over `batch` ≤ max_batch rows packs them contiguously. Row-range
+    /// calls write only their own rows (and their own slice of `at`), so
+    /// disjoint ranges of one pass may run on different threads.
     struct BatchWorkspace {
         BatchWorkspace() = default;
         BatchWorkspace(const Mlp& net, std::size_t max_batch);
 
+        /// Claim and completion counters of one layer's weight transpose,
+        /// shared by the row-range calls of a pass (reset by begin_batch).
+        struct TransposeGate {
+            std::atomic<unsigned> claimed{0}; ///< next weight-row block to transpose.
+            std::atomic<unsigned> done{0};    ///< blocks transposed so far.
+        };
+
         std::size_t max_batch = 0;
-        std::size_t batch = 0; ///< rows of the last forward_cached_batch.
+        std::size_t batch = 0;  ///< rows of the pass begun by begin_batch().
+        std::size_t widest = 0; ///< widest layer.
         std::vector<std::vector<double>> activations; ///< act[l]: batch × layers[l].
-        std::vector<double> delta;      ///< batch × widest layer scratch.
-        std::vector<double> delta_next; ///< second delta buffer (ping-pong).
-        std::vector<double> wt;         ///< largest layer's weights, transposed (in × out).
-        std::vector<double> at;         ///< batch-major operand transposed (dim × batch).
+        /// deltas[l]: batch × layers[l+1], dLoss/d(pre-activation) of weight
+        /// layer l's outputs, written by backprop_rows().
+        std::vector<std::vector<double>> deltas;
+        std::vector<std::vector<double>> wt; ///< wt[l]: layer-l weights transposed (in × out).
+        /// Transposed-operand scratch, max_batch × widest; rows [r0, r1) use
+        /// the slice starting at r0 · widest.
+        std::vector<double> at;
+        std::unique_ptr<TransposeGate[]> gates; ///< one per weight layer.
     };
 
     /// Batched forward over `batch` row-major input rows (batch × input_dim),
@@ -87,10 +109,37 @@ public:
     /// Accumulates dLoss/dparams over the whole batch into `grad_params`
     /// given per-row output gradients (batch × output_dim). Optionally writes
     /// per-row input gradients (batch × input_dim) into `grad_inputs`.
-    /// Bit-identical to summing per-sample backward() calls in row order.
+    /// Agrees with summing per-sample backward() calls in row order to 1e-12.
     void backward_batch(BatchWorkspace& ws, std::span<const double> grad_outputs,
                         std::span<double> grad_params,
                         std::span<double> grad_inputs = {}) const;
+
+    /// Starts a pass over `batch` rows: records the row count and marks the
+    /// transposed weights stale, since the parameters may have changed since
+    /// the last pass. Call once, serially, before the row-range calls.
+    void begin_batch(BatchWorkspace& ws, std::size_t batch) const;
+    /// Forward over rows [r0, r1) of the pass; `inputs` holds just those rows
+    /// ((r1 − r0) × input_dim). Records activations for backprop_rows() and
+    /// returns a view of the output rows. With r0, and r1 unless it is the
+    /// batch end, on the kGemmRowTile grid, every row is bitwise the row of
+    /// a whole-batch pass. Each layer's weights are transposed on first use
+    /// in the pass, in row blocks shared out among the calls that need them.
+    std::span<const double> forward_rows(std::span<const double> inputs, std::size_t r0,
+                                         std::size_t r1, BatchWorkspace& ws) const;
+    /// Delta back-propagation for rows [r0, r1): from their output gradients
+    /// ((r1 − r0) × output_dim) fills those rows of every `ws.deltas[l]`,
+    /// and optionally their input gradients into `grad_inputs`. Same grid
+    /// rule as forward_rows().
+    void backprop_rows(BatchWorkspace& ws, std::size_t r0, std::size_t r1,
+                       std::span<const double> grad_outputs,
+                       std::span<double> grad_inputs = {}) const;
+    /// Adds to `grad_params` the weight and bias gradients of output units
+    /// [o0, o1) of weight layer `layer`, each summed over all rows of the
+    /// pass in ascending order. Disjoint ranges touch disjoint gradient
+    /// entries; ranges on the kGemmRowTile grid (o1 may also be the layer
+    /// width) are bitwise equal to the whole-layer sum.
+    void accumulate_gradient(const BatchWorkspace& ws, std::size_t layer, std::size_t o0,
+                             std::size_t o1, std::span<double> grad_params) const;
 
     /// Mutable view of the output layer's bias vector (size output_dim()).
     /// Used to initialize policy heads (e.g. the log-std bias).
@@ -99,6 +148,9 @@ public:
 private:
     std::size_t weight_offset(std::size_t layer) const noexcept;
     std::size_t bias_offset(std::size_t layer) const noexcept;
+    /// Layer `layer`'s weights transposed for the current pass (see
+    /// forward_rows()); blocks until every row block is in place.
+    const double* transposed_weights(BatchWorkspace& ws, std::size_t layer) const;
 
     std::vector<std::size_t> layers_;
     std::vector<double> params_;

@@ -6,17 +6,24 @@
 /// (γ = 0.99, λ_RL = 1, KL coeff 0.2, clip 0.3, lr 5e-5, batch 4000,
 /// minibatch 128, 30 epochs).
 ///
-/// The trainer is batch-major and parallel:
+/// The trainer is batch-major and parallel, and `train_threads` never
+/// changes a result bit:
 ///  - rollout collection fans out over `num_envs` independent environment
 ///    slots (each with its own forked RNG stream) on the shared thread pool
 ///    and merges slot trajectories into the rollout buffer by a fixed-order
 ///    serial reduction — results are bit-identical for fixed
 ///    (seed, num_envs) at any `train_threads` count;
 ///  - the SGD epochs run whole minibatches through the GEMM-backed batched
-///    MLP passes (rl/mlp.hpp), with constructor-sized workspaces so the
-///    steady-state update is allocation-free. The legacy per-sample update
-///    is kept behind `batched_update = false` as the benchmark baseline; the
-///    two paths produce bit-identical results.
+///    MLP passes (rl/mlp.hpp), each minibatch as two fan-outs on the same
+///    pool: (A) chunks of rows run the forward passes, the per-row loss
+///    terms and delta back-propagation; (B) blocks of gradient rows sum over
+///    all minibatch rows in ascending order. The permutation, the loss sums
+///    and the Adam steps stay serial, so parameters are bitwise equal at any
+///    thread count. Workspaces are constructor-sized, so the steady-state
+///    update is allocation-free at `train_threads = 1`. The legacy
+///    per-sample update is kept behind `batched_update = false` as the
+///    benchmark baseline; the two paths agree to 1e-12 (FMA contraction in
+///    the GEMM kernels is the only difference).
 #pragma once
 
 #include "rl/adam.hpp"
@@ -57,12 +64,13 @@ struct PpoConfig {
     /// but never on the number of worker threads. K = 1 reproduces the
     /// legacy single-stream trajectory exactly.
     std::size_t num_envs = 1;
-    /// Worker threads for the rollout fan-out (0 = all hardware threads).
-    /// Never changes results, only wall clock.
+    /// Worker threads for the trainer's fan-outs: rollout collection and
+    /// both fan-outs of every update minibatch (0 = all hardware threads;
+    /// 1 runs everything inline). Never changes results, only wall clock.
     std::size_t train_threads = 0;
     /// When false, runs the legacy per-sample update loop instead of the
-    /// batched GEMM path (bit-identical results; kept as the benchmark
-    /// baseline for bench_train_scale).
+    /// batched GEMM path (results agree to 1e-12; kept as the benchmark
+    /// baseline for bench_train_scale). The per-sample loop is serial.
     bool batched_update = true;
     /// Optional telemetry session (non-owning; nullptr = fully disabled).
     /// Enables one "ppo_iter" series row per train_iteration (losses, KL,
@@ -153,6 +161,18 @@ private:
     /// disabled); the step index is the iteration count before this one.
     void record_iteration_telemetry(const PpoIterationStats& stats, double collect_seconds,
                                     double update_seconds);
+    /// One work item of the update's reduction fan-out: output units
+    /// [begin, end) of weight layer `layer` of the policy or value network.
+    struct GradBlock {
+        bool value_net;
+        std::size_t layer;
+        std::size_t begin;
+        std::size_t end;
+    };
+    /// Cuts every layer of `net` into GradBlocks on the GEMM row-tile grid.
+    static void append_grad_blocks(const Mlp& net, bool value_net,
+                                   std::vector<GradBlock>& blocks);
+
     void optimize_batched(PpoIterationStats& stats);
     void optimize_scalar(PpoIterationStats& stats);
     void finish_optimize(PpoIterationStats& stats, double kl_sum, double policy_loss_sum,
@@ -190,12 +210,19 @@ private:
     std::vector<double> logp_new_batch_;
     std::vector<double> entropy_batch_;
     std::vector<double> c_logp_batch_;
+    std::vector<double> surrogate_batch_;
+    std::vector<double> kl_batch_;
+    std::vector<double> value_loss_batch_;
     std::vector<double> grad_out_policy_;
     std::vector<double> grad_out_value_;
     Mlp::BatchWorkspace policy_bws_;
     Mlp::BatchWorkspace value_bws_;
     std::vector<double> policy_grad_;
     std::vector<double> value_grad_;
+    std::vector<GradBlock> grad_blocks_; ///< the reduction fan-out's work items.
+    /// Work items per minibatch of the row-parallel fan-out: 1 on one
+    /// thread, else two per thread (see optimize_batched()).
+    std::size_t row_chunks_ = 1;
     // Scalar-path scratch (legacy update baseline).
     Mlp::Workspace scalar_policy_ws_;
     Mlp::Workspace scalar_value_ws_;

@@ -17,6 +17,19 @@ namespace {
 inline std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
 }
+
+/// ln Γ(x). std::lgamma also stores the sign of Γ(x) in the global
+/// `signgam`, a data race when shard streams sample binomials on several
+/// threads at once; glibc's lgamma_r computes the same value and keeps the
+/// sign local.
+double log_gamma(double x) noexcept {
+#if defined(__GLIBC__)
+    int sign = 0;
+    return ::lgamma_r(x, &sign);
+#else
+    return std::lgamma(x);
+#endif
+}
 } // namespace
 
 Rng::Rng(std::uint64_t seed) noexcept {
@@ -190,7 +203,7 @@ std::uint64_t Rng::binomial(std::uint64_t n, double p) noexcept {
     const double alpha = (2.83 + 5.1 / b) * spq;
     const double lpq = std::log(p / q);
     const double m = std::floor((nd + 1.0) * p);
-    const double h = std::lgamma(m + 1.0) + std::lgamma(nd - m + 1.0);
+    const double h = log_gamma(m + 1.0) + log_gamma(nd - m + 1.0);
     while (true) {
         const double u = uniform() - 0.5;
         double v = uniform();
@@ -204,7 +217,7 @@ std::uint64_t Rng::binomial(std::uint64_t n, double p) noexcept {
         }
         v = std::log(v * alpha / (a / (us * us) + b));
         const double bound =
-            h - std::lgamma(kd + 1.0) - std::lgamma(nd - kd + 1.0) + (kd - m) * lpq;
+            h - log_gamma(kd + 1.0) - log_gamma(nd - kd + 1.0) + (kd - m) * lpq;
         if (v <= bound) {
             return static_cast<std::uint64_t>(kd);
         }

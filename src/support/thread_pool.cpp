@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <exception>
+#include <utility>
 
 namespace mflb {
 
@@ -44,6 +45,11 @@ void ThreadPool::submit(std::function<void()> task) {
 void ThreadPool::wait_idle() {
     std::unique_lock lock(mutex_);
     all_done_.wait(lock, [this] { return in_flight_ == 0; });
+    if (first_error_) {
+        std::exception_ptr error = std::exchange(first_error_, nullptr);
+        lock.unlock();
+        std::rethrow_exception(error);
+    }
 }
 
 void ThreadPool::worker_loop() {
@@ -64,18 +70,19 @@ void ThreadPool::worker_loop() {
             task = std::move(tasks_.front());
             tasks_.pop();
         }
-        // The ambient tracer (installed by the owning TelemetrySession) spans
-        // each task so pool occupancy shows up on the chrome://tracing
-        // timeline; with no tracer installed this is one predicted branch.
-        if (trace::Tracer* tracer = trace::active_tracer(); tracer != nullptr) {
-            const std::uint64_t begin = trace::now_ns();
+        // A throwing task is recorded for wait_idle() instead of escaping
+        // the thread (which would std::terminate the process).
+        std::exception_ptr error;
+        try {
             task();
-            tracer->record("pool_task", begin, trace::now_ns());
-        } else {
-            task();
+        } catch (...) {
+            error = std::current_exception();
         }
         {
             std::lock_guard lock(mutex_);
+            if (error && !first_error_) {
+                first_error_ = std::move(error);
+            }
             --in_flight_;
             if (in_flight_ == 0) {
                 all_done_.notify_all();
@@ -98,9 +105,13 @@ bool on_pool_worker() noexcept {
 void CompletionToken::submit_to_pool() {
     // The closure captures one pointer (fits std::function's small buffer).
     // The release store pairs with wait()'s acquire load: everything the
-    // task wrote happens-before the waiter's reads.
+    // task wrote — its "pool_task" span included — happens-before the
+    // waiter's reads.
     shared_thread_pool().submit([this] {
-        call_(obj_);
+        {
+            trace::ScopedSpan span(trace::active_tracer(), "pool_task");
+            run();
+        }
         state_.store(kDone, std::memory_order_release);
         state_.notify_one();
     });
@@ -137,7 +148,7 @@ struct ForContext {
 
 /// Worker t drains its own strip in `chunk`-sized claims, then steals
 /// chunks from the other strips round-robin (t+1, t+2, …).
-void run_strips(ForContext& ctx, std::size_t t) {
+void drain_strips(ForContext& ctx, std::size_t t) {
     bool stop = false;
     for (std::size_t off = 0; off < ctx.threads && !stop; ++off) {
         StripCursor& cur = ctx.cursors[(t + off) % ctx.threads];
@@ -167,6 +178,18 @@ void run_strips(ForContext& ctx, std::size_t t) {
                 }
             }
         }
+    }
+}
+
+/// One pool task of a parallel_for. The ambient tracer (installed by the
+/// owning TelemetrySession) spans it so pool occupancy shows up on the
+/// chrome://tracing timeline; the span is recorded before the latch count-
+/// down, so a caller reading the tracer after parallel_for returns never
+/// races with it. With no tracer installed this is one predicted branch.
+void run_strips(ForContext& ctx, std::size_t t) {
+    {
+        trace::ScopedSpan span(trace::active_tracer(), "pool_task");
+        drain_strips(ctx, t);
     }
     ctx.done.count_down();
 }

@@ -21,6 +21,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <latch>
 #include <memory>
@@ -28,6 +29,7 @@
 #include <queue>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace mflb {
@@ -51,9 +53,12 @@ public:
     ThreadPool(const ThreadPool&) = delete;
     ThreadPool& operator=(const ThreadPool&) = delete;
 
-    /// Enqueues a task for asynchronous execution.
+    /// Enqueues a task for asynchronous execution. A task that throws does
+    /// not take the process down: the first such exception is kept and
+    /// rethrown by the next wait_idle().
     void submit(std::function<void()> task);
-    /// Blocks until all submitted tasks have finished.
+    /// Blocks until all submitted tasks have finished, then rethrows (and
+    /// clears) the first exception a task threw since the last call.
     void wait_idle();
 
     std::size_t thread_count() const noexcept { return workers_.size(); }
@@ -68,6 +73,7 @@ private:
     std::condition_variable all_done_;
     std::size_t in_flight_ = 0;
     bool stopping_ = false;
+    std::exception_ptr first_error_; ///< guarded by mutex_.
 };
 
 /// The process-wide worker pool behind `parallel_for`, constructed on first
@@ -95,8 +101,18 @@ bool on_pool_worker() noexcept;
 /// inline before `launch` returns, keeping the threads<=1 hot path
 /// allocation-free and deadlock-free. The token is reusable after `wait()`
 /// but tracks at most one task at a time.
+///
+/// An exception thrown by `f` is captured, inline or on a worker alike, and
+/// rethrown by `wait()` on the calling thread. Destroying a token whose task
+/// is still running (the caller unwinding before `wait()`) blocks until the
+/// task is done, so the task never outlives the objects it references.
 class CompletionToken {
 public:
+    CompletionToken() = default;
+    CompletionToken(const CompletionToken&) = delete;
+    CompletionToken& operator=(const CompletionToken&) = delete;
+    ~CompletionToken() { join(); }
+
     template <typename F>
         requires std::is_invocable_v<F&>
     void launch(F& f, std::size_t threads = 0) {
@@ -106,7 +122,7 @@ public:
             threads = std::thread::hardware_concurrency();
         }
         if (threads <= 1 || on_pool_worker()) {
-            call_(obj_);
+            run();
             state_.store(kIdle, std::memory_order_relaxed);
             return;
         }
@@ -115,16 +131,14 @@ public:
     }
 
     /// Blocks until the launched task has finished (no-op when it ran inline
-    /// or nothing was launched) and resets the token for reuse. The task's
-    /// release store paired with this acquire load orders its writes before
-    /// the caller's subsequent reads.
-    void wait() noexcept {
-        int s = state_.load(std::memory_order_acquire);
-        while (s == kPending) {
-            state_.wait(kPending, std::memory_order_acquire);
-            s = state_.load(std::memory_order_acquire);
+    /// or nothing was launched), resets the token for reuse, and rethrows the
+    /// task's exception if it threw. The task's release store paired with
+    /// this acquire load orders its writes before the caller's later reads.
+    void wait() {
+        join();
+        if (error_) {
+            std::rethrow_exception(std::exchange(error_, nullptr));
         }
-        state_.store(kIdle, std::memory_order_relaxed);
     }
 
 private:
@@ -132,12 +146,30 @@ private:
     static constexpr int kPending = 1; ///< submitted, not yet finished
     static constexpr int kDone = 2;    ///< finished on a worker
 
+    /// Runs the task, keeping any exception for wait().
+    void run() noexcept {
+        try {
+            call_(obj_);
+        } catch (...) {
+            error_ = std::current_exception();
+        }
+    }
+    /// Blocks until no task is pending and resets the state to idle.
+    void join() noexcept {
+        int s = state_.load(std::memory_order_acquire);
+        while (s == kPending) {
+            state_.wait(kPending, std::memory_order_acquire);
+            s = state_.load(std::memory_order_acquire);
+        }
+        state_.store(kIdle, std::memory_order_relaxed);
+    }
     /// Out-of-line so the header does not need the pool definition order.
     void submit_to_pool();
 
     std::atomic<int> state_{kIdle};
     void* obj_ = nullptr;
     void (*call_)(void*) = nullptr;
+    std::exception_ptr error_; ///< written by run(), read after join().
 };
 
 /// True when called from any `ThreadPool` worker thread (the shared pool's

@@ -110,7 +110,7 @@ private:
 
 /// Installs `tracer` as the process-wide ambient tracer (nullptr clears).
 /// Components without an explicit tracer handle — the shared thread pool's
-/// task loop, bench section timers — consult this; everything else receives
+/// fan-out tasks, bench section timers — consult this; everything else receives
 /// its Tracer* through the TelemetrySession plumbing.
 void set_active_tracer(Tracer* tracer) noexcept;
 /// Current ambient tracer, or nullptr (one relaxed atomic load).

@@ -1,11 +1,16 @@
-// Gradient-check and shape tests for the MLP and Adam.
+// Gradient-check and shape tests for the MLP and Adam, plus the bitwise
+// contract of the row-range GEMM and MLP passes behind the parallel update.
+#include "math/gemm.hpp"
 #include "rl/adam.hpp"
 #include "rl/mlp.hpp"
+#include "support/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 namespace mflb::rl {
 namespace {
@@ -207,6 +212,106 @@ TEST(Mlp, BatchedBackwardAccumulates) {
     for (std::size_t i = 0; i < once.size(); ++i) {
         EXPECT_NEAR(twice[i], 2.0 * once[i], 1e-12);
     }
+}
+
+std::uint64_t bits(double x) {
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+std::vector<double> normals(Rng& rng, std::size_t count) {
+    std::vector<double> v(count);
+    for (double& x : v) {
+        x = rng.normal();
+    }
+    return v;
+}
+
+TEST(Gemm, RowRangesConcatenateToTheFullCallBitwise) {
+    // Row ranges on the 4-row tile grid run every row through the same tile
+    // code as the full call; n = 19 also exercises the 8-wide column tail.
+    Rng rng(31);
+    const std::size_t n = 19;
+    const std::size_t k = 37;
+    for (const std::size_t m : {1u, 5u, 127u, 128u}) {
+        const std::vector<double> a = normals(rng, k * m);
+        const std::vector<double> b = normals(rng, k * n);
+        const std::vector<double> c0 = normals(rng, m * n);
+        std::vector<double> full = c0;
+        gemm_tn_acc(m, n, k, a.data(), b.data(), full.data());
+        for (const std::size_t step : {kGemmRowTile, 2 * kGemmRowTile, 3 * kGemmRowTile}) {
+            std::vector<double> pieces = c0;
+            // Last range first: the order of the calls must not matter.
+            for (std::size_t range = (m + step - 1) / step; range-- > 0;) {
+                const std::size_t i0 = range * step;
+                gemm_tn_acc_rows(m, n, k, i0, std::min(m, i0 + step), a.data(), b.data(),
+                                 pieces.data());
+            }
+            for (std::size_t i = 0; i < full.size(); ++i) {
+                ASSERT_EQ(bits(pieces[i]), bits(full[i]))
+                    << "m " << m << " step " << step << " entry " << i;
+            }
+        }
+    }
+}
+
+TEST(Mlp, RowRangePassesMatchTheWholeBatchBitwise) {
+    // The pieces of a pass — row-range forward and back-propagation on the
+    // pool, then per-unit-range gradient sums — reproduce the whole-batch
+    // pass bit for bit, including the shared weight transposes.
+    Rng rng(32);
+    Mlp net({5, 64, 37, 7}, rng, 1.0);
+    const std::size_t batch = 61;
+    const std::size_t chunk = 8;
+    const std::vector<double> inputs = normals(rng, batch * 5);
+    const std::vector<double> grad_out = normals(rng, batch * 7);
+
+    Mlp::BatchWorkspace whole_ws(net, batch);
+    const std::span<const double> whole_out = net.forward_cached_batch(inputs, batch, whole_ws);
+    std::vector<double> whole_grad(net.parameter_count(), 0.0);
+    std::vector<double> whole_grad_inputs(batch * 5, 0.0);
+    net.backward_batch(whole_ws, grad_out, whole_grad, whole_grad_inputs);
+
+    Mlp::BatchWorkspace ws(net, batch);
+    std::vector<double> grad(net.parameter_count(), 0.0);
+    std::vector<double> grad_inputs(batch * 5, 0.0);
+    net.begin_batch(ws, batch);
+    parallel_for(
+        (batch + chunk - 1) / chunk,
+        [&](std::size_t c) {
+            const std::size_t r0 = c * chunk;
+            const std::size_t r1 = std::min(batch, r0 + chunk);
+            (void)net.forward_rows(
+                std::span<const double>(inputs.data() + r0 * 5, (r1 - r0) * 5), r0, r1, ws);
+            net.backprop_rows(ws, r0, r1,
+                              std::span<const double>(grad_out.data() + r0 * 7, (r1 - r0) * 7),
+                              std::span<double>(grad_inputs.data() + r0 * 5, (r1 - r0) * 5));
+        },
+        4);
+    const std::vector<std::size_t>& sizes = net.layer_sizes();
+    parallel_for(
+        sizes.size() - 1,
+        [&](std::size_t l) {
+            for (std::size_t o = 0; o < sizes[l + 1]; o += kGemmRowTile) {
+                net.accumulate_gradient(ws, l, o, std::min(sizes[l + 1], o + kGemmRowTile),
+                                        grad);
+            }
+        },
+        4);
+
+    const std::span<const double> out(ws.activations.back().data(), batch * 7);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        ASSERT_EQ(bits(out[i]), bits(whole_out[i])) << "output " << i;
+    }
+    for (std::size_t i = 0; i < grad.size(); ++i) {
+        ASSERT_EQ(bits(grad[i]), bits(whole_grad[i])) << "param " << i;
+    }
+    for (std::size_t i = 0; i < grad_inputs.size(); ++i) {
+        ASSERT_EQ(bits(grad_inputs[i]), bits(whole_grad_inputs[i])) << "input grad " << i;
+    }
+    EXPECT_THROW(net.forward_rows(std::span<const double>(inputs.data(), 5), batch, batch + 1,
+                                  ws),
+                 std::invalid_argument);
+    EXPECT_THROW(net.accumulate_gradient(ws, 0, 0, 65, grad), std::invalid_argument);
 }
 
 TEST(Adam, MinimizesQuadratic) {

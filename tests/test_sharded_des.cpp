@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 namespace mflb {
@@ -314,6 +315,31 @@ TEST(ShardedDesSystem, ClassicalRouterPipelineOnAndOffAreBitIdentical) {
         const DesEpisodeStats off = run(kind, false, 1);
         expect_bit_identical(off, run(kind, true, 1));
         expect_bit_identical(off, run(kind, true, 8));
+    }
+}
+
+/// A policy whose epoch query fails. It draws no caller RNG, so the
+/// pipelined barrier runs it on the offloaded compute task.
+class ThrowingPolicy final : public UpperLevelPolicy {
+public:
+    DecisionRule decide(std::span<const double>, std::size_t, Rng&) const override {
+        throw std::runtime_error("policy failure");
+    }
+    std::string name() const override { return "throwing"; }
+};
+
+TEST(ShardedDesSystem, ThrowingPolicyInPipelinedBarrierPropagates) {
+    // Regression: the offloaded query ran on a pool worker with no handler,
+    // so its exception called std::terminate instead of reaching the caller.
+    for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+        FiniteSystemConfig config = small_config(ClientModel::Aggregated, 4);
+        config.threads = threads;
+        config.pipeline = true;
+        ShardedDesSystem system(config);
+        Rng rng(3);
+        system.reset(rng);
+        const ThrowingPolicy policy;
+        EXPECT_THROW(system.step(policy, rng), std::runtime_error) << threads << " threads";
     }
 }
 

@@ -284,6 +284,43 @@ TEST(ThreadPool, RunsAllTasks) {
     EXPECT_EQ(counter.load(), 100);
 }
 
+TEST(ThreadPool, WaitIdleRethrowsAThrowingSubmittedTask) {
+    // Regression: an exception escaping a submitted task reached the worker
+    // thread's top level and called std::terminate.
+    ThreadPool pool(2);
+    std::atomic<int> counter{0};
+    pool.submit([] { throw std::runtime_error("task failed"); });
+    for (int i = 0; i < 10; ++i) {
+        pool.submit([&counter] { counter.fetch_add(1); });
+    }
+    try {
+        pool.wait_idle();
+        FAIL() << "expected std::runtime_error";
+    } catch (const std::runtime_error& error) {
+        EXPECT_STREQ(error.what(), "task failed");
+    }
+    EXPECT_EQ(counter.load(), 10); // the other tasks still ran
+    // The error is reported once; the pool keeps working afterwards.
+    pool.submit([&counter] { counter.fetch_add(1); });
+    EXPECT_NO_THROW(pool.wait_idle());
+    EXPECT_EQ(counter.load(), 11);
+}
+
+TEST(CompletionToken, WaitRethrowsTheTaskException) {
+    // Inline (1 thread) and offloaded (2 threads) tasks report alike.
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+        CompletionToken token;
+        auto failing = [] { throw std::runtime_error("offloaded"); };
+        token.launch(failing, threads);
+        EXPECT_THROW(token.wait(), std::runtime_error) << threads << " threads";
+        int ran = 0;
+        auto ok = [&ran] { ++ran; };
+        token.launch(ok, threads);
+        EXPECT_NO_THROW(token.wait());
+        EXPECT_EQ(ran, 1);
+    }
+}
+
 TEST(ParallelFor, CoversAllIndicesOnce) {
     std::vector<std::atomic<int>> hits(257);
     parallel_for(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); }, 4);

@@ -1,9 +1,9 @@
 // Determinism and equivalence pins for the parallel training pipeline:
-//  - PPO losses/returns/parameters are bit-identical for fixed
-//    (seed, num_envs) at 1, 2, and 8 worker threads (rollout fan-out +
-//    fixed-order merge + batched update);
-//  - the batched GEMM update reproduces the legacy per-sample update
-//    bit-for-bit;
+//  - PPO losses/returns/parameters are bitwise equal for fixed
+//    (seed, num_envs) at 1, 2, 3, 4 and 8 worker threads (rollout fan-out +
+//    fixed-order merge + the two-fan-out minibatch update);
+//  - the batched GEMM update agrees with the legacy per-sample update to
+//    1e-12 (FMA contraction is the only difference);
 //  - CEM population evaluation is thread-count-invariant;
 //  - evaluate() runs on a dedicated env/stream and never perturbs the
 //    training trajectory (regression for the legacy in-flight-episode
@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 
 namespace mflb::rl {
@@ -92,6 +94,12 @@ RunResult run_ppo(const PpoConfig& config, std::uint64_t seed, std::size_t itera
     return result;
 }
 
+/// Bit pattern of a double: equal patterns, not merely values within a few
+/// ulps (EXPECT_DOUBLE_EQ), is the thread-count contract.
+std::uint64_t bits(double x) {
+    return std::bit_cast<std::uint64_t>(x);
+}
+
 void expect_bit_identical(const RunResult& a, const RunResult& b, const char* what) {
     ASSERT_EQ(a.history.size(), b.history.size()) << what;
     for (std::size_t i = 0; i < a.history.size(); ++i) {
@@ -99,21 +107,23 @@ void expect_bit_identical(const RunResult& a, const RunResult& b, const char* wh
         const PpoIterationStats& y = b.history[i];
         EXPECT_EQ(x.timesteps_total, y.timesteps_total) << what << " iter " << i;
         EXPECT_EQ(x.episodes_completed, y.episodes_completed) << what << " iter " << i;
-        EXPECT_DOUBLE_EQ(x.mean_episode_return, y.mean_episode_return) << what << " iter " << i;
-        EXPECT_DOUBLE_EQ(x.mean_kl, y.mean_kl) << what << " iter " << i;
-        EXPECT_DOUBLE_EQ(x.policy_loss, y.policy_loss) << what << " iter " << i;
-        EXPECT_DOUBLE_EQ(x.value_loss, y.value_loss) << what << " iter " << i;
-        EXPECT_DOUBLE_EQ(x.entropy, y.entropy) << what << " iter " << i;
-        EXPECT_DOUBLE_EQ(x.kl_coeff, y.kl_coeff) << what << " iter " << i;
+        EXPECT_EQ(bits(x.mean_episode_return), bits(y.mean_episode_return))
+            << what << " iter " << i;
+        EXPECT_EQ(bits(x.mean_kl), bits(y.mean_kl)) << what << " iter " << i;
+        EXPECT_EQ(bits(x.policy_loss), bits(y.policy_loss)) << what << " iter " << i;
+        EXPECT_EQ(bits(x.value_loss), bits(y.value_loss)) << what << " iter " << i;
+        EXPECT_EQ(bits(x.entropy), bits(y.entropy)) << what << " iter " << i;
+        EXPECT_EQ(bits(x.kl_coeff), bits(y.kl_coeff)) << what << " iter " << i;
     }
     ASSERT_EQ(a.policy_params.size(), b.policy_params.size());
     for (std::size_t i = 0; i < a.policy_params.size(); ++i) {
-        ASSERT_DOUBLE_EQ(a.policy_params[i], b.policy_params[i])
+        ASSERT_EQ(bits(a.policy_params[i]), bits(b.policy_params[i]))
             << what << " policy param " << i;
     }
     ASSERT_EQ(a.value_params.size(), b.value_params.size());
     for (std::size_t i = 0; i < a.value_params.size(); ++i) {
-        ASSERT_DOUBLE_EQ(a.value_params[i], b.value_params[i]) << what << " value param " << i;
+        ASSERT_EQ(bits(a.value_params[i]), bits(b.value_params[i]))
+            << what << " value param " << i;
     }
 }
 
@@ -125,6 +135,28 @@ TEST(PpoParallel, BitIdenticalAcrossThreadCounts) {
         const RunResult t8 = run_ppo(small_config(num_envs, 8), 99, 3);
         expect_bit_identical(t1, t2, "threads 1 vs 2");
         expect_bit_identical(t1, t8, "threads 1 vs 8");
+    }
+}
+
+TEST(PpoParallel, UpdateIsBitwiseEqualAtAnyThreadCount) {
+    // The update fans each minibatch out twice: row chunks (forward, loss
+    // terms, delta back-propagation), then blocks of gradient rows summed
+    // over the whole minibatch in row order. The chunk size follows the
+    // thread count — minibatch 61 is cut into 1×61, 16+16+16+13,
+    // 12×5+1, 8×7+5 and 4×15+1 rows at 1/2/3/4/8 threads — and the final
+    // 6-row minibatch of batch 250 ends mid-tile; a 256-wide net gives the
+    // reduction many blocks.
+    PpoConfig config = small_config(2, 1);
+    config.hidden = {256, 256};
+    config.train_batch_size = 250;
+    config.minibatch_size = 61;
+    config.num_epochs = 2;
+    const RunResult t1 = run_ppo(config, 17, 2);
+    for (const std::size_t threads : {2u, 3u, 4u, 8u}) {
+        config.train_threads = threads;
+        const RunResult tn = run_ppo(config, 17, 2);
+        SCOPED_TRACE(threads);
+        expect_bit_identical(t1, tn, "update threads 1 vs n");
     }
 }
 
