@@ -214,25 +214,6 @@ void BM_DecisionRuleFromLogits(benchmark::State& state) {
 }
 BENCHMARK(BM_DecisionRuleFromLogits);
 
-void BM_GemmNT(benchmark::State& state) {
-    const auto n = static_cast<std::size_t>(state.range(0));
-    const std::size_t batch = 128;
-    std::vector<double> a(batch * n), b(n * n), c(batch * n, 0.0);
-    Rng rng(7);
-    for (double& v : a) {
-        v = rng.normal();
-    }
-    for (double& v : b) {
-        v = rng.normal();
-    }
-    for (auto _ : state) {
-        gemm_nt_acc(batch, n, n, a.data(), b.data(), c.data());
-        benchmark::DoNotOptimize(c.data());
-    }
-    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(2 * batch * n * n));
-}
-BENCHMARK(BM_GemmNT)->Arg(64)->Arg(256);
-
 void BM_GemmTN(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));
     const std::size_t batch = 128;

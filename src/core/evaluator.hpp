@@ -57,8 +57,9 @@ EvaluationResult evaluate_finite(const FiniteSystemConfig& config, const UpperLe
                                  std::size_t threads = 0);
 
 /// Per-job sojourn-time summary across DES replications: episode-level
-/// means/percentiles (each episode's streaming P² estimate) aggregated into
-/// 95% CIs. Only the event-driven backend can report these.
+/// means/percentiles (each episode's histogram percentiles, within 0.4% of
+/// its exact sample quantiles) aggregated into 95% CIs. Only the
+/// event-driven backends can report these.
 struct SojournSummary {
     ConfidenceInterval mean;
     ConfidenceInterval p50;
@@ -78,7 +79,8 @@ EvaluationResult evaluate_des(const FiniteSystemConfig& config, const UpperLevel
 /// each replication runs its K shards epoch-parallel (config.threads), while
 /// `threads` still fans out the replications themselves — the nested-use
 /// guard of `parallel_for` serializes the inner level when both are active.
-/// Per-episode sojourn percentiles are the cross-shard `P2Quantile` merges.
+/// Per-episode sojourn percentiles come from the exact cross-shard histogram
+/// merge, so they do not depend on K or on the merge order.
 EvaluationResult evaluate_sharded_des(const FiniteSystemConfig& config,
                                       const UpperLevelPolicy& policy, std::size_t episodes,
                                       std::uint64_t seed, std::size_t threads = 0,

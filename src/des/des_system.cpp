@@ -9,7 +9,8 @@
 namespace mflb {
 
 DesSystem::DesSystem(FiniteSystemConfig config)
-    : SystemBase(config.arrivals, config.dt, config.horizon, config.num_queues),
+    : SystemBase(checked_config(config, "DesSystem").arrivals, config.dt, config.horizon,
+                 config.num_queues),
       config_(std::move(config)), space_(config_.queue.num_states(), config_.d),
       router_(config_.router, config_.num_queues,
               static_cast<std::size_t>(config_.queue.num_states()), config_.dt),
@@ -134,17 +135,7 @@ void DesSystem::reset(Rng& rng) {
     router_.reset();
 
     if (config_.track_sojourn) {
-        jobs_.clear();
-        jobs_.reserve(queues_.size());
-        for (int z : queues_) {
-            JobTimestamps stamps(config_.queue.buffer);
-            // Jobs present at t = 0 get timestamp 0 (their waiting before
-            // the simulation started is unknown and counted as zero).
-            for (int k = 0; k < z; ++k) {
-                stamps.push(0.0);
-            }
-            jobs_.push_back(std::move(stamps));
-        }
+        jobs_.reset(queues_, config_.queue.buffer);
         sojourn_.reset();
     }
 }

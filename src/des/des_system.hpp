@@ -12,7 +12,8 @@
 /// proportional to the actual traffic — which is what makes fleets of 10⁵⁺
 /// mostly-idle queues (10⁶ clients spread over many servers) tractable —
 /// and, because every job is an individual event, it reports exact per-job
-/// sojourn times and their streaming p50/p95/p99 for free.
+/// sojourn times and their p50/p95/p99, read off one log-bucketed
+/// histogram (`SojournRecorder`, queueing/sojourn.hpp) to within 0.4%.
 ///
 /// Event structure (slot ids in the `EventQueue`):
 ///  - slots 0..M-1 — *departure* of the job in service at queue j. Scheduled
@@ -56,8 +57,8 @@
 namespace mflb {
 
 /// Episode summary of the event-driven simulator: the shared episode stats
-/// plus the streaming sojourn-time percentiles only a per-job simulation can
-/// report (0 unless `track_sojourn` is set and jobs completed).
+/// plus the sojourn-time percentiles only a per-job simulation can report
+/// (0 unless `track_sojourn` is set and jobs completed).
 struct DesEpisodeStats : EpisodeStats {
     double sojourn_p50 = 0.0;
     double sojourn_p95 = 0.0;
@@ -106,7 +107,7 @@ public:
     /// Router-only episode (requires a classical router configured).
     DesEpisodeStats run_episode(Rng& rng);
 
-    /// Streaming sojourn percentile estimates so far (track_sojourn only).
+    /// Sojourn percentiles so far (track_sojourn only).
     double sojourn_p50() const noexcept { return sojourn_.p50(); }
     double sojourn_p95() const noexcept { return sojourn_.p95(); }
     double sojourn_p99() const noexcept { return sojourn_.p99(); }
@@ -116,7 +117,7 @@ protected:
     /// fel_bucket_scans) with the session's metrics registry.
     void on_telemetry_attached() override;
     /// Queue-length histogram summary from the incremental state counts plus
-    /// the streaming sojourn percentiles (track_sojourn only).
+    /// the sojourn percentiles (track_sojourn only).
     void append_epoch_telemetry(MetricsRow& row) override;
 
 private:
@@ -197,7 +198,7 @@ private:
     double busy_area_ = 0.0;  ///< ∫ #busy dτ within the epoch.
 
     // Per-job sojourn tracking (track_sojourn only).
-    std::vector<JobTimestamps> jobs_;
+    JobRings jobs_;
     SojournRecorder sojourn_;
 
     // FEL telemetry: per-epoch deltas of the facade's lifetime counters,

@@ -42,7 +42,8 @@ void combine_counts(std::vector<int>& out, std::size_t& out_hi, const std::vecto
 } // namespace
 
 ShardedDesSystem::ShardedDesSystem(FiniteSystemConfig config)
-    : SystemBase(config.arrivals, config.dt, config.horizon, config.num_queues),
+    : SystemBase(checked_config(config, "ShardedDesSystem").arrivals, config.dt,
+                 config.horizon, config.num_queues),
       config_(std::move(config)), space_(config_.queue.num_states(), config_.d),
       router_(config_.router, config_.num_queues,
               static_cast<std::size_t>(config_.queue.num_states()), config_.dt),
@@ -197,15 +198,7 @@ void ShardedDesSystem::reset(Rng& rng) {
     router_.reset();
 
     if (config_.track_sojourn) {
-        jobs_.clear();
-        jobs_.reserve(queues_.size());
-        for (int z : queues_) {
-            JobTimestamps stamps(config_.queue.buffer);
-            for (int j = 0; j < z; ++j) {
-                stamps.push(0.0);
-            }
-            jobs_.push_back(std::move(stamps));
-        }
+        jobs_.reset(queues_, config_.queue.buffer);
     }
 
     std::fill(state_counts_.begin(), state_counts_.end(), 0);
@@ -1081,9 +1074,9 @@ DesEpisodeStats ShardedDesSystem::run_episode(Rng& rng) {
 
 double ShardedDesSystem::merged_quantile(int which) const {
     if (merged_for_ != epochs_run_) {
-        // One pass over the shards merges all three percentiles (same
-        // per-quantile merge order as the historical per-call loops, so the
-        // cached values are identical); re-merged only after a new epoch.
+        // One pass over the shards fills all three percentiles; re-merged
+        // only after a new epoch. The merge adds bucket counts, so the result
+        // equals a single recorder fed every shard's jobs.
         SojournRecorder merged;
         for (const Shard& shard : shards_) {
             merged.merge(shard.sojourn);

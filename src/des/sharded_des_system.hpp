@@ -129,15 +129,15 @@ public:
     EpochStats step(const UpperLevelPolicy& policy, Rng& rng);
 
     /// Full episode from reset state, with cross-shard-merged sojourn
-    /// percentiles attached (`P2Quantile::merge` in fixed shard order).
+    /// percentiles attached (exact histogram merge: the same values as one
+    /// recorder fed every shard's jobs, whatever K or the merge order).
     DesEpisodeStats run_episode(const UpperLevelPolicy& policy, Rng& rng);
     /// Router-only episode (requires a classical router configured).
     DesEpisodeStats run_episode(Rng& rng);
 
-    /// Streaming sojourn percentile estimates so far (track_sojourn only),
-    /// merged across shards. One shard pass merges all three percentiles and
-    /// is cached per epoch, so reading p50/p95/p99 back to back costs a
-    /// single merge instead of three.
+    /// Sojourn percentiles so far (track_sojourn only), merged across
+    /// shards. One shard pass merges all three percentiles and is cached per
+    /// epoch, so reading p50/p95/p99 back to back costs a single merge.
     double sojourn_p50() const { return merged_quantile(0); }
     double sojourn_p95() const { return merged_quantile(1); }
     double sojourn_p99() const { return merged_quantile(2); }
@@ -205,7 +205,7 @@ private:
         double busy_area = 0.0;           ///< ∫ #busy dτ within the epoch.
         EpochStats stats;                 ///< this epoch's local counters.
         std::size_t rr_next = 0;          ///< shard-local round-robin cursor.
-        SojournRecorder sojourn;          ///< local sojourn percentiles
+        SojournRecorder sojourn;          ///< local sojourn histogram
                                           ///< (track_sojourn only; merged
                                           ///< across shards on demand).
         FutureEventList::Stats fel_last{}; ///< counters at last telemetry publish.
@@ -350,7 +350,7 @@ private:
 
     // Per-job sojourn tracking (track_sojourn only); jobs_[j] is touched
     // only by the shard owning queue j.
-    std::vector<JobTimestamps> jobs_;
+    JobRings jobs_;
 
     // Epoch-keyed cache of the cross-shard sojourn percentiles: one merge
     // pass fills all three; invalidated by advancing an epoch or resetting.

@@ -17,88 +17,6 @@
 namespace mflb {
 
 MFLB_SIMD_CLONES
-void gemm_nt_acc(std::size_t m, std::size_t n, std::size_t k,
-                 const double* __restrict a, const double* __restrict b,
-                 double* __restrict c) noexcept {
-    // 4x4 register tile; the k reduction stays innermost with 16 independent
-    // accumulators, each summing in ascending p order (same order as the
-    // naive dot product, so results are bit-identical to it).
-    std::size_t i = 0;
-    for (; i + kGemmRowTile <= m; i += kGemmRowTile) {
-        const double* a0 = a + (i + 0) * k;
-        const double* a1 = a + (i + 1) * k;
-        const double* a2 = a + (i + 2) * k;
-        const double* a3 = a + (i + 3) * k;
-        std::size_t j = 0;
-        for (; j + 4 <= n; j += 4) {
-            const double* b0 = b + (j + 0) * k;
-            const double* b1 = b + (j + 1) * k;
-            const double* b2 = b + (j + 2) * k;
-            const double* b3 = b + (j + 3) * k;
-            double acc0[4];
-            double acc1[4];
-            double acc2[4];
-            double acc3[4];
-            for (std::size_t jj = 0; jj < 4; ++jj) {
-                acc0[jj] = c[(i + 0) * n + j + jj];
-                acc1[jj] = c[(i + 1) * n + j + jj];
-                acc2[jj] = c[(i + 2) * n + j + jj];
-                acc3[jj] = c[(i + 3) * n + j + jj];
-            }
-            const double* rows[4] = {b0, b1, b2, b3};
-            for (std::size_t p = 0; p < k; ++p) {
-                const double x0 = a0[p];
-                const double x1 = a1[p];
-                const double x2 = a2[p];
-                const double x3 = a3[p];
-                for (std::size_t jj = 0; jj < 4; ++jj) {
-                    const double y = rows[jj][p];
-                    acc0[jj] += x0 * y;
-                    acc1[jj] += x1 * y;
-                    acc2[jj] += x2 * y;
-                    acc3[jj] += x3 * y;
-                }
-            }
-            for (std::size_t jj = 0; jj < 4; ++jj) {
-                c[(i + 0) * n + j + jj] = acc0[jj];
-                c[(i + 1) * n + j + jj] = acc1[jj];
-                c[(i + 2) * n + j + jj] = acc2[jj];
-                c[(i + 3) * n + j + jj] = acc3[jj];
-            }
-        }
-        for (; j < n; ++j) {
-            const double* bj = b + j * k;
-            double s0 = c[(i + 0) * n + j];
-            double s1 = c[(i + 1) * n + j];
-            double s2 = c[(i + 2) * n + j];
-            double s3 = c[(i + 3) * n + j];
-            for (std::size_t p = 0; p < k; ++p) {
-                const double y = bj[p];
-                s0 += a0[p] * y;
-                s1 += a1[p] * y;
-                s2 += a2[p] * y;
-                s3 += a3[p] * y;
-            }
-            c[(i + 0) * n + j] = s0;
-            c[(i + 1) * n + j] = s1;
-            c[(i + 2) * n + j] = s2;
-            c[(i + 3) * n + j] = s3;
-        }
-    }
-    for (; i < m; ++i) {
-        const double* ai = a + i * k;
-        for (std::size_t j = 0; j < n; ++j) {
-            const double* bj = b + j * k;
-            double s = c[i * n + j];
-            for (std::size_t p = 0; p < k; ++p) {
-                s += ai[p] * bj[p];
-            }
-            c[i * n + j] = s;
-        }
-    }
-}
-
-MFLB_SIMD_CLONES
 void gemm_tn_acc_rows(std::size_t m, std::size_t n, std::size_t k, std::size_t i0,
                       std::size_t i1, const double* __restrict a, const double* __restrict b,
                       double* __restrict c) noexcept {

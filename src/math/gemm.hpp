@@ -1,12 +1,10 @@
 /// \file gemm.hpp
 /// Cache-blocked dense matrix-multiply kernels for the batched training
-/// stack (rl/mlp.hpp). All matrices are row-major double buffers; the two
-/// kernels cover the layer shapes of an MLP training step:
-///
-///   - gemm_tn_acc — C += Aᵀ · B   (both operands k-major: the forward,
-///     input-delta, and weight-gradient passes all reduce to this shape by
-///     transposing the smaller operand into a workspace buffer)
-///   - gemm_nt_acc — C += A · Bᵀ   (register-tiled dot-product variant)
+/// stack (rl/mlp.hpp). All matrices are row-major double buffers. One
+/// kernel shape covers every layer pass of an MLP training step:
+/// gemm_tn_acc, C += Aᵀ · B with both operands k-major. The forward,
+/// input-delta, and weight-gradient passes all reduce to it by transposing
+/// the smaller operand into a workspace buffer.
 ///
 /// Determinism contract: every output element accumulates its reduction in
 /// strictly ascending k order, exactly like the naive three-loop product;
@@ -25,21 +23,15 @@
 
 namespace mflb {
 
+/// C-row tile of gemm_tn_acc. Row ranges that start and end on multiples of
+/// it (or end at m) reproduce the full call bit for bit.
+inline constexpr std::size_t kGemmRowTile = 4;
+
 /// The buffers of one call must not overlap (spelled `__restrict` in the
 /// implementation so the row-streaming inner loops vectorize under the
 /// strict FP model — lanes are distinct output elements, never a split
 /// reduction).
 ///
-/// C (m×n) += A (m×k) · Bᵀ where B is n×k row-major; i.e.
-/// c[i][j] += Σ_p a[i][p] · b[j][p], p ascending. Register-tiled dot-product
-/// kernel; used where a transposed operand is not available.
-void gemm_nt_acc(std::size_t m, std::size_t n, std::size_t k, const double* a, const double* b,
-                 double* c) noexcept;
-
-/// C-row tile of gemm_tn_acc. Row ranges that start and end on multiples of
-/// it (or end at m) reproduce the full call bit for bit.
-inline constexpr std::size_t kGemmRowTile = 4;
-
 /// C (m×n) += Aᵀ · B where A is k×m and B is k×n row-major;
 /// c[i][j] += Σ_p a[p][i] · b[p][j], p ascending. The training workhorse:
 /// a sum of k rank-1 updates accumulated in order, with a register-resident

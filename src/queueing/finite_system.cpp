@@ -4,11 +4,21 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace mflb {
 
+const FiniteSystemConfig& checked_config(const FiniteSystemConfig& config, const char* backend) {
+    if (config.queue.buffer < 1) {
+        throw std::invalid_argument(std::string(backend) + ": queue.buffer must be >= 1, got " +
+                                    std::to_string(config.queue.buffer));
+    }
+    return config;
+}
+
 FiniteSystem::FiniteSystem(FiniteSystemConfig config)
-    : SystemBase(config.arrivals, config.dt, config.horizon, config.num_queues),
+    : SystemBase(checked_config(config, "FiniteSystem").arrivals, config.dt, config.horizon,
+                 config.num_queues),
       config_(std::move(config)), space_(config_.queue.num_states(), config_.d),
       router_(config_.router, config_.num_queues,
               static_cast<std::size_t>(config_.queue.num_states()), config_.dt),
@@ -92,17 +102,7 @@ void FiniteSystem::reset(Rng& rng) {
         }
     }
     if (config_.track_sojourn) {
-        jobs_.clear();
-        jobs_.reserve(queues_.size());
-        for (int z : queues_) {
-            JobTimestamps stamps(config_.queue.buffer);
-            // Jobs present at t = 0 get timestamp 0 (their waiting before
-            // the simulation started is unknown and counted as zero).
-            for (int k = 0; k < z; ++k) {
-                stamps.push(0.0);
-            }
-            jobs_.push_back(std::move(stamps));
-        }
+        jobs_.reset(queues_, config_.queue.buffer);
     }
 }
 
@@ -222,7 +222,7 @@ EpochStats FiniteSystem::simulate_epoch_from_rates(Rng& rng) {
             const SojournEpochResult s = simulate_queue_epoch_general(
                 queues_[j], rates[j], service_, speed(j), config_.queue.buffer, clock_,
                 config_.dt, next_completion_[j], rng,
-                config_.track_sojourn ? &jobs_[j] : nullptr);
+                config_.track_sojourn ? jobs_[j] : JobRing{});
             r = s.queue;
             sojourn_sum += s.sojourn.mean() * static_cast<double>(s.sojourn.count());
             stats.completed_jobs += s.sojourn.count();

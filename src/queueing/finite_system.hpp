@@ -115,6 +115,13 @@ struct FiniteSystemConfig {
     TelemetrySession* telemetry = nullptr;
 };
 
+/// Returns `config` after checking what every finite-system backend
+/// (`FiniteSystem`, `DesSystem`, `ShardedDesSystem`) needs before it sizes
+/// anything: queue.buffer >= 1. Throws std::invalid_argument naming
+/// `backend` and the bad value. Each backend calls it first, in its base
+/// initializer, whatever `track_sojourn` is set to.
+const FiniteSystemConfig& checked_config(const FiniteSystemConfig& config, const char* backend);
+
 /// Exact simulator of the finite (or infinite-client) queuing system.
 class FiniteSystem : public SystemBase {
 public:
@@ -203,7 +210,7 @@ private:
     TupleSpace space_;
     EpochRouter router_;
     ServiceDistribution service_;
-    std::vector<JobTimestamps> jobs_; ///< per-queue FIFO timestamps (sojourn mode).
+    JobRings jobs_;                   ///< per-queue FIFO timestamps (sojourn mode).
     /// General-service kernel state: absolute completion time of the job in
     /// service at queue j (+inf when idle), carried across epochs.
     std::vector<double> next_completion_;

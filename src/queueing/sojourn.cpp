@@ -6,31 +6,22 @@
 
 namespace mflb {
 
-JobTimestamps::JobTimestamps(int capacity) : ring_(static_cast<std::size_t>(capacity) + 1) {
+void JobRings::reset(std::span<const int> fill, int capacity) {
     if (capacity < 1) {
-        throw std::invalid_argument("JobTimestamps: capacity must be >= 1");
+        throw std::invalid_argument("JobRings: capacity must be >= 1");
+    }
+    capacity_ = capacity;
+    slots_.resize(fill.size() * static_cast<std::size_t>(capacity));
+    cursors_.assign(fill.size(), JobRing::Cursor{});
+    for (std::size_t j = 0; j < fill.size(); ++j) {
+        JobRing ring = (*this)[j];
+        for (int k = 0; k < fill[j]; ++k) {
+            ring.push(0.0);
+        }
     }
 }
 
-void JobTimestamps::push(double t) {
-    if (count_ >= ring_.size()) {
-        throw std::logic_error("JobTimestamps::push: buffer overflow");
-    }
-    ring_[(head_ + count_) % ring_.size()] = t;
-    ++count_;
-}
-
-double JobTimestamps::pop(double t) {
-    if (count_ == 0) {
-        throw std::logic_error("JobTimestamps::pop: empty buffer");
-    }
-    const double arrival = ring_[head_];
-    head_ = (head_ + 1) % ring_.size();
-    --count_;
-    return t - arrival;
-}
-
-SojournEpochResult simulate_queue_epoch_sojourn(JobTimestamps& jobs, double t0,
+SojournEpochResult simulate_queue_epoch_sojourn(JobRing jobs, double t0,
                                                 double arrival_rate, double service_rate,
                                                 int buffer, double dt, Rng& rng) {
     SojournEpochResult result;
@@ -77,7 +68,7 @@ SojournEpochResult simulate_queue_epoch_general(int z0, double arrival_rate,
                                                 const ServiceDistribution& service,
                                                 double speed, int buffer, double t0,
                                                 double dt, double& next_completion,
-                                                Rng& rng, JobTimestamps* jobs) {
+                                                Rng& rng, JobRing jobs) {
     constexpr double kInf = std::numeric_limits<double>::infinity();
     SojournEpochResult result;
     const double end = t0 + dt;
@@ -107,16 +98,16 @@ SojournEpochResult simulate_queue_epoch_general(int z0, double arrival_rate,
         if (departure_next) {
             --z;
             ++result.queue.services;
-            if (jobs != nullptr) {
-                result.sojourn.add(jobs->pop(t));
+            if (jobs) {
+                result.sojourn.add(jobs.pop(t));
             }
             next_completion = z > 0 ? t + service.sample(rng) / speed : kInf;
         } else {
             if (z < buffer) {
                 ++z;
                 ++result.queue.arrivals;
-                if (jobs != nullptr) {
-                    jobs->push(t);
+                if (jobs) {
+                    jobs.push(t);
                 }
                 if (z == 1) {
                     next_completion = t + service.sample(rng) / speed;

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
-#include <stdexcept>
-#include <utility>
 
 namespace mflb {
 
@@ -107,264 +105,49 @@ double variance_of(std::span<const double> xs) noexcept {
     return s.variance();
 }
 
-P2Quantile::P2Quantile(double p) : p_(p) {
-    if (!(p > 0.0) || !(p < 1.0)) {
-        throw std::invalid_argument("P2Quantile: p must be in (0, 1)");
-    }
-    for (double& h : heights_) {
-        h = 0.0;
-    }
-    for (int i = 0; i < 5; ++i) {
-        positions_[i] = static_cast<double>(i + 1);
-    }
-    desired_[0] = 1.0;
-    desired_[1] = 1.0 + 2.0 * p;
-    desired_[2] = 1.0 + 4.0 * p;
-    desired_[3] = 3.0 + 2.0 * p;
-    desired_[4] = 5.0;
-    rate_[0] = 0.0;
-    rate_[1] = p / 2.0;
-    rate_[2] = p;
-    rate_[3] = (1.0 + p) / 2.0;
-    rate_[4] = 1.0;
-}
-
-void P2Quantile::add(double x) noexcept {
-    if (count_ < 5) {
-        // Exact phase: keep the first five observations sorted.
-        std::size_t i = count_;
-        while (i > 0 && heights_[i - 1] > x) {
-            heights_[i] = heights_[i - 1];
-            --i;
-        }
-        heights_[i] = x;
-        ++count_;
-        return;
-    }
-
-    // Find the cell containing x, extending the extreme markers if needed.
-    int k;
-    if (x < heights_[0]) {
-        heights_[0] = x;
-        k = 0;
-    } else if (x >= heights_[4]) {
-        heights_[4] = x;
-        k = 3;
-    } else {
-        k = 0;
-        while (k < 3 && x >= heights_[k + 1]) {
-            ++k;
-        }
-    }
-    for (int i = k + 1; i < 5; ++i) {
-        positions_[i] += 1.0;
-    }
-    for (int i = 0; i < 5; ++i) {
-        desired_[i] += rate_[i];
-    }
-    ++count_;
-
-    // Nudge the three interior markers toward their desired positions using
-    // the piecewise-parabolic (P²) height prediction, falling back to linear
-    // interpolation when the parabola would break marker monotonicity.
-    for (int i = 1; i <= 3; ++i) {
-        const double gap = desired_[i] - positions_[i];
-        const bool move_right = gap >= 1.0 && positions_[i + 1] - positions_[i] > 1.0;
-        const bool move_left = gap <= -1.0 && positions_[i - 1] - positions_[i] < -1.0;
-        if (!move_right && !move_left) {
-            continue;
-        }
-        const double d = move_right ? 1.0 : -1.0;
-        const double np = positions_[i + 1];
-        const double nc = positions_[i];
-        const double nm = positions_[i - 1];
-        const double qp = heights_[i + 1];
-        const double qc = heights_[i];
-        const double qm = heights_[i - 1];
-        double candidate = qc + d / (np - nm) *
-                                    ((nc - nm + d) * (qp - qc) / (np - nc) +
-                                     (np - nc - d) * (qc - qm) / (nc - nm));
-        if (!(qm < candidate && candidate < qp)) {
-            // Linear fallback toward the neighbor in the move direction.
-            const int j = i + static_cast<int>(d);
-            candidate = qc + d * (heights_[j] - qc) / (positions_[j] - nc);
-        }
-        heights_[i] = candidate;
-        positions_[i] += d;
-    }
-}
-
-namespace {
-
-/// A piecewise-linear quantile curve: points (u, q) with u the cumulative
-/// fraction in [0, 1] and q the value, both non-decreasing. This is the
-/// continuous reading of a P² marker set (or of an exact small-sample
-/// buffer) that merge() mixes and inverts. At most 5 points, held inline so
-/// merge() stays allocation-free (it runs on the telemetry barrier path
-/// every epoch).
-struct QuantileCurve {
-    std::pair<double, double> pts[5];
-    std::size_t n = 0;
-
-    void push_back(const std::pair<double, double>& p) noexcept { pts[n++] = p; }
-    std::size_t size() const noexcept { return n; }
-    const std::pair<double, double>* begin() const noexcept { return pts; }
-    const std::pair<double, double>* end() const noexcept { return pts + n; }
-    const std::pair<double, double>& operator[](std::size_t i) const noexcept { return pts[i]; }
-    const std::pair<double, double>& front() const noexcept { return pts[0]; }
-    const std::pair<double, double>& back() const noexcept { return pts[n - 1]; }
-};
-
-/// CDF of the curve at value x: the largest fraction u with Q(u) <= x,
-/// linearly interpolated inside segments, clamped to [0, 1] outside.
-double curve_cdf(const QuantileCurve& curve, double x) noexcept {
-    if (x < curve.front().second) {
+double LogHistogram::bucket_lower(std::size_t b) noexcept {
+    if (b == 0) {
         return 0.0;
     }
-    if (x >= curve.back().second) {
-        return 1.0;
-    }
-    for (std::size_t i = 0; i + 1 < curve.size(); ++i) {
-        const auto& [u0, q0] = curve[i];
-        const auto& [u1, q1] = curve[i + 1];
-        if (x < q1) {
-            // q0 <= x < q1; a zero-width segment never satisfies x < q1.
-            return u0 + (u1 - u0) * (x - q0) / (q1 - q0);
-        }
-    }
-    return 1.0;
+    // Inverse of bucket_of: bucket b >= 1 starts at the double whose
+    // exponent and top mantissa bits spell key b - 1 above 2^kMinExponent.
+    constexpr std::uint64_t kFirstKey = std::uint64_t{1023 + kMinExponent} << kSubBits;
+    return std::bit_cast<double>((kFirstKey + b - 1) << (52 - kSubBits));
 }
 
-} // namespace
-
-void P2Quantile::merge(const P2Quantile& other) {
-    if (p_ != other.p_) {
-        throw std::invalid_argument("P2Quantile::merge: mismatched target quantiles");
+double LogHistogram::bucket_value(std::size_t b) noexcept {
+    if (b == 0 || b + 1 == kBuckets) {
+        return bucket_lower(b);
     }
-    if (other.count_ == 0) {
-        return;
-    }
-    if (count_ == 0) {
-        *this = other;
-        return;
-    }
-    if (count_ + other.count_ <= 5) {
-        // Both sides are still exact sorted buffers; so is the union.
-        const P2Quantile snapshot = *this;
-        *this = P2Quantile(p_);
-        for (std::size_t i = 0; i < snapshot.count_; ++i) {
-            add(snapshot.heights_[i]);
-        }
-        for (std::size_t i = 0; i < other.count_; ++i) {
-            add(other.heights_[i]);
-        }
-        return;
-    }
-
-    // General case: each side defines a piecewise-linear quantile curve —
-    // the five markers at their normalized rank positions, or the exact
-    // sorted buffer below five samples. The concatenated stream's CDF is the
-    // count-weighted mixture of the two side CDFs; invert it at the P²
-    // desired fractions {0, p/2, p, (1+p)/2, 1} to re-seed the marker state.
-    const auto curve_of = [](const P2Quantile& src) {
-        QuantileCurve curve;
-        if (src.count_ < 5) {
-            if (src.count_ == 1) {
-                curve.push_back({0.0, src.heights_[0]});
-                curve.push_back({1.0, src.heights_[0]});
-            } else {
-                for (std::size_t i = 0; i < src.count_; ++i) {
-                    curve.push_back({static_cast<double>(i) /
-                                         static_cast<double>(src.count_ - 1),
-                                     src.heights_[i]});
-                }
-            }
-        } else {
-            const double span = static_cast<double>(src.count_ - 1);
-            for (int i = 0; i < 5; ++i) {
-                curve.push_back({(src.positions_[i] - 1.0) / span, src.heights_[i]});
-            }
-        }
-        return curve;
-    };
-    const QuantileCurve a = curve_of(*this);
-    const QuantileCurve b = curve_of(other);
-    const double wa = static_cast<double>(count_);
-    const double wb = static_cast<double>(other.count_);
-    const auto mixture_cdf = [&](double x) {
-        return (wa * curve_cdf(a, x) + wb * curve_cdf(b, x)) / (wa + wb);
-    };
-
-    // Invert the mixture by scanning its breakpoints (the union of both
-    // sides' marker heights): between consecutive breakpoints the mixture is
-    // linear, so one interpolation per target fraction is exact.
-    double knots[10];
-    std::size_t num_knots = 0;
-    for (const auto& [u, q] : a) {
-        knots[num_knots++] = q;
-    }
-    for (const auto& [u, q] : b) {
-        knots[num_knots++] = q;
-    }
-    std::sort(knots, knots + num_knots);
-    const auto invert = [&](double f) {
-        if (f <= 0.0) {
-            return knots[0];
-        }
-        if (f >= 1.0) {
-            return knots[num_knots - 1];
-        }
-        double x0 = knots[0];
-        double f0 = mixture_cdf(x0);
-        for (std::size_t i = 1; i < num_knots; ++i) {
-            const double x1 = knots[i];
-            const double f1 = mixture_cdf(x1);
-            if (f1 >= f) {
-                return f1 > f0 ? x0 + (x1 - x0) * (f - f0) / (f1 - f0) : x1;
-            }
-            x0 = x1;
-            f0 = f1;
-        }
-        return knots[num_knots - 1];
-    };
-
-    const std::size_t n = count_ + other.count_;
-    const double fractions[5] = {0.0, p_ / 2.0, p_, (1.0 + p_) / 2.0, 1.0};
-    for (int i = 0; i < 5; ++i) {
-        heights_[i] = invert(fractions[i]);
-        desired_[i] = 1.0 + static_cast<double>(n - 1) * fractions[i];
-    }
-    heights_[0] = std::min(a.front().second, b.front().second);
-    heights_[4] = std::max(a.back().second, b.back().second);
-    for (int i = 1; i < 5; ++i) {
-        heights_[i] = std::max(heights_[i], heights_[i - 1]);
-    }
-    // Re-seed integer marker positions near their desired ranks, keeping the
-    // strict ordering the update step relies on (n >= 6 leaves room).
-    positions_[0] = 1.0;
-    positions_[4] = static_cast<double>(n);
-    for (int i = 1; i < 4; ++i) {
-        positions_[i] = std::max(positions_[i - 1] + 1.0, std::round(desired_[i]));
-    }
-    for (int i = 3; i >= 1; --i) {
-        positions_[i] = std::min(positions_[i], positions_[i + 1] - 1.0);
-    }
-    count_ = n;
+    return 0.5 * (bucket_lower(b) + bucket_lower(b + 1));
 }
 
-double P2Quantile::value() const noexcept {
-    if (count_ == 0) {
+void LogHistogram::merge(const LogHistogram& other) noexcept {
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+        counts_[b] += other.counts_[b];
+    }
+    total_ += other.total_;
+}
+
+void LogHistogram::clear() noexcept {
+    counts_.fill(0);
+    total_ = 0;
+}
+
+double LogHistogram::quantile(double p) const noexcept {
+    if (total_ == 0) {
         return 0.0;
     }
-    if (count_ < 5) {
-        // Nearest-rank quantile of the sorted exact buffer.
-        const double rank = p_ * static_cast<double>(count_ - 1);
-        const auto lo = static_cast<std::size_t>(rank);
-        const std::size_t hi = std::min(lo + 1, count_ - 1);
-        const double frac = rank - static_cast<double>(lo);
-        return heights_[lo] + frac * (heights_[hi] - heights_[lo]);
+    const double n = static_cast<double>(total_);
+    const auto rank = static_cast<std::uint64_t>(std::clamp(std::ceil(p * n), 1.0, n));
+    std::uint64_t seen = 0;
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+        seen += counts_[b];
+        if (seen >= rank) {
+            return bucket_value(b);
+        }
     }
-    return heights_[2];
+    return bucket_value(kBuckets - 1);
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)

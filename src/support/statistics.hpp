@@ -1,5 +1,6 @@
 /// \file statistics.hpp
-/// Streaming statistics and confidence intervals for Monte Carlo estimates.
+/// Streaming statistics, confidence intervals and mergeable histograms for
+/// Monte Carlo estimates.
 ///
 /// Every figure in the paper reports means with 95% confidence intervals over
 /// n = 100 independent simulations; `RunningStat` (Welford) accumulates the
@@ -7,7 +8,11 @@
 /// regions / error bars of Figures 4-6.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -62,40 +67,75 @@ double mean_of(std::span<const double> xs) noexcept;
 /// Unbiased sample variance.
 double variance_of(std::span<const double> xs) noexcept;
 
-/// Streaming quantile estimator — the P² algorithm of Jain & Chlamtac
-/// (CACM 1985): five markers track the target quantile with O(1) memory and
-/// O(1) update cost, no sample storage and no allocation. This is how the
-/// event-driven simulator reports p50/p95/p99 sojourn times over millions of
-/// jobs without keeping them. Exact (sorted-buffer) for the first five
-/// observations, approximate afterwards; accuracy is excellent for smooth
-/// distributions and degrades gracefully for heavy tails.
-class P2Quantile {
+/// Log-bucketed integer histogram: O(1) adds, exact merges, and any
+/// quantile to within one bucket. This is how the event-driven backends
+/// report p50/p95/p99 sojourn times over millions of jobs without storing
+/// them, and what `MetricsRegistry` histograms are made of.
+///
+/// Buckets. A positive double x = 2^e · (1 + f) falls in the bucket named by
+/// its exponent e and the top 7 bits of its mantissa f, read off the bit
+/// pattern with one shift (no log, no division). Each octave [2^e, 2^(e+1))
+/// therefore splits into 128 equal buckets, whose width is at most 1/128 ≈
+/// 0.78% of any value inside them. The range is fixed at [2^-24, 2^24)
+/// (6144 buckets); below it (zero, negatives, subnormals) everything lands
+/// in one underflow edge bucket, at or above it (+inf included) in one
+/// overflow edge bucket; a NaN lands in the edge bucket its sign bit picks.
+/// Range and resolution are constants, not options.
+///
+/// Quantiles. `quantile(p)` takes the nearest-rank definition — the
+/// r-th smallest of n observations with r = max(1, ⌈p·n⌉) — and returns the
+/// midpoint of the bucket holding it, so the answer is within half a bucket
+/// (< 0.4%) of the exact sample quantile. The underflow bucket reports 0 and
+/// the overflow bucket reports 2^24. An empty histogram reports 0.
+///
+/// Merging adds integer counts, so merged quantiles equal those of the
+/// concatenated stream bit for bit, whatever the split and merge order.
+/// Plain value type with inline storage (~48 KB): adds, merges and clears
+/// never allocate.
+class LogHistogram {
 public:
-    /// \param p target quantile in (0, 1), e.g. 0.95.
-    explicit P2Quantile(double p);
+    static constexpr int kMinExponent = -24; ///< range lower edge 2^-24.
+    static constexpr int kMaxExponent = 24;  ///< range upper edge 2^24.
+    static constexpr int kSubBits = 7;       ///< mantissa bits per octave.
+    /// Range buckets plus the two edge buckets (index 0 and kBuckets - 1).
+    static constexpr std::size_t kBuckets =
+        (static_cast<std::size_t>(kMaxExponent - kMinExponent) << kSubBits) + 2;
 
-    void add(double x) noexcept;
-    /// Folds another estimator of the *same* target quantile into this one
-    /// (parallel reduction across shards/replications). Exact while the
-    /// combined stream still fits the five-sample buffer; beyond that the
-    /// merged markers are re-derived by inverting the count-weighted mixture
-    /// of the two piecewise-linear marker CDFs at the P² desired positions,
-    /// so the result tracks the quantile of the concatenated stream (tested
-    /// against exact sample quantiles). Throws std::invalid_argument if the
-    /// two estimators target different quantiles.
-    void merge(const P2Quantile& other);
-    std::size_t count() const noexcept { return count_; }
-    double quantile() const noexcept { return p_; }
-    /// Current estimate of the p-quantile; 0 before any observation.
-    double value() const noexcept;
+    /// Bucket index of x (0 = underflow, kBuckets - 1 = overflow).
+    static std::size_t bucket_of(double x) noexcept {
+        // The sign-extended bit pattern shifted down to exponent + top
+        // mantissa bits is monotone in x over the positive doubles and
+        // negative for every negative one, so one clamp finds both edges.
+        constexpr int kShift = 52 - kSubBits;
+        constexpr std::int64_t kFirstKey = std::int64_t{1023 + kMinExponent} << kSubBits;
+        const std::int64_t key = (std::bit_cast<std::int64_t>(x) >> kShift) - kFirstKey + 1;
+        return static_cast<std::size_t>(
+            std::clamp<std::int64_t>(key, 0, static_cast<std::int64_t>(kBuckets) - 1));
+    }
+    /// Lower edge of bucket b (0 for the underflow bucket).
+    static double bucket_lower(std::size_t b) noexcept;
+    /// Value a quantile landing in bucket b reports: its midpoint for range
+    /// buckets, 0 for the underflow and 2^24 for the overflow bucket.
+    static double bucket_value(std::size_t b) noexcept;
+
+    void add(double x) noexcept {
+        ++counts_[bucket_of(x)];
+        ++total_;
+    }
+    /// Adds the other histogram's counts bucket by bucket (exact).
+    void merge(const LogHistogram& other) noexcept;
+    /// Forgets every observation (allocation-free).
+    void clear() noexcept;
+
+    std::uint64_t count() const noexcept { return total_; }
+    /// Nearest-rank p-quantile's bucket value, p in [0, 1]; 0 when empty.
+    double quantile(double p) const noexcept;
+
+    bool operator==(const LogHistogram&) const = default;
 
 private:
-    double p_;
-    double heights_[5];   ///< marker heights q_i (the value estimates).
-    double positions_[5]; ///< marker positions n_i (1-based ranks).
-    double desired_[5];   ///< desired positions n'_i.
-    double rate_[5];      ///< dn'_i per observation.
-    std::size_t count_ = 0;
+    std::array<std::uint64_t, kBuckets> counts_{};
+    std::uint64_t total_ = 0;
 };
 
 /// Fixed-width histogram over [lo, hi); values outside clamp to edge bins.

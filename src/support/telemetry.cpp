@@ -9,6 +9,10 @@ namespace mflb {
 
 namespace {
 
+/// The quantiles behind histogram_quantile's `which` and the _p50/_p95/_p99
+/// row fields.
+constexpr double kHistogramQuantiles[3] = {0.50, 0.95, 0.99};
+
 /// Formats `value` into `out` without allocating: integral fields print as
 /// integers, non-finite values as null (JSON has no NaN/Inf literal).
 void append_value(std::string& out, double value, bool integral, SeriesFormat format) {
@@ -68,9 +72,7 @@ MetricsRegistry::Id MetricsRegistry::histogram(std::string_view name) {
     h.key_p95 = h.name + "_p95";
     h.key_p99 = h.name + "_p99";
     h.key_count = h.name + "_count";
-    h.p50.assign(slots_, P2Quantile(0.50));
-    h.p95.assign(slots_, P2Quantile(0.95));
-    h.p99.assign(slots_, P2Quantile(0.99));
+    h.lanes.resize(slots_);
     hists_.push_back(std::move(h));
     return static_cast<Id>(hists_.size() - 1);
 }
@@ -85,9 +87,7 @@ void MetricsRegistry::ensure_slots(std::size_t slots) {
         c.lanes.resize(slots_, 0.0);
     }
     for (Hist& h : hists_) {
-        h.p50.resize(slots_, P2Quantile(0.50));
-        h.p95.resize(slots_, P2Quantile(0.95));
-        h.p99.resize(slots_, P2Quantile(0.99));
+        h.lanes.resize(slots_);
     }
 }
 
@@ -98,10 +98,7 @@ void MetricsRegistry::add(Id counter, double delta, std::size_t slot) noexcept {
 void MetricsRegistry::set(Id gauge, double value) noexcept { gauges_[gauge].value = value; }
 
 void MetricsRegistry::observe(Id histogram, double x, std::size_t slot) noexcept {
-    Hist& h = hists_[histogram];
-    h.p50[slot].add(x);
-    h.p95[slot].add(x);
-    h.p99[slot].add(x);
+    hists_[histogram].lanes[slot].add(x);
 }
 
 void MetricsRegistry::merge_slots() noexcept {
@@ -120,19 +117,22 @@ double MetricsRegistry::counter_total(Id counter) const noexcept {
 
 double MetricsRegistry::gauge_value(Id gauge) const noexcept { return gauges_[gauge].value; }
 
-double MetricsRegistry::histogram_quantile(Id histogram, int which) const {
-    const Hist& h = hists_[histogram];
-    const std::vector<P2Quantile>& lanes = which == 0 ? h.p50 : which == 1 ? h.p95 : h.p99;
-    P2Quantile merged = lanes[0];
-    for (std::size_t s = 1; s < lanes.size(); ++s) { // ascending slots: fixed order.
-        merged.merge(lanes[s]);
+void MetricsRegistry::merge_lanes(Id histogram, LogHistogram& out) const noexcept {
+    out.clear();
+    for (const LogHistogram& lane : hists_[histogram].lanes) {
+        out.merge(lane);
     }
-    return merged.value();
+}
+
+double MetricsRegistry::histogram_quantile(Id histogram, int which) const {
+    LogHistogram merged;
+    merge_lanes(histogram, merged);
+    return merged.quantile(kHistogramQuantiles[which]);
 }
 
 std::uint64_t MetricsRegistry::histogram_count(Id histogram) const noexcept {
     std::uint64_t total = 0;
-    for (const P2Quantile& lane : hists_[histogram].p50) {
+    for (const LogHistogram& lane : hists_[histogram].lanes) {
         total += lane.count();
     }
     return total;
@@ -146,13 +146,14 @@ void MetricsRegistry::append_to(MetricsRow& row) const {
     for (const Gauge& g : gauges_) {
         row.push(g.name.c_str(), g.value);
     }
+    LogHistogram merged;
     for (std::size_t i = 0; i < hists_.size(); ++i) {
         const Hist& h = hists_[i];
-        const Id id = static_cast<Id>(i);
-        row.push(h.key_p50.c_str(), histogram_quantile(id, 0));
-        row.push(h.key_p95.c_str(), histogram_quantile(id, 1));
-        row.push(h.key_p99.c_str(), histogram_quantile(id, 2));
-        row.push_int(h.key_count.c_str(), static_cast<std::int64_t>(histogram_count(id)));
+        merge_lanes(static_cast<Id>(i), merged);
+        row.push(h.key_p50.c_str(), merged.quantile(kHistogramQuantiles[0]));
+        row.push(h.key_p95.c_str(), merged.quantile(kHistogramQuantiles[1]));
+        row.push(h.key_p99.c_str(), merged.quantile(kHistogramQuantiles[2]));
+        row.push_int(h.key_count.c_str(), static_cast<std::int64_t>(merged.count()));
     }
 }
 

@@ -1,7 +1,8 @@
 /// \file telemetry.hpp
 /// Unified telemetry layer: metrics registry + per-epoch time-series sink.
 ///
-/// `MetricsRegistry` holds named counters, gauges, and P²-backed histograms.
+/// `MetricsRegistry` holds named counters, gauges, and log-bucketed
+/// histograms (`LogHistogram`).
 /// Counters and histograms have one *lane per slot* — a slot is a shard (or
 /// rollout slot, or worker) that updates its own lane wait-free during the
 /// parallel phase; lanes are folded into the totals in fixed ascending slot
@@ -96,8 +97,9 @@ public:
     Id counter(std::string_view name);
     /// Last-value metric; serial (barrier-phase) writers only.
     Id gauge(std::string_view name);
-    /// Streaming p50/p95/p99 (three P² estimators per lane); cumulative over
-    /// the registry's lifetime, merged across lanes in slot order on read.
+    /// p50/p95/p99 from one `LogHistogram` per lane; cumulative over the
+    /// registry's lifetime. Lanes merge exactly on read, so the quantiles do
+    /// not depend on the lane count or on which lane saw which value.
     Id histogram(std::string_view name);
 
     /// Grows every counter/histogram to at least `slots` lanes (never
@@ -117,7 +119,7 @@ public:
     /// Total after the last merge_slots() plus lane 0 (the serial lane).
     double counter_total(Id counter) const noexcept;
     double gauge_value(Id gauge) const noexcept;
-    /// Cross-lane merged estimate; `which` selects p50 (0), p95 (1), p99 (2).
+    /// Cross-lane merged quantile; `which` selects p50 (0), p95 (1), p99 (2).
     double histogram_quantile(Id histogram, int which) const;
     std::uint64_t histogram_count(Id histogram) const noexcept;
 
@@ -139,8 +141,11 @@ private:
     struct Hist {
         std::string name;
         std::string key_p50, key_p95, key_p99, key_count;
-        std::vector<P2Quantile> p50, p95, p99; ///< one estimator per lane.
+        std::vector<LogHistogram> lanes; ///< one histogram per slot.
     };
+
+    /// `out` = every lane of `histogram` merged (exact; allocation-free).
+    void merge_lanes(Id histogram, LogHistogram& out) const noexcept;
 
     std::mutex register_mutex_;
     std::size_t slots_ = 1;

@@ -1,13 +1,18 @@
 // Tests for the finite N-client/M-queue simulator (Algorithm 1), including
 // the exact-equivalence of the aggregated client model.
 #include "queueing/finite_system.hpp"
+#include "des/des_system.hpp"
+#include "des/sharded_des_system.hpp"
 #include "policies/fixed.hpp"
 #include "support/statistics.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 namespace mflb {
 namespace {
@@ -35,6 +40,45 @@ TEST(FiniteSystem, ValidatesConfig) {
     bad = small_config(ClientModel::InfiniteClients);
     bad.num_clients = 0; // allowed: client count is irrelevant at N = ∞
     EXPECT_NO_THROW(FiniteSystem{bad});
+}
+
+TEST(FiniteSystem, EveryBackendRejectsBuffersBelowOne) {
+    // Backend × track_sojourn × buffer: a buffer below one is rejected at
+    // construction with an error naming the backend and the value, whether
+    // or not per-job rings would be allocated. B = 1 is the smallest valid
+    // queue and constructs everywhere.
+    const struct {
+        const char* name;
+        std::function<void(const FiniteSystemConfig&)> construct;
+    } backends[] = {
+        {"FiniteSystem", [](const FiniteSystemConfig& c) { FiniteSystem system(c); }},
+        {"DesSystem", [](const FiniteSystemConfig& c) { DesSystem system(c); }},
+        {"ShardedDesSystem", [](const FiniteSystemConfig& c) { ShardedDesSystem system(c); }},
+    };
+    for (const auto& backend : backends) {
+        for (const bool track_sojourn : {false, true}) {
+            for (const int buffer : {0, -1, -7}) {
+                SCOPED_TRACE(std::string(backend.name) + " track_sojourn=" +
+                             std::to_string(track_sojourn) + " buffer=" +
+                             std::to_string(buffer));
+                FiniteSystemConfig config = small_config();
+                config.track_sojourn = track_sojourn;
+                config.queue.buffer = buffer;
+                try {
+                    backend.construct(config);
+                    ADD_FAILURE() << "constructed with an invalid buffer";
+                } catch (const std::invalid_argument& e) {
+                    EXPECT_EQ(std::string(e.what()), std::string(backend.name) +
+                                                         ": queue.buffer must be >= 1, got " +
+                                                         std::to_string(buffer));
+                }
+            }
+            FiniteSystemConfig config = small_config();
+            config.track_sojourn = track_sojourn;
+            config.queue.buffer = 1;
+            EXPECT_NO_THROW(backend.construct(config)) << backend.name;
+        }
+    }
 }
 
 TEST(FiniteSystem, ResetStartsEmptyByDefault) {

@@ -201,9 +201,12 @@ TEST(GoldenTrajectories, DesSystemInfiniteClientsSojourn) {
     EXPECT_EQ(stats.server_utilization, 0.74700190425917834);
     EXPECT_EQ(stats.mean_sojourn, 2.265656641594195);
     EXPECT_EQ(stats.completed_jobs, 344u);
-    EXPECT_EQ(stats.sojourn_p50, 2.0447252678176548);
-    EXPECT_EQ(stats.sojourn_p95, 6.5737123388702763);
-    EXPECT_EQ(stats.sojourn_p99, 8.3995788166603766);
+    // Histogram bucket midpoints; the exact nearest-rank sample quantiles
+    // of this run are 1.7272458371005488, 6.7844102146224898 and
+    // 8.2660919885534661, each inside the pinned value's bucket.
+    EXPECT_EQ(stats.sojourn_p50, 1.73046875);
+    EXPECT_EQ(stats.sojourn_p95, 6.796875);
+    EXPECT_EQ(stats.sojourn_p99, 8.28125);
 }
 
 TEST(GoldenTrajectories, ShardedDesSystemJsqFourShards) {
@@ -228,9 +231,12 @@ TEST(GoldenTrajectories, ShardedDesSystemJsqFourShards) {
     EXPECT_EQ(stats.server_utilization, 0.82121935764764054);
     EXPECT_EQ(stats.mean_sojourn, 2.5498712371932548);
     EXPECT_EQ(stats.completed_jobs, 1040u);
-    EXPECT_EQ(stats.sojourn_p50, 2.1218704901352634);
-    EXPECT_EQ(stats.sojourn_p95, 6.4929983753803757);
-    EXPECT_EQ(stats.sojourn_p99, 9.9516727812447687);
+    // Exact cross-shard histogram merge; the exact nearest-rank sample
+    // quantiles of this run are 2.0416392561421124, 6.6392195134516427 and
+    // 9.0649115800719695, each inside the pinned value's bucket.
+    EXPECT_EQ(stats.sojourn_p50, 2.0390625);
+    EXPECT_EQ(stats.sojourn_p95, 6.640625);
+    EXPECT_EQ(stats.sojourn_p99, 9.09375);
 }
 
 TEST(GoldenTrajectories, MfcEnvUniformizationArithmetic) {

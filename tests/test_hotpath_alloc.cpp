@@ -77,7 +77,7 @@ TEST(HotPathAllocations, DesSystemStepWithRuleAllClientModels) {
         config.dt = 2.0;
         config.horizon = 1 << 20;
         config.client_model = model;
-        config.track_sojourn = true; // cover the per-job timestamp/P² path too
+        config.track_sojourn = true; // cover the per-job ring/histogram path too
         DesSystem system(config);
         Rng rng(5);
         system.reset(rng);

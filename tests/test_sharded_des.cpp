@@ -415,7 +415,7 @@ TEST(ShardedVsDes, PerClientModelAgrees) {
 }
 
 // ---------------------------------------------------------------------------
-// Sojourn percentiles (cross-shard P2Quantile merge)
+// Sojourn percentiles (exact cross-shard histogram merge)
 // ---------------------------------------------------------------------------
 
 TEST(ShardedDesSystem, SojournPercentilesAreOrderedAndPlausible) {

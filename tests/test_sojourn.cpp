@@ -10,36 +10,72 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 namespace mflb {
 namespace {
 
-TEST(JobTimestamps, FifoOrder) {
-    JobTimestamps jobs(5);
+TEST(JobRings, FifoOrder) {
+    JobRings rings;
+    rings.reset(std::vector<int>{0, 0}, 5);
+    JobRing jobs = rings[1];
     jobs.push(1.0);
     jobs.push(2.5);
     jobs.push(3.0);
     EXPECT_EQ(jobs.size(), 3);
+    EXPECT_EQ(rings[0].size(), 0); // the neighbouring queue is untouched.
     EXPECT_DOUBLE_EQ(jobs.pop(4.0), 3.0);  // job from t=1.0
     EXPECT_DOUBLE_EQ(jobs.pop(4.0), 1.5);  // job from t=2.5
     EXPECT_EQ(jobs.size(), 1);
+    EXPECT_EQ(rings[1].size(), 1); // views share the ring's cursor.
 }
 
-TEST(JobTimestamps, WrapAroundRing) {
-    JobTimestamps jobs(2);
+TEST(JobRings, WrapAroundRing) {
+    // Push two, pop one, push one, pop two: on capacity 2 both the tail and
+    // the head wrap, starting from either slot, in every queue of the block.
+    JobRings rings;
+    rings.reset(std::vector<int>{0, 0, 0}, 2);
     for (int round = 0; round < 10; ++round) {
-        jobs.push(round);
-        jobs.push(round + 0.5);
-        EXPECT_DOUBLE_EQ(jobs.pop(round + 1.0), 1.0);
-        EXPECT_DOUBLE_EQ(jobs.pop(round + 1.0), 0.5);
+        for (std::size_t j = 0; j < 3; ++j) {
+            JobRing jobs = rings[j];
+            const double t = 10.0 * round + static_cast<double>(j);
+            jobs.push(t);
+            jobs.push(t + 0.25);
+            EXPECT_DOUBLE_EQ(jobs.pop(t + 1.0), 1.0);
+            jobs.push(t + 0.5);
+            EXPECT_DOUBLE_EQ(jobs.pop(t + 2.0), 1.75);
+            EXPECT_DOUBLE_EQ(jobs.pop(t + 2.0), 1.5);
+            EXPECT_EQ(jobs.size(), 0);
+        }
     }
 }
 
-TEST(JobTimestamps, GuardsMisuse) {
-    JobTimestamps jobs(1);
-    EXPECT_THROW(jobs.pop(0.0), std::logic_error);
-    jobs.push(0.0);
-    EXPECT_THROW(JobTimestamps(0), std::invalid_argument);
+TEST(JobRings, ResetSeedsInitialJobsAtTimeZero) {
+    JobRings rings;
+    rings.reset(std::vector<int>{2, 0, 3}, 3);
+    EXPECT_EQ(rings[0].size(), 2);
+    EXPECT_EQ(rings[1].size(), 0);
+    EXPECT_EQ(rings[2].size(), 3);
+    EXPECT_DOUBLE_EQ(rings[2].pop(1.5), 1.5);
+    // A reset reuses the block and forgets the previous episode's jobs.
+    rings.reset(std::vector<int>{1, 1, 0}, 3);
+    EXPECT_EQ(rings[2].size(), 0);
+    EXPECT_DOUBLE_EQ(rings[0].pop(2.0), 2.0);
+    EXPECT_THROW(rings[0].pop(2.0), std::logic_error);
+}
+
+TEST(JobRings, GuardsMisuse) {
+    JobRings rings;
+    rings.reset(std::vector<int>{0}, 1);
+    EXPECT_THROW(rings[0].pop(0.0), std::logic_error);
+    rings[0].push(0.0);
+    EXPECT_THROW(rings[0].push(1.0), std::logic_error);
+    EXPECT_EQ(rings[0].size(), 1);
+    EXPECT_THROW(rings.reset(std::vector<int>{0}, 0), std::invalid_argument);
+    EXPECT_THROW(rings.reset(std::vector<int>{3}, 2), std::logic_error);
+    EXPECT_FALSE(JobRing{});
+    EXPECT_TRUE(rings[0]);
 }
 
 TEST(Mm1bOracles, MatchHandValues) {
@@ -59,7 +95,9 @@ TEST(Mm1bOracles, LowLoadApproachesMm1) {
 
 TEST(SojournSimulation, ConservationAndSupport) {
     Rng rng(1);
-    JobTimestamps jobs(5);
+    JobRings rings;
+    rings.reset(std::vector<int>{0}, 5);
+    const JobRing jobs = rings[0];
     double t0 = 0.0;
     for (int epoch = 0; epoch < 50; ++epoch) {
         const int before = jobs.size();
@@ -82,7 +120,9 @@ TEST(SojournSimulation, MatchesLittlesLawAtStationarity) {
     const double arrival = 0.8, service = 1.0;
     const int buffer = 5;
     Rng rng(2);
-    JobTimestamps jobs(buffer);
+    JobRings rings;
+    rings.reset(std::vector<int>{0}, buffer);
+    const JobRing jobs = rings[0];
     RunningStat sojourn;
     double t0 = 0.0;
     const double dt = 10.0;
@@ -134,7 +174,9 @@ TEST(SojournSimulation, DesMeasuredSojournMatchesAnalyticOracle) {
 TEST(SojournSimulation, HigherLoadLongerSojourn) {
     auto mean_sojourn = [](double arrival) {
         Rng rng(3);
-        JobTimestamps jobs(5);
+        JobRings rings;
+        rings.reset(std::vector<int>{0}, 5);
+        const JobRing jobs = rings[0];
         RunningStat sojourn;
         double t0 = 0.0;
         for (int epoch = 0; epoch < 1500; ++epoch) {

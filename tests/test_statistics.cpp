@@ -1,4 +1,5 @@
-// Tests for Welford accumulation, merging, and confidence intervals.
+// Tests for Welford accumulation, merging, confidence intervals, and the
+// log-bucketed histogram behind the sojourn and telemetry quantiles.
 #include "support/statistics.hpp"
 #include "support/rng.hpp"
 
@@ -6,7 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
+#include <limits>
 #include <vector>
 
 namespace mflb {
@@ -102,181 +103,213 @@ TEST(StudentT, CriticalValuesDecreaseToNormal) {
     EXPECT_NEAR(student_t_975(10000), 1.959964, 1e-6);
 }
 
-TEST(P2Quantile, RejectsDegenerateTargets) {
-    EXPECT_THROW(P2Quantile(0.0), std::invalid_argument);
-    EXPECT_THROW(P2Quantile(1.0), std::invalid_argument);
-    EXPECT_THROW(P2Quantile(-0.5), std::invalid_argument);
-}
-
-TEST(P2Quantile, ExactForFewObservations) {
-    P2Quantile median(0.5);
-    EXPECT_DOUBLE_EQ(median.value(), 0.0); // empty
-    median.add(3.0);
-    EXPECT_DOUBLE_EQ(median.value(), 3.0);
-    median.add(1.0);
-    EXPECT_DOUBLE_EQ(median.value(), 2.0); // interpolated {1, 3}
-    median.add(2.0);
-    EXPECT_DOUBLE_EQ(median.value(), 2.0); // middle of {1, 2, 3}
-    EXPECT_EQ(median.count(), 3u);
-    EXPECT_DOUBLE_EQ(median.quantile(), 0.5);
-}
-
-double exact_quantile(std::vector<double> xs, double p) {
+/// The exact nearest-rank p-quantile: the r-th smallest sample with
+/// r = max(1, ceil(p * n)).
+double nearest_rank(std::vector<double> xs, double p) {
     std::sort(xs.begin(), xs.end());
-    const double rank = p * static_cast<double>(xs.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, xs.size() - 1);
-    return xs[lo] + (rank - static_cast<double>(lo)) * (xs[hi] - xs[lo]);
+    const double n = static_cast<double>(xs.size());
+    const auto rank = static_cast<std::size_t>(std::clamp(std::ceil(p * n), 1.0, n));
+    return xs[rank - 1];
 }
 
-TEST(P2Quantile, TracksExactQuantilesOfSkewedAndSymmetricSamples) {
+/// Width of the bucket holding x (x inside the histogram's range).
+double bucket_width(double x) {
+    const std::size_t b = LogHistogram::bucket_of(x);
+    return LogHistogram::bucket_lower(b + 1) - LogHistogram::bucket_lower(b);
+}
+
+TEST(LogHistogram, BucketsTileTheRangeAtUnderOnePercentWidth) {
+    constexpr std::size_t last = LogHistogram::kBuckets - 1;
+    EXPECT_EQ(LogHistogram::kBuckets, 48u * 128u + 2u);
+    EXPECT_EQ(LogHistogram::bucket_lower(1), std::ldexp(1.0, -24));
+    EXPECT_EQ(LogHistogram::bucket_lower(last), std::ldexp(1.0, 24));
+    for (std::size_t b = 1; b < last; ++b) {
+        const double lo = LogHistogram::bucket_lower(b);
+        const double hi = LogHistogram::bucket_lower(b + 1);
+        ASSERT_LT(lo, hi) << b;
+        ASSERT_LE((hi - lo) / lo, 1.0 / 128.0) << b;
+        // Both edges of the half-open bucket map back to it.
+        ASSERT_EQ(LogHistogram::bucket_of(lo), b);
+        ASSERT_EQ(LogHistogram::bucket_of(std::nextafter(hi, 0.0)), b);
+        const double mid = LogHistogram::bucket_value(b);
+        ASSERT_TRUE(lo < mid && mid < hi) << b;
+    }
+}
+
+TEST(LogHistogram, QuantilesWithinOneBucketOfExactNearestRank) {
     Rng rng(71);
-    std::vector<double> exponential, normal;
-    P2Quantile e50(0.5), e95(0.95), e99(0.99), n50(0.5), n95(0.95);
     const int n = 50000;
+    std::vector<double> exponential, normal, pareto;
+    LogHistogram he, hn, hp;
     for (int i = 0; i < n; ++i) {
         const double e = rng.exponential(1.0);
         const double g = rng.normal(10.0, 2.0);
+        // Pareto(x_m = 1, shape 1.2): infinite variance, a heavy right tail.
+        const double t = std::pow(1.0 - rng.uniform(), -1.0 / 1.2);
         exponential.push_back(e);
         normal.push_back(g);
-        e50.add(e);
-        e95.add(e);
-        e99.add(e);
-        n50.add(g);
-        n95.add(g);
+        pareto.push_back(t);
+        he.add(e);
+        hn.add(g);
+        hp.add(t);
     }
-    EXPECT_EQ(e50.count(), static_cast<std::size_t>(n));
-    // Relative tolerance vs the exact sample quantiles (P² is approximate).
-    EXPECT_NEAR(e50.value(), exact_quantile(exponential, 0.5), 0.03);
-    EXPECT_NEAR(e95.value(), exact_quantile(exponential, 0.95), 0.12);
-    EXPECT_NEAR(e99.value(), exact_quantile(exponential, 0.99), 0.25);
-    EXPECT_NEAR(n50.value(), exact_quantile(normal, 0.5), 0.1);
-    EXPECT_NEAR(n95.value(), exact_quantile(normal, 0.95), 0.2);
-    // Ordering across targets on the same stream.
-    EXPECT_LT(e50.value(), e95.value());
-    EXPECT_LT(e95.value(), e99.value());
+    const struct {
+        const char* name;
+        const std::vector<double>& xs;
+        const LogHistogram& h;
+    } cases[] = {{"exponential", exponential, he}, {"normal", normal, hn}, {"pareto", pareto, hp}};
+    for (const auto& c : cases) {
+        EXPECT_EQ(c.h.count(), static_cast<std::uint64_t>(n));
+        for (const double p : {0.5, 0.95, 0.99}) {
+            const double exact = nearest_rank(c.xs, p);
+            const double got = c.h.quantile(p);
+            // The estimate is the midpoint of the bucket holding the exact
+            // nearest-rank sample, so it sits within half a bucket of it.
+            EXPECT_EQ(LogHistogram::bucket_of(got), LogHistogram::bucket_of(exact))
+                << c.name << " p" << p;
+            EXPECT_LE(std::abs(got - exact), bucket_width(exact)) << c.name << " p" << p;
+            EXPECT_LE(std::abs(got - exact), exact / 256.0) << c.name << " p" << p;
+        }
+        EXPECT_LT(c.h.quantile(0.5), c.h.quantile(0.95)) << c.name;
+        EXPECT_LT(c.h.quantile(0.95), c.h.quantile(0.99)) << c.name;
+    }
 }
 
-TEST(P2Quantile, HandlesConstantAndSortedStreams) {
-    P2Quantile q(0.9);
+TEST(LogHistogram, NearestRankOnSmallSamples) {
+    LogHistogram h;
+    for (const double x : {4.0, 1.0, 3.0, 2.0}) {
+        h.add(x);
+    }
+    const auto value_of = [](double x) {
+        return LogHistogram::bucket_value(LogHistogram::bucket_of(x));
+    };
+    EXPECT_EQ(h.quantile(0.0), value_of(1.0)); // rank clamps up to 1.
+    EXPECT_EQ(h.quantile(0.25), value_of(1.0));
+    EXPECT_EQ(h.quantile(0.5), value_of(2.0)); // ceil(0.5 * 4) = 2.
+    EXPECT_EQ(h.quantile(0.51), value_of(3.0));
+    EXPECT_EQ(h.quantile(0.99), value_of(4.0));
+    EXPECT_EQ(h.quantile(1.0), value_of(4.0));
+}
+
+TEST(LogHistogram, EmptyAndConstantStreams) {
+    LogHistogram h;
+    EXPECT_EQ(h.count(), 0u);
+    EXPECT_EQ(h.quantile(0.5), 0.0);
+    EXPECT_EQ(h.quantile(0.99), 0.0);
     for (int i = 0; i < 1000; ++i) {
-        q.add(5.0);
+        h.add(5.0);
     }
-    EXPECT_DOUBLE_EQ(q.value(), 5.0);
-    P2Quantile asc(0.5);
-    for (int i = 1; i <= 10001; ++i) {
-        asc.add(static_cast<double>(i));
+    EXPECT_EQ(h.count(), 1000u);
+    for (const double p : {0.0, 0.5, 0.95, 0.99, 1.0}) {
+        EXPECT_EQ(h.quantile(p), h.quantile(0.5));
+        EXPECT_NEAR(h.quantile(p), 5.0, 5.0 / 256.0);
     }
-    EXPECT_NEAR(asc.value(), 5001.0, 150.0);
+    h.clear();
+    EXPECT_EQ(h, LogHistogram{});
+    EXPECT_EQ(h.quantile(0.5), 0.0);
 }
 
-TEST(P2QuantileMerge, RejectsMismatchedTargetsAndHandlesEmpties) {
-    P2Quantile a(0.5), b(0.95);
-    EXPECT_THROW(a.merge(b), std::invalid_argument);
+TEST(LogHistogram, NonPositiveAndOutOfRangeValuesLandInEdgeBuckets) {
+    constexpr std::size_t last = LogHistogram::kBuckets - 1;
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double x : {0.0, -0.0, -1.0, -inf, 1e-30, std::ldexp(1.0, -25),
+                           std::nextafter(std::ldexp(1.0, -24), 0.0),
+                           std::numeric_limits<double>::denorm_min()}) {
+        EXPECT_EQ(LogHistogram::bucket_of(x), 0u) << x;
+    }
+    EXPECT_EQ(LogHistogram::bucket_of(std::ldexp(1.0, -24)), 1u);
+    EXPECT_EQ(LogHistogram::bucket_of(std::nextafter(std::ldexp(1.0, 24), 0.0)), last - 1);
+    for (const double x : {std::ldexp(1.0, 24), 1e30, std::numeric_limits<double>::max(), inf}) {
+        EXPECT_EQ(LogHistogram::bucket_of(x), last) << x;
+    }
 
-    P2Quantile c(0.5), d(0.5);
-    c.merge(d); // both empty: no-op
-    EXPECT_EQ(c.count(), 0u);
-    d.add(7.0);
-    c.merge(d); // empty absorbs other
-    EXPECT_EQ(c.count(), 1u);
-    EXPECT_DOUBLE_EQ(c.value(), 7.0);
-    P2Quantile e(0.5);
-    c.merge(e); // merging an empty is a no-op
-    EXPECT_EQ(c.count(), 1u);
+    // Edge buckets report the clamped value: 0 below the range, 2^24 above.
+    LogHistogram low;
+    for (const double x : {0.0, -2.0, 1e-30}) {
+        low.add(x);
+    }
+    EXPECT_EQ(low.count(), 3u);
+    EXPECT_EQ(low.quantile(0.5), 0.0);
+    EXPECT_EQ(low.quantile(0.99), 0.0);
+    LogHistogram high;
+    for (const double x : {1e9, 1e30, inf}) {
+        high.add(x);
+    }
+    EXPECT_EQ(high.quantile(0.5), std::ldexp(1.0, 24));
+
+    // Mixed: two non-positive values below three in-range ones.
+    LogHistogram mixed;
+    for (const double x : {-1.0, 0.0, 1.0, 2.0, 1e40}) {
+        mixed.add(x);
+    }
+    EXPECT_EQ(mixed.quantile(0.4), 0.0);  // rank 2: the 0.
+    EXPECT_NEAR(mixed.quantile(0.6), 1.0, 1.0 / 256.0); // rank 3: the 1.
+    EXPECT_EQ(mixed.quantile(1.0), std::ldexp(1.0, 24)); // rank 5: clamped.
 }
 
-TEST(P2QuantileMerge, ExactWhileCombinedStreamFitsTheBuffer) {
-    // 3 + 2 observations: the merged estimator must equal one fed the
-    // concatenated stream (both are exact sorted buffers).
-    P2Quantile a(0.5), b(0.5), direct(0.5);
-    for (const double x : {1.0, 9.0, 4.0}) {
-        a.add(x);
-        direct.add(x);
-    }
-    for (const double x : {0.5, 6.0}) {
-        b.add(x);
-        direct.add(x);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), 5u);
-    EXPECT_DOUBLE_EQ(a.value(), direct.value());
-    EXPECT_DOUBLE_EQ(a.value(), 4.0); // median of {0.5, 1, 4, 6, 9}
-}
-
-TEST(P2QuantileMerge, TracksExactQuantilesOfConcatenatedStreams) {
-    // Two shards observing *different* distributions (the hard case: the
-    // merged quantile is not near either shard's own): the merged estimate
-    // must track the exact sample quantile of the concatenation.
-    Rng rng(123);
-    for (const double p : {0.5, 0.95}) {
-        SCOPED_TRACE(p);
-        P2Quantile a(p), b(p);
-        std::vector<double> all;
-        for (int i = 0; i < 4000; ++i) {
-            const double x = rng.exponential(1.0);
-            a.add(x);
-            all.push_back(x);
-        }
-        for (int i = 0; i < 2000; ++i) {
-            const double y = 5.0 + rng.normal(0.0, 0.5);
-            b.add(y);
-            all.push_back(y);
-        }
-        a.merge(b);
-        EXPECT_EQ(a.count(), all.size());
-        const double exact = exact_quantile(all, p);
-        EXPECT_NEAR(a.value(), exact, std::max(0.15, 0.08 * exact))
-            << "merged " << a.value() << " vs exact " << exact;
-    }
-}
-
-TEST(P2QuantileMerge, MergingManyShardsOfTheSameLawMatchesTheSingleStream) {
-    // The sharded-DES reduction shape: 8 shards of the same sojourn law,
-    // merged in order, must agree with the one-stream estimate and with the
-    // exact quantile.
+TEST(LogHistogram, AnySplitMergedInAnyOrderEqualsTheSingleStream) {
+    // The sharded-DES and telemetry-lane reduction shape: a stream split
+    // into K parts, merged in any order, is the single-stream histogram
+    // bit for bit — counts, totals and therefore every quantile.
     Rng rng(77);
-    std::vector<double> all;
-    std::vector<P2Quantile> shards(8, P2Quantile(0.95));
-    P2Quantile single(0.95);
-    for (int i = 0; i < 16000; ++i) {
-        const double x = rng.exponential(0.7);
-        shards[static_cast<std::size_t>(i % 8)].add(x);
+    std::vector<double> xs;
+    LogHistogram single;
+    for (int i = 0; i < 20000; ++i) {
+        // Exponential body plus a heavy tail and a few edge-bucket values.
+        double x = rng.exponential(0.7);
+        if (i % 97 == 0) {
+            x = std::pow(1.0 - rng.uniform(), -1.0 / 1.1);
+        } else if (i % 1009 == 0) {
+            x = i % 2 == 0 ? 0.0 : 1e30;
+        }
+        xs.push_back(x);
         single.add(x);
-        all.push_back(x);
     }
-    P2Quantile merged(0.95);
-    for (const P2Quantile& shard : shards) {
-        merged.merge(shard);
+    for (const std::size_t k : {1u, 2u, 3u, 8u, 13u}) {
+        SCOPED_TRACE(k);
+        std::vector<LogHistogram> parts(k);
+        for (std::size_t i = 0; i < xs.size(); ++i) {
+            parts[rng.uniform_below(k)].add(xs[i]); // random split
+        }
+        std::vector<std::size_t> order(k);
+        for (std::size_t i = 0; i < k; ++i) {
+            order[i] = i;
+        }
+        for (int trial = 0; trial < 4; ++trial) {
+            // trial 0 ascending, 1 descending, then random permutations.
+            if (trial == 1) {
+                std::reverse(order.begin(), order.end());
+            } else if (trial > 1) {
+                for (std::size_t i = k; i > 1; --i) {
+                    std::swap(order[i - 1], order[rng.uniform_below(i)]);
+                }
+            }
+            LogHistogram merged;
+            for (const std::size_t i : order) {
+                merged.merge(parts[i]);
+            }
+            EXPECT_EQ(merged, single);
+            for (const double p : {0.5, 0.95, 0.99}) {
+                EXPECT_EQ(merged.quantile(p), single.quantile(p));
+            }
+        }
+        // A pairwise tree gives the same histogram as the linear fold.
+        while (parts.size() > 1) {
+            std::vector<LogHistogram> next((parts.size() + 1) / 2);
+            for (std::size_t i = 0; i < parts.size(); ++i) {
+                next[i / 2].merge(parts[i]);
+            }
+            parts = std::move(next);
+        }
+        EXPECT_EQ(parts[0], single);
     }
-    EXPECT_EQ(merged.count(), all.size());
-    const double exact = exact_quantile(all, 0.95);
-    EXPECT_NEAR(merged.value(), exact, 0.08 * exact);
-    EXPECT_NEAR(merged.value(), single.value(), 0.1 * exact);
-    // A merged estimator keeps accepting observations.
-    for (int i = 0; i < 1000; ++i) {
-        merged.add(rng.exponential(0.7));
-    }
-    EXPECT_EQ(merged.count(), all.size() + 1000);
-    EXPECT_GT(merged.value(), 0.0);
-}
-
-TEST(P2QuantileMerge, SmallBufferIntoLargeEstimator) {
-    Rng rng(9);
-    P2Quantile big(0.5), small(0.5);
-    std::vector<double> all;
-    for (int i = 0; i < 3000; ++i) {
-        const double x = rng.normal(4.0, 1.0);
-        big.add(x);
-        all.push_back(x);
-    }
-    for (const double x : {3.5, 4.5, 4.0}) {
-        small.add(x);
-        all.push_back(x);
-    }
-    big.merge(small);
-    EXPECT_EQ(big.count(), all.size());
-    EXPECT_NEAR(big.value(), exact_quantile(all, 0.5), 0.15);
+    // Merging an empty histogram changes nothing; a merged histogram keeps
+    // accepting observations.
+    LogHistogram copy = single;
+    copy.merge(LogHistogram{});
+    EXPECT_EQ(copy, single);
+    copy.add(1.0);
+    EXPECT_EQ(copy.count(), single.count() + 1);
 }
 
 TEST(Histogram, BinsAndClamping) {

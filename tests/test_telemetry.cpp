@@ -1,4 +1,4 @@
-// Unified telemetry layer: metrics registry merge semantics, P²-histogram
+// Unified telemetry layer: metrics registry merge semantics, histogram
 // accuracy against exact sample quantiles, series-sink formats, tracer span
 // nesting/ordering, and the end-to-end determinism contract — the sharded
 // backend's emitted series is a function of (seed, K) only (bit-identical at
@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -75,9 +76,15 @@ TEST(MetricsRegistry, MergeTotalIndependentOfLaneAssignment) {
 }
 
 TEST(MetricsRegistry, HistogramTracksExactQuantiles) {
-    MetricsRegistry registry;
-    const auto id = registry.histogram("x");
-    registry.ensure_slots(4);
+    // The same 20000 observations through 1 lane and round-robin over 4
+    // lanes: lanes merge by adding bucket counts, so both registries report
+    // identical quantiles, each within one bucket of the exact nearest-rank
+    // sample quantile.
+    MetricsRegistry one_lane;
+    MetricsRegistry four_lanes;
+    const auto id1 = one_lane.histogram("x");
+    const auto id4 = four_lanes.histogram("x");
+    four_lanes.ensure_slots(4);
 
     Rng rng(123);
     std::vector<double> samples;
@@ -85,18 +92,27 @@ TEST(MetricsRegistry, HistogramTracksExactQuantiles) {
     for (std::size_t i = 0; i < 20000; ++i) {
         const double x = rng.exponential(1.0);
         samples.push_back(x);
-        registry.observe(id, x, i % 4); // round-robin over lanes.
+        one_lane.observe(id1, x);
+        four_lanes.observe(id4, x, i % 4); // round-robin over lanes.
     }
     std::sort(samples.begin(), samples.end());
-    const auto exact = [&](double p) {
-        return samples[static_cast<std::size_t>(p * (static_cast<double>(samples.size()) - 1))];
+    const auto exact = [&](double p) { // nearest rank: ceil(p * n)-th smallest.
+        const double rank = std::ceil(p * static_cast<double>(samples.size()));
+        return samples[static_cast<std::size_t>(rank) - 1];
     };
-    EXPECT_EQ(registry.histogram_count(id), 20000u);
-    // The cross-lane merge re-derives markers from a mixture of marker CDFs,
-    // so tail estimates carry a few extra percent of error on top of P²'s own.
-    EXPECT_NEAR(registry.histogram_quantile(id, 0), exact(0.50), 0.05 * exact(0.50));
-    EXPECT_NEAR(registry.histogram_quantile(id, 1), exact(0.95), 0.15 * exact(0.95));
-    EXPECT_NEAR(registry.histogram_quantile(id, 2), exact(0.99), 0.25 * exact(0.99));
+    EXPECT_EQ(one_lane.histogram_count(id1), 20000u);
+    EXPECT_EQ(four_lanes.histogram_count(id4), 20000u);
+    const double ps[3] = {0.50, 0.95, 0.99};
+    for (int which = 0; which < 3; ++which) {
+        const double q = four_lanes.histogram_quantile(id4, which);
+        EXPECT_EQ(q, one_lane.histogram_quantile(id1, which)) << which;
+        const double truth = exact(ps[which]);
+        EXPECT_EQ(LogHistogram::bucket_of(q), LogHistogram::bucket_of(truth)) << which;
+        const std::size_t b = LogHistogram::bucket_of(truth);
+        EXPECT_LE(std::abs(q - truth),
+                  LogHistogram::bucket_lower(b + 1) - LogHistogram::bucket_lower(b))
+            << which;
+    }
 }
 
 TEST(MetricsRegistry, AppendToEmitsRegistrationOrder) {
