@@ -145,6 +145,7 @@ void GaussianPolicy::evaluate_batch(std::span<const double> obs, std::span<const
                                     std::span<double> log_probs,
                                     std::span<double> entropies) const {
     net_.begin_batch(ws, batch);
+    net_.transpose_weights(ws);
     evaluate_rows(obs, actions, 0, batch, ws, means, log_stds, log_probs, entropies);
 }
 

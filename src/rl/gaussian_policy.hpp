@@ -89,7 +89,8 @@ public:
                         std::span<double> entropies) const;
     /// evaluate_batch() for rows [r0, r1) of a pass begun with
     /// network().begin_batch(); every span holds just those rows. The row
-    /// and concurrency rules are Mlp::forward_rows()'s.
+    /// and concurrency rules are Mlp::forward_rows()'s, and so is the need
+    /// for current transposed weights (network().transpose_weights()).
     void evaluate_rows(std::span<const double> obs, std::span<const double> actions,
                        std::size_t r0, std::size_t r1, Mlp::BatchWorkspace& ws,
                        std::span<double> means, std::span<double> log_stds,

@@ -172,7 +172,6 @@ Mlp::BatchWorkspace::BatchWorkspace(const Mlp& net, std::size_t max_batch_rows)
         }
     }
     at.assign(max_batch * widest, 0.0);
-    gates = std::make_unique<TransposeGate[]>(layers.size() - 1);
 }
 
 void Mlp::forward_batch(std::span<const double> inputs, std::size_t batch, BatchWorkspace& ws,
@@ -187,6 +186,7 @@ void Mlp::forward_batch(std::span<const double> inputs, std::size_t batch, Batch
 std::span<const double> Mlp::forward_cached_batch(std::span<const double> inputs,
                                                   std::size_t batch, BatchWorkspace& ws) const {
     begin_batch(ws, batch);
+    transpose_weights(ws);
     return forward_rows(inputs, 0, batch, ws);
 }
 
@@ -206,40 +206,22 @@ void Mlp::begin_batch(BatchWorkspace& ws, std::size_t batch) const {
         throw std::invalid_argument("Mlp::begin_batch: workspace too small");
     }
     ws.batch = batch;
+}
+
+void Mlp::transpose_weights(BatchWorkspace& ws) const {
     for (std::size_t l = 0; l + 1 < layers_.size(); ++l) {
-        ws.gates[l].claimed.store(0, std::memory_order_relaxed);
-        ws.gates[l].done.store(0, std::memory_order_relaxed);
+        transpose_weight_rows(ws, l, 0, layers_[l + 1]);
     }
 }
 
-const double* Mlp::transposed_weights(BatchWorkspace& ws, std::size_t layer) const {
-    // The weight rows are cut into blocks; every call that needs this layer
-    // claims blocks until none are left, then waits for the blocks other
-    // calls still hold. The first calls to arrive thus share the transpose,
-    // and no claimed block waits on anything, so the wait always ends.
-    constexpr unsigned kBlockRows = 32;
-    const std::size_t in_dim = layers_[layer];
-    const std::size_t out_dim = layers_[layer + 1];
-    const auto blocks = static_cast<unsigned>((out_dim + kBlockRows - 1) / kBlockRows);
-    BatchWorkspace::TransposeGate& gate = ws.gates[layer];
-    double* wt = ws.wt[layer].data();
-    if (gate.done.load(std::memory_order_acquire) == blocks) {
-        return wt;
+void Mlp::transpose_weight_rows(BatchWorkspace& ws, std::size_t layer, std::size_t o0,
+                                std::size_t o1) const {
+    if (layer + 1 >= layers_.size() || o0 > o1 || o1 > layers_[layer + 1] ||
+        ws.wt.size() + 1 != layers_.size()) {
+        throw std::invalid_argument("Mlp::transpose_weight_rows: units outside the layer");
     }
-    const double* w = params_.data() + weight_offset(layer);
-    for (unsigned b = gate.claimed.fetch_add(1, std::memory_order_relaxed); b < blocks;
-         b = gate.claimed.fetch_add(1, std::memory_order_relaxed)) {
-        const std::size_t o0 = std::size_t{b} * kBlockRows;
-        transpose_rows(out_dim, in_dim, o0, std::min(out_dim, o0 + kBlockRows), w, wt);
-        if (gate.done.fetch_add(1, std::memory_order_acq_rel) + 1 == blocks) {
-            gate.done.notify_all();
-        }
-    }
-    for (unsigned d = gate.done.load(std::memory_order_acquire); d < blocks;
-         d = gate.done.load(std::memory_order_acquire)) {
-        gate.done.wait(d, std::memory_order_acquire);
-    }
-    return wt;
+    transpose_rows(layers_[layer + 1], layers_[layer], o0, o1,
+                   params_.data() + weight_offset(layer), ws.wt[layer].data());
 }
 
 std::span<const double> Mlp::forward_rows(std::span<const double> inputs, std::size_t r0,
@@ -270,9 +252,8 @@ std::span<const double> Mlp::forward_rows(std::span<const double> inputs, std::s
         for (std::size_t row = 0; row < rows; ++row) {
             std::copy(b, b + out_dim, y + row * out_dim);
         }
-        const double* wt = transposed_weights(ws, l); // in x out
-        transpose(rows, in_dim, x, at);               // -> in x rows
-        gemm_tn_acc(rows, out_dim, in_dim, at, wt, y);
+        transpose(rows, in_dim, x, at); // -> in x rows
+        gemm_tn_acc(rows, out_dim, in_dim, at, ws.wt[l].data(), y);
         if (l + 2 < num_layers) {
             for (std::size_t idx = 0; idx < rows * out_dim; ++idx) {
                 y[idx] = std::tanh(y[idx]);

@@ -18,15 +18,19 @@
 /// range of rows each, and `accumulate_gradient` sums one range of a
 /// layer's output units over all rows. Ranges on the GEMM row-tile grid give
 /// results bitwise equal to the whole-batch pass, however they are split.
+/// The forward GEMMs multiply by transposed weights kept in the workspace:
+/// the whole-batch passes refresh them up front, while a caller driving the
+/// pieces refreshes them itself after each parameter change —
+/// `transpose_weights` for all layers, or `transpose_weight_rows` for one
+/// range of a layer's output units, which the PPO trainer runs right after
+/// its Adam step on the same units (rl/ppo.hpp).
 /// The `BatchWorkspace` is constructor-sized for a maximum batch, making the
 /// steady-state training step allocation-free.
 #pragma once
 
 #include "support/rng.hpp"
 
-#include <atomic>
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -76,13 +80,6 @@ public:
         BatchWorkspace() = default;
         BatchWorkspace(const Mlp& net, std::size_t max_batch);
 
-        /// Claim and completion counters of one layer's weight transpose,
-        /// shared by the row-range calls of a pass (reset by begin_batch).
-        struct TransposeGate {
-            std::atomic<unsigned> claimed{0}; ///< next weight-row block to transpose.
-            std::atomic<unsigned> done{0};    ///< blocks transposed so far.
-        };
-
         std::size_t max_batch = 0;
         std::size_t batch = 0;  ///< rows of the pass begun by begin_batch().
         std::size_t widest = 0; ///< widest layer.
@@ -90,20 +87,22 @@ public:
         /// deltas[l]: batch × layers[l+1], dLoss/d(pre-activation) of weight
         /// layer l's outputs, written by backprop_rows().
         std::vector<std::vector<double>> deltas;
-        std::vector<std::vector<double>> wt; ///< wt[l]: layer-l weights transposed (in × out).
+        /// wt[l]: layer-l weights transposed (in × out), as of the last
+        /// transpose_weights() or transpose_weight_rows() calls.
+        std::vector<std::vector<double>> wt;
         /// Transposed-operand scratch, max_batch × widest; rows [r0, r1) use
         /// the slice starting at r0 · widest.
         std::vector<double> at;
-        std::unique_ptr<TransposeGate[]> gates; ///< one per weight layer.
     };
 
     /// Batched forward over `batch` row-major input rows (batch × input_dim),
     /// writing `batch × output_dim` rows into `outputs`. Pure inference
-    /// convenience over forward_cached_batch.
+    /// convenience over forward_cached_batch().
     void forward_batch(std::span<const double> inputs, std::size_t batch, BatchWorkspace& ws,
                        std::span<double> outputs) const;
     /// Batched forward recording all activations for backward_batch; returns
-    /// a view of the output rows (batch × output_dim) inside `ws`.
+    /// a view of the output rows (batch × output_dim) inside `ws`. Transposes
+    /// the current weights into `ws` first.
     std::span<const double> forward_cached_batch(std::span<const double> inputs,
                                                  std::size_t batch, BatchWorkspace& ws) const;
     /// Accumulates dLoss/dparams over the whole batch into `grad_params`
@@ -114,16 +113,24 @@ public:
                         std::span<double> grad_params,
                         std::span<double> grad_inputs = {}) const;
 
-    /// Starts a pass over `batch` rows: records the row count and marks the
-    /// transposed weights stale, since the parameters may have changed since
-    /// the last pass. Call once, serially, before the row-range calls.
+    /// Starts a pass over `batch` rows: records the row count. Call once,
+    /// serially, before the row-range calls.
     void begin_batch(BatchWorkspace& ws, std::size_t batch) const;
+    /// Transposes every layer's current weights into `ws.wt`, which
+    /// forward_rows() multiplies by. Call it after any parameter change,
+    /// before the next forward_rows().
+    void transpose_weights(BatchWorkspace& ws) const;
+    /// The part of transpose_weights() for output units [o0, o1) of weight
+    /// layer `layer`: writes only their columns of `ws.wt[layer]`, so
+    /// disjoint ranges may run concurrently.
+    void transpose_weight_rows(BatchWorkspace& ws, std::size_t layer, std::size_t o0,
+                               std::size_t o1) const;
     /// Forward over rows [r0, r1) of the pass; `inputs` holds just those rows
     /// ((r1 − r0) × input_dim). Records activations for backprop_rows() and
     /// returns a view of the output rows. With r0, and r1 unless it is the
     /// batch end, on the kGemmRowTile grid, every row is bitwise the row of
-    /// a whole-batch pass. Each layer's weights are transposed on first use
-    /// in the pass, in row blocks shared out among the calls that need them.
+    /// a whole-batch pass. Multiplies by the transposed weights in `ws`
+    /// (transpose_weights()), which must match the current parameters.
     std::span<const double> forward_rows(std::span<const double> inputs, std::size_t r0,
                                          std::size_t r1, BatchWorkspace& ws) const;
     /// Delta back-propagation for rows [r0, r1): from their output gradients
@@ -145,13 +152,13 @@ public:
     /// Used to initialize policy heads (e.g. the log-std bias).
     std::span<double> output_bias() noexcept;
 
-private:
+    /// Offsets into the flat parameter (and gradient) vector of weight layer
+    /// `layer`: its weights, row-major out × in (output unit o's row starts
+    /// at weight_offset + o · in), and its out biases.
     std::size_t weight_offset(std::size_t layer) const noexcept;
     std::size_t bias_offset(std::size_t layer) const noexcept;
-    /// Layer `layer`'s weights transposed for the current pass (see
-    /// forward_rows()); blocks until every row block is in place.
-    const double* transposed_weights(BatchWorkspace& ws, std::size_t layer) const;
 
+private:
     std::vector<std::size_t> layers_;
     std::vector<double> params_;
     std::vector<std::size_t> offsets_; ///< per layer: [w_offset, b_offset]...

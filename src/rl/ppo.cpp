@@ -5,8 +5,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 namespace mflb::rl {
 
@@ -39,7 +41,58 @@ constexpr std::uint64_t kEvalStream = ~std::uint64_t{0};
 /// 16 output units of a 256-wide layer, i.e. 16 blocks per hidden layer of
 /// the Table-2 network — enough blocks per thread to balance the load.
 constexpr std::size_t kGradBlockEntries = 4096;
+
+PpoConfig validated(PpoConfig config) {
+    config.validate();
+    return config;
+}
 } // namespace
+
+void PpoConfig::validate() const {
+    const auto reject = [](const char* field, const char* rule, auto value) {
+        std::ostringstream message;
+        message << "PpoConfig: " << field << " must be " << rule << " (got " << value << ")";
+        throw std::invalid_argument(message.str());
+    };
+    struct Rule {
+        const char* field;
+        double value;
+        const char* rule;
+        bool holds;
+    };
+    const Rule reals[] = {
+        {"discount", discount, "in (0, 1]", discount > 0.0 && discount <= 1.0},
+        {"gae_lambda", gae_lambda, "in [0, 1]", gae_lambda >= 0.0 && gae_lambda <= 1.0},
+        {"kl_coeff", kl_coeff, ">= 0", kl_coeff >= 0.0},
+        {"kl_target", kl_target, "> 0", kl_target > 0.0},
+        {"clip_param", clip_param, "> 0", clip_param > 0.0},
+        {"learning_rate", learning_rate, "> 0", learning_rate > 0.0},
+        {"vf_loss_coeff", vf_loss_coeff, ">= 0", vf_loss_coeff >= 0.0},
+        {"vf_clip_param", vf_clip_param, "> 0", vf_clip_param > 0.0},
+        {"entropy_coeff", entropy_coeff, "finite", true},
+        {"max_grad_norm", max_grad_norm, ">= 0", max_grad_norm >= 0.0},
+        {"initial_log_std", initial_log_std, "finite", true}};
+    for (const Rule& real : reals) {
+        if (!std::isfinite(real.value)) {
+            reject(real.field, "finite", real.value);
+        }
+        if (!real.holds) {
+            reject(real.field, real.rule, real.value);
+        }
+    }
+    const std::pair<const char*, std::size_t> counts[] = {{"train_batch_size", train_batch_size},
+                                                          {"minibatch_size", minibatch_size},
+                                                          {"num_epochs", num_epochs},
+                                                          {"num_envs", num_envs}};
+    for (const auto& [field, count] : counts) {
+        if (count == 0) {
+            reject(field, "> 0", count);
+        }
+    }
+    if (num_envs > train_batch_size) {
+        reject("num_envs", "<= train_batch_size", num_envs);
+    }
+}
 
 void PpoTrainer::append_grad_blocks(const Mlp& net, bool value_net,
                                     std::vector<GradBlock>& blocks) {
@@ -48,13 +101,16 @@ void PpoTrainer::append_grad_blocks(const Mlp& net, bool value_net,
         const std::size_t units = std::max<std::size_t>(1, kGradBlockEntries / sizes[l]);
         const std::size_t step = (units + kGemmRowTile - 1) / kGemmRowTile * kGemmRowTile;
         for (std::size_t o = 0; o < sizes[l + 1]; o += step) {
-            blocks.push_back({value_net, l, o, std::min(sizes[l + 1], o + step)});
+            const std::size_t end = std::min(sizes[l + 1], o + step);
+            blocks.push_back({value_net, l, o, end, net.weight_offset(l) + o * sizes[l],
+                              net.weight_offset(l) + end * sizes[l], net.bias_offset(l) + o,
+                              net.bias_offset(l) + end});
         }
     }
 }
 
 PpoTrainer::PpoTrainer(const EnvFactory& make_env, PpoConfig config, Rng rng)
-    : config_(std::move(config)),
+    : config_(validated(std::move(config))),
       eval_env_(make_checked_env(make_env)),
       obs_dim_(eval_env_->observation_dim()),
       act_dim_(eval_env_->action_dim()),
@@ -64,16 +120,7 @@ PpoTrainer::PpoTrainer(const EnvFactory& make_env, PpoConfig config, Rng rng)
       policy_opt_(policy_.parameter_count(), config_.learning_rate),
       value_opt_(value_net_.parameter_count(), config_.learning_rate),
       kl_coeff_(config_.kl_coeff),
-      buffer_(std::max<std::size_t>(config_.train_batch_size, 1), obs_dim_, act_dim_) {
-    if (config_.train_batch_size == 0 || config_.minibatch_size == 0 || config_.num_epochs == 0) {
-        throw std::invalid_argument("PpoTrainer: batch sizes and epochs must be positive");
-    }
-    if (config_.num_envs == 0) {
-        throw std::invalid_argument("PpoTrainer: num_envs must be positive");
-    }
-    if (config_.train_batch_size < config_.num_envs) {
-        throw std::invalid_argument("PpoTrainer: train_batch_size must be >= num_envs");
-    }
+      buffer_(config_.train_batch_size, obs_dim_, act_dim_) {
     if (config_.initial_log_std != 0.0) {
         policy_.set_initial_log_std(config_.initial_log_std);
     }
@@ -211,6 +258,25 @@ void PpoTrainer::finish_optimize(PpoIterationStats& stats, double kl_sum,
     stats.kl_coeff = kl_coeff_;
 }
 
+void PpoTrainer::accumulate_block(const GradBlock& block) {
+    std::vector<double>& grad = block.value_net ? value_grad_ : policy_grad_;
+    std::fill_n(grad.data() + block.weights_begin, block.weights_end - block.weights_begin, 0.0);
+    std::fill_n(grad.data() + block.bias_begin, block.bias_end - block.bias_begin, 0.0);
+    const Mlp& net = block.value_net ? value_net_ : policy_.network();
+    net.accumulate_gradient(block.value_net ? value_bws_ : policy_bws_, block.layer, block.begin,
+                            block.end, grad);
+}
+
+void PpoTrainer::step_block(const GradBlock& block, double scale) {
+    Mlp& net = block.value_net ? value_net_ : policy_.network();
+    Adam& opt = block.value_net ? value_opt_ : policy_opt_;
+    const std::vector<double>& grad = block.value_net ? value_grad_ : policy_grad_;
+    opt.step_range(net.parameters(), grad, block.weights_begin, block.weights_end, scale);
+    opt.step_range(net.parameters(), grad, block.bias_begin, block.bias_end, scale);
+    net.transpose_weight_rows(block.value_net ? value_bws_ : policy_bws_, block.layer,
+                              block.begin, block.end);
+}
+
 void PpoTrainer::optimize_batched(PpoIterationStats& stats) {
     const std::size_t n = buffer_.size();
     const std::size_t a_dim = act_dim_;
@@ -219,6 +285,13 @@ void PpoTrainer::optimize_batched(PpoIterationStats& stats) {
     double value_loss_sum = 0.0;
     double entropy_sum = 0.0;
     std::size_t sample_count = 0;
+
+    // The forward passes multiply by transposed weights. The parameters may
+    // have changed since the last phase, so transpose both nets here; from
+    // then on, the block fan-out below re-transposes every weight row it
+    // updates.
+    policy_.network().transpose_weights(policy_bws_);
+    value_net_.transpose_weights(value_bws_);
 
     for (std::size_t epoch = 0; epoch < config_.num_epochs; ++epoch) {
         rng_.permutation(std::span<std::uint32_t>(order_.data(), n));
@@ -307,26 +380,43 @@ void PpoTrainer::optimize_batched(PpoIterationStats& stats) {
             };
             parallel_for((rows + chunk_rows - 1) / chunk_rows, row_pass, config_.train_threads);
 
-            // (B) Output-row-parallel reduction: each block of gradient rows
-            // sums over all minibatch rows in ascending order.
-            std::fill(policy_grad_.begin(), policy_grad_.end(), 0.0);
-            std::fill(value_grad_.begin(), value_grad_.end(), 0.0);
-            parallel_for(
-                grad_blocks_.size(),
-                [this](std::size_t b) {
-                    const GradBlock& block = grad_blocks_[b];
-                    if (block.value_net) {
-                        value_net_.accumulate_gradient(value_bws_, block.layer, block.begin,
-                                                       block.end, value_grad_);
-                    } else {
-                        policy_.network().accumulate_gradient(policy_bws_, block.layer,
-                                                              block.begin, block.end,
-                                                              policy_grad_);
-                    }
-                },
-                config_.train_threads);
+            // (B) Output-row-parallel update: each block of gradient rows
+            // sums over all minibatch rows in ascending order, then steps
+            // Adam on its own weights and biases, which is element-wise and
+            // so bitwise the whole-vector step, and re-transposes them.
+            policy_opt_.begin_step();
+            value_opt_.begin_step();
+            if (config_.max_grad_norm > 0.0) {
+                // Clipping scales each net's step by its whole gradient's
+                // norm, so every block finishes its sums before any steps.
+                parallel_for(
+                    grad_blocks_.size(),
+                    [this](std::size_t b) { accumulate_block(grad_blocks_[b]); },
+                    config_.train_threads);
+                const double policy_scale = Adam::clip_scale(policy_grad_, config_.max_grad_norm);
+                const double value_scale = Adam::clip_scale(value_grad_, config_.max_grad_norm);
+                parallel_for(
+                    grad_blocks_.size(),
+                    [&](std::size_t b) {
+                        const GradBlock& block = grad_blocks_[b];
+                        step_block(block, block.value_net ? value_scale : policy_scale);
+                    },
+                    config_.train_threads);
+            } else {
+                // Without clipping each block steps right after its sums,
+                // while its gradient rows are still in cache, and the pool
+                // wakes once less per minibatch: the two-fan-out form above
+                // runs a Table-2 iteration about 12% slower.
+                parallel_for(
+                    grad_blocks_.size(),
+                    [this](std::size_t b) {
+                        accumulate_block(grad_blocks_[b]);
+                        step_block(grad_blocks_[b], 1.0);
+                    },
+                    config_.train_threads);
+            }
 
-            // Serial tail, in row order: the loss sums and the two Adam steps.
+            // Serial tail: the loss sums, in row order.
             for (std::size_t r = 0; r < rows; ++r) {
                 policy_loss_sum += -surrogate_batch_[r];
                 entropy_sum += entropy_batch_[r];
@@ -334,9 +424,6 @@ void PpoTrainer::optimize_batched(PpoIterationStats& stats) {
                 value_loss_sum += value_loss_batch_[r];
             }
             sample_count += rows;
-            policy_opt_.step(policy_.network().parameters(), policy_grad_,
-                             config_.max_grad_norm);
-            value_opt_.step(value_net_.parameters(), value_grad_, config_.max_grad_norm);
         }
     }
     finish_optimize(stats, kl_sum, policy_loss_sum, value_loss_sum, entropy_sum, sample_count);
@@ -476,6 +563,9 @@ std::vector<PpoIterationStats> PpoTrainer::train(
 }
 
 double PpoTrainer::evaluate(std::size_t episodes) {
+    if (episodes == 0) {
+        throw std::invalid_argument("PpoTrainer::evaluate: episodes must be positive");
+    }
     double total = 0.0;
     for (std::size_t e = 0; e < episodes; ++e) {
         std::vector<double> obs = eval_env_->reset(eval_rng_);

@@ -16,14 +16,19 @@
 ///  - the SGD epochs run whole minibatches through the GEMM-backed batched
 ///    MLP passes (rl/mlp.hpp), each minibatch as two fan-outs on the same
 ///    pool: (A) chunks of rows run the forward passes, the per-row loss
-///    terms and delta back-propagation; (B) blocks of gradient rows sum over
-///    all minibatch rows in ascending order. The permutation, the loss sums
-///    and the Adam steps stay serial, so parameters are bitwise equal at any
-///    thread count. Workspaces are constructor-sized, so the steady-state
-///    update is allocation-free at `train_threads = 1`. The legacy
-///    per-sample update is kept behind `batched_update = false` as the
-///    benchmark baseline; the two paths agree to 1e-12 (FMA contraction in
-///    the GEMM kernels is the only difference).
+///    terms and delta back-propagation; (B) blocks of gradient rows finish
+///    the minibatch for their own weight and bias rows: zero the gradient,
+///    sum it over all minibatch rows in ascending order, apply Adam
+///    (Adam::step_range) and re-transpose the updated weights for the next
+///    forward pass. The permutation, the loss sums and Adam's step counter
+///    stay serial, so parameters are bitwise equal at any thread count.
+///    With `max_grad_norm > 0`, (B) splits in two around the serial
+///    global-norm sums that clipping needs. Workspaces are
+///    constructor-sized, so the steady-state update is allocation-free at
+///    `train_threads = 1`. The legacy per-sample update is kept behind
+///    `batched_update = false` as the benchmark baseline; the two paths
+///    agree to 1e-12 (FMA contraction in the GEMM kernels is the only
+///    difference).
 #pragma once
 
 #include "rl/adam.hpp"
@@ -77,6 +82,14 @@ struct PpoConfig {
     /// entropy, returns, collect/update wall-clock) plus collect/update/slot
     /// tracer spans. Never consumes RNG draws or perturbs training results.
     TelemetrySession* telemetry = nullptr;
+
+    /// Throws std::invalid_argument, naming the field and its value, unless
+    /// every real-valued field is finite and: learning_rate, clip_param,
+    /// kl_target and vf_clip_param are > 0; discount is in (0, 1];
+    /// gae_lambda is in [0, 1]; kl_coeff, vf_loss_coeff and max_grad_norm are
+    /// ≥ 0; the batch sizes, num_epochs and num_envs are positive; and
+    /// num_envs ≤ train_batch_size. PpoTrainer's constructor calls it first.
+    void validate() const;
 };
 
 /// Per-iteration training diagnostics (one row of the Fig. 3 curve).
@@ -125,7 +138,8 @@ public:
     /// Mean undiscounted return of the deterministic (mean-action) policy
     /// over `episodes` fresh episodes, on a dedicated evaluation environment
     /// with its own forked RNG stream — interleaved collect/evaluate calls
-    /// never perturb the training trajectory.
+    /// never perturb the training trajectory. Throws std::invalid_argument
+    /// when `episodes` is 0.
     double evaluate(std::size_t episodes);
 
 private:
@@ -162,16 +176,29 @@ private:
     void record_iteration_telemetry(const PpoIterationStats& stats, double collect_seconds,
                                     double update_seconds);
     /// One work item of the update's reduction fan-out: output units
-    /// [begin, end) of weight layer `layer` of the policy or value network.
+    /// [begin, end) of weight layer `layer` of the policy or value network,
+    /// and the entries of their weight rows and biases in the flat parameter
+    /// and gradient vectors.
     struct GradBlock {
         bool value_net;
         std::size_t layer;
         std::size_t begin;
         std::size_t end;
+        std::size_t weights_begin;
+        std::size_t weights_end;
+        std::size_t bias_begin;
+        std::size_t bias_end;
     };
     /// Cuts every layer of `net` into GradBlocks on the GEMM row-tile grid.
     static void append_grad_blocks(const Mlp& net, bool value_net,
                                    std::vector<GradBlock>& blocks);
+    /// Zeroes the block's gradient entries, then sums them over all rows of
+    /// the minibatch (Mlp::accumulate_gradient()).
+    void accumulate_block(const GradBlock& block);
+    /// Applies the begun Adam step to the block's parameters, with each
+    /// gradient times `scale`, and re-transposes its weight rows into the
+    /// batch workspace for the next forward pass.
+    void step_block(const GradBlock& block, double scale);
 
     void optimize_batched(PpoIterationStats& stats);
     void optimize_scalar(PpoIterationStats& stats);

@@ -1,5 +1,6 @@
 // Gradient-check and shape tests for the MLP and Adam, plus the bitwise
-// contract of the row-range GEMM and MLP passes behind the parallel update.
+// contracts behind the parallel update: row-range GEMM and MLP passes, range
+// Adam steps, and the AVX-512 GEMM kernel against the AVX2 one.
 #include "math/gemm.hpp"
 #include "rl/adam.hpp"
 #include "rl/mlp.hpp"
@@ -11,6 +12,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 
 namespace mflb::rl {
 namespace {
@@ -254,10 +256,48 @@ TEST(Gemm, RowRangesConcatenateToTheFullCallBitwise) {
     }
 }
 
+TEST(Gemm, WideKernelMatchesNarrowBitwise) {
+    // The AVX-512 kernel's 4x32 panels take one FMA per term in ascending k
+    // for every element, like the AVX2 clone's 4x8 panels, so on hosts that
+    // run it results do not depend on the kernel. The widths straddle both
+    // panel widths; the row ranges start and end on and off the tile grid.
+    if (!detail::wide_gemm_available()) {
+        GTEST_SKIP() << "no AVX-512 GEMM kernel in this build or on this CPU";
+    }
+    Rng rng(33);
+    for (const std::size_t n : {1u, 7u, 8u, 9u, 31u, 32u, 33u, 40u, 144u, 256u, 257u}) {
+        for (const std::size_t k : {1u, 8u, 144u, 256u}) {
+            for (const std::size_t m : {1u, 3u, 4u, 5u, 16u, 17u, 128u}) {
+                const std::vector<double> a = normals(rng, k * m);
+                const std::vector<double> b = normals(rng, k * n);
+                const std::vector<double> c0 = normals(rng, m * n);
+                const std::pair<std::size_t, std::size_t> ranges[] = {
+                    {0, m}, {1, m}, {0, m - 1}, {m / 2, m}, {m / 3, m - m / 4}};
+                for (const auto& [i0, i1] : ranges) {
+                    if (i0 >= i1) {
+                        continue;
+                    }
+                    std::vector<double> narrow = c0;
+                    std::vector<double> wide = c0;
+                    detail::gemm_tn_acc_rows_narrow(m, n, k, i0, i1, a.data(), b.data(),
+                                                    narrow.data());
+                    detail::gemm_tn_acc_rows_wide(m, n, k, i0, i1, a.data(), b.data(),
+                                                  wide.data());
+                    for (std::size_t i = 0; i < c0.size(); ++i) {
+                        ASSERT_EQ(bits(wide[i]), bits(narrow[i]))
+                            << "m " << m << " n " << n << " k " << k << " rows [" << i0 << ", "
+                            << i1 << ") entry " << i;
+                    }
+                }
+            }
+        }
+    }
+}
+
 TEST(Mlp, RowRangePassesMatchTheWholeBatchBitwise) {
-    // The pieces of a pass — row-range forward and back-propagation on the
-    // pool, then per-unit-range gradient sums — reproduce the whole-batch
-    // pass bit for bit, including the shared weight transposes.
+    // The pieces of a pass — weight transposes per unit range, row-range
+    // forward and back-propagation on the pool, then per-unit-range
+    // gradient sums — reproduce the whole-batch pass bit for bit.
     Rng rng(32);
     Mlp net({5, 64, 37, 7}, rng, 1.0);
     const std::size_t batch = 61;
@@ -275,6 +315,15 @@ TEST(Mlp, RowRangePassesMatchTheWholeBatchBitwise) {
     std::vector<double> grad(net.parameter_count(), 0.0);
     std::vector<double> grad_inputs(batch * 5, 0.0);
     net.begin_batch(ws, batch);
+    const std::vector<std::size_t>& sizes = net.layer_sizes();
+    parallel_for(
+        sizes.size() - 1,
+        [&](std::size_t l) {
+            for (std::size_t o = 0; o < sizes[l + 1]; o += kGemmRowTile) {
+                net.transpose_weight_rows(ws, l, o, std::min(sizes[l + 1], o + kGemmRowTile));
+            }
+        },
+        4);
     parallel_for(
         (batch + chunk - 1) / chunk,
         [&](std::size_t c) {
@@ -287,7 +336,6 @@ TEST(Mlp, RowRangePassesMatchTheWholeBatchBitwise) {
                               std::span<double>(grad_inputs.data() + r0 * 5, (r1 - r0) * 5));
         },
         4);
-    const std::vector<std::size_t>& sizes = net.layer_sizes();
     parallel_for(
         sizes.size() - 1,
         [&](std::size_t l) {
@@ -312,6 +360,7 @@ TEST(Mlp, RowRangePassesMatchTheWholeBatchBitwise) {
                                   ws),
                  std::invalid_argument);
     EXPECT_THROW(net.accumulate_gradient(ws, 0, 0, 65, grad), std::invalid_argument);
+    EXPECT_THROW(net.transpose_weight_rows(ws, 3, 0, 1), std::invalid_argument);
 }
 
 TEST(Adam, MinimizesQuadratic) {
@@ -345,6 +394,39 @@ TEST(Adam, SizeMismatchThrows) {
     Adam opt(2, 0.1);
     std::vector<double> params{0.0, 0.0};
     EXPECT_THROW(opt.step(params, std::vector<double>{1.0}), std::invalid_argument);
+    opt.begin_step();
+    EXPECT_THROW(opt.step_range(params, std::vector<double>{1.0, 1.0}, 1, 3),
+                 std::invalid_argument);
+}
+
+TEST(Adam, RangeStepsMatchTheWholeStepBitwise) {
+    // Adam is element-wise, so a step spread over ranges of any length —
+    // here uneven ones, last range first, each clipped by the norm of the
+    // whole gradient — is bitwise the whole-vector step.
+    Rng rng(34);
+    const std::size_t count = 1001;
+    std::vector<double> whole = normals(rng, count);
+    std::vector<double> pieces = whole;
+    Adam whole_opt(count, 1e-2);
+    Adam pieces_opt(count, 1e-2);
+    EXPECT_THROW(pieces_opt.step_range(pieces, whole, 0, count), std::logic_error)
+        << "a range step before any begin_step()";
+    const std::size_t bounds[] = {0, 3, 4, 131, 132, 640, 1001};
+    for (int it = 0; it < 5; ++it) {
+        const std::vector<double> grads = normals(rng, count);
+        const double max_norm = it % 2 == 0 ? 0.0 : 5.0;
+        whole_opt.step(whole, grads, max_norm);
+        const double scale = Adam::clip_scale(grads, max_norm);
+        EXPECT_EQ(scale == 1.0, it % 2 == 0);
+        pieces_opt.begin_step();
+        for (std::size_t r = std::size(bounds) - 1; r-- > 0;) {
+            pieces_opt.step_range(pieces, grads, bounds[r], bounds[r + 1], scale);
+        }
+        for (std::size_t i = 0; i < count; ++i) {
+            ASSERT_EQ(bits(pieces[i]), bits(whole[i])) << "step " << it << " entry " << i;
+        }
+    }
+    EXPECT_EQ(pieces_opt.updates(), whole_opt.updates());
 }
 
 TEST(Mlp, TrainsXorWithAdam) {

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <string>
 
 namespace mflb::rl {
 namespace {
@@ -83,15 +86,71 @@ PpoTrainer::EnvFactory target_env(double target) {
 }
 
 TEST(Ppo, ValidatesConfig) {
-    PpoConfig bad = fast_config();
-    bad.train_batch_size = 0;
-    EXPECT_THROW(PpoTrainer(target_env(0.0), bad, Rng(1)), std::invalid_argument);
-    PpoConfig no_envs = fast_config();
-    no_envs.num_envs = 0;
-    EXPECT_THROW(PpoTrainer(target_env(0.0), no_envs, Rng(1)), std::invalid_argument);
-    PpoConfig too_many = fast_config();
-    too_many.num_envs = too_many.train_batch_size + 1;
-    EXPECT_THROW(PpoTrainer(target_env(0.0), too_many, Rng(1)), std::invalid_argument);
+    // Each row breaks one field; the constructor must refuse it with a
+    // message that names the field and the value it got.
+    constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    struct Row {
+        const char* field;
+        const char* value;
+        std::function<void(PpoConfig&)> corrupt;
+    };
+    const Row rows[] = {
+        {"learning_rate", "0", [](PpoConfig& c) { c.learning_rate = 0.0; }},
+        {"learning_rate", "-0.001", [](PpoConfig& c) { c.learning_rate = -1e-3; }},
+        {"discount", "0", [](PpoConfig& c) { c.discount = 0.0; }},
+        {"discount", "1.01", [](PpoConfig& c) { c.discount = 1.01; }},
+        {"gae_lambda", "-0.1", [](PpoConfig& c) { c.gae_lambda = -0.1; }},
+        {"gae_lambda", "1.5", [](PpoConfig& c) { c.gae_lambda = 1.5; }},
+        {"clip_param", "0", [](PpoConfig& c) { c.clip_param = 0.0; }},
+        {"kl_target", "-0.01", [](PpoConfig& c) { c.kl_target = -0.01; }},
+        {"vf_clip_param", "0", [](PpoConfig& c) { c.vf_clip_param = 0.0; }},
+        {"kl_coeff", "-0.2", [](PpoConfig& c) { c.kl_coeff = -0.2; }},
+        {"vf_loss_coeff", "-1", [](PpoConfig& c) { c.vf_loss_coeff = -1.0; }},
+        {"max_grad_norm", "-0.5", [](PpoConfig& c) { c.max_grad_norm = -0.5; }},
+        {"learning_rate", "nan", [](PpoConfig& c) { c.learning_rate = kNan; }},
+        {"vf_clip_param", "inf", [](PpoConfig& c) { c.vf_clip_param = kInf; }},
+        {"entropy_coeff", "nan", [](PpoConfig& c) { c.entropy_coeff = kNan; }},
+        {"initial_log_std", "-inf", [](PpoConfig& c) { c.initial_log_std = -kInf; }},
+        {"max_grad_norm", "inf", [](PpoConfig& c) { c.max_grad_norm = kInf; }},
+        {"train_batch_size", "0", [](PpoConfig& c) { c.train_batch_size = 0; }},
+        {"minibatch_size", "0", [](PpoConfig& c) { c.minibatch_size = 0; }},
+        {"num_epochs", "0", [](PpoConfig& c) { c.num_epochs = 0; }},
+        {"num_envs", "0", [](PpoConfig& c) { c.num_envs = 0; }},
+        {"num_envs", "513", [](PpoConfig& c) { c.num_envs = c.train_batch_size + 1; }},
+    };
+    for (const Row& row : rows) {
+        PpoConfig config = fast_config();
+        row.corrupt(config);
+        SCOPED_TRACE(testing::Message() << row.field << " = " << row.value);
+        try {
+            PpoTrainer trainer(target_env(0.0), config, Rng(1));
+            ADD_FAILURE() << "accepted";
+        } catch (const std::invalid_argument& error) {
+            const std::string message = error.what();
+            EXPECT_NE(message.find(row.field), std::string::npos) << message;
+            EXPECT_NE(message.find(std::string("got ") + row.value + ")"), std::string::npos)
+                << message;
+        }
+    }
+    // The edges of each range, and the negative values that stay legal.
+    PpoConfig edges = fast_config();
+    edges.discount = 1.0;
+    edges.gae_lambda = 0.0;
+    edges.kl_coeff = 0.0;
+    edges.vf_loss_coeff = 0.0;
+    edges.max_grad_norm = 0.0;
+    edges.entropy_coeff = -0.01;
+    edges.initial_log_std = -1.2;
+    edges.num_envs = edges.train_batch_size;
+    EXPECT_NO_THROW(PpoTrainer(target_env(0.0), edges, Rng(1)));
+    EXPECT_NO_THROW(PpoConfig{}.validate()); // Table 2
+}
+
+TEST(Ppo, EvaluateRejectsZeroEpisodes) {
+    PpoTrainer trainer(target_env(0.0), fast_config(), Rng(1));
+    EXPECT_THROW((void)trainer.evaluate(0), std::invalid_argument);
+    EXPECT_TRUE(std::isfinite(trainer.evaluate(1)));
 }
 
 TEST(Ppo, IterationProducesStats) {

@@ -1,9 +1,10 @@
 // Determinism and equivalence pins for the parallel training pipeline:
 //  - PPO losses/returns/parameters are bitwise equal for fixed
 //    (seed, num_envs) at 1, 2, 3, 4 and 8 worker threads (rollout fan-out +
-//    fixed-order merge + the two-fan-out minibatch update);
+//    fixed-order merge + the two-fan-out minibatch update, with and without
+//    global-norm gradient clipping);
 //  - the batched GEMM update agrees with the legacy per-sample update to
-//    1e-12 (FMA contraction is the only difference);
+//    1e-12 (FMA contraction is the only difference), clipped or not;
 //  - CEM population evaluation is thread-count-invariant;
 //  - evaluate() runs on a dedicated env/stream and never perturbs the
 //    training trajectory (regression for the legacy in-flight-episode
@@ -13,10 +14,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <vector>
 
 namespace mflb::rl {
 namespace {
@@ -127,6 +131,23 @@ void expect_bit_identical(const RunResult& a, const RunResult& b, const char* wh
     }
 }
 
+/// Global-norm bound that the small configs' gradients exceed, so a run
+/// with it really clips (checked by expect_clipping_changed_both_nets).
+constexpr double kClipNorm = 0.05;
+
+/// Asserts that a clipped run ends with other policy and value parameters
+/// than the unclipped run, i.e. that clipping took effect in both nets.
+void expect_clipping_changed_both_nets(std::span<const double> unclipped_policy,
+                                       std::span<const double> clipped_policy,
+                                       std::span<const double> unclipped_value,
+                                       std::span<const double> clipped_value) {
+    const auto differs = [](std::span<const double> x, std::span<const double> y) {
+        return !std::equal(x.begin(), x.end(), y.begin(), y.end());
+    };
+    EXPECT_TRUE(differs(unclipped_policy, clipped_policy)) << "clipping left the policy as is";
+    EXPECT_TRUE(differs(unclipped_value, clipped_value)) << "clipping left the value net as is";
+}
+
 TEST(PpoParallel, BitIdenticalAcrossThreadCounts) {
     // The (seed, K) pair fixes the result; the worker-thread count must not.
     for (const std::size_t num_envs : {2u, 4u}) {
@@ -145,19 +166,31 @@ TEST(PpoParallel, UpdateIsBitwiseEqualAtAnyThreadCount) {
     // thread count — minibatch 61 is cut into 1×61, 16+16+16+13,
     // 12×5+1, 8×7+5 and 4×15+1 rows at 1/2/3/4/8 threads — and the final
     // 6-row minibatch of batch 250 ends mid-tile; a 256-wide net gives the
-    // reduction many blocks.
+    // reduction many blocks. With max_grad_norm > 0 the reduction runs as
+    // two fan-outs around the serial norm sums.
     PpoConfig config = small_config(2, 1);
     config.hidden = {256, 256};
     config.train_batch_size = 250;
     config.minibatch_size = 61;
     config.num_epochs = 2;
-    const RunResult t1 = run_ppo(config, 17, 2);
-    for (const std::size_t threads : {2u, 3u, 4u, 8u}) {
-        config.train_threads = threads;
-        const RunResult tn = run_ppo(config, 17, 2);
-        SCOPED_TRACE(threads);
-        expect_bit_identical(t1, tn, "update threads 1 vs n");
+    std::vector<RunResult> single_thread;
+    for (const double max_grad_norm : {0.0, kClipNorm}) {
+        config.max_grad_norm = max_grad_norm;
+        config.train_threads = 1;
+        const RunResult t1 = run_ppo(config, 17, 2);
+        for (const std::size_t threads : {2u, 3u, 4u, 8u}) {
+            config.train_threads = threads;
+            const RunResult tn = run_ppo(config, 17, 2);
+            SCOPED_TRACE(testing::Message() << threads << " threads, max_grad_norm "
+                                            << max_grad_norm);
+            expect_bit_identical(t1, tn, "update threads 1 vs n");
+        }
+        single_thread.push_back(t1);
     }
+    expect_clipping_changed_both_nets(single_thread[0].policy_params,
+                                      single_thread[1].policy_params,
+                                      single_thread[0].value_params,
+                                      single_thread[1].value_params);
 }
 
 TEST(PpoParallel, RepeatedRunsAreDeterministic) {
@@ -178,40 +211,56 @@ TEST(PpoParallel, BatchedUpdateMatchesScalar) {
     // The GEMM kernels accumulate in the scalar path's addition order; the
     // only permitted divergence is FMA contraction (one rounding per
     // multiply-add term instead of two on FMA hardware), so one full update
-    // from an identical collected batch agrees far tighter than 1e-12.
+    // from an identical collected batch agrees far tighter than 1e-12 —
+    // with and without global-norm clipping.
     for (const std::size_t num_envs : {1u, 3u}) {
-        PpoTrainer batched(make_factory(), small_config(num_envs, 1, true), Rng(42));
-        PpoTrainer scalar(make_factory(), small_config(num_envs, 1, false), Rng(42));
-        PpoIterationStats batched_stats;
-        PpoIterationStats scalar_stats;
-        batched.collect_phase(batched_stats);
-        scalar.collect_phase(scalar_stats);
-        // Collection runs the per-sample path in both trainers: identical.
-        ASSERT_EQ(batched_stats.timesteps_total, scalar_stats.timesteps_total);
-        ASSERT_DOUBLE_EQ(batched_stats.mean_episode_return, scalar_stats.mean_episode_return);
-        batched.optimize_phase(batched_stats);
-        scalar.optimize_phase(scalar_stats);
-        const auto tol = [](double reference) {
-            return 1e-12 * std::max(1.0, std::abs(reference));
-        };
-        EXPECT_NEAR(batched_stats.policy_loss, scalar_stats.policy_loss,
-                    tol(scalar_stats.policy_loss));
-        EXPECT_NEAR(batched_stats.value_loss, scalar_stats.value_loss,
-                    tol(scalar_stats.value_loss));
-        EXPECT_NEAR(batched_stats.entropy, scalar_stats.entropy, tol(scalar_stats.entropy));
-        EXPECT_NEAR(batched_stats.mean_kl, scalar_stats.mean_kl, tol(scalar_stats.mean_kl));
-        EXPECT_DOUBLE_EQ(batched_stats.kl_coeff, scalar_stats.kl_coeff);
-        const auto pb = batched.policy().network().parameters();
-        const auto ps = scalar.policy().network().parameters();
-        ASSERT_EQ(pb.size(), ps.size());
-        for (std::size_t i = 0; i < pb.size(); ++i) {
-            ASSERT_NEAR(pb[i], ps[i], 1e-10) << "policy param " << i;
+        std::vector<std::vector<double>> policy_after;
+        std::vector<std::vector<double>> value_after;
+        for (const double max_grad_norm : {0.0, kClipNorm}) {
+            SCOPED_TRACE(testing::Message()
+                         << num_envs << " envs, max_grad_norm " << max_grad_norm);
+            PpoConfig batched_config = small_config(num_envs, 1, true);
+            PpoConfig scalar_config = small_config(num_envs, 1, false);
+            batched_config.max_grad_norm = max_grad_norm;
+            scalar_config.max_grad_norm = max_grad_norm;
+            PpoTrainer batched(make_factory(), batched_config, Rng(42));
+            PpoTrainer scalar(make_factory(), scalar_config, Rng(42));
+            PpoIterationStats batched_stats;
+            PpoIterationStats scalar_stats;
+            batched.collect_phase(batched_stats);
+            scalar.collect_phase(scalar_stats);
+            // Collection runs the per-sample path in both trainers: identical.
+            ASSERT_EQ(batched_stats.timesteps_total, scalar_stats.timesteps_total);
+            ASSERT_DOUBLE_EQ(batched_stats.mean_episode_return,
+                             scalar_stats.mean_episode_return);
+            batched.optimize_phase(batched_stats);
+            scalar.optimize_phase(scalar_stats);
+            const auto tol = [](double reference) {
+                return 1e-12 * std::max(1.0, std::abs(reference));
+            };
+            EXPECT_NEAR(batched_stats.policy_loss, scalar_stats.policy_loss,
+                        tol(scalar_stats.policy_loss));
+            EXPECT_NEAR(batched_stats.value_loss, scalar_stats.value_loss,
+                        tol(scalar_stats.value_loss));
+            EXPECT_NEAR(batched_stats.entropy, scalar_stats.entropy, tol(scalar_stats.entropy));
+            EXPECT_NEAR(batched_stats.mean_kl, scalar_stats.mean_kl, tol(scalar_stats.mean_kl));
+            EXPECT_DOUBLE_EQ(batched_stats.kl_coeff, scalar_stats.kl_coeff);
+            const auto pb = batched.policy().network().parameters();
+            const auto ps = scalar.policy().network().parameters();
+            ASSERT_EQ(pb.size(), ps.size());
+            for (std::size_t i = 0; i < pb.size(); ++i) {
+                ASSERT_NEAR(pb[i], ps[i], 1e-10) << "policy param " << i;
+            }
+            const auto vb = batched.value_network().parameters();
+            const auto vs = scalar.value_network().parameters();
+            for (std::size_t i = 0; i < vb.size(); ++i) {
+                ASSERT_NEAR(vb[i], vs[i], 1e-10) << "value param " << i;
+            }
+            policy_after.emplace_back(pb.begin(), pb.end());
+            value_after.emplace_back(vb.begin(), vb.end());
         }
-        const auto vb = batched.value_network().parameters();
-        const auto vs = scalar.value_network().parameters();
-        for (std::size_t i = 0; i < vb.size(); ++i) {
-            ASSERT_NEAR(vb[i], vs[i], 1e-10) << "value param " << i;
-        }
+        expect_clipping_changed_both_nets(policy_after[0], policy_after[1], value_after[0],
+                                          value_after[1]);
     }
 }
 
