@@ -24,10 +24,9 @@
 ///     serial/parallel wall-clock split (`sharded_barrier_*` rows, the
 ///     Amdahl accounting of the epoch barrier) — in the --json artifact.
 ///  5. Sharded episodes at M = 10^7 queues (InfiniteClients, short horizon)
-///     with the overlapped pipeline on and off, at K = 8 and K = 32 shards:
-///     guards that pipelining keeps ten-million-queue epochs tractable
-///     (`sharded_pipeline_speedup_*` bigger-is-better rows) and that the
-///     barrier's irreducibly serial share stays low
+///     at K = 8 and K = 32 shards: guards that the epoch barrier keeps
+///     ten-million-queue epochs tractable (`sharded_episode_*` rows) and
+///     that its irreducibly serial share stays low
 ///     (`sharded_barrier_serial_fraction_*`).
 ///
 /// All timings are appended to --json for the CI benchmark artifact.
@@ -94,7 +93,7 @@ EpisodeRun run_one_episode(const FiniteSystemConfig& config, const DecisionRule&
 struct ShardedRun {
     EpisodeRun episode;
     double serial_s = 0.0;  ///< prologue + reduction (cannot overlap shards).
-    double overlap_s = 0.0; ///< offloaded epoch compute (pipeline-on only).
+    double overlap_s = 0.0; ///< offloaded epoch compute.
     double parallel_s = 0.0;
 
     double serial_fraction() const {
@@ -358,55 +357,38 @@ int main(int argc, char** argv) {
                     std::thread::hardware_concurrency());
     }
 
-    // --- 5. Pipelined-barrier headroom: M = 10^7 queues, pipeline A/B -----
+    // --- 5. Barrier headroom: M = 10^7 queues ----------------------------
     {
         // Ten million queues under the fixed total load, InfiniteClients (no
-        // per-client state), short horizon: the point is that the pipelined
+        // per-client state), short horizon: the point is that the epoch
         // barrier — eager reduction folds, offloaded epoch compute, fused
         // destination-law gathers that never materialize the 80 MB per-queue
         // law — keeps the O(M) epoch cost tractable at a fleet size three
-        // decades past the epoch-synchronous backend's budget. Both pipeline
-        // settings run on the same seed (bit-identical drops by the seam
-        // contract); the speedup row is bigger-is-better in CI, and the
+        // decades past the epoch-synchronous backend's budget. The
         // serial-fraction row tracks how much of the barrier remains
         // irreducibly serial. K = 8 is the default shard count; K = 32
-        // repeats the A/B with a deeper reduction tree and shorter shards.
+        // repeats the episode with a deeper reduction tree and shorter shards.
         const std::size_t m = 10000000;
         const int short_horizon = MfcConfig::horizon_for_total_time(5.0, dt);
         FiniteSystemConfig config = scale_config(m, lambda_total, dt, short_horizon,
                                                  ClientModel::InfiniteClients, 0);
         for (const std::size_t k : {std::size_t{8}, std::size_t{32}}) {
             config.shards = k;
-            config.pipeline = true;
-            const ShardedRun on = run_sharded_episode(config, jsq, seed);
-            config.pipeline = false;
-            const ShardedRun off = run_sharded_episode(config, jsq, seed);
-            const double pipeline_speedup =
-                on.episode.seconds > 0.0 ? off.episode.seconds / on.episode.seconds : 0.0;
+            const ShardedRun run = run_sharded_episode(config, jsq, seed);
             const char* suffix = k == 8 ? "M=10000000" : "K=32_M=10000000";
+            std::snprintf(label, sizeof(label), "sharded_episode_%s", suffix);
+            timings.record(label, run.episode.seconds);
             if (k == 8) {
-                // The headline M = 10^7 row stays the pipeline-on default-K
-                // episode (same workload PR 7 recorded, now pipelined).
-                timings.record("sharded_episode_M=10000000", on.episode.seconds);
                 timings.record("event_rate_sharded_M=10000000",
-                               on.episode.events_per_second());
+                               run.episode.events_per_second());
             }
-            std::snprintf(label, sizeof(label), "sharded_episode_pipeline=on_%s", suffix);
-            timings.record(label, on.episode.seconds);
-            std::snprintf(label, sizeof(label), "sharded_episode_pipeline=off_%s", suffix);
-            timings.record(label, off.episode.seconds);
-            std::snprintf(label, sizeof(label), "sharded_pipeline_speedup_%s", suffix);
-            timings.record(label, pipeline_speedup);
             std::snprintf(label, sizeof(label), "sharded_barrier_serial_fraction_%s",
                           suffix);
-            timings.record(label, on.serial_fraction());
-            std::printf("sharded episode at M=10^7 (K=%zu, %d epochs): pipeline on %.3f s / "
-                        "off %.3f s (%.2fx, serial fraction %.3f), drops/queue %s\n",
-                        k, short_horizon, on.episode.seconds, off.episode.seconds,
-                        pipeline_speedup, on.serial_fraction(),
-                        on.episode.drops_per_queue == off.episode.drops_per_queue
-                            ? "bit-identical"
-                            : "MISMATCH");
+            timings.record(label, run.serial_fraction());
+            std::printf("sharded episode at M=10^7 (K=%zu, %d epochs): %.3f s (serial "
+                        "fraction %.3f), drops/queue %.4f\n",
+                        k, short_horizon, run.episode.seconds, run.serial_fraction(),
+                        run.episode.drops_per_queue);
         }
     }
 

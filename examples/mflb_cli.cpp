@@ -171,15 +171,6 @@ int run_eval(const CliParser& cli) {
         if (cli.provided("fel")) {
             experiment.fel = parse_fel_kind(cli.get("fel"));
         }
-        // Overlapped sharded barrier; bit-identical either way, so this is
-        // the A/B-bench and bisection seam, not a results knob.
-        if (cli.provided("pipeline")) {
-            const std::string pipeline = cli.get("pipeline");
-            if (pipeline != "on" && pipeline != "off") {
-                throw std::invalid_argument("--pipeline must be 'on' or 'off'");
-            }
-            experiment.pipeline = pipeline == "on";
-        }
         // Routing discipline and service-time law: scenario values unless
         // overridden (the staleness-sweep / heavy-tail scenarios preset them).
         if (cli.provided("router")) {
@@ -347,10 +338,6 @@ int main(int argc, char** argv) {
                   "the reduced CI-sized budget (paper scale: ~2.5e7 steps, hours)");
     cli.flag_int("shards", 0,
                  "Queue shards K for the sharded-des backend (0 = scenario's, or min(8, M))");
-    cli.flag("pipeline", "on",
-             "Overlapped epoch pipeline for the sharded-des backend: 'on' (eager "
-             "reduction folds + offloaded barrier compute) or 'off' (PR-7 fused "
-             "barrier); bit-identical results either way");
     cli.flag("fel", "calendar",
              "Future event list for the des/sharded-des backends: calendar "
              "(amortized O(1) buckets, default) or heap (binary heap); "
@@ -387,17 +374,23 @@ int main(int argc, char** argv) {
         return cli.exit_code();
     }
     const std::string mode = cli.get("mode");
-    if (mode == "train") {
-        return run_train(cli);
-    }
-    if (mode == "eval") {
-        return run_eval(cli);
-    }
-    if (mode == "sweep") {
-        return run_sweep(cli);
-    }
-    if (mode == "dp") {
-        return run_dp(cli);
+    try {
+        if (mode == "train") {
+            return run_train(cli);
+        }
+        if (mode == "eval") {
+            return run_eval(cli);
+        }
+        if (mode == "sweep") {
+            return run_sweep(cli);
+        }
+        if (mode == "dp") {
+            return run_dp(cli);
+        }
+    } catch (const std::invalid_argument& error) {
+        // A flag value the library's config checks reject (e.g. --dt nan).
+        std::fprintf(stderr, "error: %s\n", error.what());
+        return 2;
     }
     if (mode == "scenarios") {
         std::printf("Registered scenarios:\n%s", scenario_list_text().c_str());

@@ -9,9 +9,8 @@
 # Row semantics, matching the bench label conventions:
 #   - plain rows carry seconds: regression = new > old * (1 + threshold);
 #   - "*speedup*" and "*event_rate*" rows carry ratios / throughputs where
-#     bigger is better: regression = new < old / (1 + threshold) — this
-#     covers the pipeline A/B rows (`sharded_pipeline_speedup_*`) of the
-#     overlapped epoch barrier alongside the thread-scaling speedups;
+#     bigger is better: regression = new < old / (1 + threshold) — the
+#     thread-scaling and FEL speedups and the event rates;
 #   - "*fraction*" rows are dimensionless splits (e.g. the barrier's serial
 #     fraction or the telemetry overhead) whose healthy value depends on the
 #     host — they are reported but never gate.

@@ -66,7 +66,6 @@ FiniteSystemConfig ExperimentConfig::finite_system() const {
     config.shards = shards;
     config.fel = fel;
     config.threads = threads;
-    config.pipeline = pipeline;
     config.router = router;
     config.service = service;
     config.server_speeds = server_speeds;

@@ -72,10 +72,6 @@ struct ExperimentConfig {
     /// default for Monte Carlo replication fan-out (0 = all hardware
     /// threads). Never changes results (`--threads` CLI/bench flag).
     std::size_t threads = 0;
-    /// Overlapped epoch pipeline for the sharded-des backend; bit-identical
-    /// either way, off = the pre-pipeline barrier for A/B benching
-    /// (`--pipeline` CLI flag).
-    bool pipeline = true;
     /// Worker threads for the training fan-outs — PPO rollout slots, the
     /// PPO minibatch update and CEM population evaluation (0 = all hardware
     /// threads). Never changes results (`--train-threads` CLI/bench flag).

@@ -18,26 +18,6 @@ DesSystem::DesSystem(FiniteSystemConfig config)
       fel_(config_.fel, config_.num_queues + 1,
            fel_rate_hint(config_, config_.num_queues)),
       arrival_slot_(config_.num_queues) {
-    if (config_.num_clients == 0 && config_.client_model != ClientModel::InfiniteClients) {
-        throw std::invalid_argument("DesSystem: need at least one client");
-    }
-    if (!config_.server_speeds.empty()) {
-        if (config_.server_speeds.size() != config_.num_queues) {
-            throw std::invalid_argument("DesSystem: server_speeds size mismatch");
-        }
-        for (const double s : config_.server_speeds) {
-            if (!(s > 0.0)) {
-                throw std::invalid_argument("DesSystem: server speeds must be > 0");
-            }
-        }
-    }
-    if (config_.nu0.empty()) {
-        config_.nu0.assign(static_cast<std::size_t>(config_.queue.num_states()), 0.0);
-        config_.nu0[0] = 1.0;
-    }
-    if (config_.nu0.size() != static_cast<std::size_t>(config_.queue.num_states())) {
-        throw std::invalid_argument("DesSystem: nu0 size mismatch");
-    }
     const auto num_z = static_cast<std::size_t>(config_.queue.num_states());
     const auto d = static_cast<std::size_t>(config_.d);
     const std::size_t m = config_.num_queues;
@@ -360,6 +340,10 @@ EpochStats DesSystem::run_events(const DecisionRule* h, Rng& rng) {
 }
 
 EpochStats DesSystem::step_with_rule(const DecisionRule& h, Rng& rng) {
+    if (router_.active()) {
+        throw std::logic_error("DesSystem::step_with_rule: a classical router is "
+                               "configured; use step_router");
+    }
     if (done()) {
         throw std::logic_error("DesSystem::step: episode already finished");
     }

@@ -91,7 +91,8 @@ public:
     /// One decision epoch [t·Δt, (t+1)·Δt): rebuilds the epoch's routing
     /// from the frozen snapshot, reschedules the arrival stream, then
     /// processes arrival/departure events in time order. Allocation-free in
-    /// steady state.
+    /// steady state. Throws std::logic_error when a classical router is
+    /// configured — use step_router.
     EpochStats step_with_rule(const DecisionRule& h, Rng& rng);
     /// One decision epoch under the configured classical router: the weight
     /// law from the epoch-start snapshot feeds the arrival-thinning prefix

@@ -13,11 +13,6 @@ namespace mflb {
 
 namespace {
 
-/// Below this many combined histogram entries per tree level the pool
-/// fan-out costs more than the adds; the gate depends only on (K, |Z|), so
-/// the schedule stays a pure function of the configuration.
-constexpr std::size_t kMinParallelReduceWork = std::size_t{1} << 14;
-
 double seconds_since(std::chrono::steady_clock::time_point t0) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
@@ -48,27 +43,7 @@ ShardedDesSystem::ShardedDesSystem(FiniteSystemConfig config)
       router_(config_.router, config_.num_queues,
               static_cast<std::size_t>(config_.queue.num_states()), config_.dt),
       service_(config_.service, config_.queue.service_rate), threads_(config_.threads),
-      pipeline_(config_.pipeline), rule_(space_) {
-    if (config_.num_clients == 0 && config_.client_model != ClientModel::InfiniteClients) {
-        throw std::invalid_argument("ShardedDesSystem: need at least one client");
-    }
-    if (!config_.server_speeds.empty()) {
-        if (config_.server_speeds.size() != config_.num_queues) {
-            throw std::invalid_argument("ShardedDesSystem: server_speeds size mismatch");
-        }
-        for (const double s : config_.server_speeds) {
-            if (!(s > 0.0)) {
-                throw std::invalid_argument("ShardedDesSystem: server speeds must be > 0");
-            }
-        }
-    }
-    if (config_.nu0.empty()) {
-        config_.nu0.assign(static_cast<std::size_t>(config_.queue.num_states()), 0.0);
-        config_.nu0[0] = 1.0;
-    }
-    if (config_.nu0.size() != static_cast<std::size_t>(config_.queue.num_states())) {
-        throw std::invalid_argument("ShardedDesSystem: nu0 size mismatch");
-    }
+      rule_(space_) {
     const auto num_z = static_cast<std::size_t>(config_.queue.num_states());
     const auto d = static_cast<std::size_t>(config_.d);
     const std::size_t m = config_.num_queues;
@@ -113,15 +88,19 @@ ShardedDesSystem::ShardedDesSystem(FiniteSystemConfig config)
     // Eager-fold pending counters, one per node, sized once here (atomics
     // are immovable, so the vector is constructed in place and never grown).
     tree_pending_ = std::vector<PendingCount>(tree_.size());
-    // The routing table / destination-law buffers serve both the Aggregated
-    // client counts and the InfiniteClients per-job law (unlike the
-    // unsharded DES, which realizes InfiniteClients by per-job d-sampling,
-    // the sharded backend thins the identical law per shard).
+    // The routing table buffers serve both the Aggregated client counts and
+    // the InfiniteClients per-job law (unlike the unsharded DES, which
+    // realizes InfiniteClients by per-job d-sampling, the sharded backend
+    // thins the identical law per shard). Only Aggregated materializes the
+    // per-queue law: its shard multinomials need the per-queue weights, while
+    // InfiniteClients gathers from the prescaled |Z|-sized table.
     if (config_.client_model != ClientModel::PerClient) {
         hist_.assign(num_z, 0.0);
         g_.assign(d * num_z, 0.0);
         tuple_.assign(d, 0);
         suffix_.assign(d + 1, 1.0);
+    }
+    if (config_.client_model == ClientModel::Aggregated) {
         dest_p_.assign(m, 0.0);
     }
     if (config_.client_model == ClientModel::InfiniteClients) {
@@ -253,118 +232,6 @@ std::vector<double> ShardedDesSystem::observed_distribution(Rng& rng) const {
                              rng);
 }
 
-void ShardedDesSystem::begin_epoch(const DecisionRule& h, Rng& rng) {
-    trace::ScopedSpan span(tracer_, "destination_law");
-    const std::size_t m = queues_.size();
-    const double total_rate = static_cast<double>(m) * lambda_value();
-
-    switch (config_.client_model) {
-    case ClientModel::PerClient: {
-        // Literal Algorithm 1 on the epoch-start snapshot (serial: the draw
-        // sequence is part of the (seed, K) contract, not the thread count).
-        sample_per_client_counts(queues_, h, config_.num_clients, rng, sampled_, states_,
-                                 counts_);
-        const double total =
-            partition_shard_mass(std::span<const std::uint64_t>(counts_), shard_begin_,
-                                 shard_mass_);
-        for (std::size_t s = 0; s < shards_.size(); ++s) {
-            shards_[s].arrival_rate =
-                total > 0.0 ? total_rate * shard_mass_[s] / total : 0.0;
-        }
-        break;
-    }
-    case ClientModel::Aggregated: {
-        // Hierarchical multinomial: the barrier draws the shard totals
-        // N_s ~ Multinomial(N, P_s); each shard later draws its own queues'
-        // counts Multinomial(N_s, p_j / P_s) from its own stream. Jointly
-        // exactly Multinomial(N, p) — FiniteSystem's aggregation.
-        const double total = destination_law_shard_masses(h);
-        if (total > 0.0) {
-            rng.multinomial(config_.num_clients, shard_mass_, total, shard_clients_);
-        } else {
-            std::fill(shard_clients_.begin(), shard_clients_.end(), 0);
-        }
-        const double inv_n = 1.0 / static_cast<double>(config_.num_clients);
-        for (std::size_t s = 0; s < shards_.size(); ++s) {
-            shards_[s].clients = shard_clients_[s];
-            shards_[s].arrival_rate =
-                total_rate * static_cast<double>(shard_clients_[s]) * inv_n;
-        }
-        break;
-    }
-    case ClientModel::InfiniteClients: {
-        // The per-job destination law (1/M) Σ_k g(k, z_j) is exactly the law
-        // realized by the unsharded DES's per-job d-sampling on the frozen
-        // snapshot; thinning it per shard is therefore exact.
-        const double total = destination_law_shard_masses(h);
-        for (std::size_t s = 0; s < shards_.size(); ++s) {
-            shards_[s].arrival_rate =
-                total > 0.0 ? total_rate * shard_mass_[s] / total : 0.0;
-        }
-        break;
-    }
-    }
-}
-
-double ShardedDesSystem::destination_law_shard_masses(const DecisionRule& h) {
-    const std::size_t m = queues_.size();
-    const double inv_m = 1.0 / static_cast<double>(m);
-    for (std::size_t z = 0; z < hist_.size(); ++z) {
-        hist_[z] = inv_m * static_cast<double>(state_counts_[z]);
-    }
-    // The O(d·|Z|^d) routing table and its O(d·|Z|) fold stay serial; the
-    // O(M) per-queue gather and the per-shard vec_sum masses fan out over
-    // the pool. Each task writes only its own dest_p_ slice and mass slot,
-    // and the values match the full-span gather element for element, so the
-    // result is identical at any thread count — and bit-identical to the
-    // historical compute_destination_law_into + partition_shard_mass pair.
-    compute_routing_table_into(hist_, h, tuple_, suffix_, g_);
-    const std::span<const double> sums =
-        fold_routing_table_rows(g_, hist_.size(), config_.d);
-    parallel_for(
-        shards_.size(),
-        [&](std::size_t s) {
-            const std::size_t begin = shard_begin_[s];
-            const std::size_t n = shard_begin_[s + 1] - begin;
-            gather_scale(std::span<const int>(queues_.data() + begin, n), sums, inv_m,
-                         std::span<double>(dest_p_.data() + begin, n));
-            shard_mass_[s] =
-                vec_sum(std::span<const double>(dest_p_.data() + begin, n));
-        },
-        threads_);
-    double total = 0.0;
-    for (const double mass : shard_mass_) { // fixed K-term order, as before.
-        total += mass;
-    }
-    return total;
-}
-
-void ShardedDesSystem::begin_epoch_router() {
-    trace::ScopedSpan span(tracer_, "destination_law");
-    const std::size_t m = queues_.size();
-    const double total_rate = static_cast<double>(m) * lambda_value();
-
-    if (router_.kind() == RouterKind::RoundRobin) {
-        // Shard-local cyclic cursors over shard-size-proportional thinned
-        // streams: each shard's cycle is near-deterministic at rate ∝ its
-        // queue count, the epoch-scale equal-split behavior of round-robin.
-        const double inv_m = 1.0 / static_cast<double>(m);
-        for (Shard& shard : shards_) {
-            shard.arrival_rate =
-                total_rate * static_cast<double>(shard.end - shard.begin) * inv_m;
-        }
-        return;
-    }
-    // Weight law from the epoch-start snapshot, partitioned into shard
-    // masses exactly like the policy path's destination law.
-    router_.epoch_weights(queues_, time(), dest_p_);
-    const double total =
-        partition_shard_mass(std::span<const double>(dest_p_), shard_begin_, shard_mass_);
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-        shards_[s].arrival_rate = total > 0.0 ? total_rate * shard_mass_[s] / total : 0.0;
-    }
-}
-
 void ShardedDesSystem::handle_arrival(Shard& shard, double t) {
     std::size_t local;
     if (router_.kind() == RouterKind::RoundRobin) {
@@ -429,19 +296,10 @@ void ShardedDesSystem::handle_departure(Shard& shard, std::size_t local_id, doub
     }
 }
 
-void ShardedDesSystem::run_shard_epoch(std::size_t s, double epoch_start, double epoch_end,
-                                       bool pipelined) {
+void ShardedDesSystem::run_shard_epoch(std::size_t s, double epoch_start, double epoch_end) {
     Shard& shard = shards_[s];
     const std::size_t local_n = shard.end - shard.begin;
     const std::uint64_t thin_begin = tracer_ != nullptr ? trace::now_ns() : 0;
-
-    // Epoch boundary: the one place the shard's calendar FEL may resize or
-    // re-tune its day array (shard-owned, so this is race-free; the event
-    // loop below stays allocation-free). The pipelined barrier hoists the
-    // retune sweep so it overlaps the offloaded compute body instead.
-    if (!pipelined) {
-        shard.fel.retune();
-    }
 
     // Shard-local destination prefix sums for this epoch's routing weights,
     // realized with the vectorized scan (exact for the integer-count client
@@ -478,19 +336,10 @@ void ShardedDesSystem::run_shard_epoch(std::size_t s, double epoch_start, double
                 std::span<double>(shard.cum));
             break;
         case ClientModel::InfiniteClients:
-            if (pipelined) {
-                // Fused gather-scan against the prescaled per-state table:
-                // the same scan shape over the same element values as the
-                // materialized dest_p_ path, so shard.cum is bit-identical —
-                // with 2·8·n fewer bytes of law traffic per shard.
-                gather_prefix_sum(
-                    std::span<const int>(queues_.data() + shard.begin, local_n),
-                    scaled_sums_, std::span<double>(shard.cum));
-            } else {
-                inclusive_prefix_sum(
-                    std::span<const double>(dest_p_.data() + shard.begin, local_n),
-                    std::span<double>(shard.cum));
-            }
+            // Fused gather-scan against the prescaled per-state table: the
+            // per-queue law (1/M)·Σ_k g(k, z_j) is never materialized.
+            gather_prefix_sum(std::span<const int>(queues_.data() + shard.begin, local_n),
+                              scaled_sums_, std::span<double>(shard.cum));
             break;
         }
         shard.total_weight = shard.cum.back();
@@ -565,12 +414,12 @@ void ShardedDesSystem::run_shard_epoch(std::size_t s, double epoch_start, double
             static_cast<double>(fs.bucket_scans - shard.fel_last.bucket_scans), s);
         shard.fel_last = fs;
     }
-    // Eager reduction (pipelined): fold this shard's integer payloads into
-    // the tree now, concurrently with still-draining shards. Must be the
-    // shard task's final action — everything combine_node reads is written
-    // above, and the acq_rel pending counters order child writes before the
-    // combining thread's reads.
-    if (pipelined && shards_.size() > 1) {
+    // Eager reduction: fold this shard's integer payloads into the tree now,
+    // concurrently with still-draining shards. Must be the shard task's final
+    // action — everything combine_node reads is written above, and the
+    // acq_rel pending counters order child writes before the combining
+    // thread's reads.
+    if (shards_.size() > 1) {
         eager_fold_from_shard(s);
     }
 }
@@ -578,8 +427,8 @@ void ShardedDesSystem::run_shard_epoch(std::size_t s, double epoch_start, double
 void ShardedDesSystem::combine_node(std::size_t level, std::size_t i) {
     // Combines node (level, i) from its two children — shards at level 0,
     // level-1 nodes above — or passes an orphan child through at odd widths.
-    // The node writes only its own slot and sums integers, so the call order
-    // (level-by-level or eager last-child-climbs) is immaterial.
+    // The node writes only its own slot and sums integers, so whichever
+    // child arrives last (and so combines) cannot change the result.
     const std::size_t width = level_width_[level];
     ReduceNode& node = tree_[tree_off_[level] + i];
     const std::size_t a = 2 * i;
@@ -623,26 +472,6 @@ void ShardedDesSystem::combine_node(std::size_t level, std::size_t i) {
     }
 }
 
-void ShardedDesSystem::fold_tree_levels() {
-    // Integer payloads (state counts up to each shard's high-water mark,
-    // packet counters) combine through the fixed-shape pairwise tree. Every
-    // node writes only its own slot and sums integers, so fanning a level
-    // out over the pool cannot perturb results; the size gate below depends
-    // only on (K, |Z|), never on the thread count.
-    const std::size_t num_z = state_counts_.size();
-    for (std::size_t level = 0; level < tree_off_.size(); ++level) {
-        const std::size_t next = (level_width_[level] + 1) / 2;
-        if (next * num_z >= kMinParallelReduceWork) {
-            parallel_for(
-                next, [&](std::size_t i) { combine_node(level, i); }, threads_);
-        } else {
-            for (std::size_t i = 0; i < next; ++i) {
-                combine_node(level, i);
-            }
-        }
-    }
-}
-
 void ShardedDesSystem::reset_tree_pending() {
     // Serial O(#nodes) re-arm before the shard fan-out; the parallel_for
     // submission provides the happens-before to the shard tasks, so relaxed
@@ -680,18 +509,10 @@ void ShardedDesSystem::eager_fold_from_shard(std::size_t s) {
     }
 }
 
-EpochStats ShardedDesSystem::reduce_epoch() {
-    if (shards_.size() > 1) {
-        fold_tree_levels();
-    }
-    return reduce_tail();
-}
-
 EpochStats ShardedDesSystem::reduce_tail() {
     EpochStats stats;
-    // Root readout: the single shard directly, or the tree root — folded
-    // level by level (pipeline off) or eagerly from the shard tasks
-    // (pipeline on); identical integer payloads either way.
+    // Root readout: the single shard directly, or the tree root the shard
+    // tasks folded eagerly.
     std::size_t root_hi;
     if (shards_.size() == 1) {
         const Shard& shard = shards_[0];
@@ -739,49 +560,18 @@ EpochStats ShardedDesSystem::reduce_tail() {
     return stats;
 }
 
-EpochStats ShardedDesSystem::run_parallel_epoch(Rng& rng) {
-    const double epoch_start = epoch_start_time();
-    const double epoch_end = epoch_end_time();
-    // The lock-free parallel phase: each shard task reads the barrier-phase
-    // outputs and touches only its own state. Thread count never changes
-    // which shard consumes which draws, only which core runs them.
-    const auto t0 = std::chrono::steady_clock::now();
-    parallel_for(
-        shards_.size(),
-        [&](std::size_t s) { run_shard_epoch(s, epoch_start, epoch_end, false); },
-        threads_);
-    const auto t1 = std::chrono::steady_clock::now();
-
-    EpochStats stats;
-    {
-        trace::ScopedSpan span(tracer_, "reduction_tree");
-        stats = reduce_epoch();
-    }
-    advance_epoch(rng);
-    profile_.parallel_seconds += std::chrono::duration<double>(t1 - t0).count();
-    profile_.reduction_seconds += seconds_since(t1);
-    ++profile_.epochs;
-    ++epochs_run_; // invalidates the merged-quantile cache.
-    return stats;
-}
-
 EpochStats ShardedDesSystem::step_with_rule(const DecisionRule& h, Rng& rng) {
+    if (router_.active()) {
+        throw std::logic_error("ShardedDesSystem::step_with_rule: a classical router is "
+                               "configured; use step_router");
+    }
     if (done()) {
         throw std::logic_error("ShardedDesSystem::step: episode already finished");
     }
     if (!(h.space() == space_)) {
         throw std::invalid_argument("ShardedDesSystem::step: decision rule on wrong tuple space");
     }
-    // The pipelined epoch takes over unless a classical router is configured
-    // (the legacy rule-with-router combination keeps the historical code
-    // path byte for byte).
-    if (pipeline_ && !router_.active()) {
-        return step_pipelined(nullptr, nullptr, &h, rng);
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    begin_epoch(h, rng);
-    profile_.serial_prologue_seconds += seconds_since(t0);
-    return run_parallel_epoch(rng);
+    return run_epoch(nullptr, nullptr, &h, rng);
 }
 
 EpochStats ShardedDesSystem::step_router(Rng& rng) {
@@ -792,29 +582,26 @@ EpochStats ShardedDesSystem::step_router(Rng& rng) {
     if (done()) {
         throw std::logic_error("ShardedDesSystem::step: episode already finished");
     }
-    if (pipeline_) {
-        return step_pipelined(nullptr, nullptr, nullptr, rng);
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    begin_epoch_router();
-    profile_.serial_prologue_seconds += seconds_since(t0);
-    return run_parallel_epoch(rng);
+    return run_epoch(nullptr, nullptr, nullptr, rng);
 }
 
 EpochStats ShardedDesSystem::step(const UpperLevelPolicy& policy, Rng& rng) {
     if (router_.active()) {
         return step_router(rng);
     }
+    if (done()) {
+        throw std::logic_error("ShardedDesSystem::step: episode already finished");
+    }
     // Batched epoch query into persistent buffers: the observation, the
     // policy's cached scratch (e.g. the neural policy's GEMM workspace), and
     // the realized rule are all reused across epochs — the policy query is
     // allocation-free at steady state. Identical draws and rule as the
-    // decide() path (decide_into's contract). When the pipeline is on and
-    // the query consumes no caller-RNG draws, only the observation build
-    // stays here; the query itself rides the overlapped compute task.
+    // decide() path (decide_into's contract). When the query consumes no
+    // caller-RNG draws, only the observation build stays here; the query
+    // itself rides the overlapped compute task.
     const auto t0 = std::chrono::steady_clock::now();
     UpperLevelPolicy::Scratch* scratch = nullptr;
-    const bool offload_query = pipeline_ && !policy.decide_consumes_rng();
+    const bool offload_query = !policy.decide_consumes_rng();
     {
         trace::ScopedSpan span(tracer_, "policy_query");
         scratch = scratch_for(policy);
@@ -824,14 +611,8 @@ EpochStats ShardedDesSystem::step(const UpperLevelPolicy& policy, Rng& rng) {
         }
     }
     profile_.serial_prologue_seconds += seconds_since(t0);
-    if (!pipeline_) {
-        return step_with_rule(rule_, rng);
-    }
-    if (done()) {
-        throw std::logic_error("ShardedDesSystem::step: episode already finished");
-    }
-    return offload_query ? step_pipelined(&policy, scratch, nullptr, rng)
-                         : step_pipelined(nullptr, nullptr, &rule_, rng);
+    return offload_query ? run_epoch(&policy, scratch, nullptr, rng)
+                         : run_epoch(nullptr, nullptr, &rule_, rng);
 }
 
 UpperLevelPolicy::Scratch* ShardedDesSystem::scratch_for(const UpperLevelPolicy& policy) {
@@ -849,15 +630,18 @@ UpperLevelPolicy::Scratch* ShardedDesSystem::scratch_for(const UpperLevelPolicy&
     return policy_scratches_.back().scratch.get();
 }
 
-EpochStats ShardedDesSystem::step_pipelined(const UpperLevelPolicy* policy,
-                                            UpperLevelPolicy::Scratch* scratch,
-                                            const DecisionRule* h, Rng& rng) {
+EpochStats ShardedDesSystem::run_epoch(const UpperLevelPolicy* policy,
+                                       UpperLevelPolicy::Scratch* scratch,
+                                       const DecisionRule* h, Rng& rng) {
     const double epoch_start = epoch_start_time();
     const double epoch_end = epoch_end_time();
     const std::size_t m = queues_.size();
     const std::size_t k = shards_.size();
     const double total_rate = static_cast<double>(m) * lambda_value();
     const double inv_m = 1.0 / static_cast<double>(m);
+    // The epoch's decision rule (null on the router path): the offloaded
+    // query writes rule_ inside the compute body, before anything reads it.
+    const DecisionRule* rule = policy != nullptr ? &rule_ : h;
 
     // ---- Overlapped compute body: every deterministic input of the epoch —
     // the rule (offloaded policy query), the routing table + fold, the
@@ -873,6 +657,7 @@ EpochStats ShardedDesSystem::step_pipelined(const UpperLevelPolicy* policy,
         router_.active() && router_.kind() != RouterKind::RoundRobin;
     const bool dest_law =
         !router_.active() && config_.client_model != ClientModel::PerClient;
+    const bool infinite = dest_law && config_.client_model == ClientModel::InfiniteClients;
     auto body = [&] {
         trace::ScopedSpan span(tracer_, "barrier_overlap");
         if (policy != nullptr) {
@@ -881,121 +666,93 @@ EpochStats ShardedDesSystem::step_pipelined(const UpperLevelPolicy* policy,
         if (router_law) {
             router_.epoch_weights(queues_, time(), dest_p_);
         } else if (dest_law) {
-            const DecisionRule& rule = policy != nullptr ? rule_ : *h;
             for (std::size_t z = 0; z < hist_.size(); ++z) {
                 hist_[z] = inv_m * static_cast<double>(state_counts_[z]);
             }
-            compute_routing_table_into(hist_, rule, tuple_, suffix_, g_);
+            compute_routing_table_into(hist_, *rule, tuple_, suffix_, g_);
             const std::span<const double> sums =
                 fold_routing_table_rows(g_, hist_.size(), config_.d);
-            if (config_.client_model == ClientModel::InfiniteClients) {
-                // |Z|-sized prescale so the stage-A/B gathers are pure
-                // load+add loops over values identical to the materialized
+            if (infinite) {
+                // |Z|-sized prescale so the stage-A and shard-task gathers
+                // are pure load+add loops over values identical to the
                 // inv_m-scaled per-queue law.
                 prescale_destination_sums(sums, inv_m, scaled_sums_);
             }
         }
     };
     CompletionToken token;
-    const bool have_body = policy != nullptr || router_law || dest_law;
-    if (have_body) {
+    if (policy != nullptr || router_law || dest_law) {
         token.launch(body, threads_);
     }
-    // Overlapped with the body: the epoch-boundary FEL retunes (shard-owned,
-    // no routing inputs, no RNG) the non-pipelined barrier pays at the head
-    // of every shard task.
+    // Overlapped with the body: the epoch-boundary FEL retunes — the one
+    // place a shard's calendar FEL may resize or re-tune its day array
+    // (shard-owned, no routing inputs, no RNG; the event loops stay
+    // allocation-free).
     parallel_for(
         k, [&](std::size_t s) { shards_[s].fel.retune(); }, threads_);
     token.wait();
 
-    // ---- Stage A: per-shard routing masses from the folded law, fanned out
-    // over the pool. InfiniteClients uses the fused gather (the per-queue
-    // law is never materialized); Aggregated still writes dest_p_ because
-    // its shard multinomials need the per-queue weights.
-    if (router_law) {
+    // ---- Stage A: per-shard routing masses, fanned out over the pool; each
+    // task writes only its own mass slot (and dest_p_ slice). InfiniteClients
+    // uses the fused gather (the per-queue law is never materialized);
+    // Aggregated writes dest_p_ because its shard multinomials need the
+    // per-queue weights; a router's weight law is already in dest_p_.
+    if (router_law || dest_law) {
+        const std::span<const double> sums(g_.data(), hist_.size());
         parallel_for(
             k,
             [&](std::size_t s) {
                 const std::size_t begin = shard_begin_[s];
                 const std::size_t n = shard_begin_[s + 1] - begin;
-                shard_mass_[s] =
-                    vec_sum(std::span<const double>(dest_p_.data() + begin, n));
+                const std::span<const int> states(queues_.data() + begin, n);
+                if (infinite) {
+                    shard_mass_[s] = gather_sum(states, scaled_sums_);
+                    return;
+                }
+                const std::span<double> law(dest_p_.data() + begin, n);
+                if (dest_law) {
+                    gather_scale(states, sums, inv_m, law);
+                }
+                shard_mass_[s] = vec_sum(std::span<const double>(law));
             },
             threads_);
-    } else if (dest_law) {
-        if (config_.client_model == ClientModel::InfiniteClients) {
-            parallel_for(
-                k,
-                [&](std::size_t s) {
-                    const std::size_t begin = shard_begin_[s];
-                    const std::size_t n = shard_begin_[s + 1] - begin;
-                    shard_mass_[s] = gather_sum(
-                        std::span<const int>(queues_.data() + begin, n), scaled_sums_);
-                },
-                threads_);
-        } else {
-            const std::span<const double> sums(g_.data(), hist_.size());
-            parallel_for(
-                k,
-                [&](std::size_t s) {
-                    const std::size_t begin = shard_begin_[s];
-                    const std::size_t n = shard_begin_[s + 1] - begin;
-                    gather_scale(std::span<const int>(queues_.data() + begin, n), sums,
-                                 inv_m, std::span<double>(dest_p_.data() + begin, n));
-                    shard_mass_[s] =
-                        vec_sum(std::span<const double>(dest_p_.data() + begin, n));
-                },
-                threads_);
-        }
     }
     const auto t1 = std::chrono::steady_clock::now();
     profile_.overlapped_compute_seconds +=
         std::chrono::duration<double>(t1 - t0).count();
 
     // ---- Serial prologue: the caller-RNG draws and O(K) bookkeeping that
-    // genuinely cannot overlap shard work. Same draw sequence as the
-    // non-pipelined begin_epoch / begin_epoch_router.
+    // genuinely cannot overlap shard work.
     {
         trace::ScopedSpan span(tracer_, "barrier_prologue");
-        if (router_.active()) {
-            if (router_.kind() == RouterKind::RoundRobin) {
-                for (Shard& shard : shards_) {
-                    shard.arrival_rate = total_rate *
-                                         static_cast<double>(shard.end - shard.begin) *
-                                         inv_m;
-                }
-            } else {
-                double total = 0.0;
-                for (const double mass : shard_mass_) { // fixed K-term order.
-                    total += mass;
-                }
-                for (std::size_t s = 0; s < k; ++s) {
-                    shards_[s].arrival_rate =
-                        total > 0.0 ? total_rate * shard_mass_[s] / total : 0.0;
-                }
+        if (router_.kind() == RouterKind::RoundRobin) {
+            // Shard-local cyclic cursors over shard-size-proportional thinned
+            // streams: each shard's cycle is near-deterministic at rate ∝ its
+            // queue count, the epoch-scale equal-split behavior of round-robin.
+            for (Shard& shard : shards_) {
+                shard.arrival_rate =
+                    total_rate * static_cast<double>(shard.end - shard.begin) * inv_m;
             }
         } else {
-            switch (config_.client_model) {
-            case ClientModel::PerClient: {
+            const bool policy_path = !router_.active();
+            if (policy_path && config_.client_model == ClientModel::PerClient) {
                 // Literal Algorithm 1 on the snapshot — caller-RNG draws, so
-                // never offloaded; the pipelined gain for this model is the
-                // retune overlap and the eager reduction.
-                const DecisionRule& rule = policy != nullptr ? rule_ : *h;
-                sample_per_client_counts(queues_, rule, config_.num_clients, rng,
-                                         sampled_, states_, counts_);
-                const double total = partition_shard_mass(
-                    std::span<const std::uint64_t>(counts_), shard_begin_, shard_mass_);
-                for (std::size_t s = 0; s < k; ++s) {
-                    shards_[s].arrival_rate =
-                        total > 0.0 ? total_rate * shard_mass_[s] / total : 0.0;
-                }
-                break;
+                // never offloaded.
+                sample_per_client_counts(queues_, *rule, config_.num_clients, rng, sampled_,
+                                         states_, counts_);
+                partition_shard_mass(std::span<const std::uint64_t>(counts_), shard_begin_,
+                                     shard_mass_);
             }
-            case ClientModel::Aggregated: {
-                double total = 0.0;
-                for (const double mass : shard_mass_) { // fixed K-term order.
-                    total += mass;
-                }
+            double total = 0.0;
+            for (const double mass : shard_mass_) { // fixed K-term order.
+                total += mass;
+            }
+            if (policy_path && config_.client_model == ClientModel::Aggregated) {
+                // Hierarchical multinomial: the barrier draws the shard totals
+                // N_s ~ Multinomial(N, P_s); each shard task then draws its own
+                // queues' counts Multinomial(N_s, p_j / P_s) from its own
+                // stream. Jointly exactly Multinomial(N, p) — FiniteSystem's
+                // aggregation.
                 if (total > 0.0) {
                     rng.multinomial(config_.num_clients, shard_mass_, total,
                                     shard_clients_);
@@ -1008,19 +765,11 @@ EpochStats ShardedDesSystem::step_pipelined(const UpperLevelPolicy* policy,
                     shards_[s].arrival_rate =
                         total_rate * static_cast<double>(shard_clients_[s]) * inv_n;
                 }
-                break;
-            }
-            case ClientModel::InfiniteClients: {
-                double total = 0.0;
-                for (const double mass : shard_mass_) { // fixed K-term order.
-                    total += mass;
-                }
+            } else {
                 for (std::size_t s = 0; s < k; ++s) {
                     shards_[s].arrival_rate =
                         total > 0.0 ? total_rate * shard_mass_[s] / total : 0.0;
                 }
-                break;
-            }
             }
         }
         if (k > 1) {
@@ -1030,10 +779,10 @@ EpochStats ShardedDesSystem::step_pipelined(const UpperLevelPolicy* policy,
     const auto t2 = std::chrono::steady_clock::now();
     profile_.serial_prologue_seconds += std::chrono::duration<double>(t2 - t1).count();
 
-    // ---- Parallel phase with eager reduction folds.
+    // ---- Parallel phase with eager reduction folds. Thread count never
+    // changes which shard consumes which draws, only which core runs them.
     parallel_for(
-        k, [&](std::size_t s) { run_shard_epoch(s, epoch_start, epoch_end, true); },
-        threads_);
+        k, [&](std::size_t s) { run_shard_epoch(s, epoch_start, epoch_end); }, threads_);
     const auto t3 = std::chrono::steady_clock::now();
     profile_.parallel_seconds += std::chrono::duration<double>(t3 - t2).count();
 

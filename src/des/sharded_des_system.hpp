@@ -26,33 +26,30 @@
 /// from its own stream — the joint law of the per-queue counts is exactly
 /// Multinomial(N, p).
 ///
-/// Epoch structure (on `SystemBase`'s clock):
-///  1. *Barrier (serial)* — policy query on the observed H_t^M, per-queue
-///     routing weights, per-shard masses/rates (and shard client totals),
-///     all from the caller's RNG;
-///  2. *Parallel phase* — each shard (re)schedules its thinned arrival slot
-///     and drains its own `EventQueue` to the epoch end, drawing only from
-///     its own `Rng::fork(shard)` stream and touching only its own queue
-///     slice — lock-free, no atomics, no cross-shard reads;
-///  3. *Barrier (reduction)* — the integer payloads (state counts up to each
-///     shard's occupied high-water mark, packet counters) combine through a
-///     fixed-shape pairwise tree whose nodes can themselves fan out over the
-///     pool, while the few floating-point accumulators (areas, sojourn sums)
-///     stay a fixed-order serial pass over the K shards; λ advances.
-///
-/// Overlapped pipeline (`config.pipeline`, default on; see the
-/// "Pipelined barrier" section of docs/ARCHITECTURE.md): the barrier is
-/// restructured so only the caller-RNG draws and the O(K) bookkeeping stay
-/// serial. The deterministic barrier compute (policy GEMM query, routing
-/// table + fold) runs as a pool task overlapped with the per-shard FEL
-/// retunes; the O(M) destination-law work uses fused gather kernels against
-/// a prescaled per-state table (never materializing the per-queue law for
-/// InfiniteClients); and each shard folds its integer payloads into the
-/// reduction tree the moment its event loop finishes (eager reduction —
-/// atomic pending counters pick the last-arriving child to combine each
-/// node, which is order-immaterial because only integers travel through the
-/// tree). Bit-identical to the non-pipelined barrier by construction; the
-/// seam exists for A/B benching and bisection.
+/// Epoch structure (on `SystemBase`'s clock; see the "Epoch barrier"
+/// section of docs/ARCHITECTURE.md) — one barrier, in which only the
+/// caller-RNG draws and O(K) bookkeeping are serial:
+///  1. *Overlapped compute* — the deterministic barrier work (an RNG-free
+///     policy query, the routing table + fold, or the classical weight law)
+///     runs as a pool task while the main thread sweeps the per-shard FEL
+///     retunes; the per-shard routing masses then fan out over the pool
+///     with fused gather kernels against a prescaled per-state table (the
+///     InfiniteClients per-queue law is never materialized);
+///  2. *Serial prologue* — Algorithm 1 client sampling (PerClient) or the
+///     shard client totals (Aggregated) from the caller's RNG, then the
+///     per-shard thinned rates;
+///  3. *Parallel phase* — each shard (re)schedules its thinned arrival slot
+///     and drains its own future event list to the epoch end, drawing only
+///     from its own `Rng::fork(shard)` stream and touching only its own
+///     queue slice — lock-free, no cross-shard reads. Each shard task ends by
+///     folding its integer payloads (state counts up to its occupied
+///     high-water mark, packet counters) into a fixed-shape pairwise tree:
+///     atomic pending counters pick the last-arriving child to combine each
+///     node, which is order-immaterial because only integers travel through
+///     the tree (eager reduction);
+///  4. *Reduction tail (serial)* — root readout, a fixed-order serial pass
+///     over the K shards for the few floating-point accumulators (areas,
+///     sojourn sums), λ advances.
 ///
 /// Determinism contract: results are a function of (seed, K) only — never
 /// of the thread count — because every RNG stream is owned by exactly one
@@ -115,8 +112,9 @@ public:
     /// Exact H_t^M, or a `histogram_sample_size`-queue estimate (§2.1).
     std::vector<double> observed_distribution(Rng& rng) const;
 
-    /// One decision epoch: serial barrier phase, parallel shard event loops,
-    /// serial reduction (see file comment).
+    /// One decision epoch under an explicit decision rule (see file
+    /// comment). Throws std::logic_error when a classical router is
+    /// configured — use step_router.
     EpochStats step_with_rule(const DecisionRule& h, Rng& rng);
     /// One decision epoch under the configured classical router: the weight
     /// law is partitioned into shard masses at the barrier exactly like the
@@ -145,19 +143,17 @@ public:
     /// Cumulative wall-clock split of the epoch since the last reset — the
     /// Amdahl accounting that `bench_des_scale` reports. Four components:
     /// the irreducibly serial prologue (caller-RNG draws + O(K) rate/tree
-    /// bookkeeping), the overlappable deterministic compute (policy query,
-    /// routing table/fold, per-shard mass fan-out — a pool task plus
-    /// parallel_for work in pipelined mode, folded into the prologue when
-    /// the pipeline is off), the reduction tail (root readout + fixed-order
-    /// floating-point pass + λ advance), and the parallel shard event loops.
-    /// The serial fraction is serial_seconds() / total_seconds(): prologue
-    /// and reduction are the phases that cannot overlap shard work.
+    /// bookkeeping, plus the policy query when it draws from the caller's
+    /// RNG), the overlappable deterministic compute (the pool task with the
+    /// offloaded query and routing table/fold, overlapped FEL retunes, and
+    /// the per-shard mass fan-out), the reduction tail (root readout +
+    /// fixed-order floating-point pass + λ advance), and the parallel shard
+    /// event loops. The serial fraction is serial_seconds() /
+    /// total_seconds(): prologue and reduction are the phases that cannot
+    /// overlap shard work.
     struct BarrierProfile {
-        double serial_prologue_seconds = 0.0;    ///< RNG draws + O(K) bookkeeping
-                                                 ///< (pipeline off: the whole
-                                                 ///< pre-parallel barrier).
-        double overlapped_compute_seconds = 0.0; ///< deterministic barrier compute
-                                                 ///< (0 when the pipeline is off).
+        double serial_prologue_seconds = 0.0;    ///< RNG draws + O(K) bookkeeping.
+        double overlapped_compute_seconds = 0.0; ///< deterministic barrier compute.
         double reduction_seconds = 0.0;          ///< reduction tail + λ advance.
         double parallel_seconds = 0.0;           ///< shard event loops (wall clock).
         std::uint64_t epochs = 0;                ///< epochs accumulated.
@@ -218,44 +214,17 @@ private:
         std::size_t local_arrival_slot() const noexcept { return end - begin; }
     };
 
-    /// Barrier phase 1: routing weights, per-shard masses/rates, shard
-    /// client totals — everything the parallel phase consumes read-only.
-    void begin_epoch(const DecisionRule& h, Rng& rng);
-    /// Shared Aggregated/InfiniteClients barrier piece: realizes the
-    /// per-queue destination law (routing table + fold serially, then the
-    /// O(M) gather and per-shard `vec_sum` masses fanned out over the pool —
-    /// each shard task writes only its own `dest_p_` slice and mass slot)
-    /// and returns the total mass as the fixed-order K-term sum,
-    /// bit-identical to `partition_shard_mass` over the full law.
-    double destination_law_shard_masses(const DecisionRule& h);
-    /// Router variant of the barrier phase: weight law → shard masses.
-    /// Consumes no RNG draws (the classical weight laws are deterministic
-    /// functions of the snapshot).
-    void begin_epoch_router();
-    /// Parallel shard loops + fixed-order reduction + λ advance — the tail
-    /// shared by the policy and router paths.
-    EpochStats run_parallel_epoch(Rng& rng);
-    /// Parallel phase: shard s's epoch on [epoch_start, epoch_end).
-    /// `pipelined` selects the overlapped-barrier variant: the FEL retune is
-    /// already done, InfiniteClients prefix sums come from the fused gather
-    /// against the prescaled table, and the shard folds eagerly into the
-    /// reduction tree when its loop finishes.
-    void run_shard_epoch(std::size_t s, double epoch_start, double epoch_end,
-                         bool pipelined);
-    /// Barrier phase 2: fixed-order reduction into the epoch's EpochStats
-    /// and the global state-count histogram (non-pipelined: folds the tree
-    /// level by level first).
-    EpochStats reduce_epoch();
-    /// Folds the pairwise tree level by level (non-pipelined path; the
-    /// pipelined path folds eagerly from the shard tasks instead).
-    void fold_tree_levels();
+    /// Parallel phase: shard s's epoch on [epoch_start, epoch_end) — prefix
+    /// sums of its routing weights, thinned arrival (re)schedule, event
+    /// loop, then the eager fold into the reduction tree.
+    void run_shard_epoch(std::size_t s, double epoch_start, double epoch_end);
     /// Combines tree node (level, i) from its children (shards at level 0).
-    /// Writes only the node's own slot; integer payloads, so the call order
-    /// within a level — and eager vs level-by-level folding — is immaterial.
+    /// Writes only the node's own slot; integer payloads, so which child
+    /// arrives last is immaterial.
     void combine_node(std::size_t level, std::size_t i);
-    /// Reduction tail shared by both paths: reads the folded root (or the
-    /// single shard), zeroes the stale histogram tail, runs the fixed-order
-    /// floating-point pass, and finalizes the epoch stats.
+    /// Reduction tail: reads the folded root (or the single shard), zeroes
+    /// the stale histogram tail, runs the fixed-order floating-point pass,
+    /// and finalizes the epoch stats.
     EpochStats reduce_tail();
     /// Eager reduction: shard s's task arrives at its leaf-level parent; the
     /// last child to arrive (atomic pending counter) combines the node and
@@ -264,14 +233,13 @@ private:
     void eager_fold_from_shard(std::size_t s);
     /// Re-arms the eager-fold pending counters (child counts) for an epoch.
     void reset_tree_pending();
-    /// One overlapped-pipeline epoch (`config.pipeline`). Exactly one of
+    /// One decision epoch, the tail of every entry point. Exactly one of
     /// {policy, h} is non-null for the policy/rule paths; both null means
     /// the classical-router path. `policy` non-null offloads the (RNG-free)
     /// epoch query to the compute task; rng-consuming policies are queried
     /// by the caller first and come in through `h`.
-    EpochStats step_pipelined(const UpperLevelPolicy* policy,
-                              UpperLevelPolicy::Scratch* scratch, const DecisionRule* h,
-                              Rng& rng);
+    EpochStats run_epoch(const UpperLevelPolicy* policy, UpperLevelPolicy::Scratch* scratch,
+                         const DecisionRule* h, Rng& rng);
     /// Cached per-policy scratch, keyed by policy identity so alternating
     /// policies (eval-during-train A/B/A) reuse both workspaces instead of
     /// rebuilding on every switch. Entries live until reset().
@@ -310,7 +278,6 @@ private:
     EpochRouter router_;
     ServiceDistribution service_;
     std::size_t threads_ = 0;
-    bool pipeline_ = true;
 
     std::vector<Shard> shards_;
     std::vector<std::size_t> shard_begin_; ///< K+1 fence posts over [0, M].
@@ -318,8 +285,8 @@ private:
     // Fixed-shape pairwise reduction tree over the K shards: level widths
     // K, ⌈K/2⌉, …, 1, flattened into `tree_` with `tree_off_[l]` the offset
     // of level l's first node (empty when K == 1). `level_width_[l]` is the
-    // *input* width of level l (K, then ⌈K/2⌉, …). For the eager pipelined
-    // fold each node carries a cache-line-padded pending counter, re-armed
+    // *input* width of level l (K, then ⌈K/2⌉, …). For the eager fold each
+    // node carries a cache-line-padded pending counter, re-armed
     // to its child count every epoch; the counters live in their own array
     // because atomics are not movable and two adjacent nodes' counters must
     // not false-share.
@@ -338,10 +305,11 @@ private:
     std::vector<double> g_;                ///< routing table g[k·|Z| + z].
     std::vector<int> tuple_;               ///< decode buffer (d).
     std::vector<double> suffix_;           ///< suffix products (d + 1).
-    std::vector<double> dest_p_;           ///< per-queue destination law (M).
+    std::vector<double> dest_p_;           ///< per-queue destination law or
+                                           ///< router weights (M; Aggregated or
+                                           ///< weight-law routers only).
     std::vector<double> scaled_sums_;      ///< (1/M)·folded routing sums (|Z|) —
-                                           ///< the prescaled gather table of the
-                                           ///< pipelined InfiniteClients path.
+                                           ///< the InfiniteClients gather table.
     std::vector<std::uint64_t> counts_;    ///< per-queue client counts (M).
     std::vector<int> sampled_;             ///< PerClient sampled queues (d).
     std::vector<int> states_;              ///< their snapshot states (d).

@@ -186,12 +186,9 @@ void sample_per_client_counts(std::span<const int> queue_states, const DecisionR
     }
 }
 
-namespace {
-
-template <class Weight>
-double partition_shard_mass_impl(std::span<const Weight> weights,
-                                 std::span<const std::size_t> shard_begin,
-                                 std::span<double> mass) {
+double partition_shard_mass(std::span<const std::uint64_t> weights,
+                            std::span<const std::size_t> shard_begin,
+                            std::span<double> mass) {
     if (shard_begin.size() != mass.size() + 1 || shard_begin.empty() ||
         shard_begin.front() != 0 || shard_begin.back() != weights.size()) {
         throw std::invalid_argument("partition_shard_mass: bad shard fence posts");
@@ -206,20 +203,6 @@ double partition_shard_mass_impl(std::span<const Weight> weights,
         total += sum;
     }
     return total;
-}
-
-} // namespace
-
-double partition_shard_mass(std::span<const double> weights,
-                            std::span<const std::size_t> shard_begin,
-                            std::span<double> mass) {
-    return partition_shard_mass_impl(weights, shard_begin, mass);
-}
-
-double partition_shard_mass(std::span<const std::uint64_t> weights,
-                            std::span<const std::size_t> shard_begin,
-                            std::span<double> mass) {
-    return partition_shard_mass_impl(weights, shard_begin, mass);
 }
 
 ArrivalFlow compute_arrival_flow(std::span<const double> nu, const DecisionRule& h,

@@ -113,19 +113,15 @@ void sample_per_client_counts(std::span<const int> queue_states, const DecisionR
                               std::uint64_t num_clients, Rng& rng, std::span<int> sampled,
                               std::span<int> states, std::span<std::uint64_t> counts);
 
-/// Per-shard routing-mass partition: `mass[s] = Σ_{j ∈ [begin[s], begin[s+1])}
-/// weights[j]` for the K shards delimited by the K+1 fence-post offsets
-/// `shard_begin`. By the Poisson thinning property, the aggregated arrival
-/// stream of rate M·λ_t splits *exactly* into independent per-shard streams
-/// of rate M·λ_t · mass[s] / Σ mass — this is the quantity the sharded DES
-/// backend hands each shard at the epoch barrier. Per-shard sums use the
-/// dispatched `vec_sum` (fixed 4-lane split; exact for integer weights,
-/// 1e-12 vs the serial sum otherwise); the K-term total stays a fixed-order
-/// serial sum. Returns Σ mass.
-double partition_shard_mass(std::span<const double> weights,
-                            std::span<const std::size_t> shard_begin,
-                            std::span<double> mass);
-/// Overload for integer weights (finite-N client counts).
+/// Per-shard routing-mass partition of integer weights (finite-N client
+/// counts): `mass[s] = Σ_{j ∈ [begin[s], begin[s+1])} weights[j]` for the K
+/// shards delimited by the K+1 fence-post offsets `shard_begin`. By the
+/// Poisson thinning property, the aggregated arrival stream of rate M·λ_t
+/// splits *exactly* into independent per-shard streams of rate
+/// M·λ_t · mass[s] / Σ mass — this is the quantity the sharded DES backend
+/// hands each shard at the epoch barrier. Per-shard sums use the dispatched
+/// `vec_sum` (exact for integer weights); the K-term total stays a
+/// fixed-order serial sum. Returns Σ mass.
 double partition_shard_mass(std::span<const std::uint64_t> weights,
                             std::span<const std::size_t> shard_begin,
                             std::span<double> mass);

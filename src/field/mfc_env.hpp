@@ -70,7 +70,7 @@ public:
 
     /// True when `decide`/`decide_into` actually draw from `rng` (stochastic
     /// rule selection). All shipped policies are deterministic epoch queries,
-    /// so the default is false. The pipelined sharded barrier uses this to
+    /// so the default is false. The sharded DES epoch barrier uses this to
     /// decide whether the query may run on the overlapped compute task:
     /// deterministic queries overlap; rng-consuming ones stay in the serial
     /// prologue so the caller-RNG draw order is position-independent.

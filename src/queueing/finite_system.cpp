@@ -8,10 +8,33 @@
 
 namespace mflb {
 
-const FiniteSystemConfig& checked_config(const FiniteSystemConfig& config, const char* backend) {
+FiniteSystemConfig& checked_config(FiniteSystemConfig& config, const char* backend) {
+    const auto reject = [backend](const std::string& what) {
+        throw std::invalid_argument(std::string(backend) + ": " + what);
+    };
     if (config.queue.buffer < 1) {
-        throw std::invalid_argument(std::string(backend) + ": queue.buffer must be >= 1, got " +
-                                    std::to_string(config.queue.buffer));
+        reject("queue.buffer must be >= 1, got " + std::to_string(config.queue.buffer));
+    }
+    if (config.num_clients == 0 && config.client_model != ClientModel::InfiniteClients) {
+        reject("need at least one client");
+    }
+    if (!config.server_speeds.empty()) {
+        if (config.server_speeds.size() != config.num_queues) {
+            reject("server_speeds size mismatch");
+        }
+        for (const double s : config.server_speeds) {
+            if (!std::isfinite(s) || s <= 0.0) {
+                reject("server speeds must be finite and > 0");
+            }
+        }
+    }
+    const auto num_z = static_cast<std::size_t>(config.queue.num_states());
+    if (config.nu0.empty()) {
+        config.nu0.assign(num_z, 0.0);
+        config.nu0[0] = 1.0;
+    }
+    if (config.nu0.size() != num_z) {
+        reject("nu0 size mismatch");
     }
     return config;
 }
@@ -23,26 +46,6 @@ FiniteSystem::FiniteSystem(FiniteSystemConfig config)
       router_(config_.router, config_.num_queues,
               static_cast<std::size_t>(config_.queue.num_states()), config_.dt),
       service_(config_.service, config_.queue.service_rate) {
-    if (config_.num_clients == 0 && config_.client_model != ClientModel::InfiniteClients) {
-        throw std::invalid_argument("FiniteSystem: need at least one client");
-    }
-    if (!config_.server_speeds.empty()) {
-        if (config_.server_speeds.size() != config_.num_queues) {
-            throw std::invalid_argument("FiniteSystem: server_speeds size mismatch");
-        }
-        for (const double s : config_.server_speeds) {
-            if (!(s > 0.0)) {
-                throw std::invalid_argument("FiniteSystem: server speeds must be > 0");
-            }
-        }
-    }
-    if (config_.nu0.empty()) {
-        config_.nu0.assign(static_cast<std::size_t>(config_.queue.num_states()), 0.0);
-        config_.nu0[0] = 1.0;
-    }
-    if (config_.nu0.size() != static_cast<std::size_t>(config_.queue.num_states())) {
-        throw std::invalid_argument("FiniteSystem: nu0 size mismatch");
-    }
     const auto num_z = static_cast<std::size_t>(config_.queue.num_states());
     const auto d = static_cast<std::size_t>(config_.d);
     const std::size_t m = config_.num_queues;
@@ -259,6 +262,10 @@ EpochStats FiniteSystem::simulate_epoch_from_rates(Rng& rng) {
 }
 
 EpochStats FiniteSystem::step_with_rule(const DecisionRule& h, Rng& rng) {
+    if (router_.active()) {
+        throw std::logic_error("FiniteSystem::step_with_rule: a classical router is "
+                               "configured; use step_router");
+    }
     if (done()) {
         throw std::logic_error("FiniteSystem::step: episode already finished");
     }

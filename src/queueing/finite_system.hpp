@@ -85,12 +85,6 @@ struct FiniteSystemConfig {
     /// Sharded backend only: worker threads for the epoch-parallel phase
     /// (0 = all hardware threads). Never affects results, only wall clock.
     std::size_t threads = 0;
-    /// Sharded backend only: overlapped epoch pipeline (eager reduction-tree
-    /// folds, offloaded deterministic barrier compute, fused destination-law
-    /// gathers). Bit-identical to the non-pipelined barrier for fixed
-    /// (seed, shards) — the seam exists for A/B benching and bisection, not
-    /// because results differ (`--pipeline {on,off}` CLI/bench flag).
-    bool pipeline = true;
     /// Event-driven backends only: future-event-list implementation for the
     /// event loop. Both kinds pop events in the identical (time, id) order,
     /// so episodes are bit-identical; `Calendar` is amortized O(1) per event
@@ -117,10 +111,13 @@ struct FiniteSystemConfig {
 
 /// Returns `config` after checking what every finite-system backend
 /// (`FiniteSystem`, `DesSystem`, `ShardedDesSystem`) needs before it sizes
-/// anything: queue.buffer >= 1. Throws std::invalid_argument naming
-/// `backend` and the bad value. Each backend calls it first, in its base
-/// initializer, whatever `track_sojourn` is set to.
-const FiniteSystemConfig& checked_config(const FiniteSystemConfig& config, const char* backend);
+/// anything — queue.buffer >= 1, at least one client for the finite-N
+/// models, one finite positive `server_speeds` entry per queue (or none),
+/// one `nu0` entry per state — and filling the default ν_0 = δ_0 when `nu0`
+/// is empty. Throws std::invalid_argument naming `backend` and the bad
+/// field. Each backend calls it first, in its base initializer, whatever
+/// `track_sojourn` is set to; `SystemBase` checks M, Δt and the horizon.
+FiniteSystemConfig& checked_config(FiniteSystemConfig& config, const char* backend);
 
 /// Exact simulator of the finite (or infinite-client) queuing system.
 class FiniteSystem : public SystemBase {
@@ -147,7 +144,9 @@ public:
     /// configured the policy is ignored and this forwards to step_router.
     EpochStats step(const UpperLevelPolicy& policy, Rng& rng);
     /// Same with an explicit decision rule (skips the policy query).
-    /// Allocation-free in steady state (see file comment).
+    /// Allocation-free in steady state (see file comment). Throws
+    /// std::logic_error when a classical router is configured — use
+    /// step_router.
     EpochStats step_with_rule(const DecisionRule& h, Rng& rng);
     /// One decision epoch under the configured classical router (no policy
     /// involved); requires `config().router.kind != RouterKind::Policy`.

@@ -11,8 +11,8 @@
 ///    M·λ_t·w_j/Σw for its per-queue epoch kernels;
 ///  - `DesSystem` thins the aggregated Poisson arrival stream by binary
 ///    search on the weight prefix sums (one destination draw per job);
-///  - `ShardedDesSystem` partitions the weights into per-shard masses at the
-///    barrier (`partition_shard_mass`) and each shard thins its own stream,
+///  - `ShardedDesSystem` sums the weights into per-shard masses at the
+///    barrier and each shard thins its own stream,
 ///    keeping the parallel phase lock-free.
 /// Because all three consume the identical law, the routers are
 /// statistically equivalent across backends by construction

@@ -1,5 +1,6 @@
 #include "queueing/system_base.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace mflb {
@@ -80,8 +81,8 @@ SystemBase::SystemBase(ArrivalProcess arrivals, double dt, int horizon, std::siz
     if (num_queues == 0) {
         throw std::invalid_argument("SystemBase: need at least one queue");
     }
-    if (dt_ <= 0.0) {
-        throw std::invalid_argument("SystemBase: dt must be positive");
+    if (!std::isfinite(dt_) || dt_ <= 0.0) {
+        throw std::invalid_argument("SystemBase: dt must be finite and positive");
     }
     if (horizon_ < 1) {
         throw std::invalid_argument("SystemBase: horizon must be positive");

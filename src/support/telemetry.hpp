@@ -81,7 +81,7 @@ private:
 /// mutex-guarded; updates are wait-free writes to the caller's own lane
 /// (slot s must be updated by at most one thread between merges); `set`,
 /// `merge_slots`, and all reads belong to the serial barrier phase. The
-/// sharded backend's pipelined barrier keeps this contract: gauges (the
+/// sharded backend's epoch barrier keeps this contract: gauges (the
 /// `barrier_{prologue,overlap,reduce,parallel}_seconds` split) are set in
 /// its serial interlude, and per-slot lanes are only merged after the
 /// epoch's fan-out join.

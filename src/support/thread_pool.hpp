@@ -87,7 +87,7 @@ ThreadPool& shared_thread_pool();
 bool on_pool_worker() noexcept;
 
 /// One-shot completion token for a single offloaded task — the overlap
-/// primitive of the pipelined sharded DES barrier, sitting alongside `Latch`
+/// primitive of the sharded DES epoch barrier, sitting alongside `Latch`
 /// (which tracks a *fan-out*; this tracks one continuation). `launch(f)`
 /// runs `f()` on the shared pool so the caller can do independent work, and
 /// `wait()` joins with acquire semantics, so everything `f` wrote is visible

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -42,11 +43,11 @@ TEST(FiniteSystem, ValidatesConfig) {
     EXPECT_NO_THROW(FiniteSystem{bad});
 }
 
-TEST(FiniteSystem, EveryBackendRejectsBuffersBelowOne) {
-    // Backend × track_sojourn × buffer: a buffer below one is rejected at
-    // construction with an error naming the backend and the value, whether
-    // or not per-job rings would be allocated. B = 1 is the smallest valid
-    // queue and constructs everywhere.
+TEST(FiniteSystem, EveryBackendRejectsBadConfigs) {
+    // Bad field × backend × track_sojourn: each is rejected at construction
+    // with an error naming the backend (SystemBase for the shared Δt check)
+    // and the field, whether or not per-job rings would be allocated. The
+    // valid edge of each field constructs everywhere.
     const struct {
         const char* name;
         std::function<void(const FiniteSystemConfig&)> construct;
@@ -55,28 +56,80 @@ TEST(FiniteSystem, EveryBackendRejectsBuffersBelowOne) {
         {"DesSystem", [](const FiniteSystemConfig& c) { DesSystem system(c); }},
         {"ShardedDesSystem", [](const FiniteSystemConfig& c) { ShardedDesSystem system(c); }},
     };
+    using Spoil = std::function<void(FiniteSystemConfig&)>;
+    const auto speed = [](double bad) {
+        return [bad](FiniteSystemConfig& c) {
+            c.server_speeds.assign(c.num_queues, 1.0);
+            c.server_speeds[3] = bad;
+        };
+    };
+    const auto dt = [](double bad) { return [bad](FiniteSystemConfig& c) { c.dt = bad; }; };
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const struct {
+        Spoil spoil;
+        std::string error; ///< message after "<backend>: ".
+        bool shared;       ///< raised by SystemBase, not the backend.
+    } cases[] = {
+        {[](FiniteSystemConfig& c) { c.queue.buffer = 0; }, "queue.buffer must be >= 1, got 0",
+         false},
+        {[](FiniteSystemConfig& c) { c.queue.buffer = -1; }, "queue.buffer must be >= 1, got -1",
+         false},
+        {[](FiniteSystemConfig& c) { c.queue.buffer = -7; }, "queue.buffer must be >= 1, got -7",
+         false},
+        {[](FiniteSystemConfig& c) {
+             c.client_model = ClientModel::PerClient;
+             c.num_clients = 0;
+         },
+         "need at least one client", false},
+        {[](FiniteSystemConfig& c) { c.num_clients = 0; }, "need at least one client", false},
+        {[](FiniteSystemConfig& c) { c.server_speeds.assign(c.num_queues - 1, 1.0); },
+         "server_speeds size mismatch", false},
+        {speed(0.0), "server speeds must be finite and > 0", false},
+        {speed(-2.0), "server speeds must be finite and > 0", false},
+        {speed(nan), "server speeds must be finite and > 0", false},
+        {speed(inf), "server speeds must be finite and > 0", false},
+        {[](FiniteSystemConfig& c) { c.nu0 = {1.0}; }, "nu0 size mismatch", false},
+        {dt(0.0), "dt must be finite and positive", true},
+        {dt(-1.0), "dt must be finite and positive", true},
+        {dt(nan), "dt must be finite and positive", true},
+        {dt(inf), "dt must be finite and positive", true},
+    };
+    const Spoil valid_edges[] = {
+        [](FiniteSystemConfig& c) { c.queue.buffer = 1; },
+        [](FiniteSystemConfig& c) {
+            c.client_model = ClientModel::InfiniteClients;
+            c.num_clients = 0; // client count is irrelevant at N = ∞
+        },
+        [](FiniteSystemConfig& c) { c.server_speeds.assign(c.num_queues, 0.5); },
+        [](FiniteSystemConfig& c) {
+            c.nu0.assign(c.queue.num_states(), 0.0);
+            c.nu0.back() = 1.0;
+        },
+    };
     for (const auto& backend : backends) {
         for (const bool track_sojourn : {false, true}) {
-            for (const int buffer : {0, -1, -7}) {
+            for (const auto& bad : cases) {
+                const std::string want =
+                    std::string(bad.shared ? "SystemBase" : backend.name) + ": " + bad.error;
                 SCOPED_TRACE(std::string(backend.name) + " track_sojourn=" +
-                             std::to_string(track_sojourn) + " buffer=" +
-                             std::to_string(buffer));
+                             std::to_string(track_sojourn) + " " + want);
                 FiniteSystemConfig config = small_config();
                 config.track_sojourn = track_sojourn;
-                config.queue.buffer = buffer;
+                bad.spoil(config);
                 try {
                     backend.construct(config);
-                    ADD_FAILURE() << "constructed with an invalid buffer";
+                    ADD_FAILURE() << "constructed with an invalid config";
                 } catch (const std::invalid_argument& e) {
-                    EXPECT_EQ(std::string(e.what()), std::string(backend.name) +
-                                                         ": queue.buffer must be >= 1, got " +
-                                                         std::to_string(buffer));
+                    EXPECT_EQ(std::string(e.what()), want);
                 }
             }
-            FiniteSystemConfig config = small_config();
-            config.track_sojourn = track_sojourn;
-            config.queue.buffer = 1;
-            EXPECT_NO_THROW(backend.construct(config)) << backend.name;
+            for (const Spoil& edge : valid_edges) {
+                FiniteSystemConfig config = small_config();
+                config.track_sojourn = track_sojourn;
+                edge(config);
+                EXPECT_NO_THROW(backend.construct(config)) << backend.name;
+            }
         }
     }
 }

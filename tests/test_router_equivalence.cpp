@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace mflb {
 namespace {
@@ -130,6 +132,40 @@ TEST(RouterEquivalence, RouterPathIgnoresThePolicyArgument) {
     const EpisodeStats ep_b = router_only.run_episode(rng_b);
     EXPECT_DOUBLE_EQ(ep_a.total_drops_per_queue, ep_b.total_drops_per_queue);
     EXPECT_EQ(ep_a.accepted_packets, ep_b.accepted_packets);
+}
+
+template <class System>
+void expect_rule_step_rejected(const FiniteSystemConfig& config, const std::string& backend) {
+    System system(config);
+    const DecisionRule h = DecisionRule::mf_rnd(system.tuple_space());
+    Rng rng(3);
+    system.reset(rng);
+    try {
+        system.step_with_rule(h, rng);
+        ADD_FAILURE() << backend << " stepped a rule under a classical router";
+    } catch (const std::logic_error& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  backend + "::step_with_rule: a classical router is configured; use step_router");
+    }
+    EXPECT_EQ(system.time(), 0) << backend; // the rejected call ran no epoch
+    system.step_router(rng);
+    EXPECT_EQ(system.time(), 1) << backend;
+}
+
+TEST(RouterEquivalence, RuleStepUnderARouterThrowsOnEveryBackend) {
+    // step(policy) ignores the policy when a classical router is configured;
+    // an explicit rule cannot be honored either, so step_with_rule refuses it
+    // on every backend and client model (instead of mixing rule and router,
+    // or misrouting every arrival) and points to step_router.
+    for (const ClientModel model :
+         {ClientModel::PerClient, ClientModel::Aggregated, ClientModel::InfiniteClients}) {
+        SCOPED_TRACE(static_cast<int>(model));
+        FiniteSystemConfig config = fleet_config({RouterKind::Jsq, 2, 0.0});
+        config.client_model = model;
+        expect_rule_step_rejected<FiniteSystem>(config, "FiniteSystem");
+        expect_rule_step_rejected<DesSystem>(config, "DesSystem");
+        expect_rule_step_rejected<ShardedDesSystem>(config, "ShardedDesSystem");
+    }
 }
 
 TEST(RouterEquivalence, ShardedThreadCountInvariantWithGeneralService) {
