@@ -94,7 +94,8 @@ private:
 inline void register_backend_flag(CliParser& cli) {
     cli.flag("backend", "finite",
              "Finite-system simulator: 'finite' (epoch-synchronous Gillespie), "
-             "'des' (event-driven), or 'sharded-des' (epoch-parallel event-driven)");
+             "'des' (event-driven), or 'sharded-des' (per-queue epoch kernels on K "
+             "parallel shards)");
 }
 
 /// Resolves the registered --backend flag; exits 2 with a diagnostic on an

@@ -36,6 +36,7 @@
 #include "support/trace.hpp"
 
 #include <cmath>
+#include <stdexcept>
 #include <thread>
 
 namespace {
@@ -144,6 +145,14 @@ int main(int argc, char** argv) {
     const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
     const double total_time = full ? 500.0 : 50.0;
     const int horizon = MfcConfig::horizon_for_total_time(total_time, dt);
+    try {
+        // Every configuration below scales the same arrival levels, so one
+        // check rejects a bad --lambda-total before any timing starts.
+        (void)scale_config(1000, lambda_total, dt, horizon, ClientModel::InfiniteClients, 0);
+    } catch (const std::invalid_argument& error) {
+        std::fprintf(stderr, "error: %s\n", error.what());
+        return 2;
+    }
 
     bench::print_header("DES scale sweep",
                         "Fixed total load spread over M queues: event count stays constant, "
@@ -361,10 +370,11 @@ int main(int argc, char** argv) {
     {
         // Ten million queues under the fixed total load, InfiniteClients (no
         // per-client state), short horizon: the point is that the epoch
-        // barrier — eager reduction folds, offloaded epoch compute, fused
-        // destination-law gathers that never materialize the 80 MB per-queue
-        // law — keeps the O(M) epoch cost tractable at a fleet size three
-        // decades past the epoch-synchronous backend's budget. The
+        // barrier — eager reduction folds, a |Z|-sized rate table instead of
+        // an 80 MB per-queue law, and the shard tasks' idle thinning, which
+        // skips idle queues geometrically — keeps the O(M) epoch cost
+        // tractable at a fleet size three decades past the
+        // epoch-synchronous backend's budget. The
         // serial-fraction row tracks how much of the barrier remains
         // irreducibly serial. K = 8 is the default shard count; K = 32
         // repeats the episode with a deeper reduction tree and shorter shards.

@@ -314,7 +314,8 @@ int main(int argc, char** argv) {
     cli.flag("backend", "finite",
              "Finite-system simulator for eval mode: 'finite' (epoch-synchronous), "
              "'des' (event-driven, adds sojourn percentiles), or 'sharded-des' "
-             "(epoch-parallel event-driven); default = scenario's backend");
+             "(per-queue epoch kernels on K parallel shards, adds sojourn "
+             "percentiles); default = scenario's backend");
     cli.flag_int("threads", 0,
                  "Worker threads for replications / sharded epochs (0 = all cores)");
     cli.flag("metrics-out", "",
@@ -322,7 +323,7 @@ int main(int argc, char** argv) {
              "CSV when the path ends in .csv; empty = disabled");
     cli.flag_int("metrics-every", 1, "Emit every k-th epoch row (train rows always emit)");
     cli.flag("trace-out", "",
-             "chrome://tracing span JSON covering barrier phases, shard event loops, "
+             "chrome://tracing span JSON covering barrier phases, shard tasks, "
              "and trainer phases; empty = disabled");
     cli.flag("trainer", "cem",
              "Train-mode optimizer: 'cem' (tabular policy search, supports --out) or "
@@ -339,9 +340,9 @@ int main(int argc, char** argv) {
     cli.flag_int("shards", 0,
                  "Queue shards K for the sharded-des backend (0 = scenario's, or min(8, M))");
     cli.flag("fel", "calendar",
-             "Future event list for the des/sharded-des backends: calendar "
-             "(amortized O(1) buckets, default) or heap (binary heap); "
-             "bit-identical results either way");
+             "Future event list for the des backend: calendar (amortized O(1) "
+             "buckets, default) or heap (binary heap); bit-identical results "
+             "either way");
     cli.flag("router", "policy",
              "Routing discipline for eval mode: 'policy' (decision-rule path), "
              "'random', 'round-robin', 'jsq', 'jsq-d', or 'sq-stale'; default = "

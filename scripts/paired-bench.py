@@ -15,7 +15,11 @@ For every end-to-end metric of ``BENCHMARK.json`` (per workload with
 min and max of the per-pair ratio child/base, how many pairs the child won
 (ties count for neither side), whether the median gain exceeds the distance
 between the base's quartiles, and whether the child's median stays within
-the metric's bound. Exits 1 if any run failed or reported a failed check.
+the metric's bound. It then reports each side's correctness: the checks
+attempted and failed, summed over the measured runs, and per workload the
+median and maximum of each run's largest episode deviation from the
+mean-field oracle (where a biased simulator would show first). Exits 1 if
+any run failed or reported a failed check.
 """
 
 import argparse
@@ -50,18 +54,47 @@ def export_revision(rev, into):
         archive.extractall(into)
 
 
+MANIFEST = "# manifest "
+ORACLE = "largest episode deviation from the mean-field oracle:"
+
+
+def oracle_deviations(lines):
+    """Each workload's largest oracle deviation, keyed by its manifest's name."""
+    deviations = {}
+    workload = "?"
+    for line in lines:
+        if line.startswith(MANIFEST):
+            try:
+                workload = json.loads(line[len(MANIFEST):]).get("workload", "?")
+            except ValueError:
+                workload = "?"
+        elif line.startswith(ORACLE):
+            try:
+                deviations[workload] = float(line[len(ORACLE):])
+            except ValueError:
+                pass
+    return deviations
+
+
 def run_side(checkout, workload, seed, seconds):
-    """One run of a checkout's benchmark: (metrics by name, checks passed)."""
+    """One run of a checkout's benchmark: its metrics by name, whether it passed,
+    its checks attempted and failed, and its oracle deviations by workload."""
     cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE)
     lines = [line for line in done.stdout.decode(errors="replace").splitlines() if line.strip()]
+    run = {"metrics": {}, "ok": False, "attempted": 0, "failed": 0,
+           "oracle": oracle_deviations(lines)}
     try:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
-        return {}, False
-    metrics = {name: metric["value"] for name, metric in result.get("metrics", {}).items()}
-    return metrics, done.returncode == 0 and result.get("correct", False)
+        return run
+    run["metrics"] = {name: metric["value"]
+                      for name, metric in result.get("metrics", {}).items()}
+    run["ok"] = done.returncode == 0 and result.get("correct", False)
+    run["attempted"] = result.get("attempted", 0)
+    run["failed"] = result.get("failed", 0)
+    return run
 
 
 def headline(metrics):
@@ -96,6 +129,20 @@ def report(name, spec, base, child):
           f"within bound {spec['bound']:g}: {'yes' if worse_by <= spec['bound'] else 'NO'}")
 
 
+def report_correctness(side, runs):
+    """One side's summed checks and its oracle deviations per workload."""
+    attempted = sum(run["attempted"] for run in runs)
+    failed = sum(run["failed"] for run in runs)
+    broken = sum(1 for run in runs if not run["ok"])
+    print(f"  {side:5s} checks {attempted} attempted, {failed} failed; "
+          f"{broken}/{len(runs)} runs failed")
+    workloads = sorted({name for run in runs for name in run["oracle"]})
+    for workload in workloads:
+        values = [run["oracle"][workload] for run in runs if workload in run["oracle"]]
+        print(f"  {'':5s} {workload}: largest oracle deviation median "
+              f"{statistics.median(values):.4f}, max {max(values):.4f} ({len(values)} runs)")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision or tree to compare against")
@@ -118,31 +165,33 @@ def main():
         sides = {"base": base_dir, "child": ROOT}
         for side, checkout in sides.items():
             print(f"warm-up build and run: {side} ({checkout})", flush=True)
-            _, ok = run_side(checkout, args.workload, args.seeds[0], 1)
-            all_ok = all_ok and ok
+            all_ok = run_side(checkout, args.workload, args.seeds[0], 1)["ok"] and all_ok
 
         runs = {"base": [], "child": []}
         for pair in range(args.pairs):
             seed = args.seeds[pair % len(args.seeds)]
             order = ["base", "child"] if pair % 2 == 0 else ["child", "base"]
             for side in order:
-                metrics, ok = run_side(sides[side], args.workload, seed, SECONDS)
-                all_ok = all_ok and ok
-                runs[side].append(metrics)
+                run = run_side(sides[side], args.workload, seed, SECONDS)
+                all_ok = all_ok and run["ok"]
+                runs[side].append(run)
             print(f"pair {pair + 1}/{args.pairs} seed {seed} ({order[0]} first): "
-                  f"base {headline(runs['base'][-1])}, child {headline(runs['child'][-1])}",
-                  flush=True)
+                  f"base {headline(runs['base'][-1]['metrics'])}, "
+                  f"child {headline(runs['child'][-1]['metrics'])}", flush=True)
 
-    names = [name for name in runs["child"][0] if name.split("/")[-1] in specs]
+    names = [name for name in runs["child"][0]["metrics"] if name.split("/")[-1] in specs]
     print(f"\n{args.pairs} pairs, workload {args.workload}, base {args.base}, child = working tree")
     for name in names:
-        base = [metrics[name] for metrics in runs["base"] if name in metrics]
-        child = [metrics[name] for metrics in runs["child"] if name in metrics]
+        base = [run["metrics"][name] for run in runs["base"] if name in run["metrics"]]
+        child = [run["metrics"][name] for run in runs["child"] if name in run["metrics"]]
         if len(base) != args.pairs or len(child) != args.pairs:
             print(f"  {name}: missing from some runs")
             all_ok = False
             continue
         report(name, specs[name.split("/")[-1]], base, child)
+    print("correctness (measured runs)")
+    for side in ("base", "child"):
+        report_correctness(side, runs[side])
     if not all_ok:
         print("paired-bench: a run failed or reported a failed check", file=sys.stderr)
     sys.exit(0 if all_ok else 1)

@@ -23,9 +23,12 @@ namespace mflb {
 ///    loop every Δt; cost O(M) per epoch even when queues are idle.
 ///  - `Des`        — event-driven `DesSystem`: future-event-list simulation;
 ///    cost proportional to traffic, reports per-job sojourn percentiles.
-///  - `ShardedDes` — `ShardedDesSystem`: the DES model partitioned into K
-///    queue shards running lock-free in parallel between decision epochs;
-///    deterministic for fixed (seed, K) regardless of thread count.
+///  - `ShardedDes` — `ShardedDesSystem`: the M queues partitioned into K
+///    shards that run `FiniteSystem`'s per-queue epoch kernel lock-free in
+///    parallel between decision epochs, skipping idle queues geometrically
+///    (cost tracks traffic on idle fleets), with per-job sojourn
+///    percentiles; deterministic for fixed (seed, K) regardless of thread
+///    count.
 enum class SimBackend {
     Finite,
     Des,
@@ -64,9 +67,9 @@ struct ExperimentConfig {
     /// Queue shards K for the sharded-des backend (0 = min(8, M)); part of
     /// the result-determining (seed, K) pair. Ignored by the other backends.
     std::size_t shards = 0;
-    /// Future-event-list implementation for the DES backends (heap or
+    /// Future-event-list implementation for the `des` backend (heap or
     /// calendar; both yield bit-identical episodes — the `--fel` CLI/bench
-    /// flag overrides it). Ignored by the finite backend.
+    /// flag overrides it). Ignored by the finite and sharded-des backends.
     FelKind fel = FelKind::Calendar;
     /// Worker threads for the sharded-des epoch-parallel phase and the
     /// default for Monte Carlo replication fan-out (0 = all hardware

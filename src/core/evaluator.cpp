@@ -181,9 +181,37 @@ EvaluationResult evaluate_mfc(const MfcConfig& config, const UpperLevelPolicy& p
     return result;
 }
 
+namespace {
+
+struct CoupledEpisode {
+    double drops = 0.0;    ///< Σ_t D_t per queue.
+    double accepted = 0.0; ///< accepted jobs per queue.
+};
+
+/// One episode of `System` on the conditioned λ path.
+template <class System>
+CoupledEpisode coupled_episode(const FiniteSystemConfig& config,
+                               const std::vector<std::size_t>& path,
+                               const UpperLevelPolicy& policy, Rng& rng) {
+    System system(config);
+    system.reset_conditioned(path, rng);
+    CoupledEpisode out;
+    std::uint64_t accepted = 0;
+    while (!system.done()) {
+        const EpochStats stats = system.step(policy, rng);
+        out.drops += stats.drops_per_queue;
+        accepted += stats.accepted_packets;
+    }
+    out.accepted = static_cast<double>(accepted) / static_cast<double>(config.num_queues);
+    return out;
+}
+
+} // namespace
+
 CoupledEvaluation evaluate_coupled(const FiniteSystemConfig& finite_config,
                                    const UpperLevelPolicy& policy, std::size_t episodes,
-                                   std::uint64_t seed, std::size_t threads) {
+                                   std::uint64_t seed, std::size_t threads,
+                                   SimBackend backend) {
     CoupledEvaluation result;
 
     // Draw one λ path shared by the mean-field model and every finite run.
@@ -209,22 +237,28 @@ CoupledEvaluation evaluate_coupled(const FiniteSystemConfig& finite_config,
     }
 
     // Finite-system replications on the same path.
-    const std::vector<double> drops_by_episode =
+    const std::vector<CoupledEpisode> by_episode =
         run_replications(episodes, seed, threads, [&](std::size_t i, Rng& rng) {
-            FiniteSystem system(replication_config(finite_config, i));
-            system.reset_conditioned(result.lambda_sequence, rng);
-            double total = 0.0;
-            while (!system.done()) {
-                total += system.step(policy, rng).drops_per_queue;
+            const FiniteSystemConfig config = replication_config(finite_config, i);
+            const std::vector<std::size_t>& path = result.lambda_sequence;
+            switch (backend) {
+            case SimBackend::Des:
+                return coupled_episode<DesSystem>(config, path, policy, rng);
+            case SimBackend::ShardedDes:
+                return coupled_episode<ShardedDesSystem>(config, path, policy, rng);
+            case SimBackend::Finite:
+                break;
             }
-            return total;
+            return coupled_episode<FiniteSystem>(config, path, policy, rng);
         });
 
-    RunningStat drops;
-    for (double v : drops_by_episode) {
-        drops.add(v);
+    RunningStat drops, accepted;
+    for (const CoupledEpisode& episode : by_episode) {
+        drops.add(episode.drops);
+        accepted.add(episode.accepted);
     }
     result.finite_drops = confidence_interval_95(drops);
+    result.finite_accepted = confidence_interval_95(accepted);
     return result;
 }
 

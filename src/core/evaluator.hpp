@@ -104,14 +104,18 @@ EvaluationResult evaluate_mfc(const MfcConfig& config, const UpperLevelPolicy& p
 
 /// Evaluates both systems on *identical conditioned λ sequences* — the
 /// coupling used to verify Theorem 1 numerically: returns the pairs
-/// (J^{N,M}, J) so tests/benches can inspect |J - J^{N,M}| directly.
+/// (J^{N,M}, J) so tests/benches can inspect |J - J^{N,M}| directly. The
+/// finite system is simulated by `backend`; the λ path depends on `seed`
+/// alone, so two backends evaluated with one seed share it.
 struct CoupledEvaluation {
-    ConfidenceInterval finite_drops;
+    ConfidenceInterval finite_drops;    ///< Σ_t D_t per queue, per episode.
+    ConfidenceInterval finite_accepted; ///< accepted jobs per queue, per episode.
     double mean_field_drops = 0.0; ///< deterministic given the λ sequence.
     std::vector<std::size_t> lambda_sequence;
 };
 CoupledEvaluation evaluate_coupled(const FiniteSystemConfig& finite_config,
                                    const UpperLevelPolicy& policy, std::size_t episodes,
-                                   std::uint64_t seed, std::size_t threads = 0);
+                                   std::uint64_t seed, std::size_t threads = 0,
+                                   SimBackend backend = SimBackend::Finite);
 
 } // namespace mflb

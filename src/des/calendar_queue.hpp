@@ -31,14 +31,13 @@
 ///
 /// Tuning: the width starts at 1 / rate_hint (the configured peak event
 /// rate of the DES: aggregated arrivals plus matched departures) and the
-/// day array at a small power of two. `retune()` — called by the DES
-/// backends only at the epoch barrier — grows the day array against the
+/// day array at a small power of two. `retune()` — called by `DesSystem`
+/// only at the epoch barrier — grows the day array against the
 /// pending-event high-water mark and nudges the width by powers of two
 /// when the observed probe/insert-step counters show buckets too fine or
 /// too coarse. Both decisions are pure functions of the event history, so
-/// the (seed, shards) determinism contract of the sharded backend is
-/// preserved; rebuilds allocate at most once per growth step, never inside
-/// the event loop.
+/// episodes stay a function of the seed alone; rebuilds allocate at most
+/// once per growth step, never inside the event loop.
 #pragma once
 
 #include "des/event_queue.hpp"

@@ -33,8 +33,7 @@ FelKind parse_fel_kind(std::string_view name);
 /// Peak event rate of a DES built from `config` over `num_queues` queues —
 /// the calendar queue's bucket-width hint: the maximum modulated aggregate
 /// arrival rate plus the matched departure flux (bounded by both the
-/// arrival flux and the aggregate service capacity). The sharded backend
-/// passes each shard's local queue count.
+/// arrival flux and the aggregate service capacity).
 double fel_rate_hint(const FiniteSystemConfig& config, std::size_t num_queues);
 
 /// FEL facade: the `EventQueue` API plus `pop_and_reschedule`, `retune` and

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <span>
 #include <stdexcept>
 
@@ -42,8 +43,7 @@ ShardedDesSystem::ShardedDesSystem(FiniteSystemConfig config)
       config_(std::move(config)), space_(config_.queue.num_states(), config_.d),
       router_(config_.router, config_.num_queues,
               static_cast<std::size_t>(config_.queue.num_states()), config_.dt),
-      service_(config_.service, config_.queue.service_rate), threads_(config_.threads),
-      rule_(space_) {
+      kernel_(config_), threads_(config_.threads), rule_(space_) {
     const auto num_z = static_cast<std::size_t>(config_.queue.num_states());
     const auto d = static_cast<std::size_t>(config_.d);
     const std::size_t m = config_.num_queues;
@@ -62,9 +62,7 @@ ShardedDesSystem::ShardedDesSystem(FiniteSystemConfig config)
     }
     shards_.reserve(k);
     for (std::size_t s = 0; s < k; ++s) {
-        const std::size_t n_local = shard_begin_[s + 1] - shard_begin_[s];
-        shards_.emplace_back(config_.fel, n_local, fel_rate_hint(config_, n_local),
-                             num_z);
+        shards_.emplace_back(num_z);
         shards_.back().begin = shard_begin_[s];
         shards_.back().end = shard_begin_[s + 1];
     }
@@ -88,38 +86,33 @@ ShardedDesSystem::ShardedDesSystem(FiniteSystemConfig config)
     // Eager-fold pending counters, one per node, sized once here (atomics
     // are immovable, so the vector is constructed in place and never grown).
     tree_pending_ = std::vector<PendingCount>(tree_.size());
-    // The routing table buffers serve both the Aggregated client counts and
-    // the InfiniteClients per-job law (unlike the unsharded DES, which
-    // realizes InfiniteClients by per-job d-sampling, the sharded backend
-    // thins the identical law per shard). Only Aggregated materializes the
-    // per-queue law: its shard multinomials need the per-queue weights, while
-    // InfiniteClients gathers from the prescaled |Z|-sized table.
-    if (config_.client_model != ClientModel::PerClient) {
-        hist_.assign(num_z, 0.0);
-        g_.assign(d * num_z, 0.0);
-        tuple_.assign(d, 0);
-        suffix_.assign(d + 1, 1.0);
-    }
-    if (config_.client_model == ClientModel::Aggregated) {
+    // Barrier buffers, sized once per client model / router so the epoch
+    // stays allocation-free: Aggregated needs the per-queue law (its shard
+    // multinomials weight every queue), InfiniteClients only the |Z|-sized
+    // rate table, PerClient only the client counts.
+    if (router_.active()) {
         dest_p_.assign(m, 0.0);
-    }
-    if (config_.client_model == ClientModel::InfiniteClients) {
-        scaled_sums_.assign(num_z, 0.0);
-    }
-    // Classical weight-law routers reuse the destination-law buffer as the
-    // barrier-phase weight vector (round-robin needs none).
-    if (router_.active() && router_.kind() != RouterKind::RoundRobin && dest_p_.empty()) {
-        dest_p_.assign(m, 0.0);
-    }
-    if (config_.client_model != ClientModel::InfiniteClients) {
-        counts_.assign(m, 0);
-    }
-    if (config_.client_model == ClientModel::PerClient) {
-        sampled_.assign(d, 0);
-        states_.assign(d, 0);
-    }
-    if (config_.client_model == ClientModel::Aggregated) {
-        shard_clients_.assign(k, 0);
+    } else {
+        if (config_.client_model != ClientModel::PerClient) {
+            hist_.assign(num_z, 0.0);
+            g_.assign(d * num_z, 0.0);
+            tuple_.assign(d, 0);
+            suffix_.assign(d + 1, 1.0);
+        }
+        if (config_.client_model == ClientModel::Aggregated) {
+            dest_p_.assign(m, 0.0);
+            shard_clients_.assign(k, 0);
+        }
+        if (config_.client_model == ClientModel::InfiniteClients) {
+            flow_.inflow_by_state.assign(num_z, 0.0);
+            flow_.rate_by_state.assign(num_z, 0.0);
+        } else {
+            counts_.assign(m, 0);
+        }
+        if (config_.client_model == ClientModel::PerClient) {
+            sampled_.assign(d, 0);
+            states_.assign(d, 0);
+        }
     }
     telemetry_series_ = "sharded_epoch";
     if (config_.telemetry != nullptr) {
@@ -138,9 +131,6 @@ void ShardedDesSystem::on_telemetry_attached() {
         barrier_overlap_id_ = registry.gauge("barrier_overlap_seconds");
         barrier_reduce_id_ = registry.gauge("barrier_reduce_seconds");
         barrier_parallel_id_ = registry.gauge("barrier_parallel_seconds");
-        fel_schedules_id_ = registry.counter("fel_schedules");
-        fel_pops_id_ = registry.counter("fel_pops");
-        fel_scans_id_ = registry.counter("fel_bucket_scans");
         shard_registry_ = &registry;
     }
 }
@@ -175,10 +165,7 @@ void ShardedDesSystem::reset(Rng& rng) {
     }
     reset_base(rng);
     router_.reset();
-
-    if (config_.track_sojourn) {
-        jobs_.reset(queues_, config_.queue.buffer);
-    }
+    kernel_.reset(queues_);
 
     std::fill(state_counts_.begin(), state_counts_.end(), 0);
     state_hi_ = state_counts_.size();
@@ -191,23 +178,14 @@ void ShardedDesSystem::reset(Rng& rng) {
         // One independent O(1)-derived stream per shard: fork(s) never
         // consumes caller draws, and the shard id (not the thread) owns it.
         shard.rng = rng.fork(s);
-        shard.fel.clear();
+        kernel_.start_service(queues_, shard.begin, shard.end, shard.rng);
         std::fill(shard.state_counts.begin(), shard.state_counts.end(), 0);
         shard.hot_hi = 1;
-        shard.total_jobs = 0;
-        shard.busy_queues = 0;
-        shard.cursor = 0.0;
-        shard.rr_next = 0;
         shard.sojourn.reset();
         for (std::size_t j = shard.begin; j < shard.end; ++j) {
-            const int z = queues_[j];
-            ++shard.state_counts[static_cast<std::size_t>(z)];
-            shard.hot_hi = std::max(shard.hot_hi, static_cast<std::size_t>(z) + 1);
-            shard.total_jobs += z;
-            if (z > 0) {
-                ++shard.busy_queues;
-                shard.fel.schedule(j - shard.begin, service_time(j, shard.rng));
-            }
+            const auto z = static_cast<std::size_t>(queues_[j]);
+            ++shard.state_counts[z];
+            shard.hot_hi = std::max(shard.hot_hi, z + 1);
         }
         for (std::size_t z = 0; z < state_counts_.size(); ++z) {
             state_counts_[z] += shard.state_counts[z];
@@ -232,163 +210,93 @@ std::vector<double> ShardedDesSystem::observed_distribution(Rng& rng) const {
                              rng);
 }
 
-void ShardedDesSystem::handle_arrival(Shard& shard, double t) {
-    std::size_t local;
-    if (router_.kind() == RouterKind::RoundRobin) {
-        local = shard.rr_next;
-        shard.rr_next = shard.rr_next + 1 == shard.cum.size() ? 0 : shard.rr_next + 1;
-    } else {
-        // Conditional destination law inside the shard: binary search on the
-        // shard-local prefix sums (exact thinning of the global law).
-        const double target = shard.rng.uniform() * shard.total_weight;
-        const auto it = std::upper_bound(shard.cum.begin(), shard.cum.end(), target);
-        local = static_cast<std::size_t>(it - shard.cum.begin());
-        if (local >= shard.cum.size()) {
-            local = shard.cum.size() - 1;
-        }
-    }
-    const std::size_t j = shard.begin + local;
-    if (queues_[j] < config_.queue.buffer) {
-        const auto z = static_cast<std::size_t>(queues_[j]);
-        --shard.state_counts[z];
-        ++shard.state_counts[z + 1];
-        shard.hot_hi = std::max(shard.hot_hi, z + 2);
-        ++queues_[j];
-        ++shard.total_jobs;
-        ++shard.stats.accepted_packets;
-        if (queues_[j] == 1) {
-            ++shard.busy_queues;
-            shard.fel.schedule(local, t + service_time(j, shard.rng));
-        }
-        if (config_.track_sojourn) {
-            jobs_[j].push(t);
-        }
-    } else {
-        ++shard.stats.dropped_packets;
-    }
-    // The arrival slot is at the shard FEL's front (it was just peeked as
-    // the minimum): reschedule in place instead of pop + insert.
-    shard.fel.pop_and_reschedule(shard.local_arrival_slot(),
-                                 t + shard.rng.exponential(shard.arrival_rate));
-}
-
-void ShardedDesSystem::handle_departure(Shard& shard, std::size_t local_id, double t) {
-    const std::size_t j = shard.begin + local_id;
-    const auto z = static_cast<std::size_t>(queues_[j]);
-    --shard.state_counts[z];
-    ++shard.state_counts[z - 1];
-    --queues_[j];
-    --shard.total_jobs;
-    ++shard.stats.served_packets;
-    if (config_.track_sojourn) {
-        const double sojourn = jobs_[j].pop(t);
-        shard.stats.mean_sojourn += sojourn; // running sum; divided in reduce.
-        ++shard.stats.completed_jobs;
-        shard.sojourn.record(sojourn);
-    }
-    if (queues_[j] > 0) {
-        // The departure event is still at the FEL front; move it to the next
-        // completion in place instead of pop + insert.
-        shard.fel.pop_and_reschedule(local_id, t + service_time(j, shard.rng));
-    } else {
-        shard.fel.pop();
-        --shard.busy_queues;
+void ShardedDesSystem::settle(Shard& shard, std::size_t j, int z, int next) noexcept {
+    if (next != z) {
+        --shard.state_counts[static_cast<std::size_t>(z)];
+        ++shard.state_counts[static_cast<std::size_t>(next)];
+        shard.hot_hi = std::max(shard.hot_hi, static_cast<std::size_t>(next) + 1);
+        queues_[j] = next;
     }
 }
 
-void ShardedDesSystem::run_shard_epoch(std::size_t s, double epoch_start, double epoch_end) {
+template <class RateOf>
+void ShardedDesSystem::advance_slice(Shard& shard, double epoch_start, RateOf rate_of) {
+    SojournRecorder* recorder = config_.track_sojourn ? &shard.sojourn : nullptr;
+    for (std::size_t j = shard.begin; j < shard.end; ++j) {
+        const int z = queues_[j];
+        settle(shard, j, z,
+               kernel_.advance(j, z, rate_of(j, z), epoch_start, config_.dt, shard.rng,
+                               shard.tally, recorder));
+    }
+}
+
+void ShardedDesSystem::advance_slice_thinned(Shard& shard, double epoch_start) {
+    SojournRecorder* recorder = config_.track_sojourn ? &shard.sojourn : nullptr;
+    const std::vector<double>& rate = flow_.rate_by_state;
+    const double r0 = rate[0];
+    const double dt = config_.dt;
+    const double mass = r0 * dt;              // -ln(1 - q)
+    const double q = -std::expm1(-mass);      // P(an idle queue sees an arrival)
+    // Idle queues still to skip before the next one that sees an arrival:
+    // Geometric(q) on {0, 1, ...} as ⌊E⌋, E ~ Exp(−ln(1 − q)). With r_0 = 0
+    // no idle queue is ever hit and nothing is drawn.
+    const auto idle_gap = [&shard, mass](std::size_t left) -> std::size_t {
+        if (mass <= 0.0) {
+            return left;
+        }
+        const double e = std::floor(shard.rng.exponential(mass));
+        return e < static_cast<double>(left) ? static_cast<std::size_t>(e) : left;
+    };
+    std::size_t gap = idle_gap(shard.end - shard.begin);
+    for (std::size_t j = shard.begin; j < shard.end; ++j) {
+        const int z = queues_[j];
+        if (z != 0) {
+            settle(shard, j, z,
+                   kernel_.advance(j, z, rate[static_cast<std::size_t>(z)], epoch_start, dt,
+                                   shard.rng, shard.tally, recorder));
+            continue;
+        }
+        if (gap > 0) {
+            --gap;
+            continue;
+        }
+        // First arrival, conditioned on landing in the epoch: the
+        // exponential truncated to [0, Δt) by inversion.
+        const double first = std::min(-std::log1p(-shard.rng.uniform() * q) / r0, dt);
+        settle(shard, j, 0,
+               kernel_.advance_from_arrival(j, r0, epoch_start + first, dt - first, shard.rng,
+                                            shard.tally, recorder));
+        gap = idle_gap(shard.end - j - 1);
+    }
+}
+
+void ShardedDesSystem::run_shard_epoch(std::size_t s, double epoch_start) {
     Shard& shard = shards_[s];
-    const std::size_t local_n = shard.end - shard.begin;
-    const std::uint64_t thin_begin = tracer_ != nullptr ? trace::now_ns() : 0;
-
-    // Shard-local destination prefix sums for this epoch's routing weights,
-    // realized with the vectorized scan (exact for the integer-count client
-    // models; block-boundary reassociation only, and thread-count
-    // independent, for the probability laws).
+    const std::size_t n = shard.end - shard.begin;
+    trace::ScopedSpan advance_span(tracer_, "shard_advance");
+    shard.tally = QueueTally{};
     if (router_.active()) {
-        if (router_.kind() == RouterKind::RoundRobin) {
-            // Cursor-routed: no prefix sums; a positive weight just keeps
-            // the thinned arrival stream scheduled below.
-            shard.total_weight = static_cast<double>(local_n);
-        } else {
-            inclusive_prefix_sum(
-                std::span<const double>(dest_p_.data() + shard.begin, local_n),
-                std::span<double>(shard.cum));
-            shard.total_weight = shard.cum.back();
-        }
+        advance_slice(shard, epoch_start,
+                      [this](std::size_t j, int) { return rate_scale_ * dest_p_[j]; });
+    } else if (config_.client_model == ClientModel::InfiniteClients) {
+        advance_slice_thinned(shard, epoch_start);
     } else {
-        switch (config_.client_model) {
-        case ClientModel::Aggregated: {
-            const std::span<const double> weights(dest_p_.data() + shard.begin, local_n);
-            const std::span<std::uint64_t> counts(counts_.data() + shard.begin, local_n);
+        if (config_.client_model == ClientModel::Aggregated) {
+            // The shard's half of the hierarchical multinomial, from its own
+            // stream over its own slice of the destination law.
+            const std::span<std::uint64_t> counts(counts_.data() + shard.begin, n);
             if (shard.clients > 0 && shard_mass_[s] > 0.0) {
-                shard.rng.multinomial(shard.clients, weights, shard_mass_[s], counts);
+                shard.rng.multinomial(shard.clients,
+                                      std::span<const double>(dest_p_.data() + shard.begin, n),
+                                      shard_mass_[s], counts);
             } else {
                 std::fill(counts.begin(), counts.end(), 0);
             }
-            inclusive_prefix_sum(std::span<const std::uint64_t>(counts),
-                                 std::span<double>(shard.cum));
-            break;
         }
-        case ClientModel::PerClient:
-            inclusive_prefix_sum(
-                std::span<const std::uint64_t>(counts_.data() + shard.begin, local_n),
-                std::span<double>(shard.cum));
-            break;
-        case ClientModel::InfiniteClients:
-            // Fused gather-scan against the prescaled per-state table: the
-            // per-queue law (1/M)·Σ_k g(k, z_j) is never materialized.
-            gather_prefix_sum(std::span<const int>(queues_.data() + shard.begin, local_n),
-                              scaled_sums_, std::span<double>(shard.cum));
-            break;
-        }
-        shard.total_weight = shard.cum.back();
+        advance_slice(shard, epoch_start, [this](std::size_t j, int) {
+            return rate_scale_ * static_cast<double>(counts_[j]);
+        });
     }
-
-    // (Re)schedule the shard's thinned arrival stream: the pending
-    // next-arrival was drawn under the previous epoch's rate and routing;
-    // memorylessness makes cancel-and-redraw exact. Rate zero (no routing
-    // mass in this shard) simply parks the slot.
-    if (shard.arrival_rate > 0.0 && shard.total_weight > 0.0) {
-        shard.fel.schedule(shard.local_arrival_slot(),
-                           epoch_start + shard.rng.exponential(shard.arrival_rate));
-    } else {
-        shard.fel.cancel(shard.local_arrival_slot());
-    }
-    if (tracer_ != nullptr) {
-        tracer_->record("thinning", thin_begin, trace::now_ns());
-    }
-    trace::ScopedSpan advance_span(tracer_, "shard_advance");
-
-    shard.cursor = epoch_start;
-    shard.job_area = 0.0;
-    shard.busy_area = 0.0;
-    shard.stats = EpochStats{};
-    const auto advance_to = [&shard](double t) {
-        const double span = t - shard.cursor;
-        if (span > 0.0) {
-            shard.job_area += static_cast<double>(shard.total_jobs) * span;
-            shard.busy_area += static_cast<double>(shard.busy_queues) * span;
-            shard.cursor = t;
-        }
-    };
-    // Peek-based loop: the handlers relocate (or pop) the front event
-    // themselves, so the dominant paths pay one in-place reschedule instead
-    // of a pop followed by a fresh insert; the pop sequence — the (time, id)
-    // sorted order of the pending-event multiset — is unchanged.
-    while (!shard.fel.empty()) {
-        const FutureEventList::Event event = shard.fel.peek();
-        if (event.time > epoch_end) {
-            break;
-        }
-        advance_to(event.time);
-        if (event.id == shard.local_arrival_slot()) {
-            handle_arrival(shard, event.time);
-        } else {
-            handle_departure(shard, event.id, event.time);
-        }
-    }
-    advance_to(epoch_end);
     // Lower the high-water mark past any emptied top states so the barrier
     // reduction walks only the occupied prefix next epoch.
     while (shard.hot_hi > 1 && shard.state_counts[shard.hot_hi - 1] == 0) {
@@ -397,25 +305,13 @@ void ShardedDesSystem::run_shard_epoch(std::size_t s, double epoch_start, double
     // One lane write per epoch (not per event): the shard owns slot s until
     // the barrier's merge_slots, so this stays wait-free and allocation-free.
     if (shard_registry_ != nullptr) {
-        shard_registry_->add(shard_events_id_,
-                             static_cast<double>(shard.stats.accepted_packets +
-                                                 shard.stats.dropped_packets +
-                                                 shard.stats.served_packets),
-                             s);
-        // FEL operation deltas ride the same shard-owned lane.
-        const FutureEventList::Stats fs = shard.fel.stats();
-        shard_registry_->add(fel_schedules_id_,
-                             static_cast<double>(fs.schedules - shard.fel_last.schedules),
-                             s);
-        shard_registry_->add(fel_pops_id_,
-                             static_cast<double>(fs.pops - shard.fel_last.pops), s);
         shard_registry_->add(
-            fel_scans_id_,
-            static_cast<double>(fs.bucket_scans - shard.fel_last.bucket_scans), s);
-        shard.fel_last = fs;
+            shard_events_id_,
+            static_cast<double>(shard.tally.accepted + shard.tally.dropped + shard.tally.served),
+            s);
     }
     // Eager reduction: fold this shard's integer payloads into the tree now,
-    // concurrently with still-draining shards. Must be the shard task's final
+    // concurrently with still-running shards. Must be the shard task's final
     // action — everything combine_node reads is written above, and the
     // acq_rel pending counters order child writes before the combining
     // thread's reads.
@@ -439,17 +335,17 @@ void ShardedDesSystem::combine_node(std::size_t level, std::size_t i) {
             const Shard& sb = shards_[b];
             combine_counts(node.counts, node.hi, sa.state_counts, sa.hot_hi,
                            sb.state_counts, sb.hot_hi);
-            node.dropped = sa.stats.dropped_packets + sb.stats.dropped_packets;
-            node.accepted = sa.stats.accepted_packets + sb.stats.accepted_packets;
-            node.served = sa.stats.served_packets + sb.stats.served_packets;
-            node.completed = sa.stats.completed_jobs + sb.stats.completed_jobs;
+            node.dropped = sa.tally.dropped + sb.tally.dropped;
+            node.accepted = sa.tally.accepted + sb.tally.accepted;
+            node.served = sa.tally.served + sb.tally.served;
+            node.completed = sa.tally.completed + sb.tally.completed;
         } else { // odd level width: pass the orphan child through.
             std::copy_n(sa.state_counts.data(), sa.hot_hi, node.counts.data());
             node.hi = sa.hot_hi;
-            node.dropped = sa.stats.dropped_packets;
-            node.accepted = sa.stats.accepted_packets;
-            node.served = sa.stats.served_packets;
-            node.completed = sa.stats.completed_jobs;
+            node.dropped = sa.tally.dropped;
+            node.accepted = sa.tally.accepted;
+            node.served = sa.tally.served;
+            node.completed = sa.tally.completed;
         }
     } else {
         const ReduceNode* in = tree_.data() + tree_off_[level - 1];
@@ -510,7 +406,7 @@ void ShardedDesSystem::eager_fold_from_shard(std::size_t s) {
 }
 
 EpochStats ShardedDesSystem::reduce_tail() {
-    EpochStats stats;
+    QueueTally total;
     // Root readout: the single shard directly, or the tree root the shard
     // tasks folded eagerly.
     std::size_t root_hi;
@@ -518,18 +414,18 @@ EpochStats ShardedDesSystem::reduce_tail() {
         const Shard& shard = shards_[0];
         root_hi = shard.hot_hi;
         std::copy_n(shard.state_counts.data(), root_hi, state_counts_.data());
-        stats.dropped_packets = shard.stats.dropped_packets;
-        stats.accepted_packets = shard.stats.accepted_packets;
-        stats.served_packets = shard.stats.served_packets;
-        stats.completed_jobs = shard.stats.completed_jobs;
+        total.dropped = shard.tally.dropped;
+        total.accepted = shard.tally.accepted;
+        total.served = shard.tally.served;
+        total.completed = shard.tally.completed;
     } else {
         const ReduceNode& root = tree_[tree_off_.back()];
         root_hi = root.hi;
         std::copy_n(root.counts.data(), root_hi, state_counts_.data());
-        stats.dropped_packets = root.dropped;
-        stats.accepted_packets = root.accepted;
-        stats.served_packets = root.served;
-        stats.completed_jobs = root.completed;
+        total.dropped = root.dropped;
+        total.accepted = root.accepted;
+        total.served = root.served;
+        total.completed = root.completed;
     }
     // Zero exactly the stale tail left by the previous (possibly taller)
     // histogram; entries at state_hi_ and above are already zero.
@@ -540,24 +436,13 @@ EpochStats ShardedDesSystem::reduce_tail() {
     state_hi_ = root_hi;
 
     // The floating-point accumulators keep their fixed serial shard order —
-    // part of the determinism contract, and what keeps the golden sharded
-    // trajectories bit-exact across this reduction's parallelization.
-    double job_area = 0.0;
-    double busy_area = 0.0;
+    // part of the determinism contract.
     for (const Shard& shard : shards_) {
-        stats.mean_sojourn += shard.stats.mean_sojourn;
-        job_area += shard.job_area;
-        busy_area += shard.busy_area;
+        total.sojourn_sum += shard.tally.sojourn_sum;
+        total.area += shard.tally.area;
+        total.busy += shard.tally.busy;
     }
-    const auto m = static_cast<double>(queues_.size());
-    const double m_dt = m * config_.dt;
-    stats.drops_per_queue = static_cast<double>(stats.dropped_packets) / m;
-    stats.mean_queue_length = job_area / m_dt;
-    stats.server_utilization = busy_area / m_dt;
-    if (stats.completed_jobs > 0) {
-        stats.mean_sojourn /= static_cast<double>(stats.completed_jobs);
-    }
-    return stats;
+    return total.epoch_stats(queues_.size(), config_.dt);
 }
 
 EpochStats ShardedDesSystem::step_with_rule(const DecisionRule& h, Rng& rng) {
@@ -596,23 +481,23 @@ EpochStats ShardedDesSystem::step(const UpperLevelPolicy& policy, Rng& rng) {
     // policy's cached scratch (e.g. the neural policy's GEMM workspace), and
     // the realized rule are all reused across epochs — the policy query is
     // allocation-free at steady state. Identical draws and rule as the
-    // decide() path (decide_into's contract). When the query consumes no
-    // caller-RNG draws, only the observation build stays here; the query
-    // itself rides the overlapped compute task.
+    // decide() path (decide_into's contract). A query that consumes no
+    // caller-RNG draws is deterministic compute and runs in that phase of
+    // the barrier; only the observation build stays here.
     const auto t0 = std::chrono::steady_clock::now();
     UpperLevelPolicy::Scratch* scratch = nullptr;
-    const bool offload_query = !policy.decide_consumes_rng();
+    const bool rng_free = !policy.decide_consumes_rng();
     {
         trace::ScopedSpan span(tracer_, "policy_query");
         scratch = scratch_for(policy);
         observed_distribution_into(rng, obs_);
-        if (!offload_query) {
+        if (!rng_free) {
             policy.decide_into(obs_, lambda_state(), rng, scratch, rule_);
         }
     }
     profile_.serial_prologue_seconds += seconds_since(t0);
-    return offload_query ? run_epoch(&policy, scratch, nullptr, rng)
-                         : run_epoch(nullptr, nullptr, &rule_, rng);
+    return rng_free ? run_epoch(&policy, scratch, nullptr, rng)
+                    : run_epoch(nullptr, nullptr, &rule_, rng);
 }
 
 UpperLevelPolicy::Scratch* ShardedDesSystem::scratch_for(const UpperLevelPolicy& policy) {
@@ -634,141 +519,90 @@ EpochStats ShardedDesSystem::run_epoch(const UpperLevelPolicy* policy,
                                        UpperLevelPolicy::Scratch* scratch,
                                        const DecisionRule* h, Rng& rng) {
     const double epoch_start = epoch_start_time();
-    const double epoch_end = epoch_end_time();
     const std::size_t m = queues_.size();
     const std::size_t k = shards_.size();
     const double total_rate = static_cast<double>(m) * lambda_value();
     const double inv_m = 1.0 / static_cast<double>(m);
-    // The epoch's decision rule (null on the router path): the offloaded
-    // query writes rule_ inside the compute body, before anything reads it.
+    // The epoch's decision rule (null on the router path): the RNG-free
+    // query writes rule_ first thing in the compute phase.
     const DecisionRule* rule = policy != nullptr ? &rule_ : h;
+    const bool aggregated =
+        !router_.active() && config_.client_model == ClientModel::Aggregated;
 
-    // ---- Overlapped compute body: every deterministic input of the epoch —
-    // the rule (offloaded policy query), the routing table + fold, the
-    // prescaled law table or the classical weight law. Runs as a pool task
-    // while the main thread sweeps the per-shard FEL retunes. Handing the
-    // caller's rng into the task is an exclusive sequential handoff: the
-    // main thread does not touch it between launch() and wait(), and the
-    // submit/wait pair orders the accesses, so the draw sequence is exactly
-    // the serial one (and the offload is gated on !decide_consumes_rng(), so
-    // shipped policies draw nothing there anyway).
+    // ---- Deterministic compute: every RNG-free input of the epoch — the
+    // rule (RNG-free policy query), the routing table, the InfiniteClients
+    // rate table or the classical weight law — then the per-shard routing
+    // masses, one pool task per shard (each writes only its own mass slot
+    // and dest_p_ slice).
     const auto t0 = std::chrono::steady_clock::now();
-    const bool router_law =
-        router_.active() && router_.kind() != RouterKind::RoundRobin;
-    const bool dest_law =
-        !router_.active() && config_.client_model != ClientModel::PerClient;
-    const bool infinite = dest_law && config_.client_model == ClientModel::InfiniteClients;
-    auto body = [&] {
+    {
         trace::ScopedSpan span(tracer_, "barrier_overlap");
         if (policy != nullptr) {
             policy->decide_into(obs_, lambda_state(), rng, scratch, rule_);
         }
-        if (router_law) {
+        if (router_.active()) {
             router_.epoch_weights(queues_, time(), dest_p_);
-        } else if (dest_law) {
+        } else if (config_.client_model != ClientModel::PerClient) {
             for (std::size_t z = 0; z < hist_.size(); ++z) {
                 hist_[z] = inv_m * static_cast<double>(state_counts_[z]);
             }
-            compute_routing_table_into(hist_, *rule, tuple_, suffix_, g_);
-            const std::span<const double> sums =
+            if (aggregated) {
+                compute_routing_table_into(hist_, *rule, tuple_, suffix_, g_);
                 fold_routing_table_rows(g_, hist_.size(), config_.d);
-            if (infinite) {
-                // |Z|-sized prescale so the stage-A and shard-task gathers
-                // are pure load+add loops over values identical to the
-                // inv_m-scaled per-queue law.
-                prescale_destination_sums(sums, inv_m, scaled_sums_);
+            } else {
+                compute_arrival_flow_into(hist_, *rule, lambda_value(), tuple_, flow_);
             }
         }
-    };
-    CompletionToken token;
-    if (policy != nullptr || router_law || dest_law) {
-        token.launch(body, threads_);
-    }
-    // Overlapped with the body: the epoch-boundary FEL retunes — the one
-    // place a shard's calendar FEL may resize or re-tune its day array
-    // (shard-owned, no routing inputs, no RNG; the event loops stay
-    // allocation-free).
-    parallel_for(
-        k, [&](std::size_t s) { shards_[s].fel.retune(); }, threads_);
-    token.wait();
-
-    // ---- Stage A: per-shard routing masses, fanned out over the pool; each
-    // task writes only its own mass slot (and dest_p_ slice). InfiniteClients
-    // uses the fused gather (the per-queue law is never materialized);
-    // Aggregated writes dest_p_ because its shard multinomials need the
-    // per-queue weights; a router's weight law is already in dest_p_.
-    if (router_law || dest_law) {
-        const std::span<const double> sums(g_.data(), hist_.size());
-        parallel_for(
-            k,
-            [&](std::size_t s) {
-                const std::size_t begin = shard_begin_[s];
-                const std::size_t n = shard_begin_[s + 1] - begin;
-                const std::span<const int> states(queues_.data() + begin, n);
-                if (infinite) {
-                    shard_mass_[s] = gather_sum(states, scaled_sums_);
-                    return;
-                }
-                const std::span<double> law(dest_p_.data() + begin, n);
-                if (dest_law) {
-                    gather_scale(states, sums, inv_m, law);
-                }
-                shard_mass_[s] = vec_sum(std::span<const double>(law));
-            },
-            threads_);
+        if (router_.active() || aggregated) {
+            const std::span<const double> sums(g_.data(), hist_.size());
+            parallel_for(
+                k,
+                [&](std::size_t s) {
+                    const std::size_t begin = shard_begin_[s];
+                    const std::size_t n = shard_begin_[s + 1] - begin;
+                    const std::span<double> law(dest_p_.data() + begin, n);
+                    if (aggregated) {
+                        gather_scale(std::span<const int>(queues_.data() + begin, n), sums,
+                                     inv_m, law);
+                    }
+                    shard_mass_[s] = vec_sum(std::span<const double>(law));
+                },
+                threads_);
+        }
     }
     const auto t1 = std::chrono::steady_clock::now();
-    profile_.overlapped_compute_seconds +=
-        std::chrono::duration<double>(t1 - t0).count();
+    profile_.overlapped_compute_seconds += std::chrono::duration<double>(t1 - t0).count();
 
     // ---- Serial prologue: the caller-RNG draws and O(K) bookkeeping that
     // genuinely cannot overlap shard work.
     {
         trace::ScopedSpan span(tracer_, "barrier_prologue");
-        if (router_.kind() == RouterKind::RoundRobin) {
-            // Shard-local cyclic cursors over shard-size-proportional thinned
-            // streams: each shard's cycle is near-deterministic at rate ∝ its
-            // queue count, the epoch-scale equal-split behavior of round-robin.
-            for (Shard& shard : shards_) {
-                shard.arrival_rate =
-                    total_rate * static_cast<double>(shard.end - shard.begin) * inv_m;
-            }
-        } else {
-            const bool policy_path = !router_.active();
-            if (policy_path && config_.client_model == ClientModel::PerClient) {
+        double total = 0.0;
+        for (const double mass : shard_mass_) { // fixed K-term order.
+            total += mass;
+        }
+        if (router_.active()) {
+            rate_scale_ = total > 0.0 ? total_rate / total : 0.0;
+        } else if (config_.client_model != ClientModel::InfiniteClients) {
+            rate_scale_ = total_rate / static_cast<double>(config_.num_clients);
+            if (!aggregated) {
                 // Literal Algorithm 1 on the snapshot — caller-RNG draws, so
                 // never offloaded.
                 sample_per_client_counts(queues_, *rule, config_.num_clients, rng, sampled_,
                                          states_, counts_);
-                partition_shard_mass(std::span<const std::uint64_t>(counts_), shard_begin_,
-                                     shard_mass_);
-            }
-            double total = 0.0;
-            for (const double mass : shard_mass_) { // fixed K-term order.
-                total += mass;
-            }
-            if (policy_path && config_.client_model == ClientModel::Aggregated) {
+            } else {
                 // Hierarchical multinomial: the barrier draws the shard totals
                 // N_s ~ Multinomial(N, P_s); each shard task then draws its own
                 // queues' counts Multinomial(N_s, p_j / P_s) from its own
                 // stream. Jointly exactly Multinomial(N, p) — FiniteSystem's
                 // aggregation.
                 if (total > 0.0) {
-                    rng.multinomial(config_.num_clients, shard_mass_, total,
-                                    shard_clients_);
+                    rng.multinomial(config_.num_clients, shard_mass_, total, shard_clients_);
                 } else {
                     std::fill(shard_clients_.begin(), shard_clients_.end(), 0);
                 }
-                const double inv_n = 1.0 / static_cast<double>(config_.num_clients);
                 for (std::size_t s = 0; s < k; ++s) {
                     shards_[s].clients = shard_clients_[s];
-                    shards_[s].arrival_rate =
-                        total_rate * static_cast<double>(shard_clients_[s]) * inv_n;
-                }
-            } else {
-                for (std::size_t s = 0; s < k; ++s) {
-                    shards_[s].arrival_rate =
-                        total > 0.0 ? total_rate * shard_mass_[s] / total : 0.0;
                 }
             }
         }
@@ -782,7 +616,7 @@ EpochStats ShardedDesSystem::run_epoch(const UpperLevelPolicy* policy,
     // ---- Parallel phase with eager reduction folds. Thread count never
     // changes which shard consumes which draws, only which core runs them.
     parallel_for(
-        k, [&](std::size_t s) { run_shard_epoch(s, epoch_start, epoch_end); }, threads_);
+        k, [&](std::size_t s) { run_shard_epoch(s, epoch_start); }, threads_);
     const auto t3 = std::chrono::steady_clock::now();
     profile_.parallel_seconds += std::chrono::duration<double>(t3 - t2).count();
 

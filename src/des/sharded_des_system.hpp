@@ -1,54 +1,57 @@
 /// \file sharded_des_system.hpp
-/// Epoch-barrier-parallel event-driven simulator of the Section 2.1 finite
-/// system: the M queues are partitioned into K contiguous shards that run
-/// independent event loops in parallel *between* decision epochs and
-/// synchronize only at the epoch barrier.
+/// Epoch-barrier-parallel simulator of the Section 2.1 finite system: the M
+/// queues are partitioned into K contiguous shards that advance in parallel
+/// *between* decision epochs and synchronize only at the epoch barrier.
 ///
 /// Why this is exact and not an approximation: the paper's whole premise is
 /// that routing decisions are made on Δt-stale information — within a
 /// decision epoch every arrival routes on the snapshot frozen at the epoch
 /// start, so given the epoch's routing law the M queues evolve as
-/// *independent* birth-death processes. Domain decomposition therefore
-/// needs no optimistic rollback and no cross-shard event traffic: the only
-/// shared state is written at the barrier.
+/// *independent* birth-death processes (eq. (5)). Domain decomposition
+/// therefore needs no optimistic rollback and no cross-shard event traffic,
+/// and ordering the queues' events in one future event list buys nothing:
+/// each shard task runs the exact per-queue epoch kernel of `FiniteSystem`
+/// (`QueueKernel`) over its queue slice, in queue order, drawing only from
+/// its own `Rng::fork(shard)` stream.
 ///
-/// Arrival-stream sharding (Poisson thinning): the aggregated arrival
-/// process of rate M·λ_t with i.i.d. per-job destination law w (client
-/// counts for PerClient/Aggregated, the exact per-job destination
-/// probabilities of `compute_destination_law_into` for InfiniteClients)
-/// splits exactly into K independent Poisson streams — shard s receives
-/// rate M·λ_t · W_s / W with W_s its routing mass (`partition_shard_mass`),
-/// and each of its arrivals picks a destination inside the shard with the
-/// conditional law w_j / W_s (binary search on shard-local prefix sums).
-/// For `Aggregated`, the Multinomial(N, p) client counts are drawn
-/// hierarchically: shard totals N_s ~ Multinomial(N, P_s) at the barrier,
-/// then each shard draws Multinomial(N_s, p_j / P_s) over its own queues
-/// from its own stream — the joint law of the per-queue counts is exactly
-/// Multinomial(N, p).
+/// Per-queue arrival rates are built inside the shard task from |Z|- or
+/// K-sized barrier inputs, never from an M-sized rate vector:
+///  - `Aggregated`: hierarchical Multinomial — shard totals
+///    N_s ~ Multinomial(N, P_s) at the barrier, then Multinomial(N_s, p_j/P_s)
+///    over the shard's queues from its own stream (jointly exactly
+///    Multinomial(N, p)); r_j = M·λ_t·c_j/N as in `FiniteSystem`;
+///  - `PerClient`: the barrier's Algorithm-1 counts, same formula;
+///  - `InfiniteClients`: the per-state rate table of
+///    `compute_arrival_flow_into`, r_j = λ_t(H^M, z_j);
+///  - classical weight-law routers: r_j = M·λ_t·w_j/W, with W the fixed-order
+///    sum of the K shard masses. Round-robin is its equal-split mean
+///    behavior (r_j = λ_t), as in `FiniteSystem`.
+///
+/// Idle thinning (InfiniteClients): every queue in state 0 has the same rate
+/// r_0, so each independently sees an arrival this epoch with probability
+/// q = 1 − e^{−r_0·Δt}. The shard skips a Geometric(q) number of idle queues
+/// at a time (⌊E⌋ with E ~ Exp(r_0·Δt)), draws a hit's first arrival from the
+/// exponential truncated to [0, Δt), and runs the kernel from fill 1 over
+/// the rest of the epoch — exact by memorylessness. An idle queue costs a
+/// load and a compare, so idle fleets keep their O(events) cost.
 ///
 /// Epoch structure (on `SystemBase`'s clock; see the "Epoch barrier"
 /// section of docs/ARCHITECTURE.md) — one barrier, in which only the
 /// caller-RNG draws and O(K) bookkeeping are serial:
-///  1. *Overlapped compute* — the deterministic barrier work (an RNG-free
-///     policy query, the routing table + fold, or the classical weight law)
-///     runs as a pool task while the main thread sweeps the per-shard FEL
-///     retunes; the per-shard routing masses then fan out over the pool
-///     with fused gather kernels against a prescaled per-state table (the
-///     InfiniteClients per-queue law is never materialized);
+///  1. *Deterministic compute* — the RNG-free policy query, the routing
+///     table (or the InfiniteClients rate table, or the classical weight
+///     law), then the per-shard routing masses fanned out over the pool;
 ///  2. *Serial prologue* — Algorithm 1 client sampling (PerClient) or the
-///     shard client totals (Aggregated) from the caller's RNG, then the
-///     per-shard thinned rates;
-///  3. *Parallel phase* — each shard (re)schedules its thinned arrival slot
-///     and drains its own future event list to the epoch end, drawing only
-///     from its own `Rng::fork(shard)` stream and touching only its own
-///     queue slice — lock-free, no cross-shard reads. Each shard task ends by
-///     folding its integer payloads (state counts up to its occupied
-///     high-water mark, packet counters) into a fixed-shape pairwise tree:
-///     atomic pending counters pick the last-arriving child to combine each
-///     node, which is order-immaterial because only integers travel through
-///     the tree (eager reduction);
+///     shard client totals (Aggregated) from the caller's RNG;
+///  3. *Parallel phase* — each shard advances its queue slice to the epoch
+///     end, touching only its own queues — lock-free, no cross-shard reads.
+///     Each shard task ends by folding its integer payloads (state counts up
+///     to its occupied high-water mark, packet counters) into a fixed-shape
+///     pairwise tree: atomic pending counters pick the last-arriving child
+///     to combine each node, which is order-immaterial because only integers
+///     travel through the tree (eager reduction);
 ///  4. *Reduction tail (serial)* — root readout, a fixed-order serial pass
-///     over the K shards for the few floating-point accumulators (areas,
+///     over the K shards for the floating-point accumulators (areas,
 ///     sojourn sums), λ advances.
 ///
 /// Determinism contract: results are a function of (seed, K) only — never
@@ -58,12 +61,11 @@
 /// its payloads are integers, so the combine order within a level is
 /// immaterial), and the floating-point sums keep their fixed serial shard
 /// order. tests/test_sharded_des.cpp pins bit-identical episodes across
-/// 1/2/8 threads for all three client models, and CI overlap against
-/// `DesSystem` (which is itself pinned to `FiniteSystem`).
+/// 1/2/8 threads for all three client models, and holds the backend to
+/// `FiniteSystem` on a shared conditioned λ path.
 #pragma once
 
 #include "des/des_system.hpp"
-#include "des/fel.hpp"
 #include "queueing/finite_system.hpp"
 #include "queueing/sojourn.hpp"
 #include "queueing/system_base.hpp"
@@ -79,9 +81,10 @@
 
 namespace mflb {
 
-/// Sharded event-driven backend; accepts the same `FiniteSystemConfig` as
+/// Sharded epoch-parallel backend; accepts the same `FiniteSystemConfig` as
 /// `FiniteSystem`/`DesSystem` plus its `shards` (K, 0 = min(8, M)) and
-/// `threads` (parallel workers, 0 = all cores; never affects results).
+/// `threads` (parallel workers, 0 = all cores; never affects results). Like
+/// `FiniteSystem`, it ignores `config.fel`.
 class ShardedDesSystem : public SystemBase {
 public:
     /// Default shard count when `config.shards == 0` (clamped to M). Fixed —
@@ -100,8 +103,8 @@ public:
 
     /// Draws initial queue states i.i.d. from ν_0 and samples λ_0 (caller
     /// RNG, same order as the other backends), then forks one independent
-    /// stream per shard and seeds each shard's FEL with the departures of
-    /// its initially busy queues.
+    /// stream per shard (which draws its busy queues' first completions
+    /// under general service).
     void reset(Rng& rng);
     /// Like reset but with a fixed λ-state sequence (Theorem 1 conditioning).
     void reset_conditioned(std::vector<std::size_t> lambda_states, Rng& rng);
@@ -116,11 +119,10 @@ public:
     /// comment). Throws std::logic_error when a classical router is
     /// configured — use step_router.
     EpochStats step_with_rule(const DecisionRule& h, Rng& rng);
-    /// One decision epoch under the configured classical router: the weight
-    /// law is partitioned into shard masses at the barrier exactly like the
-    /// policy path's destination law (round-robin: shard-local cyclic
-    /// cursors over shard-size-proportional thinned streams); requires
-    /// `config().router.kind != RouterKind::Policy`.
+    /// One decision epoch under the configured classical router: frozen
+    /// per-queue rates M·λ_t·w_j/W from the router's weight law, W summed
+    /// over the shard masses in fixed order (round-robin: the equal split);
+    /// requires `config().router.kind != RouterKind::Policy`.
     EpochStats step_router(Rng& rng);
     /// Queries the policy on (observed H_t^M, λ_t) first. With a classical
     /// router configured the policy is ignored (forwards to step_router).
@@ -142,20 +144,19 @@ public:
 
     /// Cumulative wall-clock split of the epoch since the last reset — the
     /// Amdahl accounting that `bench_des_scale` reports. Four components:
-    /// the irreducibly serial prologue (caller-RNG draws + O(K) rate/tree
+    /// the irreducibly serial prologue (caller-RNG draws + O(K) tree
     /// bookkeeping, plus the policy query when it draws from the caller's
-    /// RNG), the overlappable deterministic compute (the pool task with the
-    /// offloaded query and routing table/fold, overlapped FEL retunes, and
-    /// the per-shard mass fan-out), the reduction tail (root readout +
-    /// fixed-order floating-point pass + λ advance), and the parallel shard
-    /// event loops. The serial fraction is serial_seconds() /
+    /// RNG), the deterministic barrier compute (RNG-free policy query,
+    /// routing table, per-shard mass fan-out), the reduction tail (root
+    /// readout + fixed-order floating-point pass + λ advance), and the
+    /// parallel shard tasks. The serial fraction is serial_seconds() /
     /// total_seconds(): prologue and reduction are the phases that cannot
     /// overlap shard work.
     struct BarrierProfile {
         double serial_prologue_seconds = 0.0;    ///< RNG draws + O(K) bookkeeping.
         double overlapped_compute_seconds = 0.0; ///< deterministic barrier compute.
         double reduction_seconds = 0.0;          ///< reduction tail + λ advance.
-        double parallel_seconds = 0.0;           ///< shard event loops (wall clock).
+        double parallel_seconds = 0.0;           ///< shard tasks (wall clock).
         std::uint64_t epochs = 0;                ///< epochs accumulated.
 
         double serial_seconds() const noexcept {
@@ -179,45 +180,36 @@ protected:
 private:
     /// All state one shard touches during the parallel phase. Shards never
     /// read or write each other's `Shard` (nor each other's slices of the
-    /// global queue/job arrays), which is what makes the phase lock-free.
+    /// global queue arrays), which is what makes the phase lock-free.
     struct Shard {
         std::size_t begin = 0;            ///< first owned queue index.
         std::size_t end = 0;              ///< past-the-end queue index.
-        FutureEventList fel;              ///< (end-begin) departures + 1 arrival slot.
         Rng rng{0};                       ///< fork(shard_id) stream, reset-owned.
         std::vector<int> state_counts;    ///< local histogram over Z.
         std::size_t hot_hi = 0;           ///< 1 + highest occupied state index:
                                           ///< state_counts[z] == 0 for z >= hot_hi,
                                           ///< so reductions stop at the high-water
                                           ///< mark instead of walking all of Z.
-        std::vector<double> cum;          ///< local destination prefix sums.
-        double total_weight = 0.0;        ///< prefix-sum total (= W_s).
-        double arrival_rate = 0.0;        ///< thinned Poisson rate M·λ_t·W_s/W.
         std::uint64_t clients = 0;        ///< N_s (Aggregated only).
-        std::int64_t total_jobs = 0;      ///< Σ z_j over owned queues.
-        std::size_t busy_queues = 0;      ///< #{j owned : z_j > 0}.
-        double cursor = 0.0;              ///< last area-integration time.
-        double job_area = 0.0;            ///< ∫ Σ z_j dτ within the epoch.
-        double busy_area = 0.0;           ///< ∫ #busy dτ within the epoch.
-        EpochStats stats;                 ///< this epoch's local counters.
-        std::size_t rr_next = 0;          ///< shard-local round-robin cursor.
+        QueueTally tally;                 ///< this epoch's counters and sums.
         SojournRecorder sojourn;          ///< local sojourn histogram
                                           ///< (track_sojourn only; merged
                                           ///< across shards on demand).
-        FutureEventList::Stats fel_last{}; ///< counters at last telemetry publish.
 
-        Shard(FelKind kind, std::size_t num_local_queues, double rate_hint,
-              std::size_t num_states)
-            : fel(kind, num_local_queues + 1, rate_hint), state_counts(num_states, 0),
-              cum(num_local_queues, 0.0) {}
-
-        std::size_t local_arrival_slot() const noexcept { return end - begin; }
+        explicit Shard(std::size_t num_states) : state_counts(num_states, 0) {}
     };
 
-    /// Parallel phase: shard s's epoch on [epoch_start, epoch_end) — prefix
-    /// sums of its routing weights, thinned arrival (re)schedule, event
-    /// loop, then the eager fold into the reduction tree.
-    void run_shard_epoch(std::size_t s, double epoch_start, double epoch_end);
+    /// Parallel phase: shard s's epoch from `epoch_start` — its Aggregated
+    /// client counts, the per-queue kernels over its slice, then the eager
+    /// fold into the reduction tree.
+    void run_shard_epoch(std::size_t s, double epoch_start);
+    /// Runs the kernel on every queue of the shard at rate `rate_of(j, z)`.
+    template <class RateOf>
+    void advance_slice(Shard& shard, double epoch_start, RateOf rate_of);
+    /// InfiniteClients slice with the idle thinning (see file comment).
+    void advance_slice_thinned(Shard& shard, double epoch_start);
+    /// Records queue j's move from fill z to `next` in the shard histogram.
+    void settle(Shard& shard, std::size_t j, int z, int next) noexcept;
     /// Combines tree node (level, i) from its children (shards at level 0).
     /// Writes only the node's own slot; integer payloads, so which child
     /// arrives last is immaterial.
@@ -235,25 +227,15 @@ private:
     void reset_tree_pending();
     /// One decision epoch, the tail of every entry point. Exactly one of
     /// {policy, h} is non-null for the policy/rule paths; both null means
-    /// the classical-router path. `policy` non-null offloads the (RNG-free)
-    /// epoch query to the compute task; rng-consuming policies are queried
-    /// by the caller first and come in through `h`.
+    /// the classical-router path. `policy` non-null runs the (RNG-free)
+    /// epoch query in the deterministic compute phase; rng-consuming
+    /// policies are queried by the caller first and come in through `h`.
     EpochStats run_epoch(const UpperLevelPolicy* policy, UpperLevelPolicy::Scratch* scratch,
                          const DecisionRule* h, Rng& rng);
     /// Cached per-policy scratch, keyed by policy identity so alternating
     /// policies (eval-during-train A/B/A) reuse both workspaces instead of
     /// rebuilding on every switch. Entries live until reset().
     UpperLevelPolicy::Scratch* scratch_for(const UpperLevelPolicy& policy);
-
-    void handle_arrival(Shard& shard, double t);
-    void handle_departure(Shard& shard, std::size_t local_id, double t);
-
-    /// One service time at queue j from the shard's own stream (see
-    /// DesSystem::service_time; identical exponential-homogeneous draws).
-    double service_time(std::size_t j, Rng& rng) const noexcept {
-        const double s = service_.sample(rng);
-        return config_.server_speeds.empty() ? s : s / config_.server_speeds[j];
-    }
 
     double merged_quantile(int which) const;
     /// `observed_distribution` into a reusable buffer (identical draws).
@@ -276,7 +258,7 @@ private:
     FiniteSystemConfig config_;
     TupleSpace space_;
     EpochRouter router_;
-    ServiceDistribution service_;
+    QueueKernel kernel_; ///< per-queue kernels; queue j touched by its shard only.
     std::size_t threads_ = 0;
 
     std::vector<Shard> shards_;
@@ -307,18 +289,15 @@ private:
     std::vector<double> suffix_;           ///< suffix products (d + 1).
     std::vector<double> dest_p_;           ///< per-queue destination law or
                                            ///< router weights (M; Aggregated or
-                                           ///< weight-law routers only).
-    std::vector<double> scaled_sums_;      ///< (1/M)·folded routing sums (|Z|) —
-                                           ///< the InfiniteClients gather table.
+                                           ///< routers only).
+    ArrivalFlow flow_;                     ///< InfiniteClients rates by state (|Z|).
     std::vector<std::uint64_t> counts_;    ///< per-queue client counts (M).
+    double rate_scale_ = 0.0;              ///< M·λ_t/N (client counts) or
+                                           ///< M·λ_t/W (router weights).
     std::vector<int> sampled_;             ///< PerClient sampled queues (d).
     std::vector<int> states_;              ///< their snapshot states (d).
     std::vector<double> shard_mass_;       ///< per-shard routing mass (K).
     std::vector<std::uint64_t> shard_clients_; ///< per-shard N_s (K).
-
-    // Per-job sojourn tracking (track_sojourn only); jobs_[j] is touched
-    // only by the shard owning queue j.
-    JobRings jobs_;
 
     // Epoch-keyed cache of the cross-shard sojourn percentiles: one merge
     // pass fills all three; invalidated by advancing an epoch or resetting.
@@ -340,9 +319,6 @@ private:
     MetricsRegistry::Id barrier_overlap_id_ = 0;
     MetricsRegistry::Id barrier_reduce_id_ = 0;
     MetricsRegistry::Id barrier_parallel_id_ = 0;
-    MetricsRegistry::Id fel_schedules_id_ = 0;
-    MetricsRegistry::Id fel_pops_id_ = 0;
-    MetricsRegistry::Id fel_scans_id_ = 0;
 
     // Policy-query hot path: reusable observation / rule buffers plus a
     // per-policy scratch cache keyed by policy identity (a linear scan over

@@ -111,21 +111,6 @@ std::span<const double> fold_routing_table_rows(std::span<double> g, std::size_t
     return g.first(num_z);
 }
 
-void prescale_destination_sums(std::span<const double> sums, double inv_m,
-                               std::span<double> scaled) {
-    if (scaled.size() != sums.size()) {
-        throw std::invalid_argument("prescale_destination_sums: output size mismatch");
-    }
-    // One multiply per *state* instead of per queue: scaled[z] is the exact
-    // double gather_scale would have produced for every queue in state z, so
-    // downstream fused gathers against `scaled` are pure load + add loops
-    // (no FMA-contractible multiply), bit-equal per element to the
-    // materialized inv_m-scaled law.
-    for (std::size_t z = 0; z < sums.size(); ++z) {
-        scaled[z] = inv_m * sums[z];
-    }
-}
-
 void compute_destination_law_into(std::span<const int> queue_states,
                                   std::span<const double> hist, const DecisionRule& h,
                                   std::span<int> tuple, std::span<double> suffix,
@@ -184,25 +169,6 @@ void sample_per_client_counts(std::span<const int> queue_states, const DecisionR
         const std::size_t u = rng.categorical(h.row(row));
         ++counts[static_cast<std::size_t>(sampled[u])];
     }
-}
-
-double partition_shard_mass(std::span<const std::uint64_t> weights,
-                            std::span<const std::size_t> shard_begin,
-                            std::span<double> mass) {
-    if (shard_begin.size() != mass.size() + 1 || shard_begin.empty() ||
-        shard_begin.front() != 0 || shard_begin.back() != weights.size()) {
-        throw std::invalid_argument("partition_shard_mass: bad shard fence posts");
-    }
-    // Per-shard sums via the dispatched 4-lane kernel; the K-term total
-    // stays a fixed-order serial sum (part of the determinism contract).
-    double total = 0.0;
-    for (std::size_t s = 0; s < mass.size(); ++s) {
-        const double sum =
-            vec_sum(weights.subspan(shard_begin[s], shard_begin[s + 1] - shard_begin[s]));
-        mass[s] = sum;
-        total += sum;
-    }
-    return total;
 }
 
 ArrivalFlow compute_arrival_flow(std::span<const double> nu, const DecisionRule& h,

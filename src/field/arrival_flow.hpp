@@ -64,15 +64,6 @@ void compute_routing_table_into(std::span<const double> hist, const DecisionRule
 std::span<const double> fold_routing_table_rows(std::span<double> g, std::size_t num_z,
                                                 int d) noexcept;
 
-/// scaled[z] = inv_m * sums[z] — folds the 1/M factor of the destination law
-/// into a |Z|-sized lookup table, so the fused gather kernels (`gather_sum`,
-/// `gather_prefix_sum`) that read it are pure load + add loops. Each entry is
-/// the exact product `gather_scale` computes per queue, so gathers against
-/// the prescaled table are bit-equal to the materialized per-queue law.
-/// `scaled` must have sums.size() elements (aliasing sums is allowed).
-void prescale_destination_sums(std::span<const double> sums, double inv_m,
-                               std::span<double> scaled);
-
 /// Per-queue destination law under rule `h` given the frozen snapshot: fills
 /// `dest_p[j] = (1/M) Σ_k g(k, z_j)` — the exact probability that one
 /// client's (equivalently, by Poisson thinning, one arriving job's) routing
@@ -112,19 +103,6 @@ void compute_destination_law_reference_into(std::span<const int> queue_states,
 void sample_per_client_counts(std::span<const int> queue_states, const DecisionRule& h,
                               std::uint64_t num_clients, Rng& rng, std::span<int> sampled,
                               std::span<int> states, std::span<std::uint64_t> counts);
-
-/// Per-shard routing-mass partition of integer weights (finite-N client
-/// counts): `mass[s] = Σ_{j ∈ [begin[s], begin[s+1])} weights[j]` for the K
-/// shards delimited by the K+1 fence-post offsets `shard_begin`. By the
-/// Poisson thinning property, the aggregated arrival stream of rate M·λ_t
-/// splits *exactly* into independent per-shard streams of rate
-/// M·λ_t · mass[s] / Σ mass — this is the quantity the sharded DES backend
-/// hands each shard at the epoch barrier. Per-shard sums use the dispatched
-/// `vec_sum` (exact for integer weights); the K-term total stays a
-/// fixed-order serial sum. Returns Σ mass.
-double partition_shard_mass(std::span<const std::uint64_t> weights,
-                            std::span<const std::size_t> shard_begin,
-                            std::span<double> mass);
 
 /// Probability μ(z̄) = Π_k ν(z̄_k) of an agent observing tuple index `idx`.
 double tuple_probability(const TupleSpace& space, std::span<const double> nu, std::size_t idx);

@@ -2,7 +2,9 @@
 
 #include "math/simplex.hpp"
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace mflb {
 
@@ -12,9 +14,12 @@ ArrivalProcess::ArrivalProcess(std::vector<double> levels, Matrix transition,
     if (levels_.empty()) {
         throw std::invalid_argument("ArrivalProcess: need at least one level");
     }
-    for (double level : levels_) {
-        if (level <= 0.0) {
-            throw std::invalid_argument("ArrivalProcess: levels must be positive");
+    for (const double level : levels_) {
+        // NaN and +inf would pass a plain `<= 0` test and never let a
+        // per-queue kernel reach its epoch end.
+        if (!std::isfinite(level) || level <= 0.0) {
+            throw std::invalid_argument("ArrivalProcess: levels must be finite and > 0, got " +
+                                        std::to_string(level));
         }
     }
     if (transition_.rows() != levels_.size() || transition_.cols() != levels_.size()) {

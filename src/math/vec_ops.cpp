@@ -14,32 +14,6 @@ namespace {
 /// dynamically.
 constexpr std::size_t kMinScanBlock = 16;
 
-/// Element sources for the shared sum/scan kernel bodies. The kernels are
-/// templated over the source so the fused gather variants (`gather_sum`,
-/// `gather_prefix_sum`) instantiate the *same* loop bodies as the contiguous
-/// variants: identical accumulator split, identical add order, hence
-/// bit-identical results to the gather_scale → vec_sum/inclusive_prefix_sum
-/// composition they replace.
-template <class In>
-struct PtrSrc {
-    const In* p;
-    double operator[](std::size_t i) const noexcept { return static_cast<double>(p[i]); }
-    PtrSrc operator+(std::size_t off) const noexcept { return PtrSrc{p + off}; }
-};
-
-/// Reads table[idx[i]] — the destination-law gather as a source. The loop
-/// body is a pure load + add (any scalar factor must be pre-folded into the
-/// table), so there is no FMA-contractible multiply-add pattern and the
-/// clones stay bit-identical.
-struct GatherSrc {
-    const int* idx;
-    const double* tab;
-    double operator[](std::size_t i) const noexcept {
-        return tab[static_cast<std::size_t>(idx[i])];
-    }
-    GatherSrc operator+(std::size_t off) const noexcept { return GatherSrc{idx + off, tab}; }
-};
-
 template <class Src>
 double sum4_impl(Src xs, std::size_t n) noexcept {
     // Fixed 4-lane split: lane j sums xs[4i+j]; lanes combine as
@@ -86,9 +60,7 @@ void scan4_impl(Src in, double* out, std::size_t n) noexcept {
     // pass 1 sums blocks 0-2 (three independent chains), pass 2 scans all
     // four blocks as independent chains seeded with the block offsets, then
     // finishes the n mod 4 tail serially. Reassociation happens only at the
-    // three block boundaries — exact for integer-valued inputs, 1e-12
-    // otherwise. Safe in place: pass 1 only reads, pass 2 writes out[i]
-    // after reading in[i].
+    // three block boundaries — exact for integer-valued inputs.
     const std::size_t len = n / 4;
     if (len < kMinScanBlock) {
         double running = 0.0;
@@ -136,28 +108,11 @@ void scan4_impl(Src in, double* out, std::size_t n) noexcept {
 
 MFLB_SIMD_CLONES
 double vec_sum(std::span<const double> xs) noexcept {
-    return sum4_impl(PtrSrc<double>{xs.data()}, xs.size());
-}
-
-MFLB_SIMD_CLONES
-double vec_sum(std::span<const std::uint64_t> xs) noexcept {
-    return sum4_impl(PtrSrc<std::uint64_t>{xs.data()}, xs.size());
+    return sum4_impl(xs.data(), xs.size());
 }
 
 double vec_sum_reference(std::span<const double> xs) noexcept {
     return sum_reference_impl(xs.data(), xs.size());
-}
-
-double vec_sum_reference(std::span<const std::uint64_t> xs) noexcept {
-    return sum_reference_impl(xs.data(), xs.size());
-}
-
-MFLB_SIMD_CLONES
-void inclusive_prefix_sum(std::span<const double> in, std::span<double> out) {
-    if (out.size() != in.size()) {
-        throw std::invalid_argument("inclusive_prefix_sum: output size mismatch");
-    }
-    scan4_impl(PtrSrc<double>{in.data()}, out.data(), in.size());
 }
 
 MFLB_SIMD_CLONES
@@ -165,14 +120,7 @@ void inclusive_prefix_sum(std::span<const std::uint64_t> in, std::span<double> o
     if (out.size() != in.size()) {
         throw std::invalid_argument("inclusive_prefix_sum: output size mismatch");
     }
-    scan4_impl(PtrSrc<std::uint64_t>{in.data()}, out.data(), in.size());
-}
-
-void inclusive_prefix_sum_reference(std::span<const double> in, std::span<double> out) {
-    if (out.size() != in.size()) {
-        throw std::invalid_argument("inclusive_prefix_sum_reference: output size mismatch");
-    }
-    scan_reference_impl(in.data(), out.data(), in.size());
+    scan4_impl(in.data(), out.data(), in.size());
 }
 
 void inclusive_prefix_sum_reference(std::span<const std::uint64_t> in, std::span<double> out) {
@@ -180,20 +128,6 @@ void inclusive_prefix_sum_reference(std::span<const std::uint64_t> in, std::span
         throw std::invalid_argument("inclusive_prefix_sum_reference: output size mismatch");
     }
     scan_reference_impl(in.data(), out.data(), in.size());
-}
-
-MFLB_SIMD_CLONES
-double gather_sum(std::span<const int> idx, std::span<const double> table) noexcept {
-    return sum4_impl(GatherSrc{idx.data(), table.data()}, idx.size());
-}
-
-MFLB_SIMD_CLONES
-void gather_prefix_sum(std::span<const int> idx, std::span<const double> table,
-                       std::span<double> out) {
-    if (out.size() != idx.size()) {
-        throw std::invalid_argument("gather_prefix_sum: output size mismatch");
-    }
-    scan4_impl(GatherSrc{idx.data(), table.data()}, out.data(), idx.size());
 }
 
 MFLB_SIMD_CLONES

@@ -1,8 +1,9 @@
 /// \file vec_ops.hpp
 /// Vectorized epoch-barrier kernels: block sums, inclusive prefix sums, and
-/// the destination-law gather. These are the O(M) serial pieces of the
-/// sharded DES barrier (`partition_shard_mass`, the per-shard thinning
-/// prefix sums, `compute_destination_law_into`), compiled with the same
+/// the destination-law gather. These are the O(M) pieces of the epoch
+/// barriers — the sharded backend's shard masses (`vec_sum`), the DES
+/// thinning prefix sums (`inclusive_prefix_sum`) and
+/// `compute_destination_law_into` (`gather_scale`) — compiled with the same
 /// `target_clones` AVX2 dispatch as math/gemm.cpp (see math/simd_dispatch.hpp).
 ///
 /// Contract, mirroring the GEMM kernels:
@@ -16,8 +17,7 @@
 ///    machine- and thread-count-independent.
 ///  - For integer-valued inputs below 2^53 (client counts, queue weights of
 ///    the counting client models) every reassociation is exact, so the
-///    dispatched kernels equal the reference *bit for bit* — this is what
-///    keeps the golden sharded trajectories pinned.
+///    dispatched kernels equal the reference *bit for bit*.
 #pragma once
 
 #include <cstdint>
@@ -30,27 +30,19 @@ namespace mflb {
 /// left to right. Exact for integer-valued inputs; 1e-12 vs the reference
 /// otherwise.
 double vec_sum(std::span<const double> xs) noexcept;
-/// Integer-weight overload (finite-N client counts); same lane structure,
-/// exact for totals below 2^53.
-double vec_sum(std::span<const std::uint64_t> xs) noexcept;
 
 /// Strict left-to-right sum — the scalar reference path.
 double vec_sum_reference(std::span<const double> xs) noexcept;
-double vec_sum_reference(std::span<const std::uint64_t> xs) noexcept;
 
-/// Inclusive prefix sum out[i] = Σ_{j<=i} in[j], the thinning/weight-law
-/// realization of the event-driven backends (binary search on `out` draws
-/// destinations). Segmented two-pass scan: four equal blocks are summed
-/// first, then scanned in parallel chains seeded with the block offsets;
-/// differs from the serial scan only by reassociation at block boundaries
-/// (exact for integer-valued inputs, 1e-12 otherwise). `out` must have
-/// in.size() elements; in-place operation (out == in) is allowed for the
-/// double overload.
-void inclusive_prefix_sum(std::span<const double> in, std::span<double> out);
+/// Inclusive prefix sum out[i] = Σ_{j<=i} in[j] of integer weights (client
+/// counts), the thinning realization of the event-driven backend (binary
+/// search on `out` draws destinations). Segmented two-pass scan: four equal
+/// blocks are summed first, then scanned in parallel chains seeded with the
+/// block offsets; exact for totals below 2^53. `out` must have in.size()
+/// elements.
 void inclusive_prefix_sum(std::span<const std::uint64_t> in, std::span<double> out);
 
 /// Strict serial scan — the scalar reference path.
-void inclusive_prefix_sum_reference(std::span<const double> in, std::span<double> out);
 void inclusive_prefix_sum_reference(std::span<const std::uint64_t> in, std::span<double> out);
 
 /// out[i] = scale * table[idx[i]] — the destination-law gather: per-queue
@@ -58,20 +50,5 @@ void inclusive_prefix_sum_reference(std::span<const std::uint64_t> in, std::span
 /// so the result is bit-identical regardless of ISA clone.
 void gather_scale(std::span<const int> idx, std::span<const double> table, double scale,
                   std::span<double> out);
-
-/// Σ_i table[idx[i]] with the same fixed 4-lane split as `vec_sum`. The
-/// kernel instantiates the identical loop body as `vec_sum` over a gathering
-/// source, so the result is bit-equal to `gather_scale(idx, table, 1.0, tmp)`
-/// followed by `vec_sum(tmp)` — without materializing `tmp`. Fold any scalar
-/// factor into the table beforehand (the loop is a pure load + add; keeping
-/// the multiply out of it prevents FMA contraction from changing bits).
-double gather_sum(std::span<const int> idx, std::span<const double> table) noexcept;
-
-/// out[i] = Σ_{j<=i} table[idx[j]] with the same segmented two-pass scan
-/// shape as `inclusive_prefix_sum`; bit-equal to the gather_scale →
-/// inclusive_prefix_sum composition it replaces. `out` must have idx.size()
-/// elements and must not alias `table`.
-void gather_prefix_sum(std::span<const int> idx, std::span<const double> table,
-                       std::span<double> out);
 
 } // namespace mflb

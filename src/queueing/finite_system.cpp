@@ -39,13 +39,103 @@ FiniteSystemConfig& checked_config(FiniteSystemConfig& config, const char* backe
     return config;
 }
 
+EpochStats QueueTally::epoch_stats(std::size_t num_queues, double dt) const {
+    EpochStats stats;
+    stats.dropped_packets = dropped;
+    stats.accepted_packets = accepted;
+    stats.served_packets = served;
+    stats.completed_jobs = completed;
+    if (completed > 0) {
+        stats.mean_sojourn = sojourn_sum / static_cast<double>(completed);
+    }
+    const auto m = static_cast<double>(num_queues);
+    const double m_dt = m * dt;
+    stats.drops_per_queue = static_cast<double>(dropped) / m;
+    stats.mean_queue_length = area / m_dt;
+    stats.server_utilization = busy / m_dt;
+    return stats;
+}
+
+QueueKernel::QueueKernel(const FiniteSystemConfig& config)
+    : service_(config.service, config.queue.service_rate), speeds_(config.server_speeds),
+      service_rate_(config.queue.service_rate), buffer_(config.queue.buffer),
+      track_sojourn_(config.track_sojourn),
+      general_(config.service.kind != ServiceDistKind::Exponential ||
+               !config.server_speeds.empty()) {
+    if (general_) {
+        next_completion_.assign(config.num_queues, std::numeric_limits<double>::infinity());
+    }
+}
+
+void QueueKernel::reset(std::span<const int> queues) {
+    if (general_) {
+        std::fill(next_completion_.begin(), next_completion_.end(),
+                  std::numeric_limits<double>::infinity());
+    }
+    if (track_sojourn_) {
+        jobs_.reset(queues, buffer_);
+    }
+}
+
+void QueueKernel::start_service(std::span<const int> queues, std::size_t begin,
+                                std::size_t end, Rng& rng) {
+    if (!general_) {
+        return; // exponential service is memoryless: nothing to carry.
+    }
+    // Initially busy queues have a job in service from time zero whose
+    // completion clock the general kernel carries across epochs.
+    for (std::size_t j = begin; j < end; ++j) {
+        if (queues[j] > 0) {
+            next_completion_[j] = service_.sample(rng) / speed(j);
+        }
+    }
+}
+
+int QueueKernel::advance(std::size_t j, int z, double rate, double t0, double dt, Rng& rng,
+                         QueueTally& tally, SojournRecorder* recorder) {
+    QueueEpochResult r;
+    if (general_ || track_sojourn_) {
+        const SojournEpochResult s =
+            general_ ? simulate_queue_epoch_general(z, rate, service_, speed(j), buffer_, t0,
+                                                    dt, next_completion_[j], rng,
+                                                    track_sojourn_ ? jobs_[j] : JobRing{},
+                                                    recorder)
+                     : simulate_queue_epoch_sojourn(jobs_[j], t0, rate, service_rate_,
+                                                    buffer_, dt, rng, recorder);
+        r = s.queue;
+        tally.sojourn_sum += s.sojourn.mean() * static_cast<double>(s.sojourn.count());
+        tally.completed += s.sojourn.count();
+    } else {
+        r = simulate_queue_epoch(z, rate, service_rate_, buffer_, dt, rng);
+    }
+    tally.dropped += r.drops;
+    tally.accepted += r.arrivals;
+    tally.served += r.services;
+    tally.area += r.queue_length_area;
+    tally.busy += r.busy_time;
+    return r.final_state;
+}
+
+int QueueKernel::advance_from_arrival(std::size_t j, double rate, double t, double rest,
+                                      Rng& rng, QueueTally& tally,
+                                      SojournRecorder* recorder) {
+    ++tally.accepted;
+    if (track_sojourn_) {
+        jobs_[j].push(t);
+    }
+    if (general_) {
+        next_completion_[j] = t + service_.sample(rng) / speed(j);
+    }
+    return advance(j, 1, rate, t, rest, rng, tally, recorder);
+}
+
 FiniteSystem::FiniteSystem(FiniteSystemConfig config)
     : SystemBase(checked_config(config, "FiniteSystem").arrivals, config.dt, config.horizon,
                  config.num_queues),
       config_(std::move(config)), space_(config_.queue.num_states(), config_.d),
       router_(config_.router, config_.num_queues,
               static_cast<std::size_t>(config_.queue.num_states()), config_.dt),
-      service_(config_.service, config_.queue.service_rate) {
+      kernel_(config_) {
     const auto num_z = static_cast<std::size_t>(config_.queue.num_states());
     const auto d = static_cast<std::size_t>(config_.d);
     const std::size_t m = config_.num_queues;
@@ -62,9 +152,6 @@ FiniteSystem::FiniteSystem(FiniteSystemConfig config)
     ws_.flow.rate_by_state.assign(num_z, 0.0);
     if (router_.active()) {
         ws_.weights.assign(m, 0.0);
-    }
-    if (general_service()) {
-        next_completion_.assign(m, std::numeric_limits<double>::infinity());
     }
     telemetry_series_ = "finite_epoch";
     if (config_.telemetry != nullptr) {
@@ -95,18 +182,8 @@ void FiniteSystem::reset(Rng& rng) {
     reset_base(rng);
     clock_ = 0.0;
     router_.reset();
-    if (general_service()) {
-        // Initially busy queues have a job in service from time zero whose
-        // completion clock is carried across epochs by the general kernel.
-        for (std::size_t j = 0; j < queues_.size(); ++j) {
-            next_completion_[j] = queues_[j] > 0
-                                      ? service_.sample(rng) / speed(j)
-                                      : std::numeric_limits<double>::infinity();
-        }
-    }
-    if (config_.track_sojourn) {
-        jobs_.reset(queues_, config_.queue.buffer);
-    }
+    kernel_.reset(queues_);
+    kernel_.start_service(queues_, 0, queues_.size(), rng);
 }
 
 void FiniteSystem::reset_conditioned(std::vector<std::size_t> lambda_states, Rng& rng) {
@@ -212,51 +289,12 @@ void FiniteSystem::compute_router_rates_into() {
 }
 
 EpochStats FiniteSystem::simulate_epoch_from_rates(Rng& rng) {
-    const std::vector<double>& rates = ws_.rates;
-    const bool general = general_service();
-
-    EpochStats stats;
-    double area = 0.0;
-    double busy = 0.0;
-    double sojourn_sum = 0.0;
+    QueueTally tally;
     for (std::size_t j = 0; j < queues_.size(); ++j) {
-        QueueEpochResult r;
-        if (general) {
-            const SojournEpochResult s = simulate_queue_epoch_general(
-                queues_[j], rates[j], service_, speed(j), config_.queue.buffer, clock_,
-                config_.dt, next_completion_[j], rng,
-                config_.track_sojourn ? jobs_[j] : JobRing{});
-            r = s.queue;
-            sojourn_sum += s.sojourn.mean() * static_cast<double>(s.sojourn.count());
-            stats.completed_jobs += s.sojourn.count();
-        } else if (config_.track_sojourn) {
-            const SojournEpochResult s = simulate_queue_epoch_sojourn(
-                jobs_[j], clock_, rates[j], config_.queue.service_rate, config_.queue.buffer,
-                config_.dt, rng);
-            r = s.queue;
-            sojourn_sum += s.sojourn.mean() * static_cast<double>(s.sojourn.count());
-            stats.completed_jobs += s.sojourn.count();
-        } else {
-            r = simulate_queue_epoch(queues_[j], rates[j], config_.queue.service_rate,
-                                     config_.queue.buffer, config_.dt, rng);
-        }
-        queues_[j] = r.final_state;
-        stats.dropped_packets += r.drops;
-        stats.accepted_packets += r.arrivals;
-        stats.served_packets += r.services;
-        area += r.queue_length_area;
-        busy += r.busy_time;
-    }
-    if (stats.completed_jobs > 0) {
-        stats.mean_sojourn = sojourn_sum / static_cast<double>(stats.completed_jobs);
+        queues_[j] = kernel_.advance(j, queues_[j], ws_.rates[j], clock_, config_.dt, rng, tally);
     }
     clock_ += config_.dt;
-    const double m_dt = static_cast<double>(queues_.size()) * config_.dt;
-    stats.drops_per_queue =
-        static_cast<double>(stats.dropped_packets) / static_cast<double>(queues_.size());
-    stats.mean_queue_length = area / m_dt;
-    stats.server_utilization = busy / m_dt;
-
+    const EpochStats stats = tally.epoch_stats(queues_.size(), config_.dt);
     advance_epoch(rng);
     return stats;
 }

@@ -39,6 +39,7 @@
 #include "support/rng.hpp"
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace mflb {
@@ -50,11 +51,11 @@ enum class ClientModel {
     InfiniteClients, ///< deterministic mean-field rates (N = ∞, M finite).
 };
 
-/// Which future event list powers the event-driven backends' hot loop. Both
-/// produce the *exact same* event order (and hence bit-identical episodes):
-/// the calendar queue keeps within-bucket events in (time, id) order, so the
-/// pop sequence matches the heap's tie-broken total order event for event.
-/// See des/calendar_queue.hpp; the epoch-synchronous backend ignores this.
+/// Which future event list powers `DesSystem`'s hot loop. Both produce the
+/// *exact same* event order (and hence bit-identical episodes): the calendar
+/// queue keeps within-bucket events in (time, id) order, so the pop sequence
+/// matches the heap's tie-broken total order event for event. See
+/// des/calendar_queue.hpp; `FiniteSystem` and `ShardedDesSystem` ignore it.
 enum class FelKind {
     Heap,     ///< indexed binary min-heap: O(log n) per operation.
     Calendar, ///< calendar queue: amortized O(1) schedule/pop/cancel.
@@ -78,18 +79,18 @@ struct FiniteSystemConfig {
     /// policy sees an *estimate* of H_t^M built from this many uniformly
     /// sampled queues instead of the exact histogram. 0 = exact.
     std::size_t histogram_sample_size = 0;
-    /// Sharded event-driven backend (`ShardedDesSystem`) only: number of
+    /// Sharded backend (`ShardedDesSystem`) only: number of
     /// queue shards K (0 = min(8, num_queues)). Results are a function of
     /// (seed, shards); the other backends ignore it.
     std::size_t shards = 0;
     /// Sharded backend only: worker threads for the epoch-parallel phase
     /// (0 = all hardware threads). Never affects results, only wall clock.
     std::size_t threads = 0;
-    /// Event-driven backends only: future-event-list implementation for the
-    /// event loop. Both kinds pop events in the identical (time, id) order,
-    /// so episodes are bit-identical; `Calendar` is amortized O(1) per event
+    /// `DesSystem` only: future-event-list implementation for the event
+    /// loop. Both kinds pop events in the identical (time, id) order, so
+    /// episodes are bit-identical; `Calendar` is amortized O(1) per event
     /// and the default, `Heap` is the O(log n) baseline (still fastest for
-    /// tiny fleets). The epoch-synchronous backend ignores it.
+    /// tiny fleets). `FiniteSystem` and `ShardedDesSystem` ignore it.
     FelKind fel = FelKind::Calendar;
     /// Routing discipline. `Policy` (default) is the paper's decision-rule
     /// path; any classical kind makes the backends ignore the upper-level
@@ -118,6 +119,75 @@ struct FiniteSystemConfig {
 /// field. Each backend calls it first, in its base initializer, whatever
 /// `track_sojourn` is set to; `SystemBase` checks M, Δt and the horizon.
 FiniteSystemConfig& checked_config(FiniteSystemConfig& config, const char* backend);
+
+/// Per-epoch tallies of a run of per-queue kernels, summed in queue order:
+/// the packet counters plus the floating-point sums the epoch statistics
+/// divide out.
+struct QueueTally {
+    std::uint64_t dropped = 0;
+    std::uint64_t accepted = 0;
+    std::uint64_t served = 0;
+    std::uint64_t completed = 0; ///< jobs whose sojourn was measured.
+    double area = 0.0;           ///< Σ_j ∫ z_j dτ.
+    double busy = 0.0;           ///< Σ_j ∫ 1{z_j > 0} dτ.
+    double sojourn_sum = 0.0;    ///< Σ sojourns of the completed jobs.
+
+    /// Epoch statistics of `num_queues` queues over an epoch of length `dt`.
+    EpochStats epoch_stats(std::size_t num_queues, double dt) const;
+};
+
+/// The exact per-queue epoch kernel of the Section 2.1 system behind one
+/// dispatch: the exponential Gillespie kernel, its sojourn variant when
+/// `track_sojourn` is on, or the general-service kernel for non-exponential
+/// laws and heterogeneous speeds. It owns the state those kernels carry
+/// across epochs — each queue's FIFO arrival stamps and the completion clock
+/// of its job in service — so `FiniteSystem` and the shard tasks of
+/// `ShardedDesSystem` (which touch disjoint queues) draw and tally alike.
+class QueueKernel {
+public:
+    /// `config` must have passed `checked_config`.
+    explicit QueueKernel(const FiniteSystemConfig& config);
+
+    /// True when the general-service kernel runs (non-exponential law or
+    /// heterogeneous speeds); the exponential kernels keep the goldens.
+    bool general() const noexcept { return general_; }
+
+    /// Re-seeds the carried state for the fleet `queues`: job rings holding
+    /// z_j jobs stamped 0 (track_sojourn), idle completion clocks (general
+    /// service). Draws nothing.
+    void reset(std::span<const int> queues);
+    /// General service only: draws the completion time of the job in
+    /// service at every busy queue in [begin, end), in queue order.
+    void start_service(std::span<const int> queues, std::size_t begin, std::size_t end,
+                       Rng& rng);
+
+    /// Advances queue j from fill `z` over [t0, t0 + dt) under Poisson
+    /// arrivals at `rate`, adds the outcome to `tally` (and completed
+    /// sojourns to `recorder` when non-null), and returns the final fill.
+    int advance(std::size_t j, int z, double rate, double t0, double dt, Rng& rng,
+                QueueTally& tally, SojournRecorder* recorder = nullptr);
+    /// Idle queue j whose first arrival of the epoch is at absolute time `t`:
+    /// admits that job, then advances from fill 1 over [t, t + rest). Exact
+    /// by memorylessness — the idle thinning of `ShardedDesSystem`.
+    int advance_from_arrival(std::size_t j, double rate, double t, double rest, Rng& rng,
+                             QueueTally& tally, SojournRecorder* recorder = nullptr);
+
+private:
+    double speed(std::size_t j) const noexcept {
+        return speeds_.empty() ? 1.0 : speeds_[j];
+    }
+
+    ServiceDistribution service_;
+    std::vector<double> speeds_; ///< per-queue server speeds; empty = all 1.
+    double service_rate_;
+    int buffer_;
+    bool track_sojourn_;
+    bool general_;
+    JobRings jobs_;              ///< per-queue FIFO timestamps (track_sojourn).
+    /// Absolute completion time of the job in service at queue j (+inf when
+    /// idle), carried across epochs (general service only).
+    std::vector<double> next_completion_;
+};
 
 /// Exact simulator of the finite (or infinite-client) queuing system.
 class FiniteSystem : public SystemBase {
@@ -194,26 +264,12 @@ private:
     void compute_router_rates_into();
     /// Shared epoch tail: per-queue kernels on ws_.rates + epoch accounting.
     EpochStats simulate_epoch_from_rates(Rng& rng);
-    /// True when the general-service kernel must run (non-exponential law
-    /// or heterogeneous speeds); the legacy exponential Gillespie kernels
-    /// are kept for the default so goldens stay bit-identical.
-    bool general_service() const noexcept {
-        return config_.service.kind != ServiceDistKind::Exponential ||
-               !config_.server_speeds.empty();
-    }
-    double speed(std::size_t j) const noexcept {
-        return config_.server_speeds.empty() ? 1.0 : config_.server_speeds[j];
-    }
 
     FiniteSystemConfig config_;
     TupleSpace space_;
     EpochRouter router_;
-    ServiceDistribution service_;
-    JobRings jobs_;                   ///< per-queue FIFO timestamps (sojourn mode).
-    /// General-service kernel state: absolute completion time of the job in
-    /// service at queue j (+inf when idle), carried across epochs.
-    std::vector<double> next_completion_;
-    double clock_ = 0.0;              ///< absolute simulation time (sojourn mode).
+    QueueKernel kernel_;
+    double clock_ = 0.0;              ///< absolute simulation time.
     mutable Workspace ws_;
 };
 

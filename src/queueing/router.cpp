@@ -101,9 +101,9 @@ void EpochRouter::epoch_weights(std::span<const int> snapshot, int epoch,
         throw std::logic_error("EpochRouter: the Policy kind has no weight law");
     case RouterKind::Random:
     case RouterKind::RoundRobin:
-        // Round-robin's weight law is its equal-split mean behavior; the DES
-        // backends override per-arrival destinations with a cyclic cursor
-        // and use these weights only for shard-mass partitioning.
+        // Round-robin's weight law is its equal-split mean behavior, which
+        // FiniteSystem and ShardedDesSystem simulate; DesSystem overrides
+        // per-arrival destinations with a cyclic cursor instead.
         std::fill(weights.begin(), weights.end(), 1.0);
         return;
     case RouterKind::Jsq:

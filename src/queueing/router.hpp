@@ -12,8 +12,9 @@
 ///  - `DesSystem` thins the aggregated Poisson arrival stream by binary
 ///    search on the weight prefix sums (one destination draw per job);
 ///  - `ShardedDesSystem` sums the weights into per-shard masses at the
-///    barrier and each shard thins its own stream,
-///    keeping the parallel phase lock-free.
+///    barrier (Σw in fixed shard order) and each shard task runs the same
+///    per-queue kernels at M·λ_t·w_j/Σw, keeping the parallel phase
+///    lock-free.
 /// Because all three consume the identical law, the routers are
 /// statistically equivalent across backends by construction
 /// (tests/test_router_equivalence.cpp). Classical routers operate at the
@@ -21,13 +22,11 @@
 /// `num_clients` are ignored, exactly like `ClientModel::InfiniteClients`.
 ///
 /// The exception is round-robin, which is *not* a weight law (its
-/// interarrival times per queue are Erlang, not exponential): the DES
-/// backends realize it with a cyclic arrival cursor (global on `DesSystem`,
-/// shard-local on `ShardedDesSystem` — statistically indistinguishable at
-/// the epoch scale since both cycles are near-deterministic), while the
-/// rate-based `FiniteSystem` can only represent its equal-split mean
-/// behavior (equal weights, documented caveat: drop/length statistics then
-/// coincide with `random`).
+/// interarrival times per queue are Erlang, not exponential): `DesSystem`
+/// realizes it with a global cyclic arrival cursor, while the rate-based
+/// `FiniteSystem` and `ShardedDesSystem` can only represent its equal-split
+/// mean behavior (equal weights, every queue at rate λ_t; documented caveat:
+/// drop/length statistics then coincide with `random`).
 ///
 /// Staleness semantics: `jsq` and `jsq-d` read the epoch-start snapshot —
 /// they are always exactly Δt stale, matching the paper's information model.
@@ -56,7 +55,7 @@ namespace mflb {
 enum class RouterKind {
     Policy,     ///< the decision-rule path (learned or fixed mean-field rule).
     Random,     ///< uniform random queue.
-    RoundRobin, ///< cyclic (equal-split mean behavior on `FiniteSystem`).
+    RoundRobin, ///< cyclic (equal-split mean behavior on the rate-based backends).
     Jsq,        ///< join the shortest queue of the Δt-stale snapshot.
     JsqD,       ///< JSQ over d uniformly sampled queues (power of d choices).
     SqStale,    ///< JSQ over an own snapshot refreshed every `stale_period`.

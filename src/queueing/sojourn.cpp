@@ -23,7 +23,8 @@ void JobRings::reset(std::span<const int> fill, int capacity) {
 
 SojournEpochResult simulate_queue_epoch_sojourn(JobRing jobs, double t0,
                                                 double arrival_rate, double service_rate,
-                                                int buffer, double dt, Rng& rng) {
+                                                int buffer, double dt, Rng& rng,
+                                                SojournRecorder* recorder) {
     SojournEpochResult result;
     int z = jobs.size();
     double t = 0.0;
@@ -53,7 +54,11 @@ SojournEpochResult simulate_queue_epoch_sojourn(JobRing jobs, double t0,
         } else {
             --z;
             ++result.queue.services;
-            result.sojourn.add(jobs.pop(t0 + t));
+            const double sojourn = jobs.pop(t0 + t);
+            result.sojourn.add(sojourn);
+            if (recorder != nullptr) {
+                recorder->record(sojourn);
+            }
         }
     }
     result.queue.queue_length_area += static_cast<double>(z) * (dt - t);
@@ -68,7 +73,8 @@ SojournEpochResult simulate_queue_epoch_general(int z0, double arrival_rate,
                                                 const ServiceDistribution& service,
                                                 double speed, int buffer, double t0,
                                                 double dt, double& next_completion,
-                                                Rng& rng, JobRing jobs) {
+                                                Rng& rng, JobRing jobs,
+                                                SojournRecorder* recorder) {
     constexpr double kInf = std::numeric_limits<double>::infinity();
     SojournEpochResult result;
     const double end = t0 + dt;
@@ -99,7 +105,11 @@ SojournEpochResult simulate_queue_epoch_general(int z0, double arrival_rate,
             --z;
             ++result.queue.services;
             if (jobs) {
-                result.sojourn.add(jobs.pop(t));
+                const double sojourn = jobs.pop(t);
+                result.sojourn.add(sojourn);
+                if (recorder != nullptr) {
+                    recorder->record(sojourn);
+                }
             }
             next_completion = z > 0 ? t + service.sample(rng) / speed : kInf;
         } else {

@@ -141,10 +141,12 @@ struct SojournEpochResult {
 
 /// Exact simulation of one queue for `dt` units starting at absolute time
 /// `t0`, with the jobs currently in the buffer described by `jobs` (whose
-/// size must equal the queue fill). Updates `jobs` in place.
+/// size must equal the queue fill). Updates `jobs` in place. Each completed
+/// sojourn is also recorded into `recorder` when it is non-null.
 SojournEpochResult simulate_queue_epoch_sojourn(JobRing jobs, double t0,
                                                 double arrival_rate, double service_rate,
-                                                int buffer, double dt, Rng& rng);
+                                                int buffer, double dt, Rng& rng,
+                                                SojournRecorder* recorder = nullptr);
 
 /// General-service (M/G/1/B) variant of the per-queue epoch kernel: the
 /// `FiniteSystem` path for non-exponential `ServiceDistribution`s and
@@ -155,13 +157,15 @@ SojournEpochResult simulate_queue_epoch_sojourn(JobRing jobs, double t0,
 /// memorylessness of the arrival process, whose rate is frozen per epoch).
 /// Queue j's service times are `service.sample(rng) / speed`. Unless `jobs`
 /// is a null view, accepted arrivals / completions are timestamped through
-/// it and completed sojourns land in `result.sojourn`. Starts at absolute
-/// time `t0` with fill `z0`; allocation-free.
+/// it and completed sojourns land in `result.sojourn` (and in `recorder`
+/// when it is non-null). Starts at absolute time `t0` with fill `z0`;
+/// allocation-free.
 SojournEpochResult simulate_queue_epoch_general(int z0, double arrival_rate,
                                                 const ServiceDistribution& service,
                                                 double speed, int buffer, double t0,
                                                 double dt, double& next_completion,
-                                                Rng& rng, JobRing jobs);
+                                                Rng& rng, JobRing jobs,
+                                                SojournRecorder* recorder = nullptr);
 
 /// Stationary M/M/1/B mean sojourn time via Little's law: E[T] = E[L] /
 /// (λ (1 - P_B)) under the truncated-geometric stationary law. Oracle for

@@ -113,9 +113,10 @@ public:
     int horizon() const noexcept { return horizon_; }
     /// Absolute time of the current decision epoch's boundaries, computed
     /// from the epoch index (drift-free — never accumulated). These are the
-    /// barrier points of the epoch structure: both event-driven backends run
-    /// their event loops on [epoch_start_time, epoch_end_time) and the
-    /// sharded backend synchronizes its shards exactly here.
+    /// barrier points of the epoch structure: `DesSystem` runs its event
+    /// loop on [epoch_start_time, epoch_end_time), and the sharded backend's
+    /// shard tasks advance their queues from epoch_start_time and
+    /// synchronize exactly at these points.
     double epoch_start_time() const noexcept { return dt_ * static_cast<double>(t_); }
     double epoch_end_time() const noexcept { return dt_ * (static_cast<double>(t_) + 1.0); }
     std::size_t num_queues() const noexcept { return queues_.size(); }

@@ -102,21 +102,6 @@ bool on_pool_worker() noexcept {
     return t_on_pool_worker;
 }
 
-void CompletionToken::submit_to_pool() {
-    // The closure captures one pointer (fits std::function's small buffer).
-    // The release store pairs with wait()'s acquire load: everything the
-    // task wrote — its "pool_task" span included — happens-before the
-    // waiter's reads.
-    shared_thread_pool().submit([this] {
-        {
-            trace::ScopedSpan span(trace::active_tracer(), "pool_task");
-            run();
-        }
-        state_.store(kDone, std::memory_order_release);
-        state_.notify_one();
-    });
-}
-
 namespace {
 
 /// One worker's contiguous index strip; `next` is the strip's claim cursor,

@@ -82,97 +82,6 @@ private:
 ThreadPool& shared_thread_pool();
 
 /// True when called from any `ThreadPool` worker thread (the shared pool's
-/// or a private one's). Forward declaration for CompletionToken; the full
-/// doc comment sits on the definition below.
-bool on_pool_worker() noexcept;
-
-/// One-shot completion token for a single offloaded task — the overlap
-/// primitive of the sharded DES epoch barrier, sitting alongside `Latch`
-/// (which tracks a *fan-out*; this tracks one continuation). `launch(f)`
-/// runs `f()` on the shared pool so the caller can do independent work, and
-/// `wait()` joins with acquire semantics, so everything `f` wrote is visible
-/// after `wait()` returns.
-///
-/// Like `IndexFnRef`, the callable is held by reference (one object pointer
-/// + one function pointer, no allocation) and must outlive `wait()` — true
-/// for the local-lambda call sites. The pool submit closure captures a
-/// single pointer, so it fits std::function's small-buffer optimization; a
-/// single-thread request or a nested (worker-thread) caller runs the task
-/// inline before `launch` returns, keeping the threads<=1 hot path
-/// allocation-free and deadlock-free. The token is reusable after `wait()`
-/// but tracks at most one task at a time.
-///
-/// An exception thrown by `f` is captured, inline or on a worker alike, and
-/// rethrown by `wait()` on the calling thread. Destroying a token whose task
-/// is still running (the caller unwinding before `wait()`) blocks until the
-/// task is done, so the task never outlives the objects it references.
-class CompletionToken {
-public:
-    CompletionToken() = default;
-    CompletionToken(const CompletionToken&) = delete;
-    CompletionToken& operator=(const CompletionToken&) = delete;
-    ~CompletionToken() { join(); }
-
-    template <typename F>
-        requires std::is_invocable_v<F&>
-    void launch(F& f, std::size_t threads = 0) {
-        obj_ = const_cast<void*>(static_cast<const void*>(std::addressof(f)));
-        call_ = [](void* obj) { (*static_cast<std::remove_reference_t<F>*>(obj))(); };
-        if (threads == 0) {
-            threads = std::thread::hardware_concurrency();
-        }
-        if (threads <= 1 || on_pool_worker()) {
-            run();
-            state_.store(kIdle, std::memory_order_relaxed);
-            return;
-        }
-        state_.store(kPending, std::memory_order_relaxed);
-        submit_to_pool();
-    }
-
-    /// Blocks until the launched task has finished (no-op when it ran inline
-    /// or nothing was launched), resets the token for reuse, and rethrows the
-    /// task's exception if it threw. The task's release store paired with
-    /// this acquire load orders its writes before the caller's later reads.
-    void wait() {
-        join();
-        if (error_) {
-            std::rethrow_exception(std::exchange(error_, nullptr));
-        }
-    }
-
-private:
-    static constexpr int kIdle = 0;    ///< no task outstanding (or ran inline)
-    static constexpr int kPending = 1; ///< submitted, not yet finished
-    static constexpr int kDone = 2;    ///< finished on a worker
-
-    /// Runs the task, keeping any exception for wait().
-    void run() noexcept {
-        try {
-            call_(obj_);
-        } catch (...) {
-            error_ = std::current_exception();
-        }
-    }
-    /// Blocks until no task is pending and resets the state to idle.
-    void join() noexcept {
-        int s = state_.load(std::memory_order_acquire);
-        while (s == kPending) {
-            state_.wait(kPending, std::memory_order_acquire);
-            s = state_.load(std::memory_order_acquire);
-        }
-        state_.store(kIdle, std::memory_order_relaxed);
-    }
-    /// Out-of-line so the header does not need the pool definition order.
-    void submit_to_pool();
-
-    std::atomic<int> state_{kIdle};
-    void* obj_ = nullptr;
-    void (*call_)(void*) = nullptr;
-    std::exception_ptr error_; ///< written by run(), read after join().
-};
-
-/// True when called from any `ThreadPool` worker thread (the shared pool's
 /// or a private one's) — e.g. from inside a `parallel_for` body or a
 /// `submit()`ed task. Used as the nested-use guard: a nested fan-out runs
 /// inline instead of blocking on pool capacity the caller may itself be

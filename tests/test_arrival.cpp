@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace mflb {
 namespace {
@@ -60,6 +61,13 @@ TEST(ArrivalProcess, ConstantProcessNeverSwitches) {
 TEST(ArrivalProcess, ValidatesInput) {
     EXPECT_THROW(ArrivalProcess({}, Matrix(0, 0)), std::invalid_argument);
     EXPECT_THROW(ArrivalProcess({-1.0}, Matrix{{1.0}}), std::invalid_argument);
+    // Non-finite levels would hang every backend's per-queue kernel.
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+        EXPECT_THROW(ArrivalProcess({bad}, Matrix{{1.0}}), std::invalid_argument) << bad;
+        EXPECT_THROW(ArrivalProcess::paper_two_state(0.9, bad), std::invalid_argument) << bad;
+    }
     EXPECT_THROW(ArrivalProcess({1.0, 2.0}, Matrix{{0.5, 0.4}, {0.5, 0.5}}),
                  std::invalid_argument);
     EXPECT_THROW(ArrivalProcess({1.0}, Matrix{{1.0}}, {0.5}), std::invalid_argument);

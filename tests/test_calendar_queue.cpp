@@ -4,13 +4,11 @@
 // indexed binary heap — via differential fuzzing against EventQueue,
 // bucket-boundary / far-future / retune edge cases, the heap's
 // pop_and_reschedule fast path, and full-episode bitwise equality of the two
-// FEL kinds on both event-driven backends (all client models, 1/2/8-thread
-// invariance with the calendar selected explicitly).
+// FEL kinds on `DesSystem` (all client models and the router path).
 #include "des/calendar_queue.hpp"
 
 #include "des/des_system.hpp"
 #include "des/fel.hpp"
-#include "des/sharded_des_system.hpp"
 #include "policies/fixed.hpp"
 #include "support/rng.hpp"
 
@@ -400,47 +398,6 @@ TEST(FelEquivalence, DesSystemEpisodesAreBitIdenticalAcrossKinds) {
         };
         expect_bit_identical(run(FelKind::Heap), run(FelKind::Calendar));
     }
-}
-
-TEST(FelEquivalence, ShardedDesEpisodesAreBitIdenticalAcrossKinds) {
-    for (const ClientModel model :
-         {ClientModel::PerClient, ClientModel::Aggregated, ClientModel::InfiniteClients}) {
-        SCOPED_TRACE(static_cast<int>(model));
-        const auto run = [&](FelKind kind) {
-            FiniteSystemConfig config = episode_config(model, kind);
-            config.shards = 4;
-            ShardedDesSystem system(config);
-            const TupleSpace space(config.queue.num_states(), config.d);
-            const FixedRulePolicy policy = make_jsq_policy(space);
-            Rng rng(91);
-            system.reset(rng);
-            return system.run_episode(policy, rng);
-        };
-        expect_bit_identical(run(FelKind::Heap), run(FelKind::Calendar));
-    }
-}
-
-TEST(FelEquivalence, CalendarShardedEpisodesStayThreadInvariant) {
-    // 1/2/8-thread invariance re-pinned with the calendar FEL selected
-    // explicitly: the retune/rebuild schedule is per-shard event history,
-    // never thread timing.
-    const auto run = [&](std::size_t threads) {
-        FiniteSystemConfig config = episode_config(ClientModel::Aggregated,
-                                                   FelKind::Calendar);
-        config.shards = 4;
-        config.threads = threads;
-        ShardedDesSystem system(config);
-        const TupleSpace space(config.queue.num_states(), config.d);
-        const FixedRulePolicy policy = make_jsq_policy(space);
-        Rng rng(91);
-        system.reset(rng);
-        return system.run_episode(policy, rng);
-    };
-    const DesEpisodeStats one = run(1);
-    const DesEpisodeStats two = run(2);
-    const DesEpisodeStats eight = run(8);
-    expect_bit_identical(one, two);
-    expect_bit_identical(one, eight);
 }
 
 TEST(FelEquivalence, RouterEpisodesAreBitIdenticalAcrossKinds) {

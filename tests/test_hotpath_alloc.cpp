@@ -196,36 +196,52 @@ TEST(HotPathAllocations, NeuralPolicyDecideIntoReusesScratch) {
 
 TEST(HotPathAllocations, ShardedDesStepWithNeuralPolicy) {
     // The full epoch barrier on one thread — observed-distribution snapshot,
-    // batched policy query (cached scratch), vectorized destination law,
-    // completion token, fused gather kernels, shard epochs, and the eager
-    // pairwise reduction folds — allocation-free in steady state. K = 4
-    // keeps a two-level tree in play.
-    FiniteSystemConfig config;
-    config.num_queues = 48;
-    config.num_clients = 2400;
-    config.dt = 2.0;
-    config.horizon = 1 << 20;
-    config.shards = 4;
-    config.threads = 1;
-    config.track_sojourn = true;
-    ShardedDesSystem system(config);
-    Rng net_rng(19);
-    const std::size_t num_lambda = system.arrivals().num_states();
-    const TupleSpace space(config.queue.num_states(), config.d);
-    auto net = std::make_shared<rl::GaussianPolicy>(
-        config.queue.num_states() + num_lambda,
-        static_cast<std::size_t>(space.size()) * static_cast<std::size_t>(config.d),
-        std::vector<std::size_t>{32}, net_rng);
-    const NeuralUpperPolicy policy(space, num_lambda, net);
-    Rng rng(23);
-    system.reset(rng);
+    // batched policy query (cached scratch), destination law or rate table,
+    // shard masses, shard multinomials, per-queue kernels with sojourn
+    // recording, and the eager pairwise reduction folds — allocation-free in
+    // steady state. K = 4 keeps a two-level tree in play. InfiniteClients
+    // from an empty fleet runs the idle thinning; the hyperexponential law
+    // runs the general-service kernel with its carried completion clocks.
+    const struct {
+        ClientModel model;
+        ServiceDistKind service;
+    } cases[] = {
+        {ClientModel::Aggregated, ServiceDistKind::Exponential},
+        {ClientModel::InfiniteClients, ServiceDistKind::Exponential},
+        {ClientModel::InfiniteClients, ServiceDistKind::HyperExp},
+    };
+    for (const auto& c : cases) {
+        SCOPED_TRACE(::testing::Message() << "model " << static_cast<int>(c.model) << " "
+                                          << service_dist_name(c.service));
+        FiniteSystemConfig config;
+        config.num_queues = 48;
+        config.num_clients = 2400;
+        config.dt = 2.0;
+        config.horizon = 1 << 20;
+        config.shards = 4;
+        config.threads = 1;
+        config.track_sojourn = true;
+        config.client_model = c.model;
+        config.service.kind = c.service;
+        ShardedDesSystem system(config);
+        Rng net_rng(19);
+        const std::size_t num_lambda = system.arrivals().num_states();
+        const TupleSpace space(config.queue.num_states(), config.d);
+        auto net = std::make_shared<rl::GaussianPolicy>(
+            config.queue.num_states() + num_lambda,
+            static_cast<std::size_t>(space.size()) * static_cast<std::size_t>(config.d),
+            std::vector<std::size_t>{32}, net_rng);
+        const NeuralUpperPolicy policy(space, num_lambda, net);
+        Rng rng(23);
+        system.reset(rng);
 
-    (void)system.step(policy, rng); // warmup: builds the policy scratch + buffers
-    const std::size_t before = counting_allocator::count();
-    for (int i = 0; i < 50; ++i) {
-        (void)system.step(policy, rng);
+        (void)system.step(policy, rng); // warmup: builds the policy scratch + buffers
+        const std::size_t before = counting_allocator::count();
+        for (int i = 0; i < 50; ++i) {
+            (void)system.step(policy, rng);
+        }
+        EXPECT_EQ(counting_allocator::count() - before, 0u);
     }
-    EXPECT_EQ(counting_allocator::count() - before, 0u);
 }
 
 TEST(HotPathAllocations, ShardedDesPolicyAlternationReusesBothScratches) {

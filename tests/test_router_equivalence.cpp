@@ -1,7 +1,7 @@
 // Cross-backend equivalence of the classical routers. The weight-law routers
 // (random, jsq, jsq-d, sq-stale) feed the identical epoch-barrier law to all
-// three backends — frozen Poisson rates on FiniteSystem, thinned aggregated
-// streams on DesSystem, per-shard masses on ShardedDesSystem — so their drop
+// three backends — frozen Poisson rates on FiniteSystem and ShardedDesSystem,
+// a thinned aggregated stream on DesSystem — so their drop
 // statistics must agree within Monte Carlo confidence intervals. sq-stale
 // with a zero refresh period goes through the same code path as jsq and is
 // pinned bit-identical to it; sharded results stay bit-identical across
@@ -74,15 +74,14 @@ TEST(RouterEquivalence, WeightLawRoutersAgreeAcrossBackends) {
 }
 
 TEST(RouterEquivalence, RoundRobinAgreesOnEventBackends) {
-    // Round-robin is a cyclic cursor, not a weight law: the global cursor of
-    // DesSystem and the shard-local cursors of ShardedDesSystem are distinct
-    // realizations of the same near-deterministic cycle, so they agree in
-    // distribution (FiniteSystem only carries its equal-split mean behavior
-    // and is excluded by design — see queueing/router.hpp).
+    // Only DesSystem realizes round-robin as a per-job cyclic cursor.
+    // FiniteSystem and ShardedDesSystem both carry its equal-split mean
+    // behavior (every queue at rate λ_t — see queueing/router.hpp), so those
+    // two must agree in distribution.
     const FiniteSystemConfig config = fleet_config({RouterKind::RoundRobin, 2, 0.0});
-    const ConfidenceInterval des = drops_ci<DesSystem>(config, 12, 23);
+    const ConfidenceInterval finite = drops_ci<FiniteSystem>(config, 12, 23);
     const ConfidenceInterval sharded = drops_ci<ShardedDesSystem>(config, 12, 23);
-    expect_overlap(des, sharded, "round-robin des/sharded");
+    expect_overlap(finite, sharded, "round-robin finite/sharded");
 }
 
 template <class System>

@@ -1,9 +1,10 @@
-// Tests for the sharded event-driven simulator (src/des/sharded_des_system):
+// Tests for the sharded epoch-parallel simulator (src/des/sharded_des_system):
 // shard partition sanity, per-epoch conservation, the determinism contract
 // (bit-identical results for fixed (seed, K) regardless of thread count, all
 // three client models), statistical equivalence to DesSystem on registry
-// scenarios (CI overlap), conditioned λ replay, sojourn percentiles, and the
-// evaluator/backend dispatch plumbing.
+// scenarios (CI overlap) and to FiniteSystem on a shared conditioned λ path
+// (coupled oracle, including an idle fleet), conditioned λ replay, sojourn
+// percentiles, and the evaluator/backend dispatch plumbing.
 #include "des/sharded_des_system.hpp"
 
 #include "core/evaluator.hpp"
@@ -148,12 +149,10 @@ TEST(ShardedDesSystem, ConditionedReplayPinsTheLambdaPath) {
 // ---------------------------------------------------------------------------
 
 DesEpisodeStats run_sharded_episode(ClientModel model, std::size_t shards,
-                                    std::size_t threads, bool sojourn = false,
-                                    FelKind fel = FelKind::Calendar) {
+                                    std::size_t threads, bool sojourn = false) {
     FiniteSystemConfig config = small_config(model, shards, 2.0, 25);
     config.threads = threads;
     config.track_sojourn = sojourn;
-    config.fel = fel;
     ShardedDesSystem system(config);
     const TupleSpace space(config.queue.num_states(), config.d);
     const FixedRulePolicy policy = make_jsq_policy(space);
@@ -266,10 +265,9 @@ TEST(ShardedDesSystem, BarrierProfileSplitsEpochTime) {
     EXPECT_EQ(system.barrier_profile().overlapped_compute_seconds, 0.0);
 }
 
-/// One episode's summary, recorded (doubles as %.17g) from the level-by-level
-/// reduction barrier this backend offered alongside the eager fold until the
-/// two were merged into one epoch barrier; both barriers printed these same
-/// rows at every thread count and with either FEL kind.
+/// One episode's summary, recorded (doubles as %.17g) from the per-queue
+/// epoch kernel the shard tasks run; every thread count prints these same
+/// rows.
 struct RecordedEpisode {
     std::uint64_t dropped_packets;
     std::uint64_t accepted_packets;
@@ -299,9 +297,9 @@ void expect_recorded(const DesEpisodeStats& got, const RecordedEpisode& want) {
 }
 
 TEST(ShardedDesSystem, EpisodesMatchRecordedRows) {
-    // The epoch barrier (eager reduction folds, offloaded epoch compute,
-    // fused gather kernels) must reproduce the recorded episodes bit for bit
-    // — for every client model, both FEL kinds, tree shapes with and without
+    // The epoch barrier (eager reduction folds, hierarchical multinomial,
+    // idle thinning, per-queue kernels) must reproduce the recorded episodes
+    // bit for bit — for every client model, tree shapes with and without
     // orphan nodes (K = 1 bypasses the tree, K = 5 has pass-through
     // children, K = 8 is the full binary case), on 1, 2, and 8 threads.
     const struct {
@@ -310,54 +308,50 @@ TEST(ShardedDesSystem, EpisodesMatchRecordedRows) {
         RecordedEpisode want;
     } rows[] = {
         {ClientModel::PerClient, 1,
-         {19, 1101, 1062, 0.6333333333333333, -0.57074722015123169, 1.7083692346518651,
-          0.73385836332195842, 2.3408781126645879, 1.89453125, 6.046875, 8.65625}},
+         {18, 1098, 1061, 0.59999999999999998, -0.52484914872776389, 1.4551965528376201,
+          0.70630787078298174, 1.990730725048151, 1.58984375, 5.171875, 7.640625}},
         {ClientModel::PerClient, 5,
-         {25, 1086, 1031, 0.83333333333333326, -0.74095489668773096, 1.5740893259174797,
-          0.69628611533460261, 2.1459826368859614, 1.63671875, 5.734375, 8.28125}},
+         {19, 1116, 1055, 0.6333333333333333, -0.53877459725349663, 1.6199082332124053,
+          0.71555742022712421, 2.1447728240443333, 1.66015625, 5.703125, 7.546875}},
         {ClientModel::PerClient, 8,
-         {14, 1104, 1063, 0.46666666666666667, -0.40593545226083433, 1.5369758089081218,
-          0.70593524306632716, 2.0710434164109639, 1.60546875, 5.453125, 7.421875}},
+         {23, 1102, 1056, 0.76666666666666661, -0.68196240127729957, 1.4261475200593103,
+          0.68732620984679382, 1.9330827986622536, 1.62109375, 4.859375, 6.703125}},
         {ClientModel::Aggregated, 1,
-         {11, 1072, 1018, 0.36666666666666664, -0.32413276982995021, 1.4462926299791425,
-          0.69786551667374652, 2.057496517840292, 1.69140625, 5.265625, 7.234375}},
+         {16, 1073, 1016, 0.53333333333333333, -0.4558408858602806, 1.5148399315743188,
+          0.71820995114391695, 2.1391764412581757, 1.58203125, 6.109375, 8.40625}},
         {ClientModel::Aggregated, 5,
-         {67, 1219, 1167, 2.2333333333333338, -1.9496633431713979, 1.9927112975900214,
-          0.7847841655080815, 2.4377582510463371, 1.91015625, 6.390625, 8.78125}},
+         {23, 1099, 1044, 0.76666666666666661, -0.66713412100990555, 1.7193734449661249,
+          0.72793551465057049, 2.3743907710957619, 1.73828125, 6.640625, 9.53125}},
         {ClientModel::Aggregated, 8,
-         {18, 1167, 1127, 0.59999999999999998, -0.52044038585692609, 1.5653021272105783,
-          0.71668947835421759, 2.0084432911530867, 1.62890625, 5.296875, 7.171875}},
+         {68, 1221, 1140, 2.2666666666666666, -1.9695880324831823, 2.0852915010042996,
+          0.77629386037860537, 2.5591947827631527, 2.0234375, 6.765625, 9.09375}},
         {ClientModel::InfiniteClients, 1,
-         {28, 1102, 1046, 0.93333333333333324, -0.77670745591177948, 1.5847678624121195,
-          0.71526664565506404, 2.1681644498561545, 1.69921875, 5.921875, 8.28125}},
+         {13, 1048, 1008, 0.43333333333333329, -0.37550988818536701, 1.3406902293589271,
+          0.68548145004623284, 1.9454140558608601, 1.58203125, 4.703125, 6.765625}},
         {ClientModel::InfiniteClients, 5,
-         {11, 1132, 1079, 0.36666666666666664, -0.32020352834314308, 1.494496889592408,
-          0.70878538209376729, 1.9607488268601838, 1.48046875, 5.453125, 7.578125}},
+         {18, 1113, 1063, 0.59999999999999998, -0.4952667305301936, 1.5417069375589285,
+          0.69660293940118645, 2.0866800201471576, 1.60546875, 5.578125, 7.515625}},
         {ClientModel::InfiniteClients, 8,
-         {17, 1138, 1079, 0.56666666666666665, -0.50221634133679904, 1.6078851625506159,
-          0.73768799893851456, 2.1478713454804352, 1.77734375, 5.296875, 6.890625}},
+         {30, 1140, 1078, 1, -0.84642232056304967, 1.6489512454204887,
+          0.71314448641463546, 2.1577436367381604, 1.64453125, 5.859375, 9.59375}},
     };
     for (const auto& row : rows) {
-        for (const FelKind fel : {FelKind::Heap, FelKind::Calendar}) {
-            for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-                SCOPED_TRACE(::testing::Message()
-                             << "model " << static_cast<int>(row.model) << " K " << row.shards
-                             << " fel " << fel_kind_name(fel) << " threads " << threads);
-                expect_recorded(run_sharded_episode(row.model, row.shards, threads, true, fel),
-                                row.want);
-            }
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+            SCOPED_TRACE(::testing::Message() << "model " << static_cast<int>(row.model)
+                                              << " K " << row.shards << " threads " << threads);
+            expect_recorded(run_sharded_episode(row.model, row.shards, threads, true), row.want);
         }
     }
 }
 
 TEST(ShardedDesSystem, ClassicalRouterEpisodesMatchRecordedRows) {
-    // The router epoch path (weight law on the overlapped task, per-shard
-    // vec_sum masses): jsq-d and sq-stale router-only episodes must
-    // reproduce the recorded rows at every thread count and FEL kind.
-    const auto run = [](RouterKind kind, std::size_t threads, FelKind fel) {
+    // The router epoch path (weight law and per-shard vec_sum masses at the
+    // barrier, frozen per-queue rates in the shard tasks): jsq-d and sq-stale
+    // router-only episodes must reproduce the recorded rows at every thread
+    // count.
+    const auto run = [](RouterKind kind, std::size_t threads) {
         FiniteSystemConfig config = small_config(ClientModel::Aggregated, 5, 2.0, 25);
         config.threads = threads;
-        config.fel = fel;
         config.track_sojourn = true;
         config.router.kind = kind;
         config.router.d = 2;
@@ -372,26 +366,22 @@ TEST(ShardedDesSystem, ClassicalRouterEpisodesMatchRecordedRows) {
         RecordedEpisode want;
     } rows[] = {
         {RouterKind::JsqD,
-         {11, 1132, 1079, 0.36666666666666664, -0.32020352834314308, 1.494496889592408,
-          0.70878538209376729, 1.9607488268601838, 1.48046875, 5.453125, 7.578125}},
+         {27, 1124, 1078, 0.89999999999999991, -0.754069415675507, 1.6830592750254956,
+          0.73350662716552695, 2.2547730608551793, 1.82421875, 6.078125, 8.46875}},
         {RouterKind::SqStale,
-         {143, 946, 900, 4.7666666666666666, -4.1144635702489616, 1.4256226975650168,
-          0.59504910521022059, 2.2868265913877228, 1.76171875, 5.984375, 8.84375}},
+         {141, 993, 936, 4.6999999999999993, -4.0260623339439059, 1.5469715648446458,
+          0.63123370919184463, 2.3314035557039339, 1.93359375, 5.609375, 7.546875}},
     };
     for (const auto& row : rows) {
-        for (const FelKind fel : {FelKind::Heap, FelKind::Calendar}) {
-            for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-                SCOPED_TRACE(::testing::Message()
-                             << router_name(row.kind) << " fel " << fel_kind_name(fel)
-                             << " threads " << threads);
-                expect_recorded(run(row.kind, threads, fel), row.want);
-            }
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+            SCOPED_TRACE(::testing::Message() << router_name(row.kind) << " threads " << threads);
+            expect_recorded(run(row.kind, threads), row.want);
         }
     }
 }
 
 /// A policy whose epoch query fails. It draws no caller RNG, so the epoch
-/// barrier runs it on the offloaded compute task.
+/// barrier runs it in its deterministic compute phase.
 class ThrowingPolicy final : public UpperLevelPolicy {
 public:
     DecisionRule decide(std::span<const double>, std::size_t, Rng&) const override {
@@ -483,6 +473,81 @@ TEST(ShardedVsDes, PerClientModelAgrees) {
     experiment.client_model = ClientModel::PerClient;
     experiment.shards = 4;
     expect_event_backends_agree(experiment.finite_system(), 16, 444);
+}
+
+// ---------------------------------------------------------------------------
+// Coupled oracle: FiniteSystem on the same conditioned λ path
+// ---------------------------------------------------------------------------
+
+/// JSQ at Δt = 5 over 20 epochs with Table-1 queues and arrivals.
+FiniteSystemConfig coupled_config(ClientModel model, std::size_t queues,
+                                  std::uint64_t clients) {
+    FiniteSystemConfig config;
+    config.num_queues = queues;
+    config.num_clients = clients;
+    config.client_model = model;
+    config.dt = 5.0;
+    config.horizon = 20;
+    return config;
+}
+
+double standard_error(const ConfidenceInterval& ci) {
+    return ci.n >= 2 ? ci.half_width / student_t_975(ci.n - 1) : 0.0;
+}
+
+/// Both backends simulate the same model on the same λ path with
+/// independent queue randomness, so their episode means may differ only by
+/// noise: 1% of the FiniteSystem mean plus 3 combined standard errors.
+void expect_coupled_agreement(const ConfidenceInterval& finite,
+                              const ConfidenceInterval& sharded, const char* what) {
+    const double noise = 3.0 * std::hypot(standard_error(finite), standard_error(sharded));
+    EXPECT_LE(std::abs(sharded.mean - finite.mean), 0.01 * std::abs(finite.mean) + noise)
+        << what << ": finite " << finite.mean << " +- " << finite.half_width << ", sharded "
+        << sharded.mean << " +- " << sharded.half_width;
+}
+
+/// Evaluates `config` on FiniteSystem and on ShardedDesSystem at K = 1 and
+/// K = 8, all on the λ path drawn from one seed.
+void expect_sharded_matches_finite(FiniteSystemConfig config, bool compare_accepted) {
+    const TupleSpace space(config.queue.num_states(), config.d);
+    const FixedRulePolicy jsq = make_jsq_policy(space);
+    constexpr std::size_t kEpisodes = 16;
+    constexpr std::uint64_t kSeed = 2024;
+    const CoupledEvaluation finite = evaluate_coupled(config, jsq, kEpisodes, kSeed);
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
+        SCOPED_TRACE(::testing::Message() << "K " << shards);
+        config.shards = shards;
+        const CoupledEvaluation sharded =
+            evaluate_coupled(config, jsq, kEpisodes, kSeed, 0, SimBackend::ShardedDes);
+        ASSERT_EQ(sharded.lambda_sequence, finite.lambda_sequence);
+        if (compare_accepted) {
+            expect_coupled_agreement(finite.finite_accepted, sharded.finite_accepted,
+                                     "accepted jobs per queue");
+        } else {
+            expect_coupled_agreement(finite.finite_drops, sharded.finite_drops,
+                                     "drops per queue");
+        }
+    }
+}
+
+TEST(ShardedVsFinite, CoupledPathDropsAgreeForEveryClientModel) {
+    // JSQ at Δt = 5 herds onto the stale minimum, so drops are large and
+    // sensitive to the routing law: relative standard errors are 0.2-0.35%
+    // at M = 4000 and ~1.2% for PerClient at M = 400.
+    expect_sharded_matches_finite(coupled_config(ClientModel::InfiniteClients, 4000, 0),
+                                  false);
+    expect_sharded_matches_finite(coupled_config(ClientModel::Aggregated, 4000, 40000000),
+                                  false);
+    expect_sharded_matches_finite(coupled_config(ClientModel::PerClient, 400, 40000), false);
+}
+
+TEST(ShardedVsFinite, IdleFleetAcceptsAsManyJobsAsFiniteSystem) {
+    // Per-queue load ≈ 0.01 from an empty fleet: nearly every queue-epoch
+    // starts idle, so the sharded backend's idle thinning decides almost
+    // every arrival. Drops are ≈ 0, so accepted jobs carry the comparison.
+    FiniteSystemConfig config = coupled_config(ClientModel::InfiniteClients, 4000, 0);
+    config.arrivals = ArrivalProcess::paper_two_state(0.012, 0.008);
+    expect_sharded_matches_finite(config, true);
 }
 
 // ---------------------------------------------------------------------------

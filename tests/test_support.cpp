@@ -306,21 +306,6 @@ TEST(ThreadPool, WaitIdleRethrowsAThrowingSubmittedTask) {
     EXPECT_EQ(counter.load(), 11);
 }
 
-TEST(CompletionToken, WaitRethrowsTheTaskException) {
-    // Inline (1 thread) and offloaded (2 threads) tasks report alike.
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-        CompletionToken token;
-        auto failing = [] { throw std::runtime_error("offloaded"); };
-        token.launch(failing, threads);
-        EXPECT_THROW(token.wait(), std::runtime_error) << threads << " threads";
-        int ran = 0;
-        auto ok = [&ran] { ++ran; };
-        token.launch(ok, threads);
-        EXPECT_NO_THROW(token.wait());
-        EXPECT_EQ(ran, 1);
-    }
-}
-
 TEST(ParallelFor, CoversAllIndicesOnce) {
     std::vector<std::atomic<int>> hits(257);
     parallel_for(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); }, 4);

@@ -4,8 +4,7 @@
 // counting client models — this is what keeps the golden sharded trajectories
 // pinned). Sizes straddle the scan's serial-fallback threshold (block < 16,
 // i.e. n < 64) and the 4-lane tail cases (n mod 4 ≠ 0). The same contract is
-// pinned end to end for the composed destination-law kernel and the shard-mass
-// partition. Under TSan the target_clones dispatch is compiled out
+// pinned end to end for the composed destination-law kernel. Under TSan the target_clones dispatch is compiled out
 // (MFLB_SIMD_CLONES is empty there), so these tests also pin that the plain
 // build of the 4-lane shapes agrees with the reference.
 #include "field/arrival_flow.hpp"
@@ -66,28 +65,12 @@ TEST(VecKernels, SumMatchesReferenceForDoubles) {
 TEST(VecKernels, SumIsExactForIntegerValuedInputs) {
     Rng rng(102);
     for (const std::size_t n : kSizes) {
+        // Integer-valued doubles (queue weights of the counting models):
+        // every reassociation is exact below 2^53.
         const std::vector<std::uint64_t> counts = random_counts(n, rng);
-        // uint64 overload: every reassociation is exact below 2^53.
-        EXPECT_EQ(vec_sum(std::span<const std::uint64_t>(counts)),
-                  vec_sum_reference(std::span<const std::uint64_t>(counts)));
-        // Integer-valued doubles (queue weights of the counting models).
         std::vector<double> xs(counts.begin(), counts.end());
         EXPECT_EQ(vec_sum(std::span<const double>(xs)),
                   vec_sum_reference(std::span<const double>(xs)));
-    }
-}
-
-TEST(VecKernels, PrefixSumMatchesReferenceForDoubles) {
-    Rng rng(103);
-    for (const std::size_t n : kSizes) {
-        const std::vector<double> xs = random_doubles(n, rng);
-        std::vector<double> got(n, -1.0);
-        std::vector<double> want(n, -2.0);
-        inclusive_prefix_sum(xs, got);
-        inclusive_prefix_sum_reference(xs, want);
-        for (std::size_t i = 0; i < n; ++i) {
-            expect_close(got[i], want[i]);
-        }
     }
 }
 
@@ -102,18 +85,6 @@ TEST(VecKernels, PrefixSumIsExactForIntegerWeights) {
         for (std::size_t i = 0; i < n; ++i) {
             EXPECT_EQ(got[i], want[i]) << "n=" << n << " i=" << i;
         }
-    }
-}
-
-TEST(VecKernels, PrefixSumInPlaceEqualsOutOfPlace) {
-    Rng rng(105);
-    for (const std::size_t n : kSizes) {
-        const std::vector<double> xs = random_doubles(n, rng);
-        std::vector<double> out(n, -1.0);
-        inclusive_prefix_sum(xs, out);
-        std::vector<double> in_place = xs;
-        inclusive_prefix_sum(std::span<const double>(in_place), in_place);
-        EXPECT_EQ(in_place, out) << "n=" << n;
     }
 }
 
@@ -134,80 +105,16 @@ TEST(VecKernels, GatherScaleIsBitExact) {
     }
 }
 
-TEST(VecKernels, GatherSumIsBitEqualToComposedGatherThenSum) {
-    // The fused kernel of the sharded backend's epoch barrier: the shard
-    // mass over a prescaled table must equal gather_scale(scale = 1) followed
-    // by vec_sum *bit for bit* — both instantiate the same 4-lane loop body.
-    Rng rng(108);
-    const std::vector<double> table = random_doubles(32, rng);
-    for (const std::size_t n : kSizes) {
-        std::vector<int> idx(n);
-        for (int& z : idx) {
-            z = static_cast<int>(rng.uniform_below(table.size()));
-        }
-        std::vector<double> materialized(n, -1.0);
-        gather_scale(idx, table, 1.0, materialized);
-        const double composed = vec_sum(std::span<const double>(materialized));
-        EXPECT_EQ(gather_sum(idx, table), composed) << "n=" << n;
-    }
-}
-
-TEST(VecKernels, GatherPrefixSumIsBitEqualToComposedGatherThenScan) {
-    // Same contract for the thinning prefix sum: the fused gather scan must
-    // reproduce the materialize-then-scan composition bit for bit, on both
-    // sides of the segmented scan's serial-fallback threshold.
-    Rng rng(109);
-    const std::vector<double> table = random_doubles(32, rng);
-    for (const std::size_t n : kSizes) {
-        std::vector<int> idx(n);
-        for (int& z : idx) {
-            z = static_cast<int>(rng.uniform_below(table.size()));
-        }
-        std::vector<double> materialized(n, -1.0);
-        gather_scale(idx, table, 1.0, materialized);
-        std::vector<double> composed(n, -1.0);
-        inclusive_prefix_sum(materialized, composed);
-        std::vector<double> fused(n, -2.0);
-        gather_prefix_sum(idx, table, fused);
-        EXPECT_EQ(fused, composed) << "n=" << n;
-    }
-}
-
-TEST(VecKernels, PrescaledGatherEqualsScaledGather) {
-    // prescale_destination_sums folds the 1/M factor into the table; gathers
-    // against the prescaled table must match gather_scale(idx, sums, inv_m)
-    // per element exactly (one multiply per state, same double product).
-    Rng rng(110);
-    const std::vector<double> sums = random_doubles(32, rng);
-    const double inv_m = 1.0 / 48.0;
-    std::vector<double> scaled(sums.size(), 0.0);
-    prescale_destination_sums(sums, inv_m, scaled);
-    std::vector<int> idx(257);
-    for (int& z : idx) {
-        z = static_cast<int>(rng.uniform_below(sums.size()));
-    }
-    std::vector<double> via_scale(idx.size(), -1.0);
-    gather_scale(idx, sums, inv_m, via_scale);
-    std::vector<double> via_prescaled(idx.size(), -2.0);
-    gather_scale(idx, scaled, 1.0, via_prescaled);
-    EXPECT_EQ(via_prescaled, via_scale);
-    EXPECT_EQ(gather_sum(idx, scaled), vec_sum(std::span<const double>(via_scale)));
-}
-
 TEST(VecKernels, SizeMismatchThrows) {
     const std::vector<double> in(8, 1.0);
     const std::vector<std::uint64_t> in_u(8, 1);
     std::vector<double> out(7, 0.0);
-    EXPECT_THROW(inclusive_prefix_sum(std::span<const double>(in), out),
-                 std::invalid_argument);
     EXPECT_THROW(inclusive_prefix_sum(std::span<const std::uint64_t>(in_u), out),
                  std::invalid_argument);
-    EXPECT_THROW(inclusive_prefix_sum_reference(std::span<const double>(in), out),
+    EXPECT_THROW(inclusive_prefix_sum_reference(std::span<const std::uint64_t>(in_u), out),
                  std::invalid_argument);
     const std::vector<int> idx(8, 0);
     EXPECT_THROW(gather_scale(idx, in, 1.0, out), std::invalid_argument);
-    EXPECT_THROW(gather_prefix_sum(idx, in, out), std::invalid_argument);
-    EXPECT_THROW(prescale_destination_sums(in, 1.0, out), std::invalid_argument);
 }
 
 TEST(VecKernels, DestinationLawMatchesScalarReference) {
@@ -247,31 +154,6 @@ TEST(VecKernels, DestinationLawMatchesScalarReference) {
     // Both realize the same per-packet destination law: mass sums to one.
     expect_close(total_got, 1.0, 1e-9);
     expect_close(total_want, 1.0, 1e-9);
-}
-
-TEST(VecKernels, PartitionShardMassMatchesSerialSums) {
-    Rng rng(108);
-    const std::size_t m = 1003;
-    const std::size_t shards = 7;
-    std::vector<std::size_t> begin(shards + 1);
-    for (std::size_t s = 0; s <= shards; ++s) {
-        begin[s] = s * m / shards;
-    }
-
-    // Integer weights (finite-N counts): exact, bit for bit.
-    const std::vector<std::uint64_t> counts = random_counts(m, rng);
-    std::vector<double> int_mass(shards, -1.0);
-    const double int_total = partition_shard_mass(counts, begin, int_mass);
-    double int_serial = 0.0;
-    for (std::size_t s = 0; s < shards; ++s) {
-        double want = 0.0;
-        for (std::size_t j = begin[s]; j < begin[s + 1]; ++j) {
-            want += static_cast<double>(counts[j]);
-        }
-        EXPECT_EQ(int_mass[s], want);
-        int_serial += want;
-    }
-    EXPECT_EQ(int_total, int_serial);
 }
 
 } // namespace
