@@ -46,7 +46,11 @@ DesSystem::DesSystem(FiniteSystemConfig config)
         g_.assign(d * num_z, 0.0);
         tuple_.assign(d, 0);
         suffix_.assign(d + 1, 1.0);
-        dest_p_.assign(m, 0.0);
+        class_weights_.assign(num_z, 0.0);
+        class_clients_.assign(num_z, 0);
+        const double max_mean =
+            static_cast<double>(config_.d * config_.num_clients) / static_cast<double>(m);
+        classes_ = ClassCountSampler(num_z, m, max_mean);
     }
     telemetry_series_ = "des_epoch";
     if (config_.telemetry != nullptr) {
@@ -150,13 +154,16 @@ void DesSystem::begin_epoch(const DecisionRule& h, Rng& rng) {
                                  counts_);
         break;
     case ClientModel::Aggregated: {
-        // Exactly FiniteSystem's aggregation: the per-client destination law
-        // from the shared routing helper, then C ~ Multinomial(N, p).
+        // Exactly FiniteSystem's aggregation: the folded routing table gives
+        // the per-class destination law, then C ~ Multinomial(N, p) per class.
         for (std::size_t z = 0; z < hist_.size(); ++z) {
             hist_[z] = inv_m * static_cast<double>(state_counts_[z]);
         }
-        compute_destination_law_into(queues_, hist_, h, tuple_, suffix_, g_, dest_p_);
-        rng.multinomial(config_.num_clients, dest_p_, counts_);
+        compute_routing_table_into(hist_, h, tuple_, suffix_, g_);
+        sample_class_totals(config_.num_clients,
+                            fold_routing_table_rows(g_, hist_.size(), config_.d),
+                            state_counts_, rng, class_weights_, class_clients_);
+        classes_.sample(queues_, state_counts_, class_clients_, rng, counts_);
         break;
     }
     case ClientModel::InfiniteClients:
@@ -349,6 +356,9 @@ EpochStats DesSystem::step_with_rule(const DecisionRule& h, Rng& rng) {
     }
     if (!(h.space() == space_)) {
         throw std::invalid_argument("DesSystem::step: decision rule on wrong tuple space");
+    }
+    if (!h.is_valid()) {
+        throw std::invalid_argument("DesSystem::step: decision rule is not row-stochastic");
     }
     trace::Tracer* tracer = session_tracer(telemetry_);
     {

@@ -22,8 +22,9 @@
 ///    per-queue Poisson arrival streams of eq. (5) is a single Poisson
 ///    process of rate M·λ_t whose points are thinned onto queues:
 ///      · Aggregated / PerClient: destination ∝ the epoch's client counts
-///        C_j (C ~ Multinomial(N, p) exactly as in `FiniteSystem`, or
-///        per-client sampling), via binary search on the count prefix sums;
+///        C_j (C ~ Multinomial(N, p) drawn per state class exactly as in
+///        `FiniteSystem`, or per-client sampling), via binary search on the
+///        count prefix sums;
 ///      · InfiniteClients: each job samples d queues uniformly, reads their
 ///        *snapshot* states and applies the decision rule — the exact
 ///        event-level realization of the deterministic mean-field rates
@@ -92,7 +93,8 @@ public:
     /// from the frozen snapshot, reschedules the arrival stream, then
     /// processes arrival/departure events in time order. Allocation-free in
     /// steady state. Throws std::logic_error when a classical router is
-    /// configured — use step_router.
+    /// configured — use step_router — and std::invalid_argument when `h` is
+    /// not row-stochastic.
     EpochStats step_with_rule(const DecisionRule& h, Rng& rng);
     /// One decision epoch under the configured classical router: the weight
     /// law from the epoch-start snapshot feeds the arrival-thinning prefix
@@ -183,7 +185,9 @@ private:
     std::vector<double> g_;             ///< routing table g[k·|Z| + z].
     std::vector<int> tuple_;            ///< decode buffer (d).
     std::vector<double> suffix_;        ///< suffix products (d + 1).
-    std::vector<double> dest_p_;        ///< per-queue destination law (M).
+    std::vector<double> class_weights_; ///< class-total weights (|Z|).
+    std::vector<std::uint64_t> class_clients_; ///< class totals N_z (|Z|).
+    ClassCountSampler classes_;         ///< per-class count draw (Aggregated).
     std::vector<std::uint64_t> counts_; ///< per-queue client counts (M).
     std::vector<double> cum_;           ///< count prefix sums (M).
     std::vector<double> weights_;       ///< router weight law (M, router mode).

@@ -69,7 +69,6 @@ ShardedDesSystem::ShardedDesSystem(FiniteSystemConfig config)
 
     state_counts_.assign(num_z, 0);
     state_hi_ = num_z;
-    shard_mass_.assign(k, 0.0);
 
     // Reduction-tree shape (level widths K, ⌈K/2⌉, …, 1) is fixed by K
     // alone, never by thread count; K == 1 reduces straight off the shard.
@@ -87,11 +86,13 @@ ShardedDesSystem::ShardedDesSystem(FiniteSystemConfig config)
     // are immovable, so the vector is constructed in place and never grown).
     tree_pending_ = std::vector<PendingCount>(tree_.size());
     // Barrier buffers, sized once per client model / router so the epoch
-    // stays allocation-free: Aggregated needs the per-queue law (its shard
-    // multinomials weight every queue), InfiniteClients only the |Z|-sized
-    // rate table, PerClient only the client counts.
+    // stays allocation-free: routers need the per-queue weight law and the
+    // shard masses, Aggregated the K×|Z| (shard, class) cells and a class
+    // sampler per shard, InfiniteClients only the |Z|-sized rate table,
+    // PerClient only the client counts.
     if (router_.active()) {
         dest_p_.assign(m, 0.0);
+        shard_mass_.assign(k, 0.0);
     } else {
         if (config_.client_model != ClientModel::PerClient) {
             hist_.assign(num_z, 0.0);
@@ -100,8 +101,15 @@ ShardedDesSystem::ShardedDesSystem(FiniteSystemConfig config)
             suffix_.assign(d + 1, 1.0);
         }
         if (config_.client_model == ClientModel::Aggregated) {
-            dest_p_.assign(m, 0.0);
-            shard_clients_.assign(k, 0);
+            cell_queues_.assign(k * num_z, 0);
+            cell_weights_.assign(k * num_z, 0.0);
+            cell_clients_.assign(k * num_z, 0);
+            // d·N/M bounds the per-queue mean of every rule (p_j ≤ d/M).
+            const double max_mean =
+                static_cast<double>(config_.d * config_.num_clients) / static_cast<double>(m);
+            for (Shard& shard : shards_) {
+                shard.classes = ClassCountSampler(num_z, shard.end - shard.begin, max_mean);
+            }
         }
         if (config_.client_model == ClientModel::InfiniteClients) {
             flow_.inflow_by_state.assign(num_z, 0.0);
@@ -282,16 +290,14 @@ void ShardedDesSystem::run_shard_epoch(std::size_t s, double epoch_start) {
         advance_slice_thinned(shard, epoch_start);
     } else {
         if (config_.client_model == ClientModel::Aggregated) {
-            // The shard's half of the hierarchical multinomial, from its own
-            // stream over its own slice of the destination law.
-            const std::span<std::uint64_t> counts(counts_.data() + shard.begin, n);
-            if (shard.clients > 0 && shard_mass_[s] > 0.0) {
-                shard.rng.multinomial(shard.clients,
-                                      std::span<const double>(dest_p_.data() + shard.begin, n),
-                                      shard_mass_[s], counts);
-            } else {
-                std::fill(counts.begin(), counts.end(), 0);
-            }
+            // The shard's half of the class-level draw: its queues' counts
+            // within each (shard, class) cell, from its own stream.
+            trace::ScopedSpan law_span(tracer_, "destination_law");
+            const std::size_t num_z = shard.state_counts.size();
+            shard.classes.sample(
+                std::span<const int>(queues_.data() + shard.begin, n), shard.state_counts,
+                std::span<const std::uint64_t>(cell_clients_.data() + s * num_z, num_z),
+                shard.rng, std::span<std::uint64_t>(counts_.data() + shard.begin, n));
         }
         advance_slice(shard, epoch_start, [this](std::size_t j, int) {
             return rate_scale_ * static_cast<double>(counts_[j]);
@@ -531,17 +537,27 @@ EpochStats ShardedDesSystem::run_epoch(const UpperLevelPolicy* policy,
 
     // ---- Deterministic compute: every RNG-free input of the epoch — the
     // rule (RNG-free policy query), the routing table, the InfiniteClients
-    // rate table or the classical weight law — then the per-shard routing
-    // masses, one pool task per shard (each writes only its own mass slot
-    // and dest_p_ slice).
+    // rate table or the classical weight law, then the router's per-shard
+    // masses, one pool task per shard (each writes only its own mass slot).
     const auto t0 = std::chrono::steady_clock::now();
     {
         trace::ScopedSpan span(tracer_, "barrier_overlap");
         if (policy != nullptr) {
             policy->decide_into(obs_, lambda_state(), rng, scratch, rule_);
         }
+        if (rule != nullptr && !rule->is_valid()) {
+            throw std::invalid_argument(
+                "ShardedDesSystem::step: decision rule is not row-stochastic");
+        }
         if (router_.active()) {
             router_.epoch_weights(queues_, time(), dest_p_);
+            parallel_for(
+                k,
+                [&](std::size_t s) {
+                    shard_mass_[s] = vec_sum(std::span<const double>(
+                        dest_p_.data() + shard_begin_[s], shard_begin_[s + 1] - shard_begin_[s]));
+                },
+                threads_);
         } else if (config_.client_model != ClientModel::PerClient) {
             for (std::size_t z = 0; z < hist_.size(); ++z) {
                 hist_[z] = inv_m * static_cast<double>(state_counts_[z]);
@@ -553,35 +569,19 @@ EpochStats ShardedDesSystem::run_epoch(const UpperLevelPolicy* policy,
                 compute_arrival_flow_into(hist_, *rule, lambda_value(), tuple_, flow_);
             }
         }
-        if (router_.active() || aggregated) {
-            const std::span<const double> sums(g_.data(), hist_.size());
-            parallel_for(
-                k,
-                [&](std::size_t s) {
-                    const std::size_t begin = shard_begin_[s];
-                    const std::size_t n = shard_begin_[s + 1] - begin;
-                    const std::span<double> law(dest_p_.data() + begin, n);
-                    if (aggregated) {
-                        gather_scale(std::span<const int>(queues_.data() + begin, n), sums,
-                                     inv_m, law);
-                    }
-                    shard_mass_[s] = vec_sum(std::span<const double>(law));
-                },
-                threads_);
-        }
     }
     const auto t1 = std::chrono::steady_clock::now();
     profile_.overlapped_compute_seconds += std::chrono::duration<double>(t1 - t0).count();
 
-    // ---- Serial prologue: the caller-RNG draws and O(K) bookkeeping that
-    // genuinely cannot overlap shard work.
+    // ---- Serial prologue: the caller-RNG draws and O(K·|Z|) bookkeeping
+    // that genuinely cannot overlap shard work.
     {
         trace::ScopedSpan span(tracer_, "barrier_prologue");
-        double total = 0.0;
-        for (const double mass : shard_mass_) { // fixed K-term order.
-            total += mass;
-        }
         if (router_.active()) {
+            double total = 0.0;
+            for (const double mass : shard_mass_) { // fixed K-term order.
+                total += mass;
+            }
             rate_scale_ = total > 0.0 ? total_rate / total : 0.0;
         } else if (config_.client_model != ClientModel::InfiniteClients) {
             rate_scale_ = total_rate / static_cast<double>(config_.num_clients);
@@ -591,19 +591,19 @@ EpochStats ShardedDesSystem::run_epoch(const UpperLevelPolicy* policy,
                 sample_per_client_counts(queues_, *rule, config_.num_clients, rng, sampled_,
                                          states_, counts_);
             } else {
-                // Hierarchical multinomial: the barrier draws the shard totals
-                // N_s ~ Multinomial(N, P_s); each shard task then draws its own
-                // queues' counts Multinomial(N_s, p_j / P_s) from its own
+                // Class-level draw: the barrier draws the (shard, class) cell
+                // totals from the shard histograms, O(K·|Z|); each shard task
+                // then spreads its cells over its own queues from its own
                 // stream. Jointly exactly Multinomial(N, p) — FiniteSystem's
                 // aggregation.
-                if (total > 0.0) {
-                    rng.multinomial(config_.num_clients, shard_mass_, total, shard_clients_);
-                } else {
-                    std::fill(shard_clients_.begin(), shard_clients_.end(), 0);
-                }
+                const std::size_t num_z = hist_.size();
                 for (std::size_t s = 0; s < k; ++s) {
-                    shards_[s].clients = shard_clients_[s];
+                    std::copy_n(shards_[s].state_counts.data(), num_z,
+                                cell_queues_.data() + s * num_z);
                 }
+                sample_class_totals(config_.num_clients,
+                                    std::span<const double>(g_.data(), num_z), cell_queues_, rng,
+                                    cell_weights_, cell_clients_);
             }
         }
         if (k > 1) {

@@ -15,11 +15,14 @@
 /// its own `Rng::fork(shard)` stream.
 ///
 /// Per-queue arrival rates are built inside the shard task from |Z|- or
-/// K-sized barrier inputs, never from an M-sized rate vector:
-///  - `Aggregated`: hierarchical Multinomial — shard totals
-///    N_s ~ Multinomial(N, P_s) at the barrier, then Multinomial(N_s, p_j/P_s)
-///    over the shard's queues from its own stream (jointly exactly
-///    Multinomial(N, p)); r_j = M·λ_t·c_j/N as in `FiniteSystem`;
+/// K·|Z|-sized barrier inputs, never from an M-sized rate vector:
+///  - `Aggregated`: class-level Multinomial — p_j = σ_{z_j}/M is constant
+///    within a state class, so the barrier draws the K × |Z| (shard, class)
+///    cell totals N_{s,z} ~ Multinomial(N, n_{s,z}·σ_z/M) from the shard
+///    histograms (`sample_class_totals`), and each shard spreads its cells
+///    over its own queues from its own stream (`ClassCountSampler`, the
+///    `destination_law` span) — jointly exactly Multinomial(N, p);
+///    r_j = M·λ_t·c_j/N as in `FiniteSystem`;
 ///  - `PerClient`: the barrier's Algorithm-1 counts, same formula;
 ///  - `InfiniteClients`: the per-state rate table of
 ///    `compute_arrival_flow_into`, r_j = λ_t(H^M, z_j);
@@ -37,12 +40,13 @@
 ///
 /// Epoch structure (on `SystemBase`'s clock; see the "Epoch barrier"
 /// section of docs/ARCHITECTURE.md) — one barrier, in which only the
-/// caller-RNG draws and O(K) bookkeeping are serial:
-///  1. *Deterministic compute* — the RNG-free policy query, the routing
-///     table (or the InfiniteClients rate table, or the classical weight
-///     law), then the per-shard routing masses fanned out over the pool;
+/// caller-RNG draws and O(K·|Z|) bookkeeping are serial:
+///  1. *Deterministic compute* — the RNG-free policy query and its
+///     row-stochastic check, the routing table (or the InfiniteClients rate
+///     table, or the classical weight law and its per-shard masses fanned
+///     out over the pool);
 ///  2. *Serial prologue* — Algorithm 1 client sampling (PerClient) or the
-///     shard client totals (Aggregated) from the caller's RNG;
+///     (shard, class) cell totals (Aggregated) from the caller's RNG;
 ///  3. *Parallel phase* — each shard advances its queue slice to the epoch
 ///     end, touching only its own queues — lock-free, no cross-shard reads.
 ///     Each shard task ends by folding its integer payloads (state counts up
@@ -117,7 +121,8 @@ public:
 
     /// One decision epoch under an explicit decision rule (see file
     /// comment). Throws std::logic_error when a classical router is
-    /// configured — use step_router.
+    /// configured — use step_router. Every epoch (this one or `step`'s)
+    /// throws std::invalid_argument when its rule is not row-stochastic.
     EpochStats step_with_rule(const DecisionRule& h, Rng& rng);
     /// One decision epoch under the configured classical router: frozen
     /// per-queue rates M·λ_t·w_j/W from the router's weight law, W summed
@@ -144,16 +149,17 @@ public:
 
     /// Cumulative wall-clock split of the epoch since the last reset — the
     /// Amdahl accounting that `bench_des_scale` reports. Four components:
-    /// the irreducibly serial prologue (caller-RNG draws + O(K) tree
+    /// the irreducibly serial prologue (caller-RNG draws + O(K·|Z|)
     /// bookkeeping, plus the policy query when it draws from the caller's
     /// RNG), the deterministic barrier compute (RNG-free policy query,
-    /// routing table, per-shard mass fan-out), the reduction tail (root
-    /// readout + fixed-order floating-point pass + λ advance), and the
-    /// parallel shard tasks. The serial fraction is serial_seconds() /
+    /// routing table, the router's per-shard mass fan-out), the reduction
+    /// tail (root readout + fixed-order floating-point pass + λ advance),
+    /// and the parallel shard tasks (which include the Aggregated count
+    /// draw). The serial fraction is serial_seconds() /
     /// total_seconds(): prologue and reduction are the phases that cannot
     /// overlap shard work.
     struct BarrierProfile {
-        double serial_prologue_seconds = 0.0;    ///< RNG draws + O(K) bookkeeping.
+        double serial_prologue_seconds = 0.0;    ///< RNG draws + O(K·|Z|) bookkeeping.
         double overlapped_compute_seconds = 0.0; ///< deterministic barrier compute.
         double reduction_seconds = 0.0;          ///< reduction tail + λ advance.
         double parallel_seconds = 0.0;           ///< shard tasks (wall clock).
@@ -190,7 +196,7 @@ private:
                                           ///< state_counts[z] == 0 for z >= hot_hi,
                                           ///< so reductions stop at the high-water
                                           ///< mark instead of walking all of Z.
-        std::uint64_t clients = 0;        ///< N_s (Aggregated only).
+        ClassCountSampler classes;        ///< per-class count draw (Aggregated).
         QueueTally tally;                 ///< this epoch's counters and sums.
         SojournRecorder sojourn;          ///< local sojourn histogram
                                           ///< (track_sojourn only; merged
@@ -200,8 +206,8 @@ private:
     };
 
     /// Parallel phase: shard s's epoch from `epoch_start` — its Aggregated
-    /// client counts, the per-queue kernels over its slice, then the eager
-    /// fold into the reduction tree.
+    /// client counts within its (shard, class) cells, the per-queue kernels
+    /// over its slice, then the eager fold into the reduction tree.
     void run_shard_epoch(std::size_t s, double epoch_start);
     /// Runs the kernel on every queue of the shard at rate `rate_of(j, z)`.
     template <class RateOf>
@@ -287,17 +293,18 @@ private:
     std::vector<double> g_;                ///< routing table g[k·|Z| + z].
     std::vector<int> tuple_;               ///< decode buffer (d).
     std::vector<double> suffix_;           ///< suffix products (d + 1).
-    std::vector<double> dest_p_;           ///< per-queue destination law or
-                                           ///< router weights (M; Aggregated or
-                                           ///< routers only).
+    std::vector<double> dest_p_;           ///< router weights (M, routers only).
     ArrivalFlow flow_;                     ///< InfiniteClients rates by state (|Z|).
     std::vector<std::uint64_t> counts_;    ///< per-queue client counts (M).
     double rate_scale_ = 0.0;              ///< M·λ_t/N (client counts) or
                                            ///< M·λ_t/W (router weights).
     std::vector<int> sampled_;             ///< PerClient sampled queues (d).
     std::vector<int> states_;              ///< their snapshot states (d).
-    std::vector<double> shard_mass_;       ///< per-shard routing mass (K).
-    std::vector<std::uint64_t> shard_clients_; ///< per-shard N_s (K).
+    std::vector<double> shard_mass_;       ///< per-shard router mass (K).
+    std::vector<int> cell_queues_;         ///< queues per (shard, class) cell
+                                           ///< (K·|Z|, Aggregated).
+    std::vector<double> cell_weights_;     ///< cell weights n_c·σ_z (K·|Z|).
+    std::vector<std::uint64_t> cell_clients_; ///< cell totals N_c (K·|Z|).
 
     // Epoch-keyed cache of the cross-shard sojourn percentiles: one merge
     // pass fills all three; invalidated by advancing an epoch or resetting.

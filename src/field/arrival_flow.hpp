@@ -47,9 +47,9 @@ void compute_arrival_flow_into(std::span<const double> nu, const DecisionRule& h
 /// i.e. g[k * |Z| + z] accumulates, over all tuples with z̄_k = z, the
 /// leave-one-out weight Π_{i≠k} hist(z̄_i) times h(k | z̄). A queue currently
 /// in state z is then a client's destination with probability
-/// (1/M) Σ_k g(k, z) — the exact per-client destination law used by both the
-/// epoch-synchronous `FiniteSystem` aggregation and the event-driven
-/// `DesSystem`. Allocation-free: `tuple` (d), `suffix` (d + 1) and `g`
+/// (1/M) Σ_k g(k, z) — the exact per-client destination law behind the
+/// `Aggregated` draw of all three finite-system backends and the `jsq-d`
+/// router. Allocation-free: `tuple` (d), `suffix` (d + 1) and `g`
 /// (d · |Z|) are caller-owned scratch/output buffers.
 void compute_routing_table_into(std::span<const double> hist, const DecisionRule& h,
                                 std::span<int> tuple, std::span<double> suffix,
@@ -72,10 +72,10 @@ std::span<const double> fold_routing_table_rows(std::span<double> g, std::size_t
 /// over the d·|Z| table, then a vectorized O(M) `gather_scale` — bit-identical
 /// to the historical O(M·d) per-queue scan (same addition order per state),
 /// which survives as `compute_destination_law_reference_into` for the kernel
-/// agreement tests. Shared by the epoch-synchronous `FiniteSystem`
-/// aggregation and both event-driven backends. `tuple` (d), `suffix` (d + 1),
-/// `g` (d · |Z|) are caller-owned scratch; `queue_states` and `dest_p` have
-/// one entry per queue. Postcondition: `g`'s first row holds the folded
+/// agreement tests. Used by the `jsq-d` router (`Aggregated` needs only the
+/// folded sums). `tuple` (d), `suffix` (d + 1), `g` (d · |Z|) are
+/// caller-owned scratch; `queue_states` and `dest_p` have one entry per
+/// queue. Postcondition: `g`'s first row holds the folded
 /// per-state sums (callers treating `g` as per-coordinate rows must re-run
 /// `compute_routing_table_into`).
 void compute_destination_law_into(std::span<const int> queue_states,
@@ -103,6 +103,74 @@ void compute_destination_law_reference_into(std::span<const int> queue_states,
 void sample_per_client_counts(std::span<const int> queue_states, const DecisionRule& h,
                               std::uint64_t num_clients, Rng& rng, std::span<int> sampled,
                               std::span<int> states, std::span<std::uint64_t> counts);
+
+/// The exact `Aggregated` draw, step 1. On a Δt-stale snapshot a client's
+/// destination law p_j = σ_{z_j}/M (σ the folded routing table) is constant
+/// within a *class* — the queues sharing one state. Over cells c = s·|Z| + z
+/// (slice s, class z; one slice per shard, or one for the fleet) holding
+/// `cell_queues[c]` queues, this draws the cell totals
+/// N_c ~ Multinomial(N, n_c·σ_z/Σ) with `weights` as scratch. Cells of zero
+/// weight get no clients, not even rounding leftovers.
+void sample_class_totals(std::uint64_t num_clients, std::span<const double> class_sums,
+                         std::span<const int> cell_queues, Rng& rng, std::span<double> weights,
+                         std::span<std::uint64_t> cell_clients);
+
+/// Step 2: one slice's per-queue counts given its class totals, exactly
+/// Multinomial(N_z, uniform) within each class z: every queue draws
+/// Poisson(μ_z), μ_z = max(0, (N_z − 3√N_z)/n_z), by guide-table inversion;
+/// a class whose total K_z exceeds N_z is redrawn, else its N_z − K_z
+/// missing clients go one at a time to uniform members (top-ups). Given
+/// K_z = k the Poisson counts are Multinomial(k, uniform), so this is exact
+/// for any μ_z. A class whose table does not fit, or keeps being redrawn,
+/// takes the conditional-binomial chain instead (docs/ARCHITECTURE.md,
+/// "Aggregated client counts"). Memory is fixed at construction.
+class ClassCountSampler {
+public:
+    /// Longest table a class may use: the fallback bounds memory, it is not
+    /// a second fast path (tables are sized for `max_mean`).
+    static constexpr std::size_t kMaxTable = std::size_t{1} << 14;
+
+    /// Running totals since construction.
+    struct Stats {
+        std::uint64_t class_draws = 0; ///< classes with clients.
+        std::uint64_t redraws = 0;     ///< Poisson passes rejected (K_z > N_z).
+        std::uint64_t top_ups = 0;     ///< clients added one at a time.
+        std::uint64_t fallbacks = 0;   ///< class draws by the binomial chain.
+    };
+
+    ClassCountSampler() = default;
+    /// Tables for per-queue means up to `max_mean` (d·N/M bounds any rule's)
+    /// and slices of up to `max_queues` queues over `num_states` classes.
+    ClassCountSampler(std::size_t num_states, std::size_t max_queues, double max_mean);
+
+    /// Fills `counts` from the slice's states, class sizes n_z
+    /// (`class_queues`) and class totals N_z (`class_clients`), drawing in
+    /// queue order. `class_means` (≥ 0) overrides the default μ_z; the law
+    /// does not depend on it (tests force the top-up and redraw regimes).
+    void sample(std::span<const int> queue_states, std::span<const int> class_queues,
+                std::span<const std::uint64_t> class_clients, Rng& rng,
+                std::span<std::uint64_t> counts, std::span<const double> class_means = {});
+
+    const Stats& stats() const noexcept { return stats_; }
+    std::size_t table_capacity() const noexcept { return capacity_; }
+
+private:
+    /// Poisson(mu) table of class z; leaves len_[z] = 0 when it does not fit.
+    void build_table(std::size_t z, double mu);
+    std::uint64_t draw(std::size_t z, Rng& rng) const noexcept;
+
+    std::size_t capacity_ = 0;           ///< table entries per class.
+    std::vector<double> cdf_;            ///< |Z| × capacity_ CDF tables.
+    std::vector<std::uint32_t> guide_;   ///< |Z| × capacity_ guide tables.
+    std::vector<std::uint64_t> lo_;      ///< first tabulated count per class.
+    std::vector<std::size_t> len_;       ///< table length per class; 0 = none.
+    std::vector<std::size_t> begin_;     ///< class z: members_[begin_[z], begin_[z + 1]).
+    std::vector<std::size_t> fill_;      ///< member cursor per class.
+    std::vector<std::uint64_t> drawn_;   ///< Poisson total K_z per class.
+    std::vector<double> means_;          ///< μ_z of the current draw.
+    std::vector<std::uint32_t> members_; ///< slice indices grouped by class.
+    Stats stats_;
+};
 
 /// Probability μ(z̄) = Π_k ν(z̄_k) of an agent observing tuple index `idx`.
 double tuple_probability(const TupleSpace& space, std::span<const double> nu, std::size_t idx);

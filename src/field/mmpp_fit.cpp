@@ -6,6 +6,7 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace mflb {
 
@@ -17,6 +18,14 @@ double log_poisson(double y, double mu) {
     }
     return y * std::log(mu) - mu - std::lgamma(y + 1.0);
 }
+/// Rejects a non-finite or non-positive scale (a NaN mean would send
+/// `Rng::poisson` into unbounded recursion).
+void check_scale(const char* function, double num_queues, double dt) {
+    if (!(std::isfinite(num_queues) && num_queues > 0.0 && std::isfinite(dt) && dt > 0.0)) {
+        throw std::invalid_argument(std::string(function) +
+                                    ": num_queues and dt must be finite and positive");
+    }
+}
 } // namespace
 
 ArrivalProcess MmppFitResult::to_arrival_process() const {
@@ -26,6 +35,7 @@ ArrivalProcess MmppFitResult::to_arrival_process() const {
 std::vector<std::uint64_t> sample_arrival_counts(const ArrivalProcess& process,
                                                  double num_queues, double dt,
                                                  std::size_t epochs, Rng& rng) {
+    check_scale("sample_arrival_counts", num_queues, dt);
     std::vector<std::uint64_t> counts;
     counts.reserve(epochs);
     std::size_t state = process.sample_initial(rng);
@@ -46,9 +56,7 @@ MmppFitResult fit_arrival_process(std::span<const std::uint64_t> counts, double 
     if (k < 1) {
         throw std::invalid_argument("fit_arrival_process: need at least one state");
     }
-    if (num_queues <= 0.0 || dt <= 0.0) {
-        throw std::invalid_argument("fit_arrival_process: num_queues and dt must be positive");
-    }
+    check_scale("fit_arrival_process", num_queues, dt);
     const double scale = num_queues * dt; // Poisson mean = scale * level
 
     std::vector<double> y(horizon);

@@ -43,12 +43,14 @@ struct MmppFitResult {
 /// Fits a K-state Poisson-HMM to per-epoch arrival counts `counts`, where
 /// the Poisson mean of state k is `num_queues * level_k * dt`. Requires at
 /// least 2 observations. EM is initialized from quantile-spread levels with
-/// a sticky transition prior, seeded by `config.seed`.
+/// a sticky transition prior, seeded by `config.seed`. Throws
+/// std::invalid_argument unless `num_queues` and `dt` are finite and > 0.
 MmppFitResult fit_arrival_process(std::span<const std::uint64_t> counts, double num_queues,
                                   double dt, const MmppFitConfig& config = {});
 
 /// Generates a synthetic per-epoch arrival-count trace from a known process
-/// (for tests and demos): counts_t ~ Poisson(M · λ_{s_t} · Δt).
+/// (for tests and demos): counts_t ~ Poisson(M · λ_{s_t} · Δt). Same
+/// argument checks as `fit_arrival_process`.
 std::vector<std::uint64_t> sample_arrival_counts(const ArrivalProcess& process,
                                                  double num_queues, double dt,
                                                  std::size_t epochs, Rng& rng);

@@ -143,7 +143,14 @@ FiniteSystem::FiniteSystem(FiniteSystemConfig config)
     ws_.g.assign(d * num_z, 0.0);
     ws_.tuple.assign(d, 0);
     ws_.suffix.assign(d + 1, 1.0);
-    ws_.dest_p.assign(m, 0.0);
+    if (config_.client_model == ClientModel::Aggregated) {
+        ws_.state_counts.assign(num_z, 0);
+        ws_.class_weights.assign(num_z, 0.0);
+        ws_.class_clients.assign(num_z, 0);
+        const double max_mean =
+            static_cast<double>(config_.d * config_.num_clients) / static_cast<double>(m);
+        ws_.classes = ClassCountSampler(num_z, m, max_mean);
+    }
     ws_.counts.assign(m, 0);
     ws_.sampled.assign(d, 0);
     ws_.states.assign(d, 0);
@@ -218,13 +225,24 @@ std::vector<double> FiniteSystem::observed_distribution(Rng& rng) const {
     return h;
 }
 
-void FiniteSystem::destination_probabilities(const DecisionRule& h) const {
-    // p(j) = (1/M) Σ_k g(k, z_j): the exact law of one client's destination
-    // given the snapshot, computed by the routing helper shared with both
-    // event-driven backends (identical arithmetic — goldens stay bit-exact).
-    fill_empirical(ws_.hist);
-    compute_destination_law_into(queues_, ws_.hist, h, ws_.tuple, ws_.suffix, ws_.g,
-                                 ws_.dest_p);
+void FiniteSystem::sample_aggregated_counts(const DecisionRule& h, Rng& rng) const {
+    // p_j = σ_{z_j}/M with σ the folded routing table: constant within a
+    // state class, so the counts are drawn per class — the draw shared with
+    // both event-driven backends.
+    std::fill(ws_.state_counts.begin(), ws_.state_counts.end(), 0);
+    for (const int z : queues_) {
+        ++ws_.state_counts[static_cast<std::size_t>(z)];
+    }
+    const double inv_m = 1.0 / static_cast<double>(queues_.size());
+    for (std::size_t z = 0; z < ws_.hist.size(); ++z) {
+        ws_.hist[z] = inv_m * static_cast<double>(ws_.state_counts[z]);
+    }
+    compute_routing_table_into(ws_.hist, h, ws_.tuple, ws_.suffix, ws_.g);
+    const std::span<const double> sums =
+        fold_routing_table_rows(ws_.g, ws_.hist.size(), config_.d);
+    sample_class_totals(config_.num_clients, sums, ws_.state_counts, rng, ws_.class_weights,
+                        ws_.class_clients);
+    ws_.classes.sample(queues_, ws_.state_counts, ws_.class_clients, rng, ws_.counts);
 }
 
 void FiniteSystem::compute_queue_rates_into(const DecisionRule& h, Rng& rng) const {
@@ -232,30 +250,7 @@ void FiniteSystem::compute_queue_rates_into(const DecisionRule& h, Rng& rng) con
     const auto m = static_cast<double>(queues_.size());
     std::vector<double>& rates = ws_.rates;
 
-    switch (config_.client_model) {
-    case ClientModel::PerClient: {
-        // Literal eq. (5): every client samples d queues and one choice —
-        // the draw loop shared with both event-driven backends.
-        sample_per_client_counts(queues_, h, config_.num_clients, rng, ws_.sampled,
-                                 ws_.states, ws_.counts);
-        const double scale = m * lambda / static_cast<double>(config_.num_clients);
-        for (std::size_t j = 0; j < queues_.size(); ++j) {
-            rates[j] = scale * static_cast<double>(ws_.counts[j]);
-        }
-        return;
-    }
-    case ClientModel::Aggregated: {
-        // Client destinations are i.i.d. given the snapshot, so per-queue
-        // counts are exactly Multinomial(N, p).
-        destination_probabilities(h);
-        rng.multinomial(config_.num_clients, ws_.dest_p, ws_.counts);
-        const double scale = m * lambda / static_cast<double>(config_.num_clients);
-        for (std::size_t j = 0; j < queues_.size(); ++j) {
-            rates[j] = scale * static_cast<double>(ws_.counts[j]);
-        }
-        return;
-    }
-    case ClientModel::InfiniteClients: {
+    if (config_.client_model == ClientModel::InfiniteClients) {
         // N → ∞: rates collapse to λ_t(H^M, z_j), Section 2.2 / Theorem 1.
         fill_empirical(ws_.hist);
         compute_arrival_flow_into(ws_.hist, h, lambda, ws_.tuple, ws_.flow);
@@ -264,6 +259,19 @@ void FiniteSystem::compute_queue_rates_into(const DecisionRule& h, Rng& rng) con
         }
         return;
     }
+    if (config_.client_model == ClientModel::PerClient) {
+        // Literal eq. (5): every client samples d queues and one choice —
+        // the draw loop shared with both event-driven backends.
+        sample_per_client_counts(queues_, h, config_.num_clients, rng, ws_.sampled,
+                                 ws_.states, ws_.counts);
+    } else {
+        // Client destinations are i.i.d. given the snapshot, so per-queue
+        // counts are exactly Multinomial(N, p).
+        sample_aggregated_counts(h, rng);
+    }
+    const double scale = m * lambda / static_cast<double>(config_.num_clients);
+    for (std::size_t j = 0; j < queues_.size(); ++j) {
+        rates[j] = scale * static_cast<double>(ws_.counts[j]);
     }
 }
 
@@ -309,6 +317,9 @@ EpochStats FiniteSystem::step_with_rule(const DecisionRule& h, Rng& rng) {
     }
     if (!(h.space() == space_)) {
         throw std::invalid_argument("FiniteSystem::step: decision rule on wrong tuple space");
+    }
+    if (!h.is_valid()) {
+        throw std::invalid_argument("FiniteSystem::step: decision rule is not row-stochastic");
     }
     trace::Tracer* tracer = session_tracer(telemetry_);
     {

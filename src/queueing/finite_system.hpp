@@ -8,11 +8,13 @@
 ///
 /// Three client models are provided:
 ///  - `PerClient`        — literal Algorithm 1, O(N) per epoch;
-///  - `Aggregated`       — exact O(M·|Z|^{d-1} + M) reformulation: client
+///  - `Aggregated`       — exact O(|Z|^d·d + M) reformulation: client
 ///    destinations are conditionally i.i.d. given the snapshot, so the
-///    per-queue client counts are Multinomial(N, p) with p computed in
-///    closed form. Statistically identical to PerClient (tested), but cost
-///    is independent of N — this is how N = 10^6 runs are exact and fast;
+///    per-queue client counts are Multinomial(N, p), with p_j = σ_{z_j}/M in
+///    closed form and constant within each state class. The counts are drawn
+///    per class (`sample_class_totals`, then `ClassCountSampler`): exact, and
+///    statistically identical to PerClient (tested), but cost is independent
+///    of N — this is how N = 10^6 runs are exact and fast;
 ///  - `InfiniteClients`  — the N → ∞ intermediate system of Section 2.2:
 ///    per-queue rates become the deterministic λ_t(H^M, z_j) of the proof of
 ///    Theorem 1, while queues remain stochastic.
@@ -20,8 +22,9 @@
 /// Built on `SystemBase` (λ-chain, episode loop, stats accumulation); this
 /// class contributes only the per-epoch routing/queue kernel. The kernel is
 /// allocation-free in steady state: every per-step buffer (the g table,
-/// tuple decode, prefix/suffix products, destination probabilities, client
-/// counts, and rate vector) lives in a workspace sized at construction, so
+/// tuple decode, prefix/suffix products, class totals and the class sampler's
+/// tables, client counts, and rate vector) lives in a workspace sized at
+/// construction, so
 /// `step_with_rule` performs zero heap allocations after the first step.
 /// Consequence: a FiniteSystem instance must not be shared across threads
 /// (the Monte Carlo harness gives each replication its own instance).
@@ -216,7 +219,7 @@ public:
     /// Same with an explicit decision rule (skips the policy query).
     /// Allocation-free in steady state (see file comment). Throws
     /// std::logic_error when a classical router is configured — use
-    /// step_router.
+    /// step_router — and std::invalid_argument when `h` is not row-stochastic.
     EpochStats step_with_rule(const DecisionRule& h, Rng& rng);
     /// One decision epoch under the configured classical router (no policy
     /// involved); requires `config().router.kind != RouterKind::Policy`.
@@ -246,7 +249,10 @@ private:
         std::vector<double> g;             ///< g[k * |Z| + z] routing table.
         std::vector<int> tuple;            ///< tuple decode buffer (d).
         std::vector<double> suffix;        ///< suffix products (d + 1).
-        std::vector<double> dest_p;        ///< per-queue destination law (M).
+        std::vector<int> state_counts;     ///< queues per state (|Z|, Aggregated).
+        std::vector<double> class_weights; ///< class-total weights (|Z|, Aggregated).
+        std::vector<std::uint64_t> class_clients; ///< class totals N_z (|Z|, Aggregated).
+        ClassCountSampler classes;         ///< per-class count draw (Aggregated).
         std::vector<std::uint64_t> counts; ///< per-queue client counts (M).
         std::vector<int> sampled;          ///< per-client sampled queues (d).
         std::vector<int> states;           ///< their snapshot states (d).
@@ -256,8 +262,9 @@ private:
     };
 
     void fill_empirical(std::vector<double>& hist) const;
-    /// Fills ws_.dest_p with the exact per-client destination law.
-    void destination_probabilities(const DecisionRule& h) const;
+    /// Fills ws_.counts with the Aggregated client counts, Multinomial(N, p)
+    /// drawn per state class.
+    void sample_aggregated_counts(const DecisionRule& h, Rng& rng) const;
     /// Fills ws_.rates with the per-queue arrival rates of eq. (5).
     void compute_queue_rates_into(const DecisionRule& h, Rng& rng) const;
     /// Fills ws_.rates with M·λ_t·w_j/Σw from the router's weight law.

@@ -246,13 +246,8 @@ std::size_t Rng::categorical(std::span<const double> weights) noexcept {
 std::vector<std::uint64_t> Rng::multinomial(std::uint64_t n,
                                             std::span<const double> probs) noexcept {
     std::vector<std::uint64_t> counts(probs.size(), 0);
-    multinomial(n, probs, counts);
-    return counts;
-}
-
-void Rng::multinomial(std::uint64_t n, std::span<const double> probs,
-                      std::span<std::uint64_t> counts) noexcept {
     multinomial(n, probs, 1.0, counts);
+    return counts;
 }
 
 void Rng::multinomial(std::uint64_t n, std::span<const double> weights, double total_weight,

@@ -62,7 +62,10 @@ public:
     double normal() noexcept;
     /// Normal variate with the given mean and standard deviation.
     double normal(double mean, double stddev) noexcept;
-    /// Poisson variate; uses inversion for small means and PTRS for large.
+    /// Poisson variate: Knuth's product-of-uniforms method below mean 30,
+    /// recursive halving Pois(m) = Pois(m/2) + Pois(m/2) above, so the cost
+    /// is O(mean). `mean` must be finite (a non-finite mean never stops
+    /// halving); means <= 0 return 0.
     std::uint64_t poisson(double mean) noexcept;
     /// Binomial variate over n trials with success probability p in [0,1].
     std::uint64_t binomial(std::uint64_t n, double p) noexcept;
@@ -76,15 +79,11 @@ public:
     /// Multinomial sample: distributes n trials over `probs` (which must sum
     /// to ~1) by sequential conditional binomials. O(probs.size()).
     std::vector<std::uint64_t> multinomial(std::uint64_t n, std::span<const double> probs) noexcept;
-    /// Allocation-free variant writing into `counts` (same size as `probs`);
-    /// used by the simulation hot paths.
-    void multinomial(std::uint64_t n, std::span<const double> probs,
-                     std::span<std::uint64_t> counts) noexcept;
-    /// Multinomial over *unnormalized* non-negative weights summing to
-    /// `total_weight` (> 0). This is how the sharded DES draws each shard's
-    /// client counts from its un-renormalized slice of the global
-    /// destination law: Multinomial(N_s, w_j / W_s) without materializing
-    /// the normalized vector.
+    /// Allocation-free multinomial over *unnormalized* non-negative weights
+    /// summing to `total_weight` (> 0): Multinomial(n, w_j / W) into `counts`
+    /// without materializing the normalized vector. This is how
+    /// `sample_class_totals` (field/arrival_flow.hpp) draws the Aggregated
+    /// clients of each (shard, class) cell from the cell weights n_c·σ_z.
     void multinomial(std::uint64_t n, std::span<const double> weights, double total_weight,
                      std::span<std::uint64_t> counts) noexcept;
 

@@ -134,6 +134,60 @@ TEST(FiniteSystem, EveryBackendRejectsBadConfigs) {
     }
 }
 
+/// A rule that is not row-stochastic — one row NaN, or one row summing to
+/// 1.4 — must be rejected by `backend`'s epoch under every client model,
+/// before the epoch advances, with an error naming the backend. Both the
+/// explicit-rule path and the policy path (on the sharded backend, its
+/// RNG-free query inside the barrier) are covered.
+template <class System>
+void expect_rejects_invalid_rules(const std::string& backend) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const ClientModel model :
+         {ClientModel::PerClient, ClientModel::Aggregated, ClientModel::InfiniteClients}) {
+        for (const std::vector<double>& bad_row :
+             {std::vector<double>{nan, nan}, std::vector<double>{0.7, 0.7}}) {
+            SCOPED_TRACE(::testing::Message() << backend << " model "
+                                              << static_cast<int>(model) << " row {"
+                                              << bad_row[0] << ", " << bad_row[1] << "}");
+            FiniteSystemConfig config = small_config(model);
+            config.num_queues = 8;
+            config.num_clients = 800;
+            config.shards = 2;
+            System system(config);
+            DecisionRule rule = DecisionRule::mf_rnd(system.tuple_space());
+            rule.set_row(7, bad_row);
+            const FixedRulePolicy policy("bad", rule);
+            Rng rng(3);
+            system.reset(rng);
+            (void)system.step_with_rule(DecisionRule::mf_jsq(system.tuple_space()), rng);
+            const std::string want =
+                backend + "::step: decision rule is not row-stochastic";
+            for (const bool via_policy : {false, true}) {
+                try {
+                    (void)(via_policy ? system.step(policy, rng)
+                                      : system.step_with_rule(rule, rng));
+                    ADD_FAILURE() << "stepped with an invalid rule";
+                } catch (const std::invalid_argument& e) {
+                    EXPECT_EQ(std::string(e.what()), want);
+                }
+                EXPECT_EQ(system.time(), 1);
+            }
+        }
+    }
+}
+
+TEST(FiniteSystem, RejectsRulesThatAreNotRowStochastic) {
+    expect_rejects_invalid_rules<FiniteSystem>("FiniteSystem");
+}
+
+TEST(DesSystem, RejectsRulesThatAreNotRowStochastic) {
+    expect_rejects_invalid_rules<DesSystem>("DesSystem");
+}
+
+TEST(ShardedDesSystem, RejectsRulesThatAreNotRowStochastic) {
+    expect_rejects_invalid_rules<ShardedDesSystem>("ShardedDesSystem");
+}
+
 TEST(FiniteSystem, ResetStartsEmptyByDefault) {
     FiniteSystem system(small_config());
     Rng rng(1);

@@ -27,12 +27,14 @@ TEST(GoldenTrajectories, FiniteSystemAggregatedJsq) {
     Rng rng(42);
     system.reset(rng);
     const EpisodeStats stats = system.run_episode(jsq, rng);
-    EXPECT_EQ(stats.total_drops_per_queue, 0.875);
-    EXPECT_EQ(stats.discounted_return, -0.76428769636375038);
-    EXPECT_EQ(stats.dropped_packets, 28u);
-    EXPECT_EQ(stats.accepted_packets, 1190u);
-    EXPECT_EQ(stats.mean_queue_length, 1.4836709609789158);
-    EXPECT_EQ(stats.server_utilization, 0.68429241238798344);
+    // Re-recorded with the class-level Aggregated draw (sample_class_totals
+    // + ClassCountSampler), which changed the per-queue count draws.
+    EXPECT_EQ(stats.total_drops_per_queue, 0.65625);
+    EXPECT_EQ(stats.discounted_return, -0.55961398145381258);
+    EXPECT_EQ(stats.dropped_packets, 21u);
+    EXPECT_EQ(stats.accepted_packets, 1288u);
+    EXPECT_EQ(stats.mean_queue_length, 1.7828727622176084);
+    EXPECT_EQ(stats.server_utilization, 0.76934138442191258);
     EXPECT_EQ(stats.drops_per_epoch.size(), 25u);
 }
 
@@ -90,12 +92,13 @@ TEST(GoldenTrajectories, FiniteSystemConditionedLambdaReplay) {
     Rng rng(13);
     system.reset_conditioned({0, 1, 1, 0, 1, 0, 0, 1}, rng);
     const EpisodeStats stats = system.run_episode(jsq, rng);
-    EXPECT_EQ(stats.total_drops_per_queue, 0.25);
-    EXPECT_EQ(stats.discounted_return, -0.23816793535424996);
-    EXPECT_EQ(stats.dropped_packets, 6u);
-    EXPECT_EQ(stats.accepted_packets, 276u);
-    EXPECT_EQ(stats.mean_queue_length, 1.0851601332071785);
-    EXPECT_EQ(stats.server_utilization, 0.5906059864217259);
+    // Re-recorded with the class-level Aggregated draw.
+    EXPECT_EQ(stats.total_drops_per_queue, 0.20833333333333331);
+    EXPECT_EQ(stats.discounted_return, -0.20299917082499999);
+    EXPECT_EQ(stats.dropped_packets, 5u);
+    EXPECT_EQ(stats.accepted_packets, 282u);
+    EXPECT_EQ(stats.mean_queue_length, 1.2694848598501314);
+    EXPECT_EQ(stats.server_utilization, 0.65006233431378446);
 }
 
 TEST(GoldenTrajectories, HeterogeneousSystemSedAndJsq) {
@@ -172,12 +175,13 @@ TEST(GoldenTrajectories, DesSystemAggregatedJsq) {
     Rng rng(42);
     system.reset(rng);
     const DesEpisodeStats stats = system.run_episode(jsq, rng);
-    EXPECT_EQ(stats.total_drops_per_queue, 1.0);
-    EXPECT_EQ(stats.discounted_return, -0.86067758478825251);
-    EXPECT_EQ(stats.dropped_packets, 32u);
-    EXPECT_EQ(stats.accepted_packets, 1256u);
-    EXPECT_EQ(stats.mean_queue_length, 1.6507903627875129);
-    EXPECT_EQ(stats.server_utilization, 0.74747060449519764);
+    // Re-recorded with the class-level Aggregated draw.
+    EXPECT_EQ(stats.total_drops_per_queue, 0.6875);
+    EXPECT_EQ(stats.discounted_return, -0.61026021213696391);
+    EXPECT_EQ(stats.dropped_packets, 22u);
+    EXPECT_EQ(stats.accepted_packets, 1253u);
+    EXPECT_EQ(stats.mean_queue_length, 1.5896254984619875);
+    EXPECT_EQ(stats.server_utilization, 0.72487255806482542);
 }
 
 TEST(GoldenTrajectories, DesSystemInfiniteClientsSojourn) {
@@ -223,21 +227,22 @@ TEST(GoldenTrajectories, ShardedDesSystemJsqFourShards) {
     Rng rng(17);
     system.reset(rng);
     const DesEpisodeStats stats = system.run_episode(jsq, rng);
-    // Recorded from the per-queue-kernel shard tasks, not the seed
-    // implementation: the sharded draw order changed with them.
-    EXPECT_EQ(stats.total_drops_per_queue, 0.5);
-    EXPECT_EQ(stats.discounted_return, -0.46727636042358911);
-    EXPECT_EQ(stats.dropped_packets, 16u);
-    EXPECT_EQ(stats.accepted_packets, 1014u);
-    EXPECT_EQ(stats.mean_queue_length, 1.7866280390369564);
-    EXPECT_EQ(stats.server_utilization, 0.76927698955968649);
-    EXPECT_EQ(stats.mean_sojourn, 2.2723845839595262);
-    EXPECT_EQ(stats.completed_jobs, 967u);
+    // Recorded from the per-queue-kernel shard tasks with the class-level
+    // Aggregated draw, not the seed implementation: the sharded draw order
+    // changed with them.
+    EXPECT_EQ(stats.total_drops_per_queue, 0.71875);
+    EXPECT_EQ(stats.discounted_return, -0.63793141639688511);
+    EXPECT_EQ(stats.dropped_packets, 23u);
+    EXPECT_EQ(stats.accepted_packets, 997u);
+    EXPECT_EQ(stats.mean_queue_length, 1.6009754552066287);
+    EXPECT_EQ(stats.server_utilization, 0.73798915891325279);
+    EXPECT_EQ(stats.mean_sojourn, 2.0278602184001402);
+    EXPECT_EQ(stats.completed_jobs, 924u);
     // Exact cross-shard histogram merge: bucket midpoints of the merged
     // per-shard recorders.
-    EXPECT_EQ(stats.sojourn_p50, 1.90234375);
-    EXPECT_EQ(stats.sojourn_p95, 6.359375);
-    EXPECT_EQ(stats.sojourn_p99, 7.796875);
+    EXPECT_EQ(stats.sojourn_p50, 1.60546875);
+    EXPECT_EQ(stats.sojourn_p95, 5.390625);
+    EXPECT_EQ(stats.sojourn_p99, 8.34375);
 }
 
 TEST(GoldenTrajectories, MfcEnvUniformizationArithmetic) {

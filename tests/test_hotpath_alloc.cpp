@@ -93,6 +93,62 @@ TEST(HotPathAllocations, DesSystemStepWithRuleAllClientModels) {
     }
 }
 
+/// Allocations of 40 JSQ(2) epochs of an Aggregated `System` after one
+/// warmup epoch, in three regimes of the class-level count draw:
+///  - M = 3: the lone queue at the minimum draws most of N and the other
+///    classes' Poisson means jump between epochs;
+///  - d·N/M above the sampler's table ceiling: classes take the
+///    conditional-binomial fallback;
+///  - N < M with N ≤ 9: every class mean is 0, so every client is a top-up.
+template <class System>
+void expect_aggregated_draw_allocation_free() {
+    const struct {
+        std::size_t queues;
+        std::uint64_t clients;
+        const char* regime;
+    } cases[] = {
+        {3, 30000, "lone queue takes most of N"},
+        {8, 1000000000000ULL, "above the table ceiling"},
+        {50, 9, "top-ups only"},
+    };
+    for (const auto& c : cases) {
+        SCOPED_TRACE(c.regime);
+        FiniteSystemConfig config;
+        config.num_queues = c.queues;
+        config.num_clients = c.clients;
+        config.dt = 2.0;
+        config.horizon = 1 << 20;
+        config.shards = 2;
+        config.threads = 1;
+        System system(config);
+        Rng rng(31);
+        system.reset(rng);
+        const DecisionRule h = DecisionRule::mf_jsq(system.tuple_space());
+        (void)system.step_with_rule(h, rng); // warmup
+        const std::size_t before = counting_allocator::count();
+        for (int i = 0; i < 40; ++i) {
+            (void)system.step_with_rule(h, rng);
+        }
+        EXPECT_EQ(counting_allocator::count() - before, 0u);
+    }
+    // The ceiling case really is capped: a class of two or more queues needs
+    // a longer table than any sampler keeps.
+    EXPECT_EQ(ClassCountSampler(6, 8, 2.0 * 1e12 / 8.0).table_capacity(),
+              ClassCountSampler::kMaxTable);
+}
+
+TEST(HotPathAllocations, FiniteSystemAggregatedDrawAcrossMeanRegimes) {
+    expect_aggregated_draw_allocation_free<FiniteSystem>();
+}
+
+TEST(HotPathAllocations, DesSystemAggregatedDrawAcrossMeanRegimes) {
+    expect_aggregated_draw_allocation_free<DesSystem>();
+}
+
+TEST(HotPathAllocations, ShardedAggregatedDrawAcrossMeanRegimes) {
+    expect_aggregated_draw_allocation_free<ShardedDesSystem>();
+}
+
 TEST(HotPathAllocations, DesSystemStepAllocationFreeUnderBothFelKinds) {
     // The FEL seam must not change the steady-state allocation contract:
     // heap and calendar (including the calendar's epoch-barrier retunes,

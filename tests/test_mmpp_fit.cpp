@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace mflb {
 namespace {
@@ -16,6 +17,23 @@ TEST(MmppFit, ValidatesInput) {
     bad.num_states = 0;
     EXPECT_THROW(fit_arrival_process(two, 100.0, 1.0, bad), std::invalid_argument);
     EXPECT_THROW(fit_arrival_process(two, 0.0, 1.0), std::invalid_argument);
+}
+
+TEST(MmppFit, RejectsNonFiniteOrNonPositiveScale) {
+    // A NaN or infinite Poisson mean would send Rng::poisson into unbounded
+    // recursion (a stack overflow), so both entry points check the scale.
+    const ArrivalProcess truth = ArrivalProcess::paper_two_state();
+    const std::vector<std::uint64_t> two{5, 6};
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double bad : {nan, inf, -inf, 0.0}) {
+        SCOPED_TRACE(bad);
+        Rng rng(1);
+        EXPECT_THROW(sample_arrival_counts(truth, bad, 1.0, 10, rng), std::invalid_argument);
+        EXPECT_THROW(sample_arrival_counts(truth, 100.0, bad, 10, rng), std::invalid_argument);
+        EXPECT_THROW(fit_arrival_process(two, bad, 1.0), std::invalid_argument);
+        EXPECT_THROW(fit_arrival_process(two, 100.0, bad), std::invalid_argument);
+    }
 }
 
 TEST(MmppFit, SampleTraceHasRightScale) {

@@ -297,7 +297,7 @@ void expect_recorded(const DesEpisodeStats& got, const RecordedEpisode& want) {
 }
 
 TEST(ShardedDesSystem, EpisodesMatchRecordedRows) {
-    // The epoch barrier (eager reduction folds, hierarchical multinomial,
+    // The epoch barrier (eager reduction folds, class-level count draw,
     // idle thinning, per-queue kernels) must reproduce the recorded episodes
     // bit for bit — for every client model, tree shapes with and without
     // orphan nodes (K = 1 bypasses the tree, K = 5 has pass-through
@@ -316,15 +316,16 @@ TEST(ShardedDesSystem, EpisodesMatchRecordedRows) {
         {ClientModel::PerClient, 8,
          {23, 1102, 1056, 0.76666666666666661, -0.68196240127729957, 1.4261475200593103,
           0.68732620984679382, 1.9330827986622536, 1.62109375, 4.859375, 6.703125}},
+        // Aggregated rows re-recorded with the class-level count draw.
         {ClientModel::Aggregated, 1,
-         {16, 1073, 1016, 0.53333333333333333, -0.4558408858602806, 1.5148399315743188,
-          0.71820995114391695, 2.1391764412581757, 1.58203125, 6.109375, 8.40625}},
+         {16, 1047, 990, 0.53333333333333333, -0.44355552634995854, 1.4083450556954538,
+          0.67700455179815411, 1.998090128443077, 1.48828125, 5.578125, 10.15625}},
         {ClientModel::Aggregated, 5,
-         {23, 1099, 1044, 0.76666666666666661, -0.66713412100990555, 1.7193734449661249,
-          0.72793551465057049, 2.3743907710957619, 1.73828125, 6.640625, 9.53125}},
+         {36, 1204, 1146, 1.2000000000000002, -1.0277830574697071, 1.7135282917090691,
+          0.75823760735360435, 2.1480718992551746, 1.69140625, 5.765625, 7.859375}},
         {ClientModel::Aggregated, 8,
-         {68, 1221, 1140, 2.2666666666666666, -1.9695880324831823, 2.0852915010042996,
-          0.77629386037860537, 2.5591947827631527, 2.0234375, 6.765625, 9.09375}},
+         {34, 1217, 1166, 1.1333333333333333, -1.0047549749431535, 1.7971937642882601,
+          0.76573363152941232, 2.2381192826566845, 1.74609375, 5.984375, 8.40625}},
         {ClientModel::InfiniteClients, 1,
          {13, 1048, 1008, 0.43333333333333329, -0.37550988818536701, 1.3406902293589271,
           0.68548145004623284, 1.9454140558608601, 1.58203125, 4.703125, 6.765625}},
