@@ -1,7 +1,7 @@
 /// Extension bench: heterogeneous service rates (the paper's §5 extension).
 /// Compares SED(2), JSQ(2) and RND on the heterogeneous mean-field model
 /// across delays, and validates the hetero mean-field limit against the
-/// per-client finite simulator.
+/// finite system under the `sed-d` router.
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
@@ -57,35 +57,36 @@ int main(int argc, char** argv) {
     std::printf("%s", table.to_text().c_str());
 
     // Mean-field vs finite cross-check at one configuration: the registry's
-    // "heterogeneous" scenario, resized/re-rated per the flags.
+    // "heterogeneous" scenario (sed-d router), resized/re-rated per the flags.
     const double dt = 2.0;
     HeteroMfcEnv::Config mf_config{space, 2, dt, ArrivalProcess::constant(0.8), 50, 0.99};
     HeteroMfcEnv env(mf_config);
     Rng rng(1);
     env.reset(rng);
     const double limit = hetero_rollout_drops(env, sed, rng);
-    HeterogeneousConfig finite = *scenario_or_die("heterogeneous").heterogeneous;
+    FiniteSystemConfig finite = scenario_or_die("heterogeneous").experiment.finite_system();
     finite.dt = dt;
     finite.horizon = 50;
     finite.arrivals = ArrivalProcess::constant(0.8);
-    const std::size_t m = full ? 400 : finite.service_rates.size();
-    finite.num_clients = static_cast<std::uint64_t>(m) * 40;
-    finite.service_rates.assign(m, cli.get_double("slow-rate"));
-    for (std::size_t j = m / 2; j < m; ++j) {
-        finite.service_rates[j] = cli.get_double("fast-rate");
+    if (full) {
+        finite.num_queues = 400;
     }
+    const std::size_t m = finite.num_queues;
+    finite.server_speeds.assign(m, cli.get_double("slow-rate"));
+    std::fill(finite.server_speeds.begin() + static_cast<std::ptrdiff_t>(m / 2),
+              finite.server_speeds.end(), cli.get_double("fast-rate"));
     const std::vector<EpisodeStats> finite_stats = run_replications(
         full ? 40 : 12, /*seed=*/3000, /*threads=*/0, [&](std::size_t, Rng& sim_rng) {
-            HeterogeneousSystem system(finite);
+            FiniteSystem system(finite);
             system.reset(sim_rng);
-            return system.run_episode(HeteroSedPolicy{}, sim_rng);
+            return system.run_episode(sim_rng);
         });
     RunningStat finite_drops;
     for (const EpisodeStats& s : finite_stats) {
         finite_drops.add(s.total_drops_per_queue);
     }
     const auto ci = confidence_interval_95(finite_drops);
-    std::printf("\nmean-field vs finite cross-check (SED, dt=2, constant load 0.8):\n"
+    std::printf("\nmean-field vs finite cross-check (sed-d, dt=2, constant load 0.8):\n"
                 "  hetero mean-field limit: %.3f\n"
                 "  finite system (M=%zu):   %s\n",
                 limit, m, bench::ci_cell(ci).c_str());

@@ -1,11 +1,14 @@
 /// Heterogeneous servers — the extension the paper's discussion names first.
 /// A cluster mixes one generation of slow machines with one of fast ones;
-/// clients sample d = 2 servers per epoch and see (stale) queue fills plus
-/// the servers' advertised service rates. Shortest-Expected-Delay SED(d)
-/// exploits the rates; JSQ(d) ignores them; RND ignores everything.
+/// jobs sample d = 2 servers and see (stale) queue fills plus the servers'
+/// advertised speeds. Shortest-Expected-Delay (`sed-d`) exploits the speeds;
+/// `jsq-d` ignores them; `random` ignores everything. All three are
+/// job-stream routers on `FiniteSystem` (see queueing/router.hpp).
 #include "core/mflb.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <numeric>
 
 int main() {
     using namespace mflb;
@@ -13,44 +16,38 @@ int main() {
     // Start from the registry's "heterogeneous" scenario, then reshape the
     // fleet for this walkthrough's narrative:
     // 200 servers: 60% legacy (0.5 jobs/unit), 40% current-gen (1.75).
-    HeterogeneousConfig config = *scenario_or_die("heterogeneous").heterogeneous;
-    config.num_clients = 20000;
-    config.service_rates.assign(200, 0.5);
-    for (std::size_t j = 120; j < 200; ++j) {
-        config.service_rates[j] = 1.75;
-    }
-    double capacity = 0.0;
-    for (double r : config.service_rates) {
-        capacity += r;
-    }
+    FiniteSystemConfig config = scenario_or_die("heterogeneous").experiment.finite_system();
+    config.num_queues = 200;
+    config.server_speeds.assign(200, 0.5);
+    std::fill(config.server_speeds.begin() + 120, config.server_speeds.end(), 1.75);
+    const double capacity = config.queue.service_rate *
+                            std::accumulate(config.server_speeds.begin(),
+                                            config.server_speeds.end(), 0.0);
     std::printf("Cluster: 200 servers (120 x 0.5 + 80 x 1.75 = %.0f total capacity),\n"
-                "offered load %.1f x lambda, dt=%.1f, d=%d\n\n",
-                capacity, 200 * config.arrivals.mean_rate(), config.dt, config.d);
+                "offered load %.1f jobs/unit, dt=%.1f, d=%d\n\n",
+                capacity, 200 * config.arrivals.mean_rate(), config.dt, config.router.d);
 
-    const HeteroJsqPolicy jsq;
-    const HeteroSedPolicy sed;
-    const HeteroRndPolicy rnd;
-
-    Table table({"policy", "drops/server (95% CI)", "mean fill"});
+    Table table({"router", "drops/server (95% CI)", "mean fill"});
     const int episodes = 12;
-    for (const HeteroClientPolicy* policy :
-         std::initializer_list<const HeteroClientPolicy*>{&sed, &jsq, &rnd}) {
+    for (const RouterKind kind : {RouterKind::SedD, RouterKind::JsqD, RouterKind::Random}) {
+        config.router.kind = kind;
         RunningStat drops, fill;
         for (int rep = 0; rep < episodes; ++rep) {
-            HeterogeneousSystem system(config);
+            FiniteSystem system(config);
             Rng rng(100 + rep);
             system.reset(rng);
-            const auto stats = system.run_episode(*policy, rng);
+            const EpisodeStats stats = system.run_episode(rng);
             drops.add(stats.total_drops_per_queue);
             fill.add(stats.mean_queue_length);
         }
         const auto ci = confidence_interval_95(drops);
-        table.row().cell(policy->name()).cell_ci(ci.mean, ci.half_width).cell(fill.mean(), 3);
-        std::fprintf(stderr, "[hetero] %s done\n", policy->name().c_str());
+        const std::string name(router_name(kind));
+        table.row().cell(name).cell_ci(ci.mean, ci.half_width).cell(fill.mean(), 3);
+        std::fprintf(stderr, "[hetero] %s done\n", name.c_str());
     }
     std::printf("%s\n", table.to_text().c_str());
-    std::printf("Reading: SED(d) routes long-but-fast over short-but-slow queues and\n"
-                "drops the fewest jobs; JSQ(d) wastes the fast tier; RND is the floor.\n"
+    std::printf("Reading: sed-d routes long-but-fast over short-but-slow queues and\n"
+                "drops the fewest jobs; jsq-d wastes the fast tier; random is the floor.\n"
                 "Extending the learned mean-field policy to (state, class) tuples is\n"
                 "the natural next step the paper sketches in its discussion.\n");
     return 0;

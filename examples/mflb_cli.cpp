@@ -345,9 +345,10 @@ int main(int argc, char** argv) {
              "either way");
     cli.flag("router", "policy",
              "Routing discipline for eval mode: 'policy' (decision-rule path), "
-             "'random', 'round-robin', 'jsq', 'jsq-d', or 'sq-stale'; default = "
-             "scenario's router");
-    cli.flag_int("router-d", 2, "Choices d for the jsq-d router");
+             "'random', 'round-robin', 'jsq', 'jsq-d', 'sed-d' (shortest expected "
+             "delay (z+1)/speed over the scenario's server speeds), or 'sq-stale'; "
+             "default = scenario's router");
+    cli.flag_int("router-d", 2, "Choices d for the jsq-d and sed-d routers");
     cli.flag_double("stale-period", 10,
                     "Snapshot refresh period (time units) for the sq-stale router; "
                     "0 = refresh every epoch (exact JSQ)");

@@ -83,14 +83,14 @@ struct ExperimentConfig {
     /// result-determining (seed, K) pair (`--num-envs` CLI/bench flag).
     std::size_t num_envs = 1;
     /// Routing discipline: `Policy` (default) is the decision-rule path;
-    /// classical kinds (random, round-robin, jsq, jsq-d, sq-stale) bypass
-    /// the upper-level policy entirely (`--router` CLI/bench flag).
+    /// classical kinds (random, round-robin, jsq, jsq-d, sed-d, sq-stale)
+    /// bypass the upper-level policy entirely (`--router` CLI/bench flag).
     RouterSpec router{};
     /// Service-time law (exponential, deterministic, hyperexp, pareto), mean
     /// 1/α for every kind (`--service-dist` CLI/bench flag).
     ServiceConfig service{};
-    /// Per-queue relative server speeds (empty = homogeneous). Resolved
-    /// verbatim into `FiniteSystemConfig::server_speeds`.
+    /// Per-queue relative server speeds (empty = homogeneous; `sed-d` routes
+    /// on them). Resolved verbatim into `FiniteSystemConfig::server_speeds`.
     std::vector<double> server_speeds;
     /// Telemetry outputs (--metrics-out/--metrics-every/--trace-out CLI
     /// flags): the entry point builds one `TelemetrySession` from this and

@@ -47,7 +47,6 @@
 #include "policies/tabular.hpp"
 #include "queueing/finite_system.hpp"
 #include "queueing/gillespie.hpp"
-#include "queueing/heterogeneous.hpp"
 #include "queueing/memory_system.hpp"
 #include "queueing/router.hpp"
 #include "queueing/service_distribution.hpp"

@@ -1,5 +1,6 @@
 #include "core/scenarios.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -32,22 +33,23 @@ Scenario make_small_n() {
     return s;
 }
 
+/// Half the fleet at speed 0.5, half at 1.5 (mean speed 1).
+std::vector<double> two_class_speeds(std::size_t num_queues) {
+    std::vector<double> speeds(num_queues, 0.5);
+    std::fill(speeds.begin() + static_cast<std::ptrdiff_t>(num_queues / 2), speeds.end(), 1.5);
+    return speeds;
+}
+
 Scenario make_heterogeneous() {
     Scenario s;
     s.name = "heterogeneous";
-    s.summary = "Section 5 extension: half slow (0.5) / half fast (1.5) servers, SED vs JSQ";
-    HeterogeneousConfig hetero;
-    hetero.dt = 2.0;
-    hetero.horizon = 100;
-    hetero.num_clients = 120ULL * 40ULL;
-    hetero.service_rates.assign(120, 0.5);
-    for (std::size_t j = 60; j < 120; ++j) {
-        hetero.service_rates[j] = 1.5;
-    }
-    s.experiment.dt = hetero.dt;
-    s.experiment.num_queues = hetero.service_rates.size();
-    s.experiment.num_clients = hetero.num_clients;
-    s.heterogeneous = std::move(hetero);
+    s.summary = "Section 5 extension: half slow (0.5) / half fast (1.5) servers, sed-d router";
+    s.experiment.dt = 2.0;
+    s.experiment.num_queues = 120;
+    s.experiment.num_clients = 120ULL * 40ULL;
+    s.experiment.eval_total_time = 200.0; // 100 decision epochs.
+    s.experiment.server_speeds = two_class_speeds(s.experiment.num_queues);
+    s.experiment.router.kind = RouterKind::SedD; // d = 2
     return s;
 }
 
@@ -133,10 +135,7 @@ Scenario make_hetero_speeds() {
                 "backends: speed-blind classical routing vs learned MFC";
     s.experiment.dt = 2.0;
     s.experiment.backend = SimBackend::Des;
-    s.experiment.server_speeds.assign(s.experiment.num_queues, 0.5);
-    for (std::size_t j = s.experiment.num_queues / 2; j < s.experiment.num_queues; ++j) {
-        s.experiment.server_speeds[j] = 1.5;
-    }
+    s.experiment.server_speeds = two_class_speeds(s.experiment.num_queues);
     return s;
 }
 

@@ -3,10 +3,11 @@
 /// workload configurations used across benches, examples, and mflb_cli.
 ///
 /// Each registry entry bundles the Table-1-style system parameters
-/// (`ExperimentConfig`) with, where applicable, the extension configs of the
-/// heterogeneous-server and client-memory simulators. Callers resolve a
-/// scenario by name and then override the swept dimension (dt, M, ...), so a
-/// new workload is one registry entry instead of a new binary.
+/// (`ExperimentConfig`, which also carries heterogeneous server speeds and
+/// the router) with, where applicable, the config of the client-memory
+/// simulator. Callers resolve a scenario by name and then override the swept
+/// dimension (dt, M, ...), so a new workload is one registry entry instead of
+/// a new binary.
 ///
 /// Adding a scenario: append one `Scenario` in `scenario_registry()`
 /// (src/core/scenarios.cpp) with a unique kebab-case name and a one-line
@@ -16,7 +17,6 @@
 #pragma once
 
 #include "core/config.hpp"
-#include "queueing/heterogeneous.hpp"
 #include "queueing/memory_system.hpp"
 
 #include <optional>
@@ -26,13 +26,12 @@
 
 namespace mflb {
 
-/// One named workload: Table-1-style parameters plus optional extension
-/// configs for the simulators whose knobs ExperimentConfig does not cover.
+/// One named workload: Table-1-style parameters plus the optional config of
+/// the one simulator whose knobs ExperimentConfig does not cover.
 struct Scenario {
     std::string name;    ///< unique kebab-case id, e.g. "table1".
     std::string summary; ///< one line: which paper artifact / extension.
     ExperimentConfig experiment;
-    std::optional<HeterogeneousConfig> heterogeneous;
     std::optional<MemorySystemConfig> memory;
 };
 

@@ -13,7 +13,8 @@ DesSystem::DesSystem(FiniteSystemConfig config)
                  config.num_queues),
       config_(std::move(config)), space_(config_.queue.num_states(), config_.d),
       router_(config_.router, config_.num_queues,
-              static_cast<std::size_t>(config_.queue.num_states()), config_.dt),
+              static_cast<std::size_t>(config_.queue.num_states()), config_.dt,
+              config_.server_speeds),
       service_(config_.service, config_.queue.service_rate),
       fel_(config_.fel, config_.num_queues + 1,
            fel_rate_hint(config_, config_.num_queues)),

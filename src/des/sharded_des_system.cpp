@@ -42,7 +42,8 @@ ShardedDesSystem::ShardedDesSystem(FiniteSystemConfig config)
                  config.horizon, config.num_queues),
       config_(std::move(config)), space_(config_.queue.num_states(), config_.d),
       router_(config_.router, config_.num_queues,
-              static_cast<std::size_t>(config_.queue.num_states()), config_.dt),
+              static_cast<std::size_t>(config_.queue.num_states()), config_.dt,
+              config_.server_speeds),
       kernel_(config_), threads_(config_.threads), rule_(space_) {
     const auto num_z = static_cast<std::size_t>(config_.queue.num_states());
     const auto d = static_cast<std::size_t>(config_.d);

@@ -1,7 +1,6 @@
 #include "field/arrival_flow.hpp"
 
 #include "math/simplex.hpp"
-#include "math/vec_ops.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -100,10 +99,8 @@ void compute_routing_table_into(std::span<const double> hist, const DecisionRule
 
 std::span<const double> fold_routing_table_rows(std::span<double> g, std::size_t num_z,
                                                 int d) noexcept {
-    // g[z] ← Σ_k g(k, z) accumulated in ascending k. Starting the sum at the
-    // row-0 value and adding rows 1..d-1 is the same addition order as the
-    // historical per-queue loop (total = (0 + g(0,z)) + g(1,z) + ... minus
-    // the exact no-op leading zero), so the fold is bit-identical to it.
+    // g[z] ← Σ_k g(k, z): row 0, then rows 1..d-1 in ascending k. The
+    // golden trajectories pin this addition order.
     double* __restrict row0 = g.data();
     for (int k = 1; k < d; ++k) {
         const double* __restrict rowk = g.data() + static_cast<std::size_t>(k) * num_z;
@@ -112,44 +109,6 @@ std::span<const double> fold_routing_table_rows(std::span<double> g, std::size_t
         }
     }
     return g.first(num_z);
-}
-
-void compute_destination_law_into(std::span<const int> queue_states,
-                                  std::span<const double> hist, const DecisionRule& h,
-                                  std::span<int> tuple, std::span<double> suffix,
-                                  std::span<double> g, std::span<double> dest_p) {
-    if (dest_p.size() != queue_states.size()) {
-        throw std::invalid_argument("compute_destination_law_into: dest_p size mismatch");
-    }
-    compute_routing_table_into(hist, h, tuple, suffix, g);
-    const auto num_z = static_cast<std::size_t>(h.space().num_states());
-    const std::span<const double> sums =
-        fold_routing_table_rows(g, num_z, h.space().d());
-    const double inv_m = 1.0 / static_cast<double>(queue_states.size());
-    gather_scale(queue_states, sums, inv_m, dest_p);
-}
-
-void compute_destination_law_reference_into(std::span<const int> queue_states,
-                                            std::span<const double> hist,
-                                            const DecisionRule& h, std::span<int> tuple,
-                                            std::span<double> suffix, std::span<double> g,
-                                            std::span<double> dest_p) {
-    if (dest_p.size() != queue_states.size()) {
-        throw std::invalid_argument(
-            "compute_destination_law_reference_into: dest_p size mismatch");
-    }
-    compute_routing_table_into(hist, h, tuple, suffix, g);
-    const auto num_z = static_cast<std::size_t>(h.space().num_states());
-    const int d = h.space().d();
-    const double inv_m = 1.0 / static_cast<double>(queue_states.size());
-    for (std::size_t j = 0; j < queue_states.size(); ++j) {
-        double total = 0.0;
-        for (int k = 0; k < d; ++k) {
-            total += g[static_cast<std::size_t>(k) * num_z +
-                       static_cast<std::size_t>(queue_states[j])];
-        }
-        dest_p[j] = inv_m * total;
-    }
 }
 
 void sample_per_client_counts(std::span<const int> queue_states, const DecisionRule& h,

@@ -48,49 +48,18 @@ void compute_arrival_flow_into(std::span<const double> nu, const DecisionRule& h
 /// leave-one-out weight Π_{i≠k} hist(z̄_i) times h(k | z̄). A queue currently
 /// in state z is then a client's destination with probability
 /// (1/M) Σ_k g(k, z) — the exact per-client destination law behind the
-/// `Aggregated` draw of all three finite-system backends and the `jsq-d`
-/// router. Allocation-free: `tuple` (d), `suffix` (d + 1) and `g`
-/// (d · |Z|) are caller-owned scratch/output buffers.
+/// `Aggregated` draw of all three finite-system backends (and the test oracle
+/// of the `jsq-d`/`sed-d` router law). Allocation-free: `tuple` (d), `suffix`
+/// (d + 1) and `g` (d · |Z|) are caller-owned scratch/output buffers.
 void compute_routing_table_into(std::span<const double> hist, const DecisionRule& h,
                                 std::span<int> tuple, std::span<double> suffix,
                                 std::span<double> g);
 
 /// Folds the routing table `g` (d rows of num_z) into its first row:
-/// g[z] ← Σ_k g(k, z), accumulated in ascending k — the same addition order
-/// as the historical per-queue loop (total = g(0,z) + g(1,z) + ...), so the
-/// folded per-state sums are bit-identical to what that loop produced.
-/// Returns a view of the folded first row. O(d·|Z|) once, instead of
-/// O(M·d) gathers.
+/// g[z] ← Σ_k g(k, z), accumulated in ascending k. Returns a view of the
+/// folded first row. O(d·|Z|) once, instead of O(M·d) gathers.
 std::span<const double> fold_routing_table_rows(std::span<double> g, std::size_t num_z,
                                                 int d) noexcept;
-
-/// Per-queue destination law under rule `h` given the frozen snapshot: fills
-/// `dest_p[j] = (1/M) Σ_k g(k, z_j)` — the exact probability that one
-/// client's (equivalently, by Poisson thinning, one arriving job's) routing
-/// decision lands on queue j when the d sampled queue states are i.i.d. from
-/// `hist`. One `compute_routing_table_into` pass, a `fold_routing_table_rows`
-/// over the d·|Z| table, then a vectorized O(M) `gather_scale` — bit-identical
-/// to the historical O(M·d) per-queue scan (same addition order per state),
-/// which survives as `compute_destination_law_reference_into` for the kernel
-/// agreement tests. Used by the `jsq-d` router (`Aggregated` needs only the
-/// folded sums). `tuple` (d), `suffix` (d + 1), `g` (d · |Z|) are
-/// caller-owned scratch; `queue_states` and `dest_p` have one entry per
-/// queue. Postcondition: `g`'s first row holds the folded
-/// per-state sums (callers treating `g` as per-coordinate rows must re-run
-/// `compute_routing_table_into`).
-void compute_destination_law_into(std::span<const int> queue_states,
-                                  std::span<const double> hist, const DecisionRule& h,
-                                  std::span<int> tuple, std::span<double> suffix,
-                                  std::span<double> g, std::span<double> dest_p);
-
-/// Scalar reference path of the destination law (the pre-vectorization
-/// per-queue O(M·d) scan, g left untouched); agreement pinned in
-/// tests/test_vec_kernels.cpp.
-void compute_destination_law_reference_into(std::span<const int> queue_states,
-                                            std::span<const double> hist,
-                                            const DecisionRule& h, std::span<int> tuple,
-                                            std::span<double> suffix, std::span<double> g,
-                                            std::span<double> dest_p);
 
 /// Literal Algorithm 1 client sampling on the frozen snapshot (the
 /// `PerClient` model): each of the N clients draws d queues uniformly at

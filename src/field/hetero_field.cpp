@@ -16,8 +16,11 @@ ClassStateSpace::ClassStateSpace(std::vector<ServerClass> classes, int buffer)
     }
     double total_weight = 0.0;
     for (const ServerClass& cls : classes_) {
-        if (cls.service_rate <= 0.0 || cls.weight <= 0.0) {
-            throw std::invalid_argument("ClassStateSpace: rates and weights must be positive");
+        if (!std::isfinite(cls.service_rate) || cls.service_rate <= 0.0) {
+            throw std::invalid_argument("ClassStateSpace: service_rate must be finite and > 0");
+        }
+        if (!std::isfinite(cls.weight) || cls.weight <= 0.0) {
+            throw std::invalid_argument("ClassStateSpace: weight must be finite and > 0");
         }
         total_weight += cls.weight;
     }

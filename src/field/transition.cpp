@@ -1,6 +1,7 @@
 #include "field/transition.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace mflb {
@@ -10,11 +11,11 @@ ExactDiscretization::ExactDiscretization(QueueParams params, double dt)
     if (params.buffer < 1) {
         throw std::invalid_argument("ExactDiscretization: buffer must be >= 1");
     }
-    if (params.service_rate <= 0.0) {
-        throw std::invalid_argument("ExactDiscretization: service rate must be > 0");
+    if (!std::isfinite(params.service_rate) || params.service_rate <= 0.0) {
+        throw std::invalid_argument("ExactDiscretization: service_rate must be finite and > 0");
     }
-    if (dt <= 0.0) {
-        throw std::invalid_argument("ExactDiscretization: dt must be > 0");
+    if (!std::isfinite(dt) || dt <= 0.0) {
+        throw std::invalid_argument("ExactDiscretization: dt must be finite and > 0");
     }
     const auto n = static_cast<std::size_t>(params_.buffer + 2);
     ws_.q = Matrix(n, n);

@@ -2,8 +2,8 @@
 /// Vectorized epoch-barrier kernels: block sums, inclusive prefix sums, and
 /// the destination-law gather. These are the O(M) pieces of the epoch
 /// barriers — the sharded backend's router shard masses (`vec_sum`), the
-/// DES thinning prefix sums (`inclusive_prefix_sum`) and the `jsq-d`
-/// router's `compute_destination_law_into` (`gather_scale`) — compiled with the same
+/// DES thinning prefix sums (`inclusive_prefix_sum`) and the `jsq-d`/`sed-d`
+/// routers' cell-weight gather (`gather_scale`) — compiled with the same
 /// `target_clones` AVX2 dispatch as math/gemm.cpp (see math/simd_dispatch.hpp).
 ///
 /// Contract, mirroring the GEMM kernels:

@@ -1,6 +1,7 @@
 #include "queueing/memory_system.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace mflb {
@@ -13,6 +14,9 @@ MemorySystem::MemorySystem(MemorySystemConfig config)
     }
     if (config_.buffer < 1 || config_.d < 1) {
         throw std::invalid_argument("MemorySystem: bad configuration");
+    }
+    if (!std::isfinite(config_.service_rate) || config_.service_rate <= 0.0) {
+        throw std::invalid_argument("MemorySystem: service_rate must be finite and > 0");
     }
     memory_.assign(config_.num_clients, -1);
     counts_.assign(config_.num_queues, 0);

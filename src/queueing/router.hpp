@@ -1,7 +1,8 @@
 /// \file router.hpp
 /// Pluggable routing disciplines for the finite-system backends: the
 /// classical load-balancer fleet the learned mean-field policy is compared
-/// against (random, round-robin, JSQ, JSQ(d), SQ over a stale snapshot).
+/// against (random, round-robin, JSQ, JSQ(d), SED(d), SQ over a stale
+/// snapshot).
 ///
 /// Dispatch seam: a classical router is an *epoch-barrier weight law*. At
 /// every decision epoch it maps the Δt-stale snapshot of queue states to a
@@ -19,7 +20,8 @@
 /// statistically equivalent across backends by construction
 /// (tests/test_router_equivalence.cpp). Classical routers operate at the
 /// job-stream level (the N → ∞ Poisson limit): `ClientModel` and
-/// `num_clients` are ignored, exactly like `ClientModel::InfiniteClients`.
+/// `num_clients` are ignored, exactly like `ClientModel::InfiniteClients`
+/// (so `sed-d` has no finite-N client noise; that stays on the policy path).
 ///
 /// The exception is round-robin, which is *not* a weight law (its
 /// interarrival times per queue are Erlang, not exponential): `DesSystem`
@@ -28,8 +30,16 @@
 /// mean behavior (equal weights, every queue at rate λ_t; documented caveat:
 /// drop/length statistics then coincide with `random`).
 ///
-/// Staleness semantics: `jsq` and `jsq-d` read the epoch-start snapshot —
-/// they are always exactly Δt stale, matching the paper's information model.
+/// Power of d: `jsq-d` and `sed-d` are one law. A job samples d queues
+/// uniformly i.i.d. and joins the lowest score (uniform ties): z_j for
+/// `jsq-d`, (z_j + 1)/speed_j for `sed-d` (speed 1 without `server_speeds`).
+/// Queue j gets w_j = (G_≥(s_j)^d − G_>(s_j)^d)/n(s_j), with G_≥(s), G_>(s)
+/// the fractions of queues scoring ≥ s, > s and n(s) the queues scoring s.
+/// Cells (speed class, z) are sorted by score once at construction: an
+/// epoch costs O(M + cells), and memory does not depend on d.
+///
+/// Staleness semantics: `jsq`, `jsq-d` and `sed-d` read the epoch-start
+/// snapshot — always exactly Δt stale, the paper's information model.
 /// `sq-stale` adds the orthogonal staleness knob of the classical SQ(stale)
 /// policy: it keeps its *own* frozen snapshot refreshed only every
 /// `stale_period` time units (rounded up to whole epochs), so the decision
@@ -42,9 +52,7 @@
 /// and performs no allocation after construction.
 #pragma once
 
-#include "field/arrival_flow.hpp"
-#include "field/decision_rule.hpp"
-
+#include <cstdint>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -58,10 +66,11 @@ enum class RouterKind {
     RoundRobin, ///< cyclic (equal-split mean behavior on the rate-based backends).
     Jsq,        ///< join the shortest queue of the Δt-stale snapshot.
     JsqD,       ///< JSQ over d uniformly sampled queues (power of d choices).
+    SedD,       ///< shortest expected delay (z + 1)/speed over d sampled queues.
     SqStale,    ///< JSQ over an own snapshot refreshed every `stale_period`.
 };
 
-/// "policy" / "random" / "round-robin" / "jsq" / "jsq-d" / "sq-stale".
+/// "policy" / "random" / "round-robin" / "jsq" / "jsq-d" / "sed-d" / "sq-stale".
 std::string_view router_name(RouterKind kind) noexcept;
 /// Inverse of router_name; throws std::invalid_argument naming the options.
 RouterKind parse_router(std::string_view name);
@@ -69,8 +78,8 @@ RouterKind parse_router(std::string_view name);
 /// Declarative router selection carried by `FiniteSystemConfig`.
 struct RouterSpec {
     RouterKind kind = RouterKind::Policy;
-    /// JsqD only: number of sampled queues per job (>= 1). Independent of
-    /// the decision-rule `d` — the classical baseline has its own knob.
+    /// JsqD and SedD: number of sampled queues per job (>= 1). Independent
+    /// of the decision-rule `d` — the classical baseline has its own knob.
     int d = 2;
     /// SqStale only: refresh period of the router's own snapshot, in time
     /// units (>= 0; rounded up to whole decision epochs; 0 = every epoch).
@@ -82,12 +91,12 @@ struct RouterSpec {
 /// backend calls it only in its serial barrier phase).
 class EpochRouter {
 public:
-    /// Sizes all scratch up front (JsqD builds its |Z|^d routing table once
-    /// per epoch via the shared `compute_destination_law_into` helper — the
-    /// identical arithmetic as the mean-field policy path). Throws
-    /// std::invalid_argument on out-of-range spec parameters.
+    /// Sizes all scratch up front (JsqD and SedD sort their score cells
+    /// here). `server_speeds` holds one finite positive speed per queue or
+    /// is empty (all 1); only SedD reads it. Throws std::invalid_argument
+    /// on out-of-range spec parameters or speeds.
     EpochRouter(const RouterSpec& spec, std::size_t num_queues, std::size_t num_states,
-                double dt);
+                double dt, std::span<const double> server_speeds);
 
     const RouterSpec& spec() const noexcept { return spec_; }
     RouterKind kind() const noexcept { return spec_.kind; }
@@ -108,18 +117,19 @@ public:
 
 private:
     static void jsq_weights(std::span<const int> snapshot, std::span<double> weights);
+    void power_of_d_weights(std::span<const int> snapshot, std::span<double> weights);
 
     RouterSpec spec_;
     int refresh_every_ = 1;
     // SqStale: the router's own frozen snapshot.
     std::vector<int> frozen_;
     bool have_frozen_ = false;
-    // JsqD: scratch for the shared destination-law computation.
-    std::vector<double> hist_;
-    std::vector<double> g_;
-    std::vector<int> tuple_;
-    std::vector<double> suffix_;
-    std::vector<DecisionRule> jsq_rule_; ///< 0 or 1 element (JsqD only).
+    // JsqD/SedD: cells c·|Z| + z over the speed classes c.
+    std::vector<std::uint32_t> order_;     ///< cells by ascending score.
+    std::vector<std::size_t> groups_;      ///< tie group g: order_[groups_[g], groups_[g + 1]).
+    std::vector<int> cell_base_;           ///< c_j·|Z| per queue (several classes only).
+    std::vector<int> cell_of_;             ///< c_j·|Z| + z_j (several classes only).
+    std::vector<double> cell_weight_;      ///< queues per cell, then M·w of one of them.
 };
 
 } // namespace mflb

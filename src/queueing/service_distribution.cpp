@@ -55,8 +55,8 @@ ServiceDistKind parse_service_dist(std::string_view name) {
 
 ServiceDistribution::ServiceDistribution(const ServiceConfig& config, double rate)
     : kind_(config.kind) {
-    if (!(rate > 0.0)) {
-        throw std::invalid_argument("ServiceDistribution: rate must be > 0");
+    if (!std::isfinite(rate) || rate <= 0.0) {
+        throw std::invalid_argument("ServiceDistribution: rate must be finite and > 0");
     }
     mean_ = 1.0 / rate;
     rate_ = rate;

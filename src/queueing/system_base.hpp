@@ -1,10 +1,11 @@
 /// \file system_base.hpp
 /// Shared core of the finite simulators (unified simulation layer).
 ///
-/// Every finite system in the paper and its extensions — the homogeneous
-/// `FiniteSystem` of Section 2.1, the `HeterogeneousSystem` of the Section 5
-/// discussion, and the power-of-d-with-memory `MemorySystem` — follows the
-/// same synchronized-epoch skeleton: sample (or replay) the modulating
+/// Every finite system in the paper and its extensions — `FiniteSystem` of
+/// Section 2.1 and its event-driven twins (all three with `server_speeds`
+/// and `sed-d` for the Section 5 heterogeneous servers) and the
+/// power-of-d-with-memory `MemorySystem` — follows the same
+/// synchronized-epoch skeleton: sample (or replay) the modulating
 /// arrival chain λ_t of eq. (1), let the per-epoch kernel route clients and
 /// evolve queues for Δt time units, accumulate epoch statistics, advance the
 /// epoch clock. `SystemBase` owns exactly that skeleton — the λ-chain with

@@ -101,32 +101,36 @@ TEST(GoldenTrajectories, FiniteSystemConditionedLambdaReplay) {
     EXPECT_EQ(stats.server_utilization, 0.65006233431378446);
 }
 
-TEST(GoldenTrajectories, HeterogeneousSystemSedAndJsq) {
-    HeterogeneousConfig config;
+TEST(GoldenTrajectories, HeterogeneousFleetSedDAndJsqD) {
+    // The Section 5 fleet (half the servers at speed 0.5, half at 1.5) on
+    // FiniteSystem under the sed-d and jsq-d routers.
+    FiniteSystemConfig config;
     config.dt = 2.0;
-    config.num_clients = 600;
+    config.num_queues = 24;
     config.horizon = 15;
-    config.service_rates.assign(24, 0.5);
+    config.server_speeds.assign(24, 0.5);
     for (std::size_t j = 12; j < 24; ++j) {
-        config.service_rates[j] = 1.5;
+        config.server_speeds[j] = 1.5;
     }
     {
-        HeterogeneousSystem system(config);
+        config.router.kind = RouterKind::SedD;
+        FiniteSystem system(config);
         Rng rng(7);
         system.reset(rng);
-        const HeterogeneousEpisodeStats stats = system.run_episode(HeteroSedPolicy{}, rng);
-        EXPECT_EQ(stats.total_drops_per_queue, 0.125);
-        EXPECT_EQ(stats.dropped_packets, 3u);
-        EXPECT_EQ(stats.mean_queue_length, 0.94291979141716764);
+        const EpisodeStats stats = system.run_episode(rng);
+        EXPECT_EQ(stats.total_drops_per_queue, 0.5);
+        EXPECT_EQ(stats.dropped_packets, 12u);
+        EXPECT_EQ(stats.mean_queue_length, 1.4460353690749392);
     }
     {
-        HeterogeneousSystem system(config);
+        config.router.kind = RouterKind::JsqD;
+        FiniteSystem system(config);
         Rng rng(7);
         system.reset(rng);
-        const HeterogeneousEpisodeStats stats = system.run_episode(HeteroJsqPolicy{}, rng);
-        EXPECT_EQ(stats.total_drops_per_queue, 0.41666666666666669);
-        EXPECT_EQ(stats.dropped_packets, 10u);
-        EXPECT_EQ(stats.mean_queue_length, 1.8354116982129844);
+        const EpisodeStats stats = system.run_episode(rng);
+        EXPECT_EQ(stats.total_drops_per_queue, 1.7083333333333335);
+        EXPECT_EQ(stats.dropped_packets, 41u);
+        EXPECT_EQ(stats.mean_queue_length, 2.1784095929680776);
     }
 }
 

@@ -1,11 +1,12 @@
 // Tests for the heterogeneous-server mean-field model.
 #include "field/hetero_field.hpp"
 #include "math/simplex.hpp"
-#include "queueing/heterogeneous.hpp"
+#include "queueing/finite_system.hpp"
 #include "support/statistics.hpp"
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 
 namespace mflb {
@@ -43,8 +44,15 @@ TEST(ClassStateSpace, WeightsNormalized) {
 
 TEST(ClassStateSpace, Validation) {
     EXPECT_THROW(ClassStateSpace({}, 5), std::invalid_argument);
-    EXPECT_THROW(ClassStateSpace({{0.0, 1.0}}, 5), std::invalid_argument);
     EXPECT_THROW(ClassStateSpace({{1.0, 1.0}}, 0), std::invalid_argument);
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const double bad : {0.0, -1.0, nan, inf, -inf}) {
+        EXPECT_THROW(ClassStateSpace({{bad, 0.5}, {1.5, 0.5}}, 5), std::invalid_argument)
+            << "rate " << bad;
+        EXPECT_THROW(ClassStateSpace({{0.5, bad}, {1.5, 0.5}}, 5), std::invalid_argument)
+            << "weight " << bad;
+    }
 }
 
 TEST(HeteroRules, SedPrefersFastServers) {
@@ -119,9 +127,9 @@ TEST(HeteroMfcEnv, SedBeatsJsqWithUnevenRates) {
 }
 
 TEST(HeteroMfcEnv, FiniteSystemConvergesToMeanField) {
-    // Theorem-1-style check for the heterogeneous extension: the per-client
-    // finite system approaches the hetero mean-field value as M grows.
-    // Constant arrival rate removes λ-path noise.
+    // Theorem-1-style check for the heterogeneous extension: the finite
+    // system under the sed-d router approaches the hetero mean-field value
+    // as M grows. Constant arrival rate removes λ-path noise.
     const int horizon = 30;
     const double dt = 2.0;
     const ArrivalProcess arrivals = ArrivalProcess::constant(0.8);
@@ -134,21 +142,23 @@ TEST(HeteroMfcEnv, FiniteSystemConvergesToMeanField) {
     const double limit = hetero_rollout_drops(env, hetero_sed_rule(space, 2), mf_rng);
 
     auto finite_drops = [&](std::size_t m, int episodes) {
-        HeterogeneousConfig config;
+        FiniteSystemConfig config;
         config.dt = dt;
         config.horizon = horizon;
         config.arrivals = arrivals;
-        config.num_clients = static_cast<std::uint64_t>(m) * 30;
-        config.service_rates.assign(m, 0.5);
+        config.num_queues = m;
+        config.server_speeds.assign(m, 0.5);
         for (std::size_t j = m / 2; j < m; ++j) {
-            config.service_rates[j] = 1.5;
+            config.server_speeds[j] = 1.5;
         }
+        config.router.kind = RouterKind::SedD;
+        config.router.d = 2;
         RunningStat drops;
         for (int rep = 0; rep < episodes; ++rep) {
-            HeterogeneousSystem system(config);
+            FiniteSystem system(config);
             Rng rng(500 + rep);
             system.reset(rng);
-            drops.add(system.run_episode(HeteroSedPolicy{}, rng).total_drops_per_queue);
+            drops.add(system.run_episode(rng).total_drops_per_queue);
         }
         return drops.mean();
     };

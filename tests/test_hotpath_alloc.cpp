@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -181,7 +182,7 @@ TEST(HotPathAllocations, DesSystemRouterStepNonExponentialService) {
     // reschedule) and the general-service departure path (multi-draw
     // hyperexponential sampling, per-queue speeds) must stay allocation-free
     // in steady state, like the decision-rule path they sit beside.
-    for (const RouterKind kind : {RouterKind::Jsq, RouterKind::JsqD,
+    for (const RouterKind kind : {RouterKind::Jsq, RouterKind::JsqD, RouterKind::SedD,
                                   RouterKind::RoundRobin, RouterKind::SqStale}) {
         FiniteSystemConfig config;
         config.num_queues = 50;
@@ -191,7 +192,8 @@ TEST(HotPathAllocations, DesSystemRouterStepNonExponentialService) {
         config.router.kind = kind;
         config.router.stale_period = 6.0;
         config.service.kind = ServiceDistKind::HyperExp;
-        config.server_speeds.assign(50, 1.0);
+        config.server_speeds.assign(50, 0.5);
+        std::fill(config.server_speeds.begin() + 25, config.server_speeds.end(), 1.5);
         config.track_sojourn = true;
         DesSystem system(config);
         Rng rng(7);

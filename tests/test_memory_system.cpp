@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace mflb {
 namespace {
 
@@ -23,6 +25,12 @@ TEST(MemorySystem, ValidatesConfig) {
     bad = small_config();
     bad.d = 0;
     EXPECT_THROW(MemorySystem{bad}, std::invalid_argument);
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double rate : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+        bad = small_config();
+        bad.service_rate = rate;
+        EXPECT_THROW(MemorySystem{bad}, std::invalid_argument) << rate;
+    }
 }
 
 TEST(MemorySystem, EpisodeRunsAndStops) {

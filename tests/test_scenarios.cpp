@@ -51,12 +51,6 @@ TEST(Scenarios, EveryScenarioYieldsConstructibleSystems) {
             MfcEnv env(scenario.experiment.mfc(true));
             (void)env;
         });
-        if (scenario.heterogeneous) {
-            EXPECT_NO_THROW({
-                HeterogeneousSystem system(*scenario.heterogeneous);
-                (void)system;
-            });
-        }
         if (scenario.memory) {
             EXPECT_NO_THROW({
                 MemorySystem system(*scenario.memory);
@@ -64,6 +58,24 @@ TEST(Scenarios, EveryScenarioYieldsConstructibleSystems) {
             });
         }
     }
+}
+
+TEST(Scenarios, HeterogeneousIsATwoClassSedDFleet) {
+    // The Section 5 extension is a plain ExperimentConfig: 120 queues, half
+    // at speed 0.5 and half at 1.5, routed by SED(2) for 100 epochs of 2.
+    const ExperimentConfig& hetero = scenario_or_die("heterogeneous").experiment;
+    EXPECT_EQ(hetero.num_queues, 120u);
+    EXPECT_EQ(hetero.num_clients, 4800u);
+    EXPECT_DOUBLE_EQ(hetero.dt, 2.0);
+    EXPECT_EQ(hetero.eval_horizon(), 100);
+    EXPECT_EQ(hetero.router.kind, RouterKind::SedD);
+    EXPECT_EQ(hetero.router.d, 2);
+    ASSERT_EQ(hetero.server_speeds.size(), 120u);
+    EXPECT_DOUBLE_EQ(hetero.server_speeds.front(), 0.5);
+    EXPECT_DOUBLE_EQ(hetero.server_speeds[59], 0.5);
+    EXPECT_DOUBLE_EQ(hetero.server_speeds[60], 1.5);
+    EXPECT_DOUBLE_EQ(hetero.server_speeds.back(), 1.5);
+    EXPECT_EQ(hetero.finite_system().server_speeds, hetero.server_speeds);
 }
 
 TEST(Scenarios, PartialInfoForwardsSampledHistogram) {

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 namespace mflb {
@@ -230,7 +231,10 @@ TEST(Mg1Oracle, OrdersByVariabilityAndGuardsStability) {
 }
 
 TEST(ServiceDistConfig, RejectsBadParameters) {
-    EXPECT_THROW(ServiceDistribution(ServiceConfig{}, 0.0), std::invalid_argument);
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double rate : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+        EXPECT_THROW(ServiceDistribution(ServiceConfig{}, rate), std::invalid_argument) << rate;
+    }
     ServiceConfig h2;
     h2.kind = ServiceDistKind::HyperExp;
     h2.hyper_scv = 1.0; // SCV must exceed exponential's 1

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 namespace mflb {
@@ -13,8 +14,14 @@ namespace {
 
 TEST(ExactDiscretization, ValidatesConstruction) {
     EXPECT_THROW(ExactDiscretization({0, 1.0}, 1.0), std::invalid_argument);
-    EXPECT_THROW(ExactDiscretization({5, 0.0}, 1.0), std::invalid_argument);
     EXPECT_THROW(ExactDiscretization({5, 1.0}, 0.0), std::invalid_argument);
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const double bad : {0.0, -1.0, nan, inf, -inf}) {
+        EXPECT_THROW(ExactDiscretization({5, bad}, 2.0), std::invalid_argument) << bad;
+    }
+    EXPECT_THROW(ExactDiscretization({5, 1.0}, nan), std::invalid_argument);
+    EXPECT_THROW(ExactDiscretization({5, 1.0}, inf), std::invalid_argument);
 }
 
 TEST(ExactDiscretization, GeneratorColumnsSumToArrivalInDropRow) {

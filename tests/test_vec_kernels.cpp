@@ -3,12 +3,10 @@
 // for arbitrary doubles, bit-exact for integer-valued inputs below 2^53 (the
 // counting client models — this is what keeps the golden sharded trajectories
 // pinned). Sizes straddle the scan's serial-fallback threshold (block < 16,
-// i.e. n < 64) and the 4-lane tail cases (n mod 4 ≠ 0). The same contract is
-// pinned end to end for the composed destination-law kernel. Under TSan the target_clones dispatch is compiled out
-// (MFLB_SIMD_CLONES is empty there), so these tests also pin that the plain
-// build of the 4-lane shapes agrees with the reference.
-#include "field/arrival_flow.hpp"
-#include "field/decision_rule.hpp"
+// i.e. n < 64) and the 4-lane tail cases (n mod 4 ≠ 0). Under TSan the
+// target_clones dispatch is compiled out (MFLB_SIMD_CLONES is empty there),
+// so these tests also pin that the plain build of the 4-lane shapes agrees
+// with the reference.
 #include "math/vec_ops.hpp"
 #include "support/rng.hpp"
 
@@ -115,45 +113,6 @@ TEST(VecKernels, SizeMismatchThrows) {
                  std::invalid_argument);
     const std::vector<int> idx(8, 0);
     EXPECT_THROW(gather_scale(idx, in, 1.0, out), std::invalid_argument);
-}
-
-TEST(VecKernels, DestinationLawMatchesScalarReference) {
-    // The composed barrier kernel: routing table + row fold + gather vs the
-    // historical per-queue O(M·d) scan. M deliberately not a multiple of 4.
-    Rng rng(107);
-    const std::size_t num_z = 6;
-    const int d = 2;
-    const TupleSpace space(num_z, d);
-    const DecisionRule h = DecisionRule::greedy_softmax(space, 1.5);
-
-    const std::size_t m = 257;
-    std::vector<int> queue_states(m);
-    std::vector<double> hist(num_z, 0.0);
-    for (int& z : queue_states) {
-        z = static_cast<int>(rng.uniform_below(num_z));
-        hist[static_cast<std::size_t>(z)] += 1.0 / static_cast<double>(m);
-    }
-
-    std::vector<int> tuple(static_cast<std::size_t>(d));
-    std::vector<double> suffix(static_cast<std::size_t>(d) + 1);
-    std::vector<double> g(static_cast<std::size_t>(d) * num_z);
-    std::vector<double> want(m, -1.0);
-    std::vector<double> got(m, -2.0);
-    // Reference first: it leaves `g` untouched; the vectorized path then
-    // folds `g`'s rows in place (documented postcondition).
-    compute_destination_law_reference_into(queue_states, hist, h, tuple, suffix, g, want);
-    compute_destination_law_into(queue_states, hist, h, tuple, suffix, g, got);
-
-    double total_got = 0.0;
-    double total_want = 0.0;
-    for (std::size_t j = 0; j < m; ++j) {
-        expect_close(got[j], want[j]);
-        total_got += got[j];
-        total_want += want[j];
-    }
-    // Both realize the same per-packet destination law: mass sums to one.
-    expect_close(total_got, 1.0, 1e-9);
-    expect_close(total_want, 1.0, 1e-9);
 }
 
 } // namespace
