@@ -50,7 +50,8 @@ int main(int argc, char** argv) {
         experiment.client_model = c.model;
         const auto start = std::chrono::steady_clock::now();
         const EvaluationResult result =
-            evaluate_finite(experiment.finite_system(), policy, sims, cli.get_int("seed"));
+            evaluate_backend(SimBackend::Finite, experiment.finite_system(), policy, sims,
+                             cli.get_int("seed"));
         const double elapsed =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
         table.row()

@@ -43,7 +43,7 @@ CellStats run_cell(const ExperimentConfig& experiment, const UpperLevelPolicy& p
         episodes, seed, threads, [&](std::size_t, Rng& rng) -> std::array<double, 6> {
             DesSystem system(config);
             system.reset(rng);
-            const DesEpisodeStats ep = system.run_episode(policy, rng);
+            const EpisodeStats ep = system.run_episode(policy, rng);
             const double offered =
                 static_cast<double>(ep.dropped_packets + ep.accepted_packets);
             const double blocking =

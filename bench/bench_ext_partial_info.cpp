@@ -46,9 +46,9 @@ int main(int argc, char** argv) {
         FiniteSystemConfig config = experiment.finite_system();
         config.histogram_sample_size = static_cast<std::size_t>(k);
         const EvaluationResult dp_eval =
-            evaluate_finite(config, dp_policy, sims, cli.get_int("seed"));
+            evaluate_backend(SimBackend::Finite, config, dp_policy, sims, cli.get_int("seed"));
         const EvaluationResult jsq_eval =
-            evaluate_finite(config, jsq, sims, cli.get_int("seed"));
+            evaluate_backend(SimBackend::Finite, config, jsq, sims, cli.get_int("seed"));
         table.row()
             .cell(k == 0 ? std::string("exact") : std::to_string(k))
             .cell(bench::ci_cell(dp_eval.total_drops))

@@ -125,8 +125,9 @@ int main(int argc, char** argv) {
         const std::size_t episodes = full ? 50 : 10;
         const TupleSpace space(experiment.queue.num_states(), experiment.d);
         const auto start = Clock::now();
-        const EvaluationResult result = evaluate_finite(
-            experiment.finite_system(), make_jsq_policy(space), episodes, cli.get_int("seed"));
+        const EvaluationResult result =
+            evaluate_backend(SimBackend::Finite, experiment.finite_system(),
+                             make_jsq_policy(space), episodes, cli.get_int("seed"));
         const double elapsed = seconds_since(start);
         timings.record("evaluate_finite_table1", elapsed);
         std::printf("\nevaluate_finite (Table 1, dt=5, T_e=%d, %zu episodes, all cores):\n"

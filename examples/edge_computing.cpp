@@ -49,9 +49,12 @@ int main() {
     const TupleSpace space(fleet.queue.num_states(), fleet.d);
 
     const std::size_t episodes = 15;
-    const EvaluationResult mf = evaluate_finite(fleet, trained.policy, episodes, 8);
-    const EvaluationResult jsq = evaluate_finite(fleet, make_jsq_policy(space), episodes, 8);
-    const EvaluationResult rnd = evaluate_finite(fleet, make_rnd_policy(space), episodes, 8);
+    const EvaluationResult mf =
+        evaluate_backend(SimBackend::Finite, fleet, trained.policy, episodes, 8);
+    const EvaluationResult jsq =
+        evaluate_backend(SimBackend::Finite, fleet, make_jsq_policy(space), episodes, 8);
+    const EvaluationResult rnd =
+        evaluate_backend(SimBackend::Finite, fleet, make_rnd_policy(space), episodes, 8);
 
     Table table({"policy", "drops/server", "mean fill", "utilization"});
     table.row()

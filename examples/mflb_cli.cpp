@@ -144,7 +144,7 @@ int run_eval(const CliParser& cli) {
         experiment.dt = cli.get_double("dt");
     }
     if (cli.provided("m")) {
-        experiment.num_queues = static_cast<std::size_t>(cli.get_int("m"));
+        resize_fleet(experiment, static_cast<std::size_t>(cli.get_int("m")));
         experiment.num_clients = experiment.num_queues * experiment.num_queues;
     }
     if (cli.provided("n") && cli.get_int("n") != 0) {
@@ -206,9 +206,6 @@ int run_eval(const CliParser& cli) {
         learned = TabularPolicy::from_archive(Archive::load(cli.get("policy")));
     }
 
-    // Only the event-driven backends see individual jobs, so only they can
-    // report sojourn-time percentiles; the finite backend leaves them blank.
-    const bool des = backend != SimBackend::Finite;
     // One session shared by every evaluation below: replication 0 of each
     // evaluated policy appends its epoch rows to the same series file.
     const std::unique_ptr<TelemetrySession> telemetry = make_telemetry(cli);
@@ -216,21 +213,20 @@ int run_eval(const CliParser& cli) {
                  "sojourn p50/p95/p99"});
     auto add = [&](const ExperimentConfig& config, const UpperLevelPolicy& policy,
                    const std::string& label) {
-        SojournSummary sojourn;
         FiniteSystemConfig system = config.finite_system();
         system.telemetry = telemetry.get();
+        system.track_sojourn = true;
         const EvaluationResult r =
-            evaluate_backend(backend, system, policy, episodes,
-                             cli.get_int("seed"), threads, &sojourn);
+            evaluate_backend(backend, system, policy, episodes, cli.get_int("seed"), threads);
         char percentiles[64];
         std::snprintf(percentiles, sizeof(percentiles), "%.2f / %.2f / %.2f",
-                      sojourn.p50.mean, sojourn.p95.mean, sojourn.p99.mean);
+                      r.sojourn_p50.mean, r.sojourn_p95.mean, r.sojourn_p99.mean);
         table.row()
             .cell(label)
             .cell_ci(r.total_drops.mean, r.total_drops.half_width)
             .cell(r.mean_queue_length.mean, 3)
             .cell(r.utilization.mean, 3)
-            .cell(des ? percentiles : "-");
+            .cell(percentiles);
     };
     if (experiment.router.kind != RouterKind::Policy) {
         // A classical router bypasses the upper-level policy; evaluate it
@@ -313,9 +309,9 @@ int main(int argc, char** argv) {
              "eval-mode baseline; other flags override its values");
     cli.flag("backend", "finite",
              "Finite-system simulator for eval mode: 'finite' (epoch-synchronous), "
-             "'des' (event-driven, adds sojourn percentiles), or 'sharded-des' "
-             "(per-queue epoch kernels on K parallel shards, adds sojourn "
-             "percentiles); default = scenario's backend");
+             "'des' (event-driven), or 'sharded-des' (per-queue epoch kernels on K "
+             "parallel shards); all report sojourn percentiles; default = "
+             "scenario's backend");
     cli.flag_int("threads", 0,
                  "Worker threads for replications / sharded epochs (0 = all cores)");
     cli.flag("metrics-out", "",

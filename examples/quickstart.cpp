@@ -32,9 +32,9 @@ int main() {
     // 3. Monte Carlo evaluation with 95% confidence intervals.
     const std::size_t episodes = 20;
     const EvaluationResult jsq_result =
-        evaluate_finite(config.finite_system(), jsq, episodes, /*seed=*/1);
+        evaluate_backend(SimBackend::Finite, config.finite_system(), jsq, episodes, /*seed=*/1);
     const EvaluationResult rnd_result =
-        evaluate_finite(config.finite_system(), rnd, episodes, /*seed=*/1);
+        evaluate_backend(SimBackend::Finite, config.finite_system(), rnd, episodes, /*seed=*/1);
 
     Table table({"policy", "total drops/queue", "mean queue length", "utilization"});
     table.row()

@@ -63,9 +63,12 @@ int main() {
     real.num_clients = m_observed * m_observed;
     real.horizon = 50;
     const std::size_t episodes = 15;
-    const EvaluationResult mf = evaluate_finite(real, trained.policy, episodes, 4);
-    const EvaluationResult jsq = evaluate_finite(real, make_jsq_policy(space), episodes, 4);
-    const EvaluationResult rnd = evaluate_finite(real, make_rnd_policy(space), episodes, 4);
+    const EvaluationResult mf =
+        evaluate_backend(SimBackend::Finite, real, trained.policy, episodes, 4);
+    const EvaluationResult jsq =
+        evaluate_backend(SimBackend::Finite, real, make_jsq_policy(space), episodes, 4);
+    const EvaluationResult rnd =
+        evaluate_backend(SimBackend::Finite, real, make_rnd_policy(space), episodes, 4);
 
     Table table({"policy", "drops/queue on the REAL system (95% CI)"});
     table.row().cell("MF (trained on fitted model)").cell_ci(mf.total_drops.mean,

@@ -41,9 +41,12 @@ int main() {
     const TupleSpace space(experiment.queue.num_states(), experiment.d);
 
     const std::size_t episodes = 15;
-    const EvaluationResult mf = evaluate_finite(cluster, deployed, episodes, 3);
-    const EvaluationResult jsq = evaluate_finite(cluster, make_jsq_policy(space), episodes, 3);
-    const EvaluationResult rnd = evaluate_finite(cluster, make_rnd_policy(space), episodes, 3);
+    const EvaluationResult mf =
+        evaluate_backend(SimBackend::Finite, cluster, deployed, episodes, 3);
+    const EvaluationResult jsq =
+        evaluate_backend(SimBackend::Finite, cluster, make_jsq_policy(space), episodes, 3);
+    const EvaluationResult rnd =
+        evaluate_backend(SimBackend::Finite, cluster, make_rnd_policy(space), episodes, 3);
 
     Table table({"policy", "total drops/queue (95% CI)"});
     table.row().cell("MF (learned, deployed)").cell_ci(mf.total_drops.mean,

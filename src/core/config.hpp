@@ -16,19 +16,19 @@
 
 namespace mflb {
 
-/// Which finite-system simulator realizes the model (same statistics, very
-/// different cost profiles — see docs/ARCHITECTURE.md "Event-driven
-/// backend" / "Sharded event-driven backend"):
+/// Which finite-system simulator realizes the model (same statistics and
+/// the same `FiniteBackend` surface, very different cost profiles — see
+/// docs/ARCHITECTURE.md "Event-driven backend" / "Sharded event-driven
+/// backend"); `make_backend` (core/evaluator.hpp) builds the class:
 ///  - `Finite`     — epoch-synchronous `FiniteSystem`: per-queue Gillespie
 ///    loop every Δt; cost O(M) per epoch even when queues are idle.
 ///  - `Des`        — event-driven `DesSystem`: future-event-list simulation;
-///    cost proportional to traffic, reports per-job sojourn percentiles.
+///    cost proportional to traffic.
 ///  - `ShardedDes` — `ShardedDesSystem`: the M queues partitioned into K
 ///    shards that run `FiniteSystem`'s per-queue epoch kernel lock-free in
 ///    parallel between decision epochs, skipping idle queues geometrically
-///    (cost tracks traffic on idle fleets), with per-job sojourn
-///    percentiles; deterministic for fixed (seed, K) regardless of thread
-///    count.
+///    (cost tracks traffic on idle fleets); deterministic for fixed (seed,
+///    K) regardless of thread count.
 enum class SimBackend {
     Finite,
     Des,

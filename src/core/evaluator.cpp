@@ -1,5 +1,9 @@
 #include "core/evaluator.hpp"
 
+#include "des/des_system.hpp"
+#include "des/sharded_des_system.hpp"
+#include "queueing/finite_system.hpp"
+
 namespace mflb {
 
 std::vector<Rng> split_replication_rngs(std::uint64_t seed, std::size_t count) {
@@ -40,54 +44,32 @@ FiniteSystemConfig replication_config(const FiniteSystemConfig& config, std::siz
 
 } // namespace
 
-EvaluationResult evaluate_finite(const FiniteSystemConfig& config, const UpperLevelPolicy& policy,
-                                 std::size_t episodes, std::uint64_t seed, std::size_t threads) {
-    const std::vector<EpisodeStats> stats =
-        run_replications(episodes, seed, threads, [&](std::size_t i, Rng& rng) {
-            FiniteSystem system(replication_config(config, i));
-            system.reset(rng);
-            return system.run_episode(policy, rng);
-        });
-
-    RunningStat drops, ret, length, util;
-    for (const EpisodeStats& s : stats) {
-        drops.add(s.total_drops_per_queue);
-        ret.add(s.discounted_return);
-        length.add(s.mean_queue_length);
-        util.add(s.server_utilization);
+std::unique_ptr<FiniteBackend> make_backend(SimBackend backend, FiniteSystemConfig config) {
+    switch (backend) {
+    case SimBackend::Des:
+        return std::make_unique<DesSystem>(std::move(config));
+    case SimBackend::ShardedDes:
+        return std::make_unique<ShardedDesSystem>(std::move(config));
+    case SimBackend::Finite:
+        break;
     }
-    EvaluationResult result;
-    result.total_drops = confidence_interval_95(drops);
-    result.discounted_return = confidence_interval_95(ret);
-    result.mean_queue_length = confidence_interval_95(length);
-    result.utilization = confidence_interval_95(util);
-    result.episodes = episodes;
-    return result;
+    return std::make_unique<FiniteSystem>(std::move(config));
 }
 
-namespace {
-
-/// Shared replication harness of the two event-driven backends: identical
-/// statistics pipeline, different simulator type.
-template <class System>
-EvaluationResult evaluate_event_driven(const FiniteSystemConfig& config,
-                                       const UpperLevelPolicy& policy, std::size_t episodes,
-                                       std::uint64_t seed, std::size_t threads,
-                                       SojournSummary* sojourn) {
-    FiniteSystemConfig des_config = config;
-    if (sojourn != nullptr) {
-        des_config.track_sojourn = true;
-    }
-    const std::vector<DesEpisodeStats> stats =
+EvaluationResult evaluate_backend(SimBackend backend, const FiniteSystemConfig& config,
+                                  const UpperLevelPolicy& policy, std::size_t episodes,
+                                  std::uint64_t seed, std::size_t threads) {
+    const std::vector<EpisodeStats> stats =
         run_replications(episodes, seed, threads, [&](std::size_t i, Rng& rng) {
-            System system(replication_config(des_config, i));
-            system.reset(rng);
-            return system.run_episode(policy, rng);
+            const std::unique_ptr<FiniteBackend> system =
+                make_backend(backend, replication_config(config, i));
+            system->reset(rng);
+            return system->run_episode(policy, rng);
         });
 
     RunningStat drops, ret, length, util;
     RunningStat sojourn_mean, sojourn_p50, sojourn_p95, sojourn_p99;
-    for (const DesEpisodeStats& s : stats) {
+    for (const EpisodeStats& s : stats) {
         drops.add(s.total_drops_per_queue);
         ret.add(s.discounted_return);
         length.add(s.mean_queue_length);
@@ -99,53 +81,17 @@ EvaluationResult evaluate_event_driven(const FiniteSystemConfig& config,
             sojourn_p99.add(s.sojourn_p99);
         }
     }
-    if (sojourn != nullptr) {
-        sojourn->mean = confidence_interval_95(sojourn_mean);
-        sojourn->p50 = confidence_interval_95(sojourn_p50);
-        sojourn->p95 = confidence_interval_95(sojourn_p95);
-        sojourn->p99 = confidence_interval_95(sojourn_p99);
-    }
     EvaluationResult result;
     result.total_drops = confidence_interval_95(drops);
     result.discounted_return = confidence_interval_95(ret);
     result.mean_queue_length = confidence_interval_95(length);
     result.utilization = confidence_interval_95(util);
+    result.sojourn_mean = confidence_interval_95(sojourn_mean);
+    result.sojourn_p50 = confidence_interval_95(sojourn_p50);
+    result.sojourn_p95 = confidence_interval_95(sojourn_p95);
+    result.sojourn_p99 = confidence_interval_95(sojourn_p99);
     result.episodes = episodes;
     return result;
-}
-
-} // namespace
-
-EvaluationResult evaluate_des(const FiniteSystemConfig& config, const UpperLevelPolicy& policy,
-                              std::size_t episodes, std::uint64_t seed, std::size_t threads,
-                              SojournSummary* sojourn) {
-    return evaluate_event_driven<DesSystem>(config, policy, episodes, seed, threads, sojourn);
-}
-
-EvaluationResult evaluate_sharded_des(const FiniteSystemConfig& config,
-                                      const UpperLevelPolicy& policy, std::size_t episodes,
-                                      std::uint64_t seed, std::size_t threads,
-                                      SojournSummary* sojourn) {
-    return evaluate_event_driven<ShardedDesSystem>(config, policy, episodes, seed, threads,
-                                                   sojourn);
-}
-
-EvaluationResult evaluate_backend(SimBackend backend, const FiniteSystemConfig& config,
-                                  const UpperLevelPolicy& policy, std::size_t episodes,
-                                  std::uint64_t seed, std::size_t threads,
-                                  SojournSummary* sojourn) {
-    switch (backend) {
-    case SimBackend::Des:
-        return evaluate_des(config, policy, episodes, seed, threads, sojourn);
-    case SimBackend::ShardedDes:
-        return evaluate_sharded_des(config, policy, episodes, seed, threads, sojourn);
-    case SimBackend::Finite:
-        break;
-    }
-    if (sojourn != nullptr) {
-        *sojourn = SojournSummary{};
-    }
-    return evaluate_finite(config, policy, episodes, seed, threads);
 }
 
 EvaluationResult evaluate_mfc(const MfcConfig& config, const UpperLevelPolicy& policy,
@@ -181,33 +127,6 @@ EvaluationResult evaluate_mfc(const MfcConfig& config, const UpperLevelPolicy& p
     return result;
 }
 
-namespace {
-
-struct CoupledEpisode {
-    double drops = 0.0;    ///< Σ_t D_t per queue.
-    double accepted = 0.0; ///< accepted jobs per queue.
-};
-
-/// One episode of `System` on the conditioned λ path.
-template <class System>
-CoupledEpisode coupled_episode(const FiniteSystemConfig& config,
-                               const std::vector<std::size_t>& path,
-                               const UpperLevelPolicy& policy, Rng& rng) {
-    System system(config);
-    system.reset_conditioned(path, rng);
-    CoupledEpisode out;
-    std::uint64_t accepted = 0;
-    while (!system.done()) {
-        const EpochStats stats = system.step(policy, rng);
-        out.drops += stats.drops_per_queue;
-        accepted += stats.accepted_packets;
-    }
-    out.accepted = static_cast<double>(accepted) / static_cast<double>(config.num_queues);
-    return out;
-}
-
-} // namespace
-
 CoupledEvaluation evaluate_coupled(const FiniteSystemConfig& finite_config,
                                    const UpperLevelPolicy& policy, std::size_t episodes,
                                    std::uint64_t seed, std::size_t threads,
@@ -237,25 +156,19 @@ CoupledEvaluation evaluate_coupled(const FiniteSystemConfig& finite_config,
     }
 
     // Finite-system replications on the same path.
-    const std::vector<CoupledEpisode> by_episode =
+    const std::vector<EpisodeStats> by_episode =
         run_replications(episodes, seed, threads, [&](std::size_t i, Rng& rng) {
-            const FiniteSystemConfig config = replication_config(finite_config, i);
-            const std::vector<std::size_t>& path = result.lambda_sequence;
-            switch (backend) {
-            case SimBackend::Des:
-                return coupled_episode<DesSystem>(config, path, policy, rng);
-            case SimBackend::ShardedDes:
-                return coupled_episode<ShardedDesSystem>(config, path, policy, rng);
-            case SimBackend::Finite:
-                break;
-            }
-            return coupled_episode<FiniteSystem>(config, path, policy, rng);
+            const std::unique_ptr<FiniteBackend> system =
+                make_backend(backend, replication_config(finite_config, i));
+            system->reset_conditioned(result.lambda_sequence, rng);
+            return system->run_episode(policy, rng);
         });
 
     RunningStat drops, accepted;
-    for (const CoupledEpisode& episode : by_episode) {
-        drops.add(episode.drops);
-        accepted.add(episode.accepted);
+    for (const EpisodeStats& episode : by_episode) {
+        drops.add(episode.total_drops_per_queue);
+        accepted.add(static_cast<double>(episode.accepted_packets) /
+                     static_cast<double>(finite_config.num_queues));
     }
     result.finite_drops = confidence_interval_95(drops);
     result.finite_accepted = confidence_interval_95(accepted);

@@ -7,14 +7,13 @@
 #pragma once
 
 #include "core/config.hpp"
-#include "des/des_system.hpp"
-#include "des/sharded_des_system.hpp"
 #include "field/mfc_env.hpp"
-#include "queueing/finite_system.hpp"
+#include "queueing/finite_backend.hpp"
 #include "support/statistics.hpp"
 #include "support/thread_pool.hpp"
 
 #include <cstdint>
+#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -41,59 +40,34 @@ auto run_replications(std::size_t episodes, std::uint64_t seed, std::size_t thre
     return results;
 }
 
+/// The one place that maps a `SimBackend` to its simulator class
+/// (`FiniteSystem`, `DesSystem` or `ShardedDesSystem`).
+std::unique_ptr<FiniteBackend> make_backend(SimBackend backend, FiniteSystemConfig config);
+
 /// Aggregated outcome of repeated episode simulations.
 struct EvaluationResult {
     ConfidenceInterval total_drops;        ///< Σ_t D_t per queue (Fig. 4-6 metric).
     ConfidenceInterval discounted_return;  ///< -Σ_t γ^t D_t.
     ConfidenceInterval mean_queue_length;  ///< time-averaged fill.
     ConfidenceInterval utilization;        ///< server busy fraction.
+    /// Per-job sojourn times (config.track_sojourn): each episode's
+    /// job-weighted mean and histogram percentiles (within 0.4% of its exact
+    /// sample quantiles), over the episodes that completed a job.
+    ConfidenceInterval sojourn_mean;
+    ConfidenceInterval sojourn_p50;
+    ConfidenceInterval sojourn_p95;
+    ConfidenceInterval sojourn_p99;
     std::size_t episodes = 0;
 };
 
-/// Evaluates `policy` on the finite N-client/M-queue system over `episodes`
-/// independent replications. `threads` = 0 uses all cores.
-EvaluationResult evaluate_finite(const FiniteSystemConfig& config, const UpperLevelPolicy& policy,
-                                 std::size_t episodes, std::uint64_t seed,
-                                 std::size_t threads = 0);
-
-/// Per-job sojourn-time summary across DES replications: episode-level
-/// means/percentiles (each episode's histogram percentiles, within 0.4% of
-/// its exact sample quantiles) aggregated into 95% CIs. Only the
-/// event-driven backends can report these.
-struct SojournSummary {
-    ConfidenceInterval mean;
-    ConfidenceInterval p50;
-    ConfidenceInterval p95;
-    ConfidenceInterval p99;
-};
-
-/// Evaluates `policy` on the *event-driven* backend (`DesSystem`) — same
-/// model and statistics as evaluate_finite, different simulator. When
-/// `sojourn` is non-null, per-job sojourn tracking is enabled (regardless of
-/// config.track_sojourn) and the percentile summary is filled in.
-EvaluationResult evaluate_des(const FiniteSystemConfig& config, const UpperLevelPolicy& policy,
-                              std::size_t episodes, std::uint64_t seed, std::size_t threads = 0,
-                              SojournSummary* sojourn = nullptr);
-
-/// Same contract on the *sharded* event-driven backend (`ShardedDesSystem`):
-/// each replication runs its K shards epoch-parallel (config.threads), while
-/// `threads` still fans out the replications themselves — the nested-use
-/// guard of `parallel_for` serializes the inner level when both are active.
-/// Per-episode sojourn percentiles come from the exact cross-shard histogram
-/// merge, so they do not depend on K or on the merge order.
-EvaluationResult evaluate_sharded_des(const FiniteSystemConfig& config,
-                                      const UpperLevelPolicy& policy, std::size_t episodes,
-                                      std::uint64_t seed, std::size_t threads = 0,
-                                      SojournSummary* sojourn = nullptr);
-
-/// Dispatches to evaluate_finite / evaluate_des / evaluate_sharded_des — the
-/// `--backend` switch of mflb_cli and the figure benches. `sojourn` is
-/// forwarded to the event-driven backends (and zero-filled by the finite
-/// one, which cannot observe individual jobs).
+/// Evaluates `policy` on the finite N-client/M-queue system, simulated by
+/// `backend`, over `episodes` independent replications (`threads` = 0 uses
+/// all cores). The sharded backend also runs its K shards epoch-parallel
+/// (config.threads); the nested-use guard of `parallel_for` serializes the
+/// inner level while the replications fan out.
 EvaluationResult evaluate_backend(SimBackend backend, const FiniteSystemConfig& config,
                                   const UpperLevelPolicy& policy, std::size_t episodes,
-                                  std::uint64_t seed, std::size_t threads = 0,
-                                  SojournSummary* sojourn = nullptr);
+                                  std::uint64_t seed, std::size_t threads = 0);
 
 /// Evaluates `policy` on the mean-field MDP (deterministic ν dynamics;
 /// randomness only from the λ chain). Returns undiscounted total drops and

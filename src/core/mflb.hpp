@@ -13,8 +13,8 @@
 ///
 ///   const TupleSpace space(cfg.queue.num_states(), cfg.d);
 ///   const FixedRulePolicy jsq = make_jsq_policy(space);
-///   const EvaluationResult r = evaluate_finite(cfg.finite_system(), jsq,
-///                                              /*episodes=*/20, /*seed=*/1);
+///   const EvaluationResult r = evaluate_backend(SimBackend::Finite, cfg.finite_system(),
+///                                               jsq, /*episodes=*/20, /*seed=*/1);
 ///   // r.total_drops.mean ± r.total_drops.half_width
 /// \endcode
 #pragma once
@@ -45,6 +45,7 @@
 #include "math/simplex.hpp"
 #include "policies/fixed.hpp"
 #include "policies/tabular.hpp"
+#include "queueing/finite_backend.hpp"
 #include "queueing/finite_system.hpp"
 #include "queueing/gillespie.hpp"
 #include "queueing/memory_system.hpp"

@@ -188,4 +188,16 @@ std::string scenario_list_text() {
     return out.str();
 }
 
+void resize_fleet(ExperimentConfig& experiment, std::size_t num_queues) {
+    const std::vector<double>& speeds = experiment.server_speeds;
+    if (!speeds.empty()) {
+        std::vector<double> resized(num_queues);
+        for (std::size_t j = 0; j < num_queues; ++j) {
+            resized[j] = speeds[j * speeds.size() / num_queues];
+        }
+        experiment.server_speeds = std::move(resized);
+    }
+    experiment.num_queues = num_queues;
+}
+
 } // namespace mflb

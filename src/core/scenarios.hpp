@@ -48,4 +48,9 @@ const Scenario& scenario_or_die(std::string_view name);
 /// "name - summary" lines for --help texts and the CLI listing.
 std::string scenario_list_text();
 
+/// Sets the fleet size M' of `experiment`, resampling its per-queue server
+/// speeds (if any) as speed'[j] = speed[⌊j·M/M'⌋], so the speed classes
+/// keep their fractions; N and every other field are left alone.
+void resize_fleet(ExperimentConfig& experiment, std::size_t num_queues);
+
 } // namespace mflb

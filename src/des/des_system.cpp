@@ -4,17 +4,11 @@
 #include "math/vec_ops.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace mflb {
 
 DesSystem::DesSystem(FiniteSystemConfig config)
-    : SystemBase(checked_config(config, "DesSystem").arrivals, config.dt, config.horizon,
-                 config.num_queues),
-      config_(std::move(config)), space_(config_.queue.num_states(), config_.d),
-      router_(config_.router, config_.num_queues,
-              static_cast<std::size_t>(config_.queue.num_states()), config_.dt,
-              config_.server_speeds),
+    : FiniteBackend(std::move(config), "DesSystem"),
       service_(config_.service, config_.queue.service_rate),
       fel_(config_.fel, config_.num_queues + 1,
            fel_rate_hint(config_, config_.num_queues)),
@@ -84,19 +78,10 @@ void DesSystem::append_epoch_telemetry(MetricsRow& row) {
     row.push("qlen_empty_frac", static_cast<double>(state_counts_[0]) * inv_m);
     row.push("qlen_full_frac", static_cast<double>(state_counts_[num_z - 1]) * inv_m);
     row.push_int("qlen_max", max_state);
-    if (config_.track_sojourn) {
-        row.push("sojourn_p50", sojourn_.p50());
-        row.push("sojourn_p95", sojourn_.p95());
-        row.push("sojourn_p99", sojourn_.p99());
-    }
+    append_sojourn_telemetry(row);
 }
 
-void DesSystem::reset(Rng& rng) {
-    for (int& z : queues_) {
-        z = static_cast<int>(rng.categorical(config_.nu0));
-    }
-    reset_base(rng);
-
+void DesSystem::reset_state(Rng& rng) {
     std::fill(state_counts_.begin(), state_counts_.end(), 0);
     std::fill(stamp_.begin(), stamp_.end(), kNoEpoch);
     total_jobs_ = 0;
@@ -117,7 +102,6 @@ void DesSystem::reset(Rng& rng) {
         }
     }
     rr_next_ = 0;
-    router_.reset();
 
     if (config_.track_sojourn) {
         jobs_.reset(queues_, config_.queue.buffer);
@@ -125,21 +109,8 @@ void DesSystem::reset(Rng& rng) {
     }
 }
 
-void DesSystem::reset_conditioned(std::vector<std::size_t> lambda_states, Rng& rng) {
-    reset(rng);
-    condition_on(std::move(lambda_states));
-}
-
-std::vector<double> DesSystem::empirical_distribution() const {
-    return histogram_from_counts(state_counts_, queues_.size());
-}
-
-std::vector<double> DesSystem::observed_distribution(Rng& rng) const {
-    if (config_.histogram_sample_size == 0) {
-        return empirical_distribution();
-    }
-    return sampled_histogram(queues_, state_counts_.size(), config_.histogram_sample_size,
-                             rng);
+void DesSystem::empirical_distribution_into(std::vector<double>& out) const {
+    histogram_from_counts_into(state_counts_, queues_.size(), out);
 }
 
 void DesSystem::begin_epoch(const DecisionRule& h, Rng& rng) {
@@ -347,20 +318,7 @@ EpochStats DesSystem::run_events(const DecisionRule* h, Rng& rng) {
     return stats;
 }
 
-EpochStats DesSystem::step_with_rule(const DecisionRule& h, Rng& rng) {
-    if (router_.active()) {
-        throw std::logic_error("DesSystem::step_with_rule: a classical router is "
-                               "configured; use step_router");
-    }
-    if (done()) {
-        throw std::logic_error("DesSystem::step: episode already finished");
-    }
-    if (!(h.space() == space_)) {
-        throw std::invalid_argument("DesSystem::step: decision rule on wrong tuple space");
-    }
-    if (!h.is_valid()) {
-        throw std::invalid_argument("DesSystem::step: decision rule is not row-stochastic");
-    }
+EpochStats DesSystem::rule_epoch(const DecisionRule& h, Rng& rng) {
     trace::Tracer* tracer = session_tracer(telemetry_);
     {
         trace::ScopedSpan span(tracer, "destination_law");
@@ -370,46 +328,9 @@ EpochStats DesSystem::step_with_rule(const DecisionRule& h, Rng& rng) {
     return run_events(&h, rng);
 }
 
-EpochStats DesSystem::step_router(Rng& rng) {
-    if (!router_.active()) {
-        throw std::logic_error("DesSystem::step_router: no classical router configured");
-    }
-    if (done()) {
-        throw std::logic_error("DesSystem::step: episode already finished");
-    }
+EpochStats DesSystem::router_epoch(Rng& rng) {
     begin_epoch_router(rng);
     return run_events(nullptr, rng);
-}
-
-EpochStats DesSystem::step(const UpperLevelPolicy& policy, Rng& rng) {
-    if (router_.active()) {
-        return step_router(rng);
-    }
-    DecisionRule h = [&] {
-        trace::ScopedSpan span(session_tracer(telemetry_), "policy_query");
-        return policy.decide(observed_distribution(rng), lambda_state(), rng);
-    }();
-    return step_with_rule(h, rng);
-}
-
-DesEpisodeStats DesSystem::run_episode(const UpperLevelPolicy& policy, Rng& rng) {
-    DesEpisodeStats stats;
-    static_cast<EpisodeStats&>(stats) =
-        run_episode_loop(config_.discount, [&] { return step(policy, rng); });
-    stats.sojourn_p50 = sojourn_.p50();
-    stats.sojourn_p95 = sojourn_.p95();
-    stats.sojourn_p99 = sojourn_.p99();
-    return stats;
-}
-
-DesEpisodeStats DesSystem::run_episode(Rng& rng) {
-    DesEpisodeStats stats;
-    static_cast<EpisodeStats&>(stats) =
-        run_episode_loop(config_.discount, [&] { return step_router(rng); });
-    stats.sojourn_p50 = sojourn_.p50();
-    stats.sojourn_p95 = sojourn_.p95();
-    stats.sojourn_p99 = sojourn_.p99();
-    return stats;
 }
 
 } // namespace mflb

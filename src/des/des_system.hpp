@@ -35,7 +35,7 @@
 ///
 /// The per-epoch decision structure (policy queried on the stale snapshot,
 /// λ-chain advanced once per epoch, conditioned replay for the Theorem 1
-/// coupling) is inherited from `SystemBase`, so `DesSystem` is statistically
+/// coupling) is inherited from `FiniteBackend`, so `DesSystem` is statistically
 /// equivalent to `FiniteSystem` — pinned by tests/test_des_system.cpp.
 ///
 /// Hot-path invariants: after construction/reset the event loop performs
@@ -48,74 +48,42 @@
 #include "des/fel.hpp"
 #include "queueing/finite_system.hpp"
 #include "queueing/sojourn.hpp"
-#include "queueing/system_base.hpp"
 #include "support/rng.hpp"
-#include "support/statistics.hpp"
 
 #include <cstdint>
 #include <vector>
 
 namespace mflb {
 
-/// Episode summary of the event-driven simulator: the shared episode stats
-/// plus the sojourn-time percentiles only a per-job simulation can report
-/// (0 unless `track_sojourn` is set and jobs completed).
-struct DesEpisodeStats : EpisodeStats {
-    double sojourn_p50 = 0.0;
-    double sojourn_p95 = 0.0;
-    double sojourn_p99 = 0.0;
-};
-
 /// Discrete-event backend for the finite system; accepts the exact same
 /// configuration as `FiniteSystem` (all three client models are supported).
-class DesSystem : public SystemBase {
+class DesSystem : public FiniteBackend {
 public:
     explicit DesSystem(FiniteSystemConfig config);
 
-    const FiniteSystemConfig& config() const noexcept { return config_; }
-    const TupleSpace& tuple_space() const noexcept { return space_; }
     const FutureEventList& event_queue() const noexcept { return fel_; }
 
-    /// Draws initial queue states i.i.d. from ν_0 and samples λ_0 (same RNG
-    /// draw order as `FiniteSystem::reset`), then seeds the FEL with the
-    /// departure events of initially busy queues.
-    void reset(Rng& rng);
-    /// Like reset but with a fixed λ-state sequence (Theorem 1 conditioning).
-    void reset_conditioned(std::vector<std::size_t> lambda_states, Rng& rng);
+    std::array<double, 3> sojourn_percentiles() const override {
+        return {sojourn_.p50(), sojourn_.p95(), sojourn_.p99()};
+    }
 
-    /// Empirical distribution H_t^M over Z, eq. (2) — maintained
-    /// incrementally (O(1) per event), so this is O(|Z|) not O(M).
-    std::vector<double> empirical_distribution() const;
-    /// Exact H_t^M, or a `histogram_sample_size`-queue estimate (§2.1).
-    std::vector<double> observed_distribution(Rng& rng) const;
-
+protected:
+    const char* name() const noexcept override { return "DesSystem"; }
+    /// Rebuilds the incremental counts and seeds the FEL with the departure
+    /// events of initially busy queues.
+    void reset_state(Rng& rng) override;
+    /// Maintained incrementally (O(1) per event), so this is O(|Z|) not O(M).
+    void empirical_distribution_into(std::vector<double>& out) const override;
+    std::int64_t jobs_in_system() const noexcept override { return total_jobs_; }
     /// One decision epoch [t·Δt, (t+1)·Δt): rebuilds the epoch's routing
     /// from the frozen snapshot, reschedules the arrival stream, then
     /// processes arrival/departure events in time order. Allocation-free in
-    /// steady state. Throws std::logic_error when a classical router is
-    /// configured — use step_router — and std::invalid_argument when `h` is
-    /// not row-stochastic.
-    EpochStats step_with_rule(const DecisionRule& h, Rng& rng);
-    /// One decision epoch under the configured classical router: the weight
-    /// law from the epoch-start snapshot feeds the arrival-thinning prefix
-    /// sums (round-robin: a cyclic per-arrival cursor instead); requires
-    /// `config().router.kind != RouterKind::Policy`.
-    EpochStats step_router(Rng& rng);
-    /// Queries the policy on (observed H_t^M, λ_t) first. With a classical
-    /// router configured the policy is ignored (forwards to step_router).
-    EpochStats step(const UpperLevelPolicy& policy, Rng& rng);
-
-    /// Full episode from reset state, with sojourn percentiles attached.
-    DesEpisodeStats run_episode(const UpperLevelPolicy& policy, Rng& rng);
-    /// Router-only episode (requires a classical router configured).
-    DesEpisodeStats run_episode(Rng& rng);
-
-    /// Sojourn percentiles so far (track_sojourn only).
-    double sojourn_p50() const noexcept { return sojourn_.p50(); }
-    double sojourn_p95() const noexcept { return sojourn_.p95(); }
-    double sojourn_p99() const noexcept { return sojourn_.p99(); }
-
-protected:
+    /// steady state.
+    EpochStats rule_epoch(const DecisionRule& h, Rng& rng) override;
+    /// The weight law from the epoch-start snapshot feeds the
+    /// arrival-thinning prefix sums (round-robin: a cyclic per-arrival
+    /// cursor instead).
+    EpochStats router_epoch(Rng& rng) override;
     /// Registers the FEL operation counters (fel_schedules / fel_pops /
     /// fel_bucket_scans) with the session's metrics registry.
     void on_telemetry_attached() override;
@@ -164,9 +132,6 @@ private:
     void handle_arrival(const DecisionRule* h, double t, Rng& rng, EpochStats& stats);
     void handle_departure(std::size_t j, double t, Rng& rng, EpochStats& stats);
 
-    FiniteSystemConfig config_;
-    TupleSpace space_;
-    EpochRouter router_;
     ServiceDistribution service_;
     FutureEventList fel_;      ///< heap or calendar per config_.fel.
     std::size_t arrival_slot_; ///< = num_queues; slots below are departures.

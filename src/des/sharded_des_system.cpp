@@ -8,7 +8,6 @@
 #include <chrono>
 #include <cmath>
 #include <span>
-#include <stdexcept>
 
 namespace mflb {
 
@@ -38,13 +37,8 @@ void combine_counts(std::vector<int>& out, std::size_t& out_hi, const std::vecto
 } // namespace
 
 ShardedDesSystem::ShardedDesSystem(FiniteSystemConfig config)
-    : SystemBase(checked_config(config, "ShardedDesSystem").arrivals, config.dt,
-                 config.horizon, config.num_queues),
-      config_(std::move(config)), space_(config_.queue.num_states(), config_.d),
-      router_(config_.router, config_.num_queues,
-              static_cast<std::size_t>(config_.queue.num_states()), config_.dt,
-              config_.server_speeds),
-      kernel_(config_), threads_(config_.threads), rule_(space_) {
+    : FiniteBackend(std::move(config), "ShardedDesSystem"), kernel_(config_),
+      threads_(config_.threads), rule_(space_) {
     const auto num_z = static_cast<std::size_t>(config_.queue.num_states());
     const auto d = static_cast<std::size_t>(config_.d);
     const std::size_t m = config_.num_queues;
@@ -154,11 +148,7 @@ void ShardedDesSystem::append_epoch_telemetry(MetricsRow& row) {
         --hi;
     }
     row.push_int("qlen_max", static_cast<std::int64_t>(hi - 1));
-    if (config_.track_sojourn) {
-        row.push("sojourn_p50", merged_quantile(0));
-        row.push("sojourn_p95", merged_quantile(1));
-        row.push("sojourn_p99", merged_quantile(2));
-    }
+    append_sojourn_telemetry(row);
     row.push_int("shards", static_cast<std::int64_t>(shards_.size()));
     // The barrier profile rides the registry (appended after this hook), so
     // the Amdahl split lands in the same row as the queueing metrics.
@@ -168,12 +158,7 @@ void ShardedDesSystem::append_epoch_telemetry(MetricsRow& row) {
     shard_registry_->set(barrier_parallel_id_, profile_.parallel_seconds);
 }
 
-void ShardedDesSystem::reset(Rng& rng) {
-    for (int& z : queues_) {
-        z = static_cast<int>(rng.categorical(config_.nu0));
-    }
-    reset_base(rng);
-    router_.reset();
+void ShardedDesSystem::reset_state(Rng& rng) {
     kernel_.reset(queues_);
 
     std::fill(state_counts_.begin(), state_counts_.end(), 0);
@@ -202,21 +187,16 @@ void ShardedDesSystem::reset(Rng& rng) {
     }
 }
 
-void ShardedDesSystem::reset_conditioned(std::vector<std::size_t> lambda_states, Rng& rng) {
-    reset(rng);
-    condition_on(std::move(lambda_states));
+void ShardedDesSystem::empirical_distribution_into(std::vector<double>& out) const {
+    histogram_from_counts_into(state_counts_, queues_.size(), out);
 }
 
-std::vector<double> ShardedDesSystem::empirical_distribution() const {
-    return histogram_from_counts(state_counts_, queues_.size());
-}
-
-std::vector<double> ShardedDesSystem::observed_distribution(Rng& rng) const {
-    if (config_.histogram_sample_size == 0) {
-        return empirical_distribution();
+std::int64_t ShardedDesSystem::jobs_in_system() const noexcept {
+    std::int64_t jobs = 0;
+    for (std::size_t z = 1; z < state_hi_; ++z) {
+        jobs += static_cast<std::int64_t>(z) * state_counts_[z];
     }
-    return sampled_histogram(queues_, state_counts_.size(), config_.histogram_sample_size,
-                             rng);
+    return jobs;
 }
 
 void ShardedDesSystem::settle(Shard& shard, std::size_t j, int z, int next) noexcept {
@@ -452,28 +432,11 @@ EpochStats ShardedDesSystem::reduce_tail() {
     return total.epoch_stats(queues_.size(), config_.dt);
 }
 
-EpochStats ShardedDesSystem::step_with_rule(const DecisionRule& h, Rng& rng) {
-    if (router_.active()) {
-        throw std::logic_error("ShardedDesSystem::step_with_rule: a classical router is "
-                               "configured; use step_router");
-    }
-    if (done()) {
-        throw std::logic_error("ShardedDesSystem::step: episode already finished");
-    }
-    if (!(h.space() == space_)) {
-        throw std::invalid_argument("ShardedDesSystem::step: decision rule on wrong tuple space");
-    }
+EpochStats ShardedDesSystem::rule_epoch(const DecisionRule& h, Rng& rng) {
     return run_epoch(nullptr, nullptr, &h, rng);
 }
 
-EpochStats ShardedDesSystem::step_router(Rng& rng) {
-    if (!router_.active()) {
-        throw std::logic_error(
-            "ShardedDesSystem::step_router: no classical router configured");
-    }
-    if (done()) {
-        throw std::logic_error("ShardedDesSystem::step: episode already finished");
-    }
+EpochStats ShardedDesSystem::router_epoch(Rng& rng) {
     return run_epoch(nullptr, nullptr, nullptr, rng);
 }
 
@@ -481,9 +444,7 @@ EpochStats ShardedDesSystem::step(const UpperLevelPolicy& policy, Rng& rng) {
     if (router_.active()) {
         return step_router(rng);
     }
-    if (done()) {
-        throw std::logic_error("ShardedDesSystem::step: episode already finished");
-    }
+    require_running();
     // Batched epoch query into persistent buffers: the observation, the
     // policy's cached scratch (e.g. the neural policy's GEMM workspace), and
     // the realized rule are all reused across epochs — the policy query is
@@ -503,8 +464,10 @@ EpochStats ShardedDesSystem::step(const UpperLevelPolicy& policy, Rng& rng) {
         }
     }
     profile_.serial_prologue_seconds += seconds_since(t0);
-    return rng_free ? run_epoch(&policy, scratch, nullptr, rng)
-                    : run_epoch(nullptr, nullptr, &rule_, rng);
+    if (!rng_free) {
+        return step_with_rule(rule_, rng);
+    }
+    return conserving([&] { return run_epoch(&policy, scratch, nullptr, rng); });
 }
 
 UpperLevelPolicy::Scratch* ShardedDesSystem::scratch_for(const UpperLevelPolicy& policy) {
@@ -545,10 +508,7 @@ EpochStats ShardedDesSystem::run_epoch(const UpperLevelPolicy* policy,
         trace::ScopedSpan span(tracer_, "barrier_overlap");
         if (policy != nullptr) {
             policy->decide_into(obs_, lambda_state(), rng, scratch, rule_);
-        }
-        if (rule != nullptr && !rule->is_valid()) {
-            throw std::invalid_argument(
-                "ShardedDesSystem::step: decision rule is not row-stochastic");
+            require_row_stochastic(rule_);
         }
         if (router_.active()) {
             router_.epoch_weights(queues_, time(), dest_p_);
@@ -636,27 +596,7 @@ EpochStats ShardedDesSystem::run_epoch(const UpperLevelPolicy* policy,
     return stats;
 }
 
-DesEpisodeStats ShardedDesSystem::run_episode(const UpperLevelPolicy& policy, Rng& rng) {
-    DesEpisodeStats stats;
-    static_cast<EpisodeStats&>(stats) =
-        run_episode_loop(config_.discount, [&] { return step(policy, rng); });
-    stats.sojourn_p50 = sojourn_p50();
-    stats.sojourn_p95 = sojourn_p95();
-    stats.sojourn_p99 = sojourn_p99();
-    return stats;
-}
-
-DesEpisodeStats ShardedDesSystem::run_episode(Rng& rng) {
-    DesEpisodeStats stats;
-    static_cast<EpisodeStats&>(stats) =
-        run_episode_loop(config_.discount, [&] { return step_router(rng); });
-    stats.sojourn_p50 = sojourn_p50();
-    stats.sojourn_p95 = sojourn_p95();
-    stats.sojourn_p99 = sojourn_p99();
-    return stats;
-}
-
-double ShardedDesSystem::merged_quantile(int which) const {
+std::array<double, 3> ShardedDesSystem::sojourn_percentiles() const {
     if (merged_for_ != epochs_run_) {
         // One pass over the shards fills all three percentiles; re-merged
         // only after a new epoch. The merge adds bucket counts, so the result
@@ -668,16 +608,7 @@ double ShardedDesSystem::merged_quantile(int which) const {
         merged_q_ = {merged.p50(), merged.p95(), merged.p99()};
         merged_for_ = epochs_run_;
     }
-    return merged_q_[static_cast<std::size_t>(which)];
-}
-
-void ShardedDesSystem::observed_distribution_into(Rng& rng, std::vector<double>& out) const {
-    if (config_.histogram_sample_size == 0) {
-        histogram_from_counts_into(state_counts_, queues_.size(), out);
-        return;
-    }
-    sampled_histogram_into(queues_, state_counts_.size(), config_.histogram_sample_size, rng,
-                           out);
+    return merged_q_;
 }
 
 } // namespace mflb

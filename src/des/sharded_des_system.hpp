@@ -69,12 +69,9 @@
 /// `FiniteSystem` on a shared conditioned λ path.
 #pragma once
 
-#include "des/des_system.hpp"
 #include "queueing/finite_system.hpp"
 #include "queueing/sojourn.hpp"
-#include "queueing/system_base.hpp"
 #include "support/rng.hpp"
-#include "support/statistics.hpp"
 
 #include <array>
 #include <atomic>
@@ -89,7 +86,7 @@ namespace mflb {
 /// `FiniteSystem`/`DesSystem` plus its `shards` (K, 0 = min(8, M)) and
 /// `threads` (parallel workers, 0 = all cores; never affects results). Like
 /// `FiniteSystem`, it ignores `config.fel`.
-class ShardedDesSystem : public SystemBase {
+class ShardedDesSystem : public FiniteBackend {
 public:
     /// Default shard count when `config.shards == 0` (clamped to M). Fixed —
     /// not hardware-derived — so results are machine-independent.
@@ -97,55 +94,20 @@ public:
 
     explicit ShardedDesSystem(FiniteSystemConfig config);
 
-    const FiniteSystemConfig& config() const noexcept { return config_; }
-    const TupleSpace& tuple_space() const noexcept { return space_; }
     std::size_t num_shards() const noexcept { return shards_.size(); }
     /// Queue index range [first, past-the-end) owned by shard s.
     std::pair<std::size_t, std::size_t> shard_range(std::size_t s) const {
         return {shard_begin_[s], shard_begin_[s + 1]};
     }
 
-    /// Draws initial queue states i.i.d. from ν_0 and samples λ_0 (caller
-    /// RNG, same order as the other backends), then forks one independent
-    /// stream per shard (which draws its busy queues' first completions
-    /// under general service).
-    void reset(Rng& rng);
-    /// Like reset but with a fixed λ-state sequence (Theorem 1 conditioning).
-    void reset_conditioned(std::vector<std::size_t> lambda_states, Rng& rng);
-
-    /// Empirical distribution H_t^M over Z, eq. (2) — the cross-shard
-    /// reduction maintained at the epoch barrier, O(|Z|).
-    std::vector<double> empirical_distribution() const;
-    /// Exact H_t^M, or a `histogram_sample_size`-queue estimate (§2.1).
-    std::vector<double> observed_distribution(Rng& rng) const;
-
-    /// One decision epoch under an explicit decision rule (see file
-    /// comment). Throws std::logic_error when a classical router is
-    /// configured — use step_router. Every epoch (this one or `step`'s)
-    /// throws std::invalid_argument when its rule is not row-stochastic.
-    EpochStats step_with_rule(const DecisionRule& h, Rng& rng);
-    /// One decision epoch under the configured classical router: frozen
-    /// per-queue rates M·λ_t·w_j/W from the router's weight law, W summed
-    /// over the shard masses in fixed order (round-robin: the equal split);
-    /// requires `config().router.kind != RouterKind::Policy`.
-    EpochStats step_router(Rng& rng);
-    /// Queries the policy on (observed H_t^M, λ_t) first. With a classical
-    /// router configured the policy is ignored (forwards to step_router).
-    EpochStats step(const UpperLevelPolicy& policy, Rng& rng);
-
-    /// Full episode from reset state, with cross-shard-merged sojourn
-    /// percentiles attached (exact histogram merge: the same values as one
-    /// recorder fed every shard's jobs, whatever K or the merge order).
-    DesEpisodeStats run_episode(const UpperLevelPolicy& policy, Rng& rng);
-    /// Router-only episode (requires a classical router configured).
-    DesEpisodeStats run_episode(Rng& rng);
-
-    /// Sojourn percentiles so far (track_sojourn only), merged across
-    /// shards. One shard pass merges all three percentiles and is cached per
-    /// epoch, so reading p50/p95/p99 back to back costs a single merge.
-    double sojourn_p50() const { return merged_quantile(0); }
-    double sojourn_p95() const { return merged_quantile(1); }
-    double sojourn_p99() const { return merged_quantile(2); }
+    /// The batched policy query: observation, the policy's cached scratch
+    /// and the rule live in reused buffers, and an RNG-free query runs in the
+    /// barrier's deterministic compute phase (see file comment).
+    EpochStats step(const UpperLevelPolicy& policy, Rng& rng) override;
+    /// Merged across shards (exact histogram merge: the same values as one
+    /// recorder fed every shard's jobs, whatever K or the merge order); one
+    /// shard pass per epoch, cached.
+    std::array<double, 3> sojourn_percentiles() const override;
 
     /// Cumulative wall-clock split of the epoch since the last reset — the
     /// Amdahl accounting that `bench_des_scale` reports. Four components:
@@ -176,6 +138,19 @@ public:
     const BarrierProfile& barrier_profile() const noexcept { return profile_; }
 
 protected:
+    const char* name() const noexcept override { return "ShardedDesSystem"; }
+    /// Forks one independent stream per shard (which draws its busy queues'
+    /// first completions under general service) and rebuilds the histograms.
+    void reset_state(Rng& rng) override;
+    /// The cross-shard reduction maintained at the epoch barrier, O(|Z|).
+    void empirical_distribution_into(std::vector<double>& out) const override;
+    /// Σ_z z·n_z over the reduced histogram, O(|Z|).
+    std::int64_t jobs_in_system() const noexcept override;
+    EpochStats rule_epoch(const DecisionRule& h, Rng& rng) override;
+    /// Frozen per-queue rates M·λ_t·w_j/W from the router's weight law, W
+    /// summed over the shard masses in fixed order (round-robin: the equal
+    /// split).
+    EpochStats router_epoch(Rng& rng) override;
     /// Grows the registry's slot lanes to K and registers the per-shard
     /// event counter plus the barrier-profile gauges.
     void on_telemetry_attached() override;
@@ -243,10 +218,6 @@ private:
     /// rebuilding on every switch. Entries live until reset().
     UpperLevelPolicy::Scratch* scratch_for(const UpperLevelPolicy& policy);
 
-    double merged_quantile(int which) const;
-    /// `observed_distribution` into a reusable buffer (identical draws).
-    void observed_distribution_into(Rng& rng, std::vector<double>& out) const;
-
     /// One node of the pairwise reduction tree. Only integer-exact payloads
     /// travel through the tree (state counts, packet counters) so the combine
     /// order within a level cannot perturb results; `counts` entries at and
@@ -261,9 +232,6 @@ private:
         std::uint64_t completed = 0;
     };
 
-    FiniteSystemConfig config_;
-    TupleSpace space_;
-    EpochRouter router_;
     QueueKernel kernel_; ///< per-queue kernels; queue j touched by its shard only.
     std::size_t threads_ = 0;
 

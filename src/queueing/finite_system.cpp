@@ -1,43 +1,9 @@
 #include "queueing/finite_system.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <stdexcept>
-#include <string>
 
 namespace mflb {
-
-FiniteSystemConfig& checked_config(FiniteSystemConfig& config, const char* backend) {
-    const auto reject = [backend](const std::string& what) {
-        throw std::invalid_argument(std::string(backend) + ": " + what);
-    };
-    if (config.queue.buffer < 1) {
-        reject("queue.buffer must be >= 1, got " + std::to_string(config.queue.buffer));
-    }
-    if (config.num_clients == 0 && config.client_model != ClientModel::InfiniteClients) {
-        reject("need at least one client");
-    }
-    if (!config.server_speeds.empty()) {
-        if (config.server_speeds.size() != config.num_queues) {
-            reject("server_speeds size mismatch");
-        }
-        for (const double s : config.server_speeds) {
-            if (!std::isfinite(s) || s <= 0.0) {
-                reject("server speeds must be finite and > 0");
-            }
-        }
-    }
-    const auto num_z = static_cast<std::size_t>(config.queue.num_states());
-    if (config.nu0.empty()) {
-        config.nu0.assign(num_z, 0.0);
-        config.nu0[0] = 1.0;
-    }
-    if (config.nu0.size() != num_z) {
-        reject("nu0 size mismatch");
-    }
-    return config;
-}
 
 EpochStats QueueTally::epoch_stats(std::size_t num_queues, double dt) const {
     EpochStats stats;
@@ -130,13 +96,7 @@ int QueueKernel::advance_from_arrival(std::size_t j, double rate, double t, doub
 }
 
 FiniteSystem::FiniteSystem(FiniteSystemConfig config)
-    : SystemBase(checked_config(config, "FiniteSystem").arrivals, config.dt, config.horizon,
-                 config.num_queues),
-      config_(std::move(config)), space_(config_.queue.num_states(), config_.d),
-      router_(config_.router, config_.num_queues,
-              static_cast<std::size_t>(config_.queue.num_states()), config_.dt,
-              config_.server_speeds),
-      kernel_(config_) {
+    : FiniteBackend(std::move(config), "FiniteSystem"), kernel_(config_) {
     const auto num_z = static_cast<std::size_t>(config_.queue.num_states());
     const auto d = static_cast<std::size_t>(config_.d);
     const std::size_t m = config_.num_queues;
@@ -161,6 +121,9 @@ FiniteSystem::FiniteSystem(FiniteSystemConfig config)
     if (router_.active()) {
         ws_.weights.assign(m, 0.0);
     }
+    if (config_.track_sojourn) {
+        sojourn_ = std::make_unique<SojournRecorder>();
+    }
     telemetry_series_ = "finite_epoch";
     if (config_.telemetry != nullptr) {
         set_telemetry(config_.telemetry);
@@ -181,49 +144,39 @@ void FiniteSystem::append_epoch_telemetry(MetricsRow& row) {
     row.push("qlen_empty_frac", static_cast<double>(empty) * inv_m);
     row.push("qlen_full_frac", static_cast<double>(full) * inv_m);
     row.push_int("qlen_max", max_state);
+    append_sojourn_telemetry(row);
 }
 
-void FiniteSystem::reset(Rng& rng) {
-    for (int& z : queues_) {
-        z = static_cast<int>(rng.categorical(config_.nu0));
-    }
-    reset_base(rng);
+void FiniteSystem::reset_state(Rng& rng) {
     clock_ = 0.0;
-    router_.reset();
     kernel_.reset(queues_);
     kernel_.start_service(queues_, 0, queues_.size(), rng);
+    if (sojourn_) {
+        sojourn_->reset();
+    }
 }
 
-void FiniteSystem::reset_conditioned(std::vector<std::size_t> lambda_states, Rng& rng) {
-    reset(rng);
-    condition_on(std::move(lambda_states));
+std::array<double, 3> FiniteSystem::sojourn_percentiles() const {
+    if (!sojourn_) {
+        return {};
+    }
+    return {sojourn_->p50(), sojourn_->p95(), sojourn_->p99()};
 }
 
-void FiniteSystem::fill_empirical(std::vector<double>& hist) const {
-    std::fill(hist.begin(), hist.end(), 0.0);
+std::int64_t FiniteSystem::jobs_in_system() const noexcept {
+    std::int64_t jobs = 0;
+    for (const int z : queues_) {
+        jobs += z;
+    }
+    return jobs;
+}
+
+void FiniteSystem::empirical_distribution_into(std::vector<double>& out) const {
+    out.assign(static_cast<std::size_t>(config_.queue.num_states()), 0.0);
     const double weight = 1.0 / static_cast<double>(queues_.size());
     for (int z : queues_) {
-        hist[static_cast<std::size_t>(z)] += weight;
+        out[static_cast<std::size_t>(z)] += weight;
     }
-}
-
-std::vector<double> FiniteSystem::empirical_distribution() const {
-    std::vector<double> h(static_cast<std::size_t>(config_.queue.num_states()), 0.0);
-    fill_empirical(h);
-    return h;
-}
-
-std::vector<double> FiniteSystem::observed_distribution(Rng& rng) const {
-    if (config_.histogram_sample_size == 0) {
-        return empirical_distribution();
-    }
-    std::vector<double> h(static_cast<std::size_t>(config_.queue.num_states()), 0.0);
-    const double weight = 1.0 / static_cast<double>(config_.histogram_sample_size);
-    for (std::size_t k = 0; k < config_.histogram_sample_size; ++k) {
-        const auto j = static_cast<std::size_t>(rng.uniform_below(queues_.size()));
-        h[static_cast<std::size_t>(queues_[j])] += weight;
-    }
-    return h;
 }
 
 void FiniteSystem::sample_aggregated_counts(const DecisionRule& h, Rng& rng) const {
@@ -253,7 +206,7 @@ void FiniteSystem::compute_queue_rates_into(const DecisionRule& h, Rng& rng) con
 
     if (config_.client_model == ClientModel::InfiniteClients) {
         // N → ∞: rates collapse to λ_t(H^M, z_j), Section 2.2 / Theorem 1.
-        fill_empirical(ws_.hist);
+        empirical_distribution_into(ws_.hist);
         compute_arrival_flow_into(ws_.hist, h, lambda, ws_.tuple, ws_.flow);
         for (std::size_t j = 0; j < queues_.size(); ++j) {
             rates[j] = ws_.flow.rate_by_state[static_cast<std::size_t>(queues_[j])];
@@ -300,7 +253,8 @@ void FiniteSystem::compute_router_rates_into() {
 EpochStats FiniteSystem::simulate_epoch_from_rates(Rng& rng) {
     QueueTally tally;
     for (std::size_t j = 0; j < queues_.size(); ++j) {
-        queues_[j] = kernel_.advance(j, queues_[j], ws_.rates[j], clock_, config_.dt, rng, tally);
+        queues_[j] = kernel_.advance(j, queues_[j], ws_.rates[j], clock_, config_.dt, rng, tally,
+                                     sojourn_.get());
     }
     clock_ += config_.dt;
     const EpochStats stats = tally.epoch_stats(queues_.size(), config_.dt);
@@ -308,20 +262,7 @@ EpochStats FiniteSystem::simulate_epoch_from_rates(Rng& rng) {
     return stats;
 }
 
-EpochStats FiniteSystem::step_with_rule(const DecisionRule& h, Rng& rng) {
-    if (router_.active()) {
-        throw std::logic_error("FiniteSystem::step_with_rule: a classical router is "
-                               "configured; use step_router");
-    }
-    if (done()) {
-        throw std::logic_error("FiniteSystem::step: episode already finished");
-    }
-    if (!(h.space() == space_)) {
-        throw std::invalid_argument("FiniteSystem::step: decision rule on wrong tuple space");
-    }
-    if (!h.is_valid()) {
-        throw std::invalid_argument("FiniteSystem::step: decision rule is not row-stochastic");
-    }
+EpochStats FiniteSystem::rule_epoch(const DecisionRule& h, Rng& rng) {
     trace::Tracer* tracer = session_tracer(telemetry_);
     {
         trace::ScopedSpan span(tracer, "destination_law");
@@ -331,34 +272,9 @@ EpochStats FiniteSystem::step_with_rule(const DecisionRule& h, Rng& rng) {
     return simulate_epoch_from_rates(rng);
 }
 
-EpochStats FiniteSystem::step_router(Rng& rng) {
-    if (!router_.active()) {
-        throw std::logic_error("FiniteSystem::step_router: no classical router configured");
-    }
-    if (done()) {
-        throw std::logic_error("FiniteSystem::step: episode already finished");
-    }
+EpochStats FiniteSystem::router_epoch(Rng& rng) {
     compute_router_rates_into();
     return simulate_epoch_from_rates(rng);
-}
-
-EpochStats FiniteSystem::step(const UpperLevelPolicy& policy, Rng& rng) {
-    if (router_.active()) {
-        return step_router(rng);
-    }
-    DecisionRule h = [&] {
-        trace::ScopedSpan span(session_tracer(telemetry_), "policy_query");
-        return policy.decide(observed_distribution(rng), lambda_state(), rng);
-    }();
-    return step_with_rule(h, rng);
-}
-
-EpisodeStats FiniteSystem::run_episode(const UpperLevelPolicy& policy, Rng& rng) {
-    return run_episode_loop(config_.discount, [&] { return step(policy, rng); });
-}
-
-EpisodeStats FiniteSystem::run_episode(Rng& rng) {
-    return run_episode_loop(config_.discount, [&] { return step_router(rng); });
 }
 
 } // namespace mflb

@@ -19,109 +19,28 @@
 ///    per-queue rates become the deterministic λ_t(H^M, z_j) of the proof of
 ///    Theorem 1, while queues remain stochastic.
 ///
-/// Built on `SystemBase` (λ-chain, episode loop, stats accumulation); this
-/// class contributes only the per-epoch routing/queue kernel. The kernel is
-/// allocation-free in steady state: every per-step buffer (the g table,
-/// tuple decode, prefix/suffix products, class totals and the class sampler's
-/// tables, client counts, and rate vector) lives in a workspace sized at
-/// construction, so
-/// `step_with_rule` performs zero heap allocations after the first step.
+/// Built on `FiniteBackend` (λ-chain, step guards, episode loop, stats
+/// accumulation); this class contributes only the per-epoch routing/queue
+/// kernel. The kernel is allocation-free in steady state: every per-step
+/// buffer (the g table, tuple decode, prefix/suffix products, class totals
+/// and the class sampler's tables, client counts, and rate vector) lives in a
+/// workspace sized at construction, so `step_with_rule` performs zero heap
+/// allocations after the first step.
 /// Consequence: a FiniteSystem instance must not be shared across threads
 /// (the Monte Carlo harness gives each replication its own instance).
 #pragma once
 
 #include "field/arrival_flow.hpp"
-#include "field/arrival_process.hpp"
-#include "field/mfc_env.hpp"
-#include "field/transition.hpp"
+#include "queueing/finite_backend.hpp"
 #include "queueing/gillespie.hpp"
-#include "queueing/router.hpp"
-#include "queueing/service_distribution.hpp"
 #include "queueing/sojourn.hpp"
-#include "queueing/system_base.hpp"
-#include "support/rng.hpp"
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 namespace mflb {
-
-/// How client routing decisions are realized each epoch.
-enum class ClientModel {
-    PerClient,       ///< sample x_i, u_i for every client i = 1..N.
-    Aggregated,      ///< exact multinomial aggregation of client choices.
-    InfiniteClients, ///< deterministic mean-field rates (N = ∞, M finite).
-};
-
-/// Which future event list powers `DesSystem`'s hot loop. Both produce the
-/// *exact same* event order (and hence bit-identical episodes): the calendar
-/// queue keeps within-bucket events in (time, id) order, so the pop sequence
-/// matches the heap's tie-broken total order event for event. See
-/// des/calendar_queue.hpp; `FiniteSystem` and `ShardedDesSystem` ignore it.
-enum class FelKind {
-    Heap,     ///< indexed binary min-heap: O(log n) per operation.
-    Calendar, ///< calendar queue: amortized O(1) schedule/pop/cancel.
-};
-
-/// Configuration of the finite system (defaults = Table 1).
-struct FiniteSystemConfig {
-    QueueParams queue{};        ///< B = 5, α = 1.
-    int d = 2;                  ///< sampled queues per client.
-    double dt = 1.0;            ///< synchronization delay Δt.
-    ArrivalProcess arrivals = ArrivalProcess::paper_two_state();
-    std::uint64_t num_clients = 10000; ///< N.
-    std::size_t num_queues = 100;      ///< M.
-    int horizon = 500;                 ///< T_e decision epochs.
-    double discount = 0.99;            ///< γ for discounted returns.
-    ClientModel client_model = ClientModel::Aggregated;
-    std::vector<double> nu0;           ///< initial per-queue state law; empty = δ_0.
-    /// Track exact per-job sojourn times (FIFO timestamps per queue).
-    bool track_sojourn = false;
-    /// Partial information (paper §2.1 remark): if > 0, the upper-level
-    /// policy sees an *estimate* of H_t^M built from this many uniformly
-    /// sampled queues instead of the exact histogram. 0 = exact.
-    std::size_t histogram_sample_size = 0;
-    /// Sharded backend (`ShardedDesSystem`) only: number of
-    /// queue shards K (0 = min(8, num_queues)). Results are a function of
-    /// (seed, shards); the other backends ignore it.
-    std::size_t shards = 0;
-    /// Sharded backend only: worker threads for the epoch-parallel phase
-    /// (0 = all hardware threads). Never affects results, only wall clock.
-    std::size_t threads = 0;
-    /// `DesSystem` only: future-event-list implementation for the event
-    /// loop. Both kinds pop events in the identical (time, id) order, so
-    /// episodes are bit-identical; `Calendar` is amortized O(1) per event
-    /// and the default, `Heap` is the O(log n) baseline (still fastest for
-    /// tiny fleets). `FiniteSystem` and `ShardedDesSystem` ignore it.
-    FelKind fel = FelKind::Calendar;
-    /// Routing discipline. `Policy` (default) is the paper's decision-rule
-    /// path; any classical kind makes the backends ignore the upper-level
-    /// policy and route at the job-stream level (see queueing/router.hpp).
-    RouterSpec router{};
-    /// Service-time law, mean 1/queue.service_rate for every kind so the
-    /// offered load is comparable across laws (queueing/service_distribution.hpp).
-    ServiceConfig service{};
-    /// Per-queue relative server speeds (heterogeneity): queue j serves at
-    /// rate speed_j · α, i.e. its service times are sample / speed_j. Empty
-    /// (default) = homogeneous; otherwise one positive entry per queue.
-    std::vector<double> server_speeds;
-    /// Optional telemetry session (non-owning; nullptr = fully disabled).
-    /// Every backend constructed from this config attaches to it: the
-    /// episode loop emits per-epoch series rows and the barrier phases emit
-    /// tracer spans. See support/telemetry.hpp for the determinism contract.
-    TelemetrySession* telemetry = nullptr;
-};
-
-/// Returns `config` after checking what every finite-system backend
-/// (`FiniteSystem`, `DesSystem`, `ShardedDesSystem`) needs before it sizes
-/// anything — queue.buffer >= 1, at least one client for the finite-N
-/// models, one finite positive `server_speeds` entry per queue (or none),
-/// one `nu0` entry per state — and filling the default ν_0 = δ_0 when `nu0`
-/// is empty. Throws std::invalid_argument naming `backend` and the bad
-/// field. Each backend calls it first, in its base initializer, whatever
-/// `track_sojourn` is set to; `SystemBase` checks M, Δt and the horizon.
-FiniteSystemConfig& checked_config(FiniteSystemConfig& config, const char* backend);
 
 /// Per-epoch tallies of a run of per-queue kernels, summed in queue order:
 /// the packet counters plus the floating-point sums the epoch statistics
@@ -148,7 +67,7 @@ struct QueueTally {
 /// `ShardedDesSystem` (which touch disjoint queues) draw and tally alike.
 class QueueKernel {
 public:
-    /// `config` must have passed `checked_config`.
+    /// `config` must be a constructed backend's (checked) config.
     explicit QueueKernel(const FiniteSystemConfig& config);
 
     /// True when the general-service kernel runs (non-exponential law or
@@ -193,50 +112,28 @@ private:
 };
 
 /// Exact simulator of the finite (or infinite-client) queuing system.
-class FiniteSystem : public SystemBase {
+class FiniteSystem : public FiniteBackend {
 public:
     explicit FiniteSystem(FiniteSystemConfig config);
 
-    const FiniteSystemConfig& config() const noexcept { return config_; }
-    const TupleSpace& tuple_space() const noexcept { return space_; }
-
-    /// Draws initial queue states i.i.d. from ν_0 and samples λ_0.
-    void reset(Rng& rng);
-    /// Like reset but with a fixed λ-state sequence (Theorem 1 conditioning).
-    void reset_conditioned(std::vector<std::size_t> lambda_states, Rng& rng);
-
-    /// Empirical distribution H_t^M over Z, eq. (2).
-    std::vector<double> empirical_distribution() const;
-
-    /// The distribution shown to the upper-level policy: exact H_t^M, or an
-    /// estimate from `histogram_sample_size` sampled queues (paper §2.1).
-    std::vector<double> observed_distribution(Rng& rng) const;
-
-    /// One decision epoch: query the policy on (H_t^M, λ_t), route clients,
-    /// simulate all queues for Δt, advance λ. With a classical router
-    /// configured the policy is ignored and this forwards to step_router.
-    EpochStats step(const UpperLevelPolicy& policy, Rng& rng);
-    /// Same with an explicit decision rule (skips the policy query).
-    /// Allocation-free in steady state (see file comment). Throws
-    /// std::logic_error when a classical router is configured — use
-    /// step_router — and std::invalid_argument when `h` is not row-stochastic.
-    EpochStats step_with_rule(const DecisionRule& h, Rng& rng);
-    /// One decision epoch under the configured classical router (no policy
-    /// involved); requires `config().router.kind != RouterKind::Policy`.
-    EpochStats step_router(Rng& rng);
-
-    /// Runs a full episode from reset state; accumulates per-epoch stats.
-    EpisodeStats run_episode(const UpperLevelPolicy& policy, Rng& rng);
-    /// Router-only episode (requires a classical router configured).
-    EpisodeStats run_episode(Rng& rng);
+    std::array<double, 3> sojourn_percentiles() const override;
 
     /// Per-queue arrival rates computed for the *current* snapshot under `h`
     /// — exposed for tests validating eq. (5) and its aggregation.
     std::vector<double> compute_queue_rates(const DecisionRule& h, Rng& rng) const;
 
 protected:
+    const char* name() const noexcept override { return "FiniteSystem"; }
+    void reset_state(Rng& rng) override;
+    void empirical_distribution_into(std::vector<double>& out) const override;
+    std::int64_t jobs_in_system() const noexcept override;
+    /// Routes on `h` (allocation-free in steady state, see file comment),
+    /// then advances every queue.
+    EpochStats rule_epoch(const DecisionRule& h, Rng& rng) override;
+    EpochStats router_epoch(Rng& rng) override;
     /// Queue-length histogram summary of the current snapshot (empty/full
-    /// fractions, max occupied state) — the finite backend's epoch-row extras.
+    /// fractions, max occupied state) plus the sojourn percentiles
+    /// (track_sojourn only) — the finite backend's epoch-row extras.
     void append_epoch_telemetry(MetricsRow& row) override;
 
 private:
@@ -261,7 +158,6 @@ private:
         ArrivalFlow flow;                  ///< InfiniteClients rate buffers.
     };
 
-    void fill_empirical(std::vector<double>& hist) const;
     /// Fills ws_.counts with the Aggregated client counts, Multinomial(N, p)
     /// drawn per state class.
     void sample_aggregated_counts(const DecisionRule& h, Rng& rng) const;
@@ -272,12 +168,12 @@ private:
     /// Shared epoch tail: per-queue kernels on ws_.rates + epoch accounting.
     EpochStats simulate_epoch_from_rates(Rng& rng);
 
-    FiniteSystemConfig config_;
-    TupleSpace space_;
-    EpochRouter router_;
     QueueKernel kernel_;
     double clock_ = 0.0;              ///< absolute simulation time.
     mutable Workspace ws_;
+    /// Completed sojourns; allocated only when track_sojourn is on, so the
+    /// (49 KB) histogram costs nothing otherwise.
+    std::unique_ptr<SojournRecorder> sojourn_;
 };
 
 } // namespace mflb

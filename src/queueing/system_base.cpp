@@ -5,16 +5,6 @@
 
 namespace mflb {
 
-std::vector<double> histogram_from_counts(std::span<const int> state_counts,
-                                          std::size_t num_queues) {
-    std::vector<double> h(state_counts.size(), 0.0);
-    const double weight = 1.0 / static_cast<double>(num_queues);
-    for (std::size_t z = 0; z < state_counts.size(); ++z) {
-        h[z] = weight * static_cast<double>(state_counts[z]);
-    }
-    return h;
-}
-
 void histogram_from_counts_into(std::span<const int> state_counts, std::size_t num_queues,
                                 std::vector<double>& out) {
     out.resize(state_counts.size());
@@ -22,18 +12,6 @@ void histogram_from_counts_into(std::span<const int> state_counts, std::size_t n
     for (std::size_t z = 0; z < state_counts.size(); ++z) {
         out[z] = weight * static_cast<double>(state_counts[z]);
     }
-}
-
-std::vector<double> sampled_histogram(std::span<const int> queue_states,
-                                      std::size_t num_states, std::size_t sample_size,
-                                      Rng& rng) {
-    std::vector<double> h(num_states, 0.0);
-    const double weight = 1.0 / static_cast<double>(sample_size);
-    for (std::size_t k = 0; k < sample_size; ++k) {
-        const auto j = static_cast<std::size_t>(rng.uniform_below(queue_states.size()));
-        h[static_cast<std::size_t>(queue_states[j])] += weight;
-    }
-    return h;
 }
 
 void sampled_histogram_into(std::span<const int> queue_states, std::size_t num_states,

@@ -54,25 +54,23 @@ struct EpisodeStats {
     double server_utilization = 0.0;
     double mean_sojourn = 0.0;      ///< job-weighted mean sojourn (track_sojourn).
     std::uint64_t completed_jobs = 0;
+    /// Sojourn percentiles over the episode's completed jobs, filled by the
+    /// `FiniteBackend` episode loop (0 unless track_sojourn is on).
+    double sojourn_p50 = 0.0;
+    double sojourn_p95 = 0.0;
+    double sojourn_p99 = 0.0;
     std::vector<double> drops_per_epoch;
 };
 
 /// H_t^M (eq. (2)) from an incrementally maintained per-state queue count —
-/// the O(|Z|) read-out shared by the event-driven backends.
-std::vector<double> histogram_from_counts(std::span<const int> state_counts,
-                                          std::size_t num_queues);
-/// Allocation-free variant for the epoch hot paths: resizes `out` to |Z|
-/// (a no-op once warm) and writes the same values.
+/// the O(|Z|) read-out shared by the event-driven backends. Resizes `out` to
+/// |Z| (a no-op once warm).
 void histogram_from_counts_into(std::span<const int> state_counts, std::size_t num_queues,
                                 std::vector<double>& out);
 
 /// `sample_size`-queue estimate of H_t^M (paper §2.1 partial information):
 /// samples queues uniformly with replacement; one `uniform_below` draw per
 /// sample (the draw count is part of the simulators' determinism contract).
-std::vector<double> sampled_histogram(std::span<const int> queue_states,
-                                      std::size_t num_states, std::size_t sample_size,
-                                      Rng& rng);
-/// Allocation-free variant; identical draws and values.
 void sampled_histogram_into(std::span<const int> queue_states, std::size_t num_states,
                             std::size_t sample_size, Rng& rng, std::vector<double>& out);
 

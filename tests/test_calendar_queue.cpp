@@ -363,7 +363,7 @@ FiniteSystemConfig episode_config(ClientModel model, FelKind fel) {
     return config;
 }
 
-void expect_bit_identical(const DesEpisodeStats& a, const DesEpisodeStats& b) {
+void expect_bit_identical(const EpisodeStats& a, const EpisodeStats& b) {
     EXPECT_EQ(a.dropped_packets, b.dropped_packets);
     EXPECT_EQ(a.accepted_packets, b.accepted_packets);
     EXPECT_EQ(a.completed_jobs, b.completed_jobs);

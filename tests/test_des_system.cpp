@@ -1,5 +1,5 @@
 // Tests for the discrete-event simulation engine (src/des/): the indexed
-// future-event-list, conservation/determinism of DesSystem, its statistical
+// future-event-list, determinism of DesSystem, its statistical
 // equivalence to the epoch-synchronous FiniteSystem on registry scenarios,
 // single-queue agreement with the transient M/M/1/B oracle, and agreement
 // with the mean-field prediction at large M.
@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <vector>
 
 namespace mflb {
@@ -140,49 +139,6 @@ FiniteSystemConfig small_config(ClientModel model, double dt = 2.0, int horizon 
     return config;
 }
 
-TEST(DesSystem, ConservesJobsAndCountsEveryEpoch) {
-    for (const ClientModel model :
-         {ClientModel::PerClient, ClientModel::Aggregated, ClientModel::InfiniteClients}) {
-        SCOPED_TRACE(static_cast<int>(model));
-        DesSystem system(small_config(model));
-        const DecisionRule h = DecisionRule::mf_jsq(system.tuple_space());
-        Rng rng(7);
-        system.reset(rng);
-        while (!system.done()) {
-            const auto before = system.queue_states();
-            const std::int64_t jobs_before =
-                std::accumulate(before.begin(), before.end(), std::int64_t{0});
-            const EpochStats stats = system.step_with_rule(h, rng);
-            const auto& after = system.queue_states();
-            std::int64_t jobs_after = 0;
-            for (const int z : after) {
-                ASSERT_GE(z, 0);
-                ASSERT_LE(z, system.config().queue.buffer);
-                jobs_after += z;
-            }
-            EXPECT_EQ(jobs_after, jobs_before +
-                                      static_cast<std::int64_t>(stats.accepted_packets) -
-                                      static_cast<std::int64_t>(stats.served_packets));
-            // The incremental histogram must match a from-scratch count.
-            const std::vector<double> hist = system.empirical_distribution();
-            double total = 0.0;
-            for (std::size_t z = 0; z < hist.size(); ++z) {
-                const auto direct = static_cast<double>(
-                    std::count(after.begin(), after.end(), static_cast<int>(z)));
-                EXPECT_DOUBLE_EQ(hist[z] * static_cast<double>(after.size()), direct);
-                total += hist[z];
-            }
-            EXPECT_NEAR(total, 1.0, 1e-12);
-            EXPECT_GE(stats.server_utilization, 0.0);
-            EXPECT_LE(stats.server_utilization, 1.0);
-            EXPECT_GE(stats.mean_queue_length, 0.0);
-            EXPECT_LE(stats.mean_queue_length,
-                      static_cast<double>(system.config().queue.buffer));
-        }
-        EXPECT_THROW(system.step_with_rule(h, rng), std::logic_error);
-    }
-}
-
 TEST(DesSystem, DeterministicForFixedSeed) {
     const FiniteSystemConfig config = small_config(ClientModel::Aggregated);
     const TupleSpace space(config.queue.num_states(), config.d);
@@ -193,44 +149,13 @@ TEST(DesSystem, DeterministicForFixedSeed) {
         system.reset(rng);
         return system.run_episode(policy, rng);
     };
-    const DesEpisodeStats a = run();
-    const DesEpisodeStats b = run();
+    const EpisodeStats a = run();
+    const EpisodeStats b = run();
     EXPECT_EQ(a.dropped_packets, b.dropped_packets);
     EXPECT_EQ(a.accepted_packets, b.accepted_packets);
     EXPECT_DOUBLE_EQ(a.total_drops_per_queue, b.total_drops_per_queue);
     EXPECT_DOUBLE_EQ(a.mean_queue_length, b.mean_queue_length);
     EXPECT_DOUBLE_EQ(a.discounted_return, b.discounted_return);
-}
-
-TEST(DesSystem, ConditionedReplayPinsTheLambdaPath) {
-    FiniteSystemConfig config = small_config(ClientModel::InfiniteClients);
-    config.horizon = 10;
-    DesSystem system(config);
-    const DecisionRule h = DecisionRule::mf_rnd(system.tuple_space());
-    const std::vector<std::size_t> path{0, 1, 1, 0, 1};
-    Rng rng(3);
-    system.reset_conditioned(path, rng);
-    for (int t = 0; t < config.horizon; ++t) {
-        const std::size_t expected =
-            path[std::min<std::size_t>(static_cast<std::size_t>(t), path.size() - 1)];
-        EXPECT_EQ(system.lambda_state(), expected) << "epoch " << t;
-        system.step_with_rule(h, rng);
-    }
-}
-
-TEST(DesSystem, RejectsInvalidConfigsAndRules) {
-    FiniteSystemConfig config = small_config(ClientModel::Aggregated);
-    config.num_clients = 0;
-    EXPECT_THROW(DesSystem{config}, std::invalid_argument);
-    config = small_config(ClientModel::InfiniteClients);
-    config.nu0 = {0.5, 0.5}; // wrong support size for B = 5
-    EXPECT_THROW(DesSystem{config}, std::invalid_argument);
-
-    DesSystem system(small_config(ClientModel::Aggregated));
-    Rng rng(1);
-    system.reset(rng);
-    const DecisionRule wrong = DecisionRule::mf_rnd(TupleSpace(3, 2));
-    EXPECT_THROW(system.step_with_rule(wrong, rng), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -278,8 +203,9 @@ void expect_backends_agree(FiniteSystemConfig config, std::size_t episodes,
                            std::uint64_t seed) {
     const TupleSpace space(config.queue.num_states(), config.d);
     const FixedRulePolicy policy = make_jsq_policy(space);
-    const EvaluationResult finite = evaluate_finite(config, policy, episodes, seed);
-    const EvaluationResult des = evaluate_des(config, policy, episodes, seed);
+    const EvaluationResult finite =
+        evaluate_backend(SimBackend::Finite, config, policy, episodes, seed);
+    const EvaluationResult des = evaluate_backend(SimBackend::Des, config, policy, episodes, seed);
 
     // Identical model, independent randomness: the 95% CIs must overlap (a
     // small slack absorbs the ~5% of seeds where disjoint CIs are expected).
@@ -386,35 +312,6 @@ TEST(DesVsMeanField, EmpiricalFillingTracksMfcEnvAtLargeM) {
     EXPECT_LT(l1, 0.04) << "final filling far from mean-field prediction";
     const double scale = std::max(1.0, limit_drops);
     EXPECT_LT(std::abs(des_drops - limit_drops) / scale, 0.05);
-}
-
-// ---------------------------------------------------------------------------
-// Sojourn percentiles (DES-only capability)
-// ---------------------------------------------------------------------------
-
-TEST(DesSystem, SojournPercentilesAreOrderedAndPlausible) {
-    FiniteSystemConfig config = small_config(ClientModel::Aggregated, 5.0, 60);
-    config.track_sojourn = true;
-    const TupleSpace space(config.queue.num_states(), config.d);
-    const FixedRulePolicy policy = make_rnd_policy(space);
-    DesSystem system(config);
-    Rng rng(31);
-    system.reset(rng);
-    const DesEpisodeStats stats = system.run_episode(policy, rng);
-    ASSERT_GT(stats.completed_jobs, 1000u);
-    EXPECT_GT(stats.sojourn_p50, 0.0);
-    EXPECT_LE(stats.sojourn_p50, stats.sojourn_p95);
-    EXPECT_LE(stats.sojourn_p95, stats.sojourn_p99);
-    // Mean must lie between the median and the tail for this skewed law.
-    EXPECT_GT(stats.mean_sojourn, 0.0);
-    EXPECT_LT(stats.mean_sojourn, stats.sojourn_p99);
-    // And the evaluator surfaces the same numbers with CIs.
-    SojournSummary summary;
-    const EvaluationResult result = evaluate_des(config, policy, 6, 47, 0, &summary);
-    EXPECT_EQ(result.episodes, 6u);
-    EXPECT_GT(summary.p50.mean, 0.0);
-    EXPECT_LE(summary.p50.mean, summary.p95.mean);
-    EXPECT_LE(summary.p95.mean, summary.p99.mean);
 }
 
 } // namespace

@@ -54,7 +54,8 @@ TEST(Evaluator, FiniteEvaluationShapes) {
     const ExperimentConfig config = small_experiment();
     const TupleSpace space(config.queue.num_states(), config.d);
     const FixedRulePolicy rnd = make_rnd_policy(space);
-    const EvaluationResult result = evaluate_finite(config.finite_system(), rnd, 8, 7);
+    const EvaluationResult result =
+        evaluate_backend(SimBackend::Finite, config.finite_system(), rnd, 8, 7);
     EXPECT_EQ(result.episodes, 8u);
     EXPECT_EQ(result.total_drops.n, 8u);
     EXPECT_GE(result.total_drops.mean, 0.0);
@@ -68,8 +69,10 @@ TEST(Evaluator, DeterministicAcrossThreadCounts) {
     const ExperimentConfig config = small_experiment();
     const TupleSpace space(config.queue.num_states(), config.d);
     const FixedRulePolicy jsq = make_jsq_policy(space);
-    const EvaluationResult serial = evaluate_finite(config.finite_system(), jsq, 6, 11, 1);
-    const EvaluationResult parallel = evaluate_finite(config.finite_system(), jsq, 6, 11, 4);
+    const EvaluationResult serial =
+        evaluate_backend(SimBackend::Finite, config.finite_system(), jsq, 6, 11, 1);
+    const EvaluationResult parallel =
+        evaluate_backend(SimBackend::Finite, config.finite_system(), jsq, 6, 11, 4);
     EXPECT_DOUBLE_EQ(serial.total_drops.mean, parallel.total_drops.mean);
     EXPECT_DOUBLE_EQ(serial.total_drops.half_width, parallel.total_drops.half_width);
 }
@@ -106,9 +109,11 @@ TEST(Evaluator, JsqBeatsRndAtSmallDelay) {
     config.eval_total_time = 100.0;
     const TupleSpace space(config.queue.num_states(), config.d);
     const EvaluationResult jsq =
-        evaluate_finite(config.finite_system(), make_jsq_policy(space), 15, 17);
+        evaluate_backend(SimBackend::Finite, config.finite_system(), make_jsq_policy(space), 15,
+                         17);
     const EvaluationResult rnd =
-        evaluate_finite(config.finite_system(), make_rnd_policy(space), 15, 17);
+        evaluate_backend(SimBackend::Finite, config.finite_system(), make_rnd_policy(space), 15,
+                         17);
     EXPECT_LT(jsq.total_drops.mean, rnd.total_drops.mean);
 }
 

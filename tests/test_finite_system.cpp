@@ -1,6 +1,9 @@
 // Tests for the finite N-client/M-queue simulator (Algorithm 1), including
-// the exact-equivalence of the aggregated client model.
+// the exact-equivalence of the aggregated client model, and the contract all
+// three finite-system backends share (guards, conservation, conditioned
+// replay, sojourn percentiles, evaluator), run on each through make_backend.
 #include "queueing/finite_system.hpp"
+#include "core/evaluator.hpp"
 #include "des/des_system.hpp"
 #include "des/sharded_des_system.hpp"
 #include "policies/fixed.hpp"
@@ -8,9 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -134,60 +139,6 @@ TEST(FiniteSystem, EveryBackendRejectsBadConfigs) {
     }
 }
 
-/// A rule that is not row-stochastic — one row NaN, or one row summing to
-/// 1.4 — must be rejected by `backend`'s epoch under every client model,
-/// before the epoch advances, with an error naming the backend. Both the
-/// explicit-rule path and the policy path (on the sharded backend, its
-/// RNG-free query inside the barrier) are covered.
-template <class System>
-void expect_rejects_invalid_rules(const std::string& backend) {
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    for (const ClientModel model :
-         {ClientModel::PerClient, ClientModel::Aggregated, ClientModel::InfiniteClients}) {
-        for (const std::vector<double>& bad_row :
-             {std::vector<double>{nan, nan}, std::vector<double>{0.7, 0.7}}) {
-            SCOPED_TRACE(::testing::Message() << backend << " model "
-                                              << static_cast<int>(model) << " row {"
-                                              << bad_row[0] << ", " << bad_row[1] << "}");
-            FiniteSystemConfig config = small_config(model);
-            config.num_queues = 8;
-            config.num_clients = 800;
-            config.shards = 2;
-            System system(config);
-            DecisionRule rule = DecisionRule::mf_rnd(system.tuple_space());
-            rule.set_row(7, bad_row);
-            const FixedRulePolicy policy("bad", rule);
-            Rng rng(3);
-            system.reset(rng);
-            (void)system.step_with_rule(DecisionRule::mf_jsq(system.tuple_space()), rng);
-            const std::string want =
-                backend + "::step: decision rule is not row-stochastic";
-            for (const bool via_policy : {false, true}) {
-                try {
-                    (void)(via_policy ? system.step(policy, rng)
-                                      : system.step_with_rule(rule, rng));
-                    ADD_FAILURE() << "stepped with an invalid rule";
-                } catch (const std::invalid_argument& e) {
-                    EXPECT_EQ(std::string(e.what()), want);
-                }
-                EXPECT_EQ(system.time(), 1);
-            }
-        }
-    }
-}
-
-TEST(FiniteSystem, RejectsRulesThatAreNotRowStochastic) {
-    expect_rejects_invalid_rules<FiniteSystem>("FiniteSystem");
-}
-
-TEST(DesSystem, RejectsRulesThatAreNotRowStochastic) {
-    expect_rejects_invalid_rules<DesSystem>("DesSystem");
-}
-
-TEST(ShardedDesSystem, RejectsRulesThatAreNotRowStochastic) {
-    expect_rejects_invalid_rules<ShardedDesSystem>("ShardedDesSystem");
-}
-
 TEST(FiniteSystem, ResetStartsEmptyByDefault) {
     FiniteSystem system(small_config());
     Rng rng(1);
@@ -290,18 +241,6 @@ TEST(FiniteSystem, EpisodeStatsAccumulate) {
     EXPECT_LE(stats.server_utilization, 1.0);
     EXPECT_TRUE(system.done());
     EXPECT_THROW(system.step(rnd, rng), std::logic_error);
-}
-
-TEST(FiniteSystem, ConditionedLambdaPathIsFollowed) {
-    FiniteSystem system(small_config());
-    Rng rng(6);
-    const std::vector<std::size_t> path{1, 1, 0, 0, 1, 0, 1, 1, 0, 0};
-    system.reset_conditioned(path, rng);
-    const FixedRulePolicy rnd = make_rnd_policy(system.tuple_space());
-    for (std::size_t t = 0; t < path.size(); ++t) {
-        EXPECT_EQ(system.lambda_state(), path[t]) << "t=" << t;
-        system.step(rnd, rng);
-    }
 }
 
 TEST(FiniteSystem, SojournTrackingConservation) {
@@ -437,6 +376,273 @@ TEST(FiniteSystem, JsqHerdingUnderLargeDelay) {
     const double rnd_large_dt = mean_drops(10.0, [](const TupleSpace& s) { return make_rnd_policy(s); });
     // Herding: JSQ loses its edge (allow a small tolerance on the compare).
     EXPECT_GT(jsq_large_dt, rnd_large_dt * 0.9);
+}
+
+// ---------------------------------------------------------------------------
+// The contract all three backends share, each built through make_backend
+// ---------------------------------------------------------------------------
+
+struct BackendCase {
+    SimBackend backend;
+    const char* name; ///< the class name its errors start with.
+};
+
+class BackendContract : public ::testing::TestWithParam<BackendCase> {
+protected:
+    /// 30 queues, 900 clients, Δt = 2, 40 epochs; K = 4 on the sharded backend.
+    static FiniteSystemConfig config(ClientModel model) {
+        FiniteSystemConfig config;
+        config.num_queues = 30;
+        config.num_clients = 900;
+        config.dt = 2.0;
+        config.horizon = 40;
+        config.client_model = model;
+        config.shards = 4;
+        return config;
+    }
+    std::unique_ptr<FiniteBackend> make(const FiniteSystemConfig& config) const {
+        return make_backend(GetParam().backend, config);
+    }
+    std::string name() const { return GetParam().name; }
+};
+
+constexpr ClientModel kClientModels[] = {ClientModel::PerClient, ClientModel::Aggregated,
+                                         ClientModel::InfiniteClients};
+
+TEST_P(BackendContract, RejectsRulesThatAreNotRowStochastic) {
+    // One row NaN, or one row summing to 1.4, is rejected under every client
+    // model before the epoch advances, on the explicit-rule path and on the
+    // policy path (on the sharded backend, its RNG-free query inside the
+    // barrier).
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const ClientModel model : kClientModels) {
+        for (const std::vector<double>& bad_row :
+             {std::vector<double>{nan, nan}, std::vector<double>{0.7, 0.7}}) {
+            SCOPED_TRACE(::testing::Message() << "model " << static_cast<int>(model)
+                                              << " row {" << bad_row[0] << ", " << bad_row[1]
+                                              << "}");
+            FiniteSystemConfig config = small_config(model);
+            config.num_queues = 8;
+            config.num_clients = 800;
+            config.shards = 2;
+            const auto system = make(config);
+            DecisionRule rule = DecisionRule::mf_rnd(system->tuple_space());
+            rule.set_row(7, bad_row);
+            const FixedRulePolicy policy("bad", rule);
+            Rng rng(3);
+            system->reset(rng);
+            (void)system->step_with_rule(DecisionRule::mf_jsq(system->tuple_space()), rng);
+            for (const bool via_policy : {false, true}) {
+                try {
+                    (void)(via_policy ? system->step(policy, rng)
+                                      : system->step_with_rule(rule, rng));
+                    ADD_FAILURE() << "stepped with an invalid rule";
+                } catch (const std::invalid_argument& e) {
+                    EXPECT_EQ(std::string(e.what()),
+                              name() + "::step: decision rule is not row-stochastic");
+                }
+                EXPECT_EQ(system->time(), 1);
+            }
+        }
+    }
+}
+
+TEST_P(BackendContract, RejectsInvalidConfigsAndRules) {
+    FiniteSystemConfig bad = config(ClientModel::Aggregated);
+    bad.num_clients = 0;
+    EXPECT_THROW(make(bad), std::invalid_argument);
+    bad = config(ClientModel::InfiniteClients);
+    bad.nu0 = {0.5, 0.5}; // wrong support size for B = 5
+    EXPECT_THROW(make(bad), std::invalid_argument);
+
+    const auto system = make(config(ClientModel::Aggregated));
+    Rng rng(1);
+    system->reset(rng);
+    try {
+        (void)system->step_with_rule(DecisionRule::mf_rnd(TupleSpace(3, 2)), rng);
+        ADD_FAILURE() << "stepped with a rule on the wrong tuple space";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()), name() + "::step: decision rule on wrong tuple space");
+    }
+    try {
+        (void)system->step_router(rng);
+        ADD_FAILURE() << "stepped a router that is not configured";
+    } catch (const std::logic_error& e) {
+        EXPECT_EQ(std::string(e.what()), name() + "::step_router: no classical router configured");
+    }
+    EXPECT_EQ(system->time(), 0);
+}
+
+TEST_P(BackendContract, ConservesJobsAndCountsEveryEpoch) {
+    for (const ClientModel model : kClientModels) {
+        SCOPED_TRACE(static_cast<int>(model));
+        const auto system = make(config(model));
+        const DecisionRule h = DecisionRule::mf_jsq(system->tuple_space());
+        Rng rng(7);
+        system->reset(rng);
+        while (!system->done()) {
+            const auto before = system->queue_states();
+            const std::int64_t jobs_before =
+                std::accumulate(before.begin(), before.end(), std::int64_t{0});
+            const EpochStats stats = system->step_with_rule(h, rng);
+            const auto& after = system->queue_states();
+            std::int64_t jobs_after = 0;
+            for (const int z : after) {
+                ASSERT_GE(z, 0);
+                ASSERT_LE(z, system->config().queue.buffer);
+                jobs_after += z;
+            }
+            EXPECT_EQ(jobs_after, jobs_before +
+                                      static_cast<std::int64_t>(stats.accepted_packets) -
+                                      static_cast<std::int64_t>(stats.served_packets));
+            // The backend's histogram must match a from-scratch count.
+            const std::vector<double> hist = system->empirical_distribution();
+            double total = 0.0;
+            for (std::size_t z = 0; z < hist.size(); ++z) {
+                const auto direct = static_cast<double>(
+                    std::count(after.begin(), after.end(), static_cast<int>(z)));
+                EXPECT_DOUBLE_EQ(hist[z] * static_cast<double>(after.size()), direct);
+                total += hist[z];
+            }
+            EXPECT_NEAR(total, 1.0, 1e-12);
+            EXPECT_GE(stats.server_utilization, 0.0);
+            EXPECT_LE(stats.server_utilization, 1.0);
+            EXPECT_GE(stats.mean_queue_length, 0.0);
+            EXPECT_LE(stats.mean_queue_length,
+                      static_cast<double>(system->config().queue.buffer));
+        }
+        EXPECT_THROW(system->step_with_rule(h, rng), std::logic_error);
+    }
+}
+
+TEST_P(BackendContract, ConditionedReplayPinsTheLambdaPath) {
+    // Epochs past the end of the path hold its last state; the rule and the
+    // policy entry points follow the same replay.
+    FiniteSystemConfig c = config(ClientModel::InfiniteClients);
+    c.horizon = 10;
+    c.shards = 3;
+    const auto system = make(c);
+    const DecisionRule h = DecisionRule::mf_rnd(system->tuple_space());
+    const FixedRulePolicy rnd = make_rnd_policy(system->tuple_space());
+    const std::vector<std::size_t> path{0, 1, 1, 0, 1};
+    Rng rng(3);
+    system->reset_conditioned(path, rng);
+    for (int t = 0; t < c.horizon; ++t) {
+        const std::size_t expected =
+            path[std::min<std::size_t>(static_cast<std::size_t>(t), path.size() - 1)];
+        EXPECT_EQ(system->lambda_state(), expected) << "epoch " << t;
+        (void)(t % 2 == 0 ? system->step_with_rule(h, rng) : system->step(rnd, rng));
+    }
+}
+
+TEST_P(BackendContract, SojournPercentilesAreOrderedAndPlausible) {
+    FiniteSystemConfig c = config(ClientModel::Aggregated);
+    c.dt = 5.0;
+    c.horizon = 60;
+    c.shards = 5;
+    c.track_sojourn = true;
+    const FixedRulePolicy policy = make_rnd_policy(TupleSpace(c.queue.num_states(), c.d));
+    const auto system = make(c);
+    Rng rng(31);
+    system->reset(rng);
+    const EpisodeStats stats = system->run_episode(policy, rng);
+    ASSERT_GT(stats.completed_jobs, 1000u);
+    EXPECT_GT(stats.sojourn_p50, 0.0);
+    EXPECT_LE(stats.sojourn_p50, stats.sojourn_p95);
+    EXPECT_LE(stats.sojourn_p95, stats.sojourn_p99);
+    // Mean must lie between the median and the tail for this skewed law.
+    EXPECT_GT(stats.mean_sojourn, 0.0);
+    EXPECT_LT(stats.mean_sojourn, stats.sojourn_p99);
+    // And the evaluator surfaces the same numbers with CIs.
+    const EvaluationResult result = evaluate_backend(GetParam().backend, c, policy, 6, 47);
+    EXPECT_EQ(result.episodes, 6u);
+    EXPECT_EQ(result.sojourn_p50.n, 6u);
+    EXPECT_GT(result.sojourn_p50.mean, 0.0);
+    EXPECT_LE(result.sojourn_p50.mean, result.sojourn_p95.mean);
+    EXPECT_LE(result.sojourn_p95.mean, result.sojourn_p99.mean);
+}
+
+TEST_P(BackendContract, EvaluateBackendAveragesItsOwnReplications) {
+    FiniteSystemConfig c = config(ClientModel::Aggregated);
+    c.horizon = 10;
+    c.shards = 3;
+    const FixedRulePolicy jsq = make_jsq_policy(TupleSpace(c.queue.num_states(), c.d));
+    const EvaluationResult result = evaluate_backend(GetParam().backend, c, jsq, 4, 9);
+    RunningStat drops;
+    for (Rng& rng : split_replication_rngs(9, 4)) {
+        const auto system = make(c);
+        system->reset(rng);
+        drops.add(system->run_episode(jsq, rng).total_drops_per_queue);
+    }
+    EXPECT_EQ(result.episodes, 4u);
+    EXPECT_DOUBLE_EQ(result.total_drops.mean, drops.mean());
+    EXPECT_EQ(result.sojourn_p50.n, 0u); // track_sojourn off: no sojourn samples.
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBackends, BackendContract,
+                         ::testing::Values(BackendCase{SimBackend::Finite, "FiniteSystem"},
+                                           BackendCase{SimBackend::Des, "DesSystem"},
+                                           BackendCase{SimBackend::ShardedDes,
+                                                       "ShardedDesSystem"}),
+                         [](const ::testing::TestParamInfo<BackendCase>& info) {
+                             std::string name(backend_name(info.param.backend));
+                             std::replace(name.begin(), name.end(), '-', '_');
+                             return name;
+                         });
+
+/// `System` that counts one phantom job once epoch 3 has run, as a kernel
+/// that loses track of a job would.
+template <class System>
+class PhantomJob : public System {
+public:
+    using System::System;
+
+protected:
+    std::int64_t jobs_in_system() const noexcept override {
+        return System::jobs_in_system() + (this->time() > 3 ? 1 : 0);
+    }
+};
+
+template <class System>
+void expect_lost_job_is_caught(const std::string& name) {
+    for (const bool router : {false, true}) {
+        for (const bool via_policy : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << name << " router " << router << " via_policy " << via_policy);
+            FiniteSystemConfig config = small_config();
+            config.shards = 2;
+            if (router) {
+                config.router.kind = RouterKind::Random;
+            }
+            PhantomJob<System> system(config);
+            const FixedRulePolicy jsq = make_jsq_policy(system.tuple_space());
+            const auto step = [&](Rng& rng) {
+                if (router) {
+                    return via_policy ? system.step(jsq, rng) : system.step_router(rng);
+                }
+                return via_policy ? system.step(jsq, rng)
+                                  : system.step_with_rule(jsq.rule(), rng);
+            };
+            Rng rng(5);
+            system.reset(rng);
+            for (int t = 0; t < 3; ++t) {
+                (void)step(rng);
+            }
+            try {
+                (void)step(rng);
+                ADD_FAILURE() << "an epoch that lost a job passed";
+            } catch (const std::logic_error& e) {
+                const std::string want = name + "::step: epoch 3 does not conserve jobs: ";
+                EXPECT_EQ(std::string(e.what()).substr(0, want.size()), want) << e.what();
+            }
+        }
+    }
+}
+
+TEST(FiniteBackend, EpochThatLosesAJobThrowsNamingTheBackendAndEpoch) {
+    expect_lost_job_is_caught<FiniteSystem>("FiniteSystem");
+    expect_lost_job_is_caught<DesSystem>("DesSystem");
+    expect_lost_job_is_caught<ShardedDesSystem>("ShardedDesSystem");
 }
 
 } // namespace

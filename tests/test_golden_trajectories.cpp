@@ -178,7 +178,7 @@ TEST(GoldenTrajectories, DesSystemAggregatedJsq) {
     const FixedRulePolicy jsq = make_jsq_policy(system.tuple_space());
     Rng rng(42);
     system.reset(rng);
-    const DesEpisodeStats stats = system.run_episode(jsq, rng);
+    const EpisodeStats stats = system.run_episode(jsq, rng);
     // Re-recorded with the class-level Aggregated draw.
     EXPECT_EQ(stats.total_drops_per_queue, 0.6875);
     EXPECT_EQ(stats.discounted_return, -0.61026021213696391);
@@ -200,7 +200,7 @@ TEST(GoldenTrajectories, DesSystemInfiniteClientsSojourn) {
     const FixedRulePolicy jsq = make_jsq_policy(system.tuple_space());
     Rng rng(11);
     system.reset(rng);
-    const DesEpisodeStats stats = system.run_episode(jsq, rng);
+    const EpisodeStats stats = system.run_episode(jsq, rng);
     EXPECT_EQ(stats.total_drops_per_queue, 0.39999999999999997);
     EXPECT_EQ(stats.discounted_return, -0.36636664714822881);
     EXPECT_EQ(stats.dropped_packets, 8u);
@@ -230,7 +230,7 @@ TEST(GoldenTrajectories, ShardedDesSystemJsqFourShards) {
     const FixedRulePolicy jsq = make_jsq_policy(system.tuple_space());
     Rng rng(17);
     system.reset(rng);
-    const DesEpisodeStats stats = system.run_episode(jsq, rng);
+    const EpisodeStats stats = system.run_episode(jsq, rng);
     // Recorded from the per-queue-kernel shard tasks with the class-level
     // Aggregated draw, not the seed implementation: the sharded draw order
     // changed with them.

@@ -55,9 +55,10 @@ TEST(Integration, CemPolicyTransfersToFiniteSystem) {
     const TupleSpace space(experiment.queue.num_states(), experiment.d);
 
     const EvaluationResult learned =
-        evaluate_finite(experiment.finite_system(), trained.policy, 15, 5);
+        evaluate_backend(SimBackend::Finite, experiment.finite_system(), trained.policy, 15, 5);
     const EvaluationResult rnd =
-        evaluate_finite(experiment.finite_system(), make_rnd_policy(space), 15, 5);
+        evaluate_backend(SimBackend::Finite, experiment.finite_system(), make_rnd_policy(space),
+                         15, 5);
     // Transfers: the MFC-trained policy is at least as good as RND on the
     // finite system (within CI noise).
     EXPECT_LT(learned.total_drops.mean,
@@ -139,7 +140,7 @@ TEST(Integration, UmbrellaHeaderQuickstartCompiles) {
     cfg.eval_total_time = 25.0;
     const TupleSpace space(cfg.queue.num_states(), cfg.d);
     const FixedRulePolicy jsq = make_jsq_policy(space);
-    const EvaluationResult r = evaluate_finite(cfg.finite_system(), jsq, 4, 1);
+    const EvaluationResult r = evaluate_backend(SimBackend::Finite, cfg.finite_system(), jsq, 4, 1);
     EXPECT_EQ(r.episodes, 4u);
 }
 

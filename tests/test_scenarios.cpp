@@ -1,12 +1,16 @@
 // Tests for the named scenario registry (core/scenarios.hpp).
 #include "core/scenarios.hpp"
 
+#include "core/evaluator.hpp"
 #include "des/des_system.hpp"
 #include "policies/fixed.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 namespace mflb {
 namespace {
@@ -58,6 +62,45 @@ TEST(Scenarios, EveryScenarioYieldsConstructibleSystems) {
             });
         }
     }
+}
+
+TEST(Scenarios, EveryScenarioResizesAndStepsOnEveryBackend) {
+    // The CLI's --m override: each scenario resized to M = 50 (per-queue
+    // speeds resampled with the fleet) must construct and step on every
+    // backend.
+    for (const Scenario& scenario : scenario_registry()) {
+        ExperimentConfig experiment = scenario.experiment;
+        resize_fleet(experiment, 50);
+        EXPECT_EQ(experiment.num_queues, 50u);
+        if (!scenario.experiment.server_speeds.empty()) {
+            EXPECT_EQ(experiment.server_speeds.size(), 50u);
+        }
+        for (const SimBackend backend :
+             {SimBackend::Finite, SimBackend::Des, SimBackend::ShardedDes}) {
+            SCOPED_TRACE(scenario.name + " on " + std::string(backend_name(backend)));
+            const auto system = make_backend(backend, experiment.finite_system());
+            const FixedRulePolicy jsq = make_jsq_policy(system->tuple_space());
+            Rng rng(5);
+            system->reset(rng);
+            const EpochStats stats = system->step(jsq, rng);
+            EXPECT_EQ(system->time(), 1);
+            EXPECT_LE(stats.server_utilization, 1.0);
+        }
+    }
+}
+
+TEST(Scenarios, ResizeFleetResamplesSpeedsKeepingClassFractions) {
+    ExperimentConfig hetero = scenario_or_die("heterogeneous").experiment; // 60 × 0.5, 60 × 1.5
+    resize_fleet(hetero, 50);
+    ASSERT_EQ(hetero.server_speeds.size(), 50u);
+    EXPECT_EQ(std::count(hetero.server_speeds.begin(), hetero.server_speeds.end(), 0.5), 25);
+    EXPECT_EQ(std::count(hetero.server_speeds.begin(), hetero.server_speeds.end(), 1.5), 25);
+    resize_fleet(hetero, 7); // speed'[j] = speed[⌊j·50/7⌋]
+    EXPECT_EQ(hetero.server_speeds, (std::vector<double>{0.5, 0.5, 0.5, 0.5, 1.5, 1.5, 1.5}));
+    ExperimentConfig table1 = scenario_or_die("table1").experiment;
+    resize_fleet(table1, 50);
+    EXPECT_TRUE(table1.server_speeds.empty());
+    EXPECT_EQ(table1.num_clients, 10000u); // N is the caller's to set.
 }
 
 TEST(Scenarios, HeterogeneousIsATwoClassSedDFleet) {

@@ -1,10 +1,11 @@
 // Tests for the sharded epoch-parallel simulator (src/des/sharded_des_system):
-// shard partition sanity, per-epoch conservation, the determinism contract
-// (bit-identical results for fixed (seed, K) regardless of thread count, all
-// three client models), statistical equivalence to DesSystem on registry
-// scenarios (CI overlap) and to FiniteSystem on a shared conditioned λ path
-// (coupled oracle, including an idle fleet), conditioned λ replay, sojourn
-// percentiles, and the evaluator/backend dispatch plumbing.
+// shard partition sanity, the determinism contract (bit-identical results
+// for fixed (seed, K) regardless of thread count, all three client models),
+// statistical equivalence to DesSystem on registry scenarios (CI overlap)
+// and to FiniteSystem on a shared conditioned λ path (coupled oracle,
+// including an idle fleet), and the backend-name plumbing. What every
+// backend shares (conservation, conditioned replay, guards, sojourn
+// percentiles) is the BackendContract suite in test_finite_system.cpp.
 #include "des/sharded_des_system.hpp"
 
 #include "core/evaluator.hpp"
@@ -15,7 +16,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -66,90 +66,12 @@ TEST(ShardedDesSystem, ShardCountClampsAndDefaults) {
               ShardedDesSystem::kDefaultShards);
 }
 
-TEST(ShardedDesSystem, RejectsInvalidConfigsAndRules) {
-    FiniteSystemConfig config = small_config(ClientModel::Aggregated, 3);
-    config.num_clients = 0;
-    EXPECT_THROW(ShardedDesSystem{config}, std::invalid_argument);
-    config = small_config(ClientModel::InfiniteClients, 3);
-    config.nu0 = {0.5, 0.5}; // wrong support size for B = 5
-    EXPECT_THROW(ShardedDesSystem{config}, std::invalid_argument);
-
-    ShardedDesSystem system(small_config(ClientModel::Aggregated, 3));
-    Rng rng(1);
-    system.reset(rng);
-    const DecisionRule wrong = DecisionRule::mf_rnd(TupleSpace(3, 2));
-    EXPECT_THROW(system.step_with_rule(wrong, rng), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// Mechanics: conservation, histogram, conditioned replay
-// ---------------------------------------------------------------------------
-
-TEST(ShardedDesSystem, ConservesJobsAndCountsEveryEpoch) {
-    for (const ClientModel model :
-         {ClientModel::PerClient, ClientModel::Aggregated, ClientModel::InfiniteClients}) {
-        SCOPED_TRACE(static_cast<int>(model));
-        ShardedDesSystem system(small_config(model, 4));
-        const DecisionRule h = DecisionRule::mf_jsq(system.tuple_space());
-        Rng rng(7);
-        system.reset(rng);
-        while (!system.done()) {
-            const auto before = system.queue_states();
-            const std::int64_t jobs_before =
-                std::accumulate(before.begin(), before.end(), std::int64_t{0});
-            const EpochStats stats = system.step_with_rule(h, rng);
-            const auto& after = system.queue_states();
-            std::int64_t jobs_after = 0;
-            for (const int z : after) {
-                ASSERT_GE(z, 0);
-                ASSERT_LE(z, system.config().queue.buffer);
-                jobs_after += z;
-            }
-            EXPECT_EQ(jobs_after, jobs_before +
-                                      static_cast<std::int64_t>(stats.accepted_packets) -
-                                      static_cast<std::int64_t>(stats.served_packets));
-            // The cross-shard histogram reduction must match a direct count.
-            const std::vector<double> hist = system.empirical_distribution();
-            double total = 0.0;
-            for (std::size_t z = 0; z < hist.size(); ++z) {
-                const auto direct = static_cast<double>(
-                    std::count(after.begin(), after.end(), static_cast<int>(z)));
-                EXPECT_DOUBLE_EQ(hist[z] * static_cast<double>(after.size()), direct);
-                total += hist[z];
-            }
-            EXPECT_NEAR(total, 1.0, 1e-12);
-            EXPECT_GE(stats.server_utilization, 0.0);
-            EXPECT_LE(stats.server_utilization, 1.0);
-            EXPECT_GE(stats.mean_queue_length, 0.0);
-            EXPECT_LE(stats.mean_queue_length,
-                      static_cast<double>(system.config().queue.buffer));
-        }
-        EXPECT_THROW(system.step_with_rule(h, rng), std::logic_error);
-    }
-}
-
-TEST(ShardedDesSystem, ConditionedReplayPinsTheLambdaPath) {
-    FiniteSystemConfig config = small_config(ClientModel::InfiniteClients, 3);
-    config.horizon = 10;
-    ShardedDesSystem system(config);
-    const DecisionRule h = DecisionRule::mf_rnd(system.tuple_space());
-    const std::vector<std::size_t> path{0, 1, 1, 0, 1};
-    Rng rng(3);
-    system.reset_conditioned(path, rng);
-    for (int t = 0; t < config.horizon; ++t) {
-        const std::size_t expected =
-            path[std::min<std::size_t>(static_cast<std::size_t>(t), path.size() - 1)];
-        EXPECT_EQ(system.lambda_state(), expected) << "epoch " << t;
-        system.step_with_rule(h, rng);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Determinism contract: (seed, K) fixes results; thread count never does
 // ---------------------------------------------------------------------------
 
-DesEpisodeStats run_sharded_episode(ClientModel model, std::size_t shards,
-                                    std::size_t threads, bool sojourn = false) {
+EpisodeStats run_sharded_episode(ClientModel model, std::size_t shards, std::size_t threads,
+                                 bool sojourn = false) {
     FiniteSystemConfig config = small_config(model, shards, 2.0, 25);
     config.threads = threads;
     config.track_sojourn = sojourn;
@@ -161,7 +83,7 @@ DesEpisodeStats run_sharded_episode(ClientModel model, std::size_t shards,
     return system.run_episode(policy, rng);
 }
 
-void expect_bit_identical(const DesEpisodeStats& a, const DesEpisodeStats& b) {
+void expect_bit_identical(const EpisodeStats& a, const EpisodeStats& b) {
     EXPECT_EQ(a.dropped_packets, b.dropped_packets);
     EXPECT_EQ(a.accepted_packets, b.accepted_packets);
     EXPECT_EQ(a.completed_jobs, b.completed_jobs);
@@ -186,17 +108,17 @@ TEST(ShardedDesSystem, ThreadCountNeverChangesResults) {
     for (const ClientModel model :
          {ClientModel::PerClient, ClientModel::Aggregated, ClientModel::InfiniteClients}) {
         SCOPED_TRACE(static_cast<int>(model));
-        const DesEpisodeStats one = run_sharded_episode(model, 4, 1, true);
-        const DesEpisodeStats two = run_sharded_episode(model, 4, 2, true);
-        const DesEpisodeStats eight = run_sharded_episode(model, 4, 8, true);
+        const EpisodeStats one = run_sharded_episode(model, 4, 1, true);
+        const EpisodeStats two = run_sharded_episode(model, 4, 2, true);
+        const EpisodeStats eight = run_sharded_episode(model, 4, 8, true);
         expect_bit_identical(one, two);
         expect_bit_identical(one, eight);
     }
 }
 
 TEST(ShardedDesSystem, DeterministicForFixedSeedAndShards) {
-    const DesEpisodeStats a = run_sharded_episode(ClientModel::Aggregated, 4, 0);
-    const DesEpisodeStats b = run_sharded_episode(ClientModel::Aggregated, 4, 0);
+    const EpisodeStats a = run_sharded_episode(ClientModel::Aggregated, 4, 0);
+    const EpisodeStats b = run_sharded_episode(ClientModel::Aggregated, 4, 0);
     expect_bit_identical(a, b);
 }
 
@@ -206,12 +128,9 @@ TEST(ShardedDesSystem, OddAndSingleShardCountsStayThreadInvariant) {
     // must honor the same bit-identity contract as the power-of-two case.
     for (const std::size_t shards : {std::size_t{1}, std::size_t{5}, std::size_t{7}}) {
         SCOPED_TRACE(shards);
-        const DesEpisodeStats one =
-            run_sharded_episode(ClientModel::Aggregated, shards, 1, true);
-        const DesEpisodeStats two =
-            run_sharded_episode(ClientModel::Aggregated, shards, 2, true);
-        const DesEpisodeStats eight =
-            run_sharded_episode(ClientModel::Aggregated, shards, 8, true);
+        const EpisodeStats one = run_sharded_episode(ClientModel::Aggregated, shards, 1, true);
+        const EpisodeStats two = run_sharded_episode(ClientModel::Aggregated, shards, 2, true);
+        const EpisodeStats eight = run_sharded_episode(ClientModel::Aggregated, shards, 8, true);
         expect_bit_identical(one, two);
         expect_bit_identical(one, eight);
     }
@@ -234,8 +153,8 @@ TEST(ShardedDesSystem, SkewedInitialLoadStaysThreadInvariant) {
         system.reset(rng);
         return system.run_episode(policy, rng);
     };
-    const DesEpisodeStats one = run(1);
-    const DesEpisodeStats eight = run(8);
+    const EpisodeStats one = run(1);
+    const EpisodeStats eight = run(8);
     EXPECT_GT(one.dropped_packets, 0u); // the skew actually stresses the top states
     expect_bit_identical(one, eight);
 }
@@ -282,7 +201,7 @@ struct RecordedEpisode {
     double sojourn_p99;
 };
 
-void expect_recorded(const DesEpisodeStats& got, const RecordedEpisode& want) {
+void expect_recorded(const EpisodeStats& got, const RecordedEpisode& want) {
     EXPECT_EQ(got.dropped_packets, want.dropped_packets);
     EXPECT_EQ(got.accepted_packets, want.accepted_packets);
     EXPECT_EQ(got.completed_jobs, want.completed_jobs);
@@ -409,8 +328,8 @@ TEST(ShardedDesSystem, ShardCountIsPartOfTheContract) {
     // K is a modeling choice like the seed: different K re-partitions the
     // RNG streams, so trajectories legitimately differ (while remaining
     // statistically equivalent — covered below).
-    const DesEpisodeStats k2 = run_sharded_episode(ClientModel::Aggregated, 2, 1);
-    const DesEpisodeStats k5 = run_sharded_episode(ClientModel::Aggregated, 5, 1);
+    const EpisodeStats k2 = run_sharded_episode(ClientModel::Aggregated, 2, 1);
+    const EpisodeStats k5 = run_sharded_episode(ClientModel::Aggregated, 5, 1);
     EXPECT_NE(k2.accepted_packets, k5.accepted_packets);
 }
 
@@ -422,8 +341,9 @@ void expect_event_backends_agree(FiniteSystemConfig config, std::size_t episodes
                                  std::uint64_t seed) {
     const TupleSpace space(config.queue.num_states(), config.d);
     const FixedRulePolicy policy = make_jsq_policy(space);
-    const EvaluationResult des = evaluate_des(config, policy, episodes, seed);
-    const EvaluationResult sharded = evaluate_sharded_des(config, policy, episodes, seed);
+    const EvaluationResult des = evaluate_backend(SimBackend::Des, config, policy, episodes, seed);
+    const EvaluationResult sharded =
+        evaluate_backend(SimBackend::ShardedDes, config, policy, episodes, seed);
 
     // Identical model, independent randomness: the 95% CIs must overlap (a
     // small slack absorbs the ~5% of seeds where disjoint CIs are expected).
@@ -552,35 +472,7 @@ TEST(ShardedVsFinite, IdleFleetAcceptsAsManyJobsAsFiniteSystem) {
 }
 
 // ---------------------------------------------------------------------------
-// Sojourn percentiles (exact cross-shard histogram merge)
-// ---------------------------------------------------------------------------
-
-TEST(ShardedDesSystem, SojournPercentilesAreOrderedAndPlausible) {
-    FiniteSystemConfig config = small_config(ClientModel::Aggregated, 5, 5.0, 60);
-    config.track_sojourn = true;
-    const TupleSpace space(config.queue.num_states(), config.d);
-    const FixedRulePolicy policy = make_rnd_policy(space);
-    ShardedDesSystem system(config);
-    Rng rng(31);
-    system.reset(rng);
-    const DesEpisodeStats stats = system.run_episode(policy, rng);
-    ASSERT_GT(stats.completed_jobs, 1000u);
-    EXPECT_GT(stats.sojourn_p50, 0.0);
-    EXPECT_LE(stats.sojourn_p50, stats.sojourn_p95);
-    EXPECT_LE(stats.sojourn_p95, stats.sojourn_p99);
-    EXPECT_GT(stats.mean_sojourn, 0.0);
-    EXPECT_LT(stats.mean_sojourn, stats.sojourn_p99);
-    // And the evaluator surfaces the same pipeline with CIs.
-    SojournSummary summary;
-    const EvaluationResult result = evaluate_sharded_des(config, policy, 6, 47, 0, &summary);
-    EXPECT_EQ(result.episodes, 6u);
-    EXPECT_GT(summary.p50.mean, 0.0);
-    EXPECT_LE(summary.p50.mean, summary.p95.mean);
-    EXPECT_LE(summary.p95.mean, summary.p99.mean);
-}
-
-// ---------------------------------------------------------------------------
-// Plumbing: backend names, dispatch, scenario registry
+// Plumbing: backend names, scenario registry
 // ---------------------------------------------------------------------------
 
 TEST(ShardedDesSystem, BackendNameAndParseRoundTrip) {
@@ -588,17 +480,6 @@ TEST(ShardedDesSystem, BackendNameAndParseRoundTrip) {
     EXPECT_EQ(parse_backend("sharded-des"), SimBackend::ShardedDes);
     EXPECT_EQ(parse_backend("sharded"), SimBackend::ShardedDes);
     EXPECT_THROW(parse_backend("sharded-dse"), std::invalid_argument);
-}
-
-TEST(ShardedDesSystem, EvaluateBackendDispatchesToShardedDes) {
-    FiniteSystemConfig config = small_config(ClientModel::Aggregated, 3, 2.0, 10);
-    const TupleSpace space(config.queue.num_states(), config.d);
-    const FixedRulePolicy policy = make_jsq_policy(space);
-    const EvaluationResult direct = evaluate_sharded_des(config, policy, 4, 9);
-    const EvaluationResult dispatched =
-        evaluate_backend(SimBackend::ShardedDes, config, policy, 4, 9);
-    EXPECT_EQ(direct.episodes, dispatched.episodes);
-    EXPECT_DOUBLE_EQ(direct.total_drops.mean, dispatched.total_drops.mean);
 }
 
 TEST(ShardedDesSystem, LargeNShardedScenarioSmokeRuns) {

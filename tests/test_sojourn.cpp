@@ -160,15 +160,14 @@ TEST(SojournSimulation, DesMeasuredSojournMatchesAnalyticOracle) {
     const TupleSpace space(config.queue.num_states(), config.d);
     const FixedRulePolicy rnd = make_rnd_policy(space);
 
-    SojournSummary sojourn;
-    (void)evaluate_des(config, rnd, 8, 61, 0, &sojourn);
+    const EvaluationResult sojourn = evaluate_backend(SimBackend::Des, config, rnd, 8, 61);
     const double oracle = mm1b_mean_sojourn(arrival, service, buffer);
-    EXPECT_GT(sojourn.mean.n, 0u);
-    EXPECT_NEAR(sojourn.mean.mean, oracle, 3.0 * sojourn.mean.half_width + 0.05)
+    EXPECT_GT(sojourn.sojourn_mean.n, 0u);
+    EXPECT_NEAR(sojourn.sojourn_mean.mean, oracle, 3.0 * sojourn.sojourn_mean.half_width + 0.05)
         << "DES-measured mean sojourn disagrees with the analytic oracle " << oracle;
     // The percentile estimates must bracket the mean of this skewed law.
-    EXPECT_LT(sojourn.p50.mean, sojourn.mean.mean);
-    EXPECT_GT(sojourn.p95.mean, sojourn.mean.mean);
+    EXPECT_LT(sojourn.sojourn_p50.mean, sojourn.sojourn_mean.mean);
+    EXPECT_GT(sojourn.sojourn_p95.mean, sojourn.sojourn_mean.mean);
 }
 
 TEST(SojournSimulation, HigherLoadLongerSojourn) {

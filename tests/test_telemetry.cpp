@@ -288,9 +288,9 @@ TEST(TelemetryEndToEnd, EnablingTelemetryDoesNotPerturbResults) {
         const FixedRulePolicy policy = make_jsq_policy(system.tuple_space());
         return system.run_episode(policy, rng);
     };
-    const DesEpisodeStats off = run(nullptr);
+    const EpisodeStats off = run(nullptr);
     const auto session = TelemetrySession::in_memory(SeriesFormat::Jsonl, true);
-    const DesEpisodeStats on = run(session.get());
+    const EpisodeStats on = run(session.get());
 
     EXPECT_EQ(on.dropped_packets, off.dropped_packets);
     EXPECT_EQ(on.accepted_packets, off.accepted_packets);
