@@ -90,12 +90,13 @@ private:
 };
 
 /// Registers the shared `--backend` flag: every finite-system bench can run
-/// its cells on the epoch-synchronous, event-driven, or sharded simulator.
+/// its cells on the epoch engine (one shard or eight) or the event-driven
+/// simulator.
 inline void register_backend_flag(CliParser& cli) {
     cli.flag("backend", "finite",
-             "Finite-system simulator: 'finite' (epoch-synchronous Gillespie), "
-             "'des' (event-driven), or 'sharded-des' (per-queue epoch kernels on K "
-             "parallel shards)");
+             "Finite-system simulator: 'finite' (epoch engine, per-queue kernels on "
+             "one shard), 'des' (event-driven), or 'sharded-des' (the same engine on "
+             "K = 8 parallel shards)");
 }
 
 /// Resolves the registered --backend flag; exits 2 with a diagnostic on an

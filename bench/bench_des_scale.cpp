@@ -4,9 +4,10 @@
 /// generating a fixed total job rate (--lambda-total, default 750 jobs/unit
 /// — the Table-1 load of a 1000-queue cluster) is spread over ever more
 /// queues M. Per-queue load shrinks as 1/M, which is exactly the regime the
-/// event-driven backend exists for: the epoch-synchronous simulator pays
-/// O(M) RNG/kernel work every Δt no matter how idle the fleet is, while DES
-/// cost tracks the (fixed) event count. Three parts:
+/// event-driven backend exists for: the epoch engine still walks all M
+/// queues every Δt (an idle queue costs a load and a compare once the
+/// InfiniteClients idle thinning skips it), while DES cost tracks the
+/// (fixed) event count. Five parts:
 ///
 ///  1. M-sweep, both backends, one episode each (InfiniteClients — the
 ///     mean-field client model whose cost is N-independent; DES realizes it
@@ -15,8 +16,7 @@
 ///     finishes inside --budget seconds.
 ///  2. N-sweep at M = 10^4 with the exact finite-N Aggregated client model
 ///     (multinomial client counts) up to N = 10^6 on the DES backend.
-///  3. A sojourn showcase: DES per-job p50/p95/p99 at M = 10^4 — numbers
-///     the epoch-synchronous backend cannot produce at all.
+///  3. A sojourn showcase: DES per-job p50/p95/p99 at M = 10^4.
 ///  4. Thread/shard scaling of the sharded backend on the `large-n`
 ///     configuration (M = 10^4, N = 10^6): one episode per thread count in
 ///     {1, 2, 4, 8} against the single-threaded unsharded DES baseline,
@@ -32,7 +32,6 @@
 /// All timings are appended to --json for the CI benchmark artifact.
 #include "bench_common.hpp"
 #include "des/des_system.hpp"
-#include "des/sharded_des_system.hpp"
 #include "support/trace.hpp"
 
 #include <array>
@@ -106,7 +105,7 @@ struct ShardedRun {
 
 ShardedRun run_sharded_episode(const FiniteSystemConfig& config, const DecisionRule& rule,
                                std::uint64_t seed) {
-    ShardedDesSystem system(config);
+    FiniteSystem system(config);
     Rng rng(seed);
     system.reset(rng);
     const trace::Stopwatch watch;

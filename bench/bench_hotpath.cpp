@@ -222,7 +222,7 @@ int main(int argc, char** argv) {
         const std::size_t episodes = full ? 6 : 2;
         std::printf("\nTelemetry overhead (Table 1, dt=5, %zu episodes, metrics+trace on):\n",
                     episodes);
-        const auto time_backend = [&]<class System>(const char* name) {
+        const auto time_backend = [&](SimBackend backend, const char* name) {
             FiniteSystemConfig config = base_experiment.finite_system();
             config.dt = 5.0;
             const TupleSpace space(base_experiment.queue.num_states(), base_experiment.d);
@@ -230,14 +230,14 @@ int main(int argc, char** argv) {
             const auto run = [&](TelemetrySession* session) {
                 FiniteSystemConfig run_config = config;
                 run_config.telemetry = session;
-                System system(run_config);
+                const std::unique_ptr<FiniteBackend> system = make_backend(backend, run_config);
                 Rng rng(cli.get_int("seed"));
-                system.reset(rng);
-                (void)system.run_episode(policy, rng); // warmup sizes workspaces
+                system->reset(rng);
+                (void)system->run_episode(policy, rng); // warmup sizes workspaces
                 const auto start = Clock::now();
                 for (std::size_t e = 0; e < episodes; ++e) {
-                    system.reset(rng);
-                    (void)system.run_episode(policy, rng);
+                    system->reset(rng);
+                    (void)system->run_episode(policy, rng);
                 }
                 return seconds_since(start) / static_cast<double>(episodes);
             };
@@ -251,9 +251,9 @@ int main(int argc, char** argv) {
             std::printf("  %-8s off %.3f ms/episode, on %.3f ms/episode  ->  %+.2f%%\n", name,
                         1e3 * off, 1e3 * on, 1e2 * fraction);
         };
-        time_backend.operator()<FiniteSystem>("finite");
-        time_backend.operator()<DesSystem>("des");
-        time_backend.operator()<ShardedDesSystem>("sharded");
+        time_backend(SimBackend::Finite, "finite");
+        time_backend(SimBackend::Des, "des");
+        time_backend(SimBackend::ShardedDes, "sharded");
     }
 
     timings.write(cli.get("json"));

@@ -308,10 +308,10 @@ int main(int argc, char** argv) {
              "Named scenario from the registry (see --mode scenarios) used as the "
              "eval-mode baseline; other flags override its values");
     cli.flag("backend", "finite",
-             "Finite-system simulator for eval mode: 'finite' (epoch-synchronous), "
-             "'des' (event-driven), or 'sharded-des' (per-queue epoch kernels on K "
-             "parallel shards); all report sojourn percentiles; default = "
-             "scenario's backend");
+             "Finite-system simulator for eval mode: 'finite' (epoch engine, "
+             "per-queue kernels on one shard), 'des' (event-driven), or 'sharded-des' "
+             "(the same engine on K parallel shards, see --shards); all report "
+             "sojourn percentiles; default = scenario's backend");
     cli.flag_int("threads", 0,
                  "Worker threads for replications / sharded epochs (0 = all cores)");
     cli.flag("metrics-out", "",
@@ -334,7 +334,8 @@ int main(int argc, char** argv) {
                   "With --trainer ppo: use the exact Table 2 configuration instead of "
                   "the reduced CI-sized budget (paper scale: ~2.5e7 steps, hours)");
     cli.flag_int("shards", 0,
-                 "Queue shards K for the sharded-des backend (0 = scenario's, or min(8, M))");
+                 "Queue shards K for the sharded-des backend (0 = scenario's, or 8; "
+                 "clamped to M); the finite backend always runs one shard");
     cli.flag("fel", "calendar",
              "Future event list for the des backend: calendar (amortized O(1) "
              "buckets, default) or heap (binary heap); bit-identical results "

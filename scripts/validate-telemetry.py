@@ -6,7 +6,7 @@ written by --metrics-out and chrome://tracing span files as written by
 --trace-out. Used by the CI Release telemetry smoke and usable locally:
 
   scripts/validate-telemetry.py \
-      --metrics eval.jsonl --expect-series sharded_epoch --min-rows 10 \
+      --metrics eval.jsonl --expect-series finite_epoch --min-rows 10 \
       --expect-field fel_schedules \
       --trace eval_trace.json --expect-span policy_query
 

@@ -17,18 +17,18 @@
 namespace mflb {
 
 /// Which finite-system simulator realizes the model (same statistics and
-/// the same `FiniteBackend` surface, very different cost profiles — see
-/// docs/ARCHITECTURE.md "Event-driven backend" / "Sharded event-driven
-/// backend"); `make_backend` (core/evaluator.hpp) builds the class:
-///  - `Finite`     — epoch-synchronous `FiniteSystem`: per-queue Gillespie
-///    loop every Δt; cost O(M) per epoch even when queues are idle.
+/// the same `FiniteBackend` surface, different cost profiles — see
+/// docs/ARCHITECTURE.md "Epoch engine" / "Event-driven backend");
+/// `make_backend` (core/evaluator.hpp) builds the class and picks K:
+///  - `Finite`     — the epoch engine `FiniteSystem` at K = 1: one inline
+///    shard of per-queue Gillespie loops every Δt, skipping idle queues
+///    geometrically under InfiniteClients.
 ///  - `Des`        — event-driven `DesSystem`: future-event-list simulation;
 ///    cost proportional to traffic.
-///  - `ShardedDes` — `ShardedDesSystem`: the M queues partitioned into K
-///    shards that run `FiniteSystem`'s per-queue epoch kernel lock-free in
-///    parallel between decision epochs, skipping idle queues geometrically
-///    (cost tracks traffic on idle fleets); deterministic for fixed (seed,
-///    K) regardless of thread count.
+///  - `ShardedDes` — the same engine at K = `shards` (8 when 0): the M
+///    queues partitioned into K shards that run the per-queue epoch kernel
+///    lock-free in parallel between decision epochs; deterministic for
+///    fixed (seed, K) regardless of thread count.
 enum class SimBackend {
     Finite,
     Des,
@@ -64,8 +64,9 @@ struct ExperimentConfig {
     /// Simulator realizing the finite system (`evaluate_backend` dispatches
     /// on this; the `--backend` CLI/bench flag overrides it).
     SimBackend backend = SimBackend::Finite;
-    /// Queue shards K for the sharded-des backend (0 = min(8, M)); part of
-    /// the result-determining (seed, K) pair. Ignored by the other backends.
+    /// Queue shards K for the sharded-des backend (0 = 8, clamped to M);
+    /// part of the result-determining (seed, K) pair. The finite backend
+    /// always runs one shard and the des backend none.
     std::size_t shards = 0;
     /// Future-event-list implementation for the `des` backend (heap or
     /// calendar; both yield bit-identical episodes — the `--fel` CLI/bench

@@ -1,7 +1,6 @@
 #include "core/evaluator.hpp"
 
 #include "des/des_system.hpp"
-#include "des/sharded_des_system.hpp"
 #include "queueing/finite_system.hpp"
 
 namespace mflb {
@@ -49,8 +48,10 @@ std::unique_ptr<FiniteBackend> make_backend(SimBackend backend, FiniteSystemConf
     case SimBackend::Des:
         return std::make_unique<DesSystem>(std::move(config));
     case SimBackend::ShardedDes:
-        return std::make_unique<ShardedDesSystem>(std::move(config));
+        config.shards = config.shards == 0 ? kDefaultShards : config.shards;
+        break;
     case SimBackend::Finite:
+        config.shards = 1;
         break;
     }
     return std::make_unique<FiniteSystem>(std::move(config));

@@ -40,8 +40,14 @@ auto run_replications(std::size_t episodes, std::uint64_t seed, std::size_t thre
     return results;
 }
 
-/// The one place that maps a `SimBackend` to its simulator class
-/// (`FiniteSystem`, `DesSystem` or `ShardedDesSystem`).
+/// Shard count `make_backend` gives the `ShardedDes` backend when
+/// `config.shards` is 0. Fixed — not hardware-derived — so results are
+/// machine-independent.
+inline constexpr std::size_t kDefaultShards = 8;
+
+/// The one place that maps a `SimBackend` to its simulator class and shard
+/// count: `Finite` is `FiniteSystem` at K = 1, `ShardedDes` is `FiniteSystem`
+/// at K = `config.shards` (`kDefaultShards` when 0), `Des` is `DesSystem`.
 std::unique_ptr<FiniteBackend> make_backend(SimBackend backend, FiniteSystemConfig config);
 
 /// Aggregated outcome of repeated episode simulations.

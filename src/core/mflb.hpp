@@ -30,7 +30,6 @@
 #include "des/des_system.hpp"
 #include "des/event_queue.hpp"
 #include "des/fel.hpp"
-#include "des/sharded_des_system.hpp"
 #include "field/arrival_flow.hpp"
 #include "field/arrival_process.hpp"
 #include "field/decision_rule.hpp"

@@ -27,15 +27,15 @@ NeuralUpperPolicy::NeuralUpperPolicy(const TupleSpace& space, std::size_t num_la
     }
 }
 
-NeuralUpperPolicy::BatchScratch::BatchScratch(const rl::GaussianPolicy& policy)
-    : obs(policy.obs_dim(), 0.0), raw(policy.action_dim(), 0.0), ws(policy.network(), 1) {}
+NeuralUpperPolicy::QueryScratch::QueryScratch(const rl::GaussianPolicy& policy)
+    : obs(policy.obs_dim(), 0.0) {}
 
 std::unique_ptr<UpperLevelPolicy::Scratch> NeuralUpperPolicy::make_scratch() const {
-    return std::make_unique<BatchScratch>(*policy_);
+    return std::make_unique<QueryScratch>(*policy_);
 }
 
 void NeuralUpperPolicy::decide_impl(std::span<const double> nu, std::size_t lambda_state,
-                                    BatchScratch& scratch, DecisionRule& out) const {
+                                    QueryScratch& scratch, DecisionRule& out) const {
     if (nu.size() != static_cast<std::size_t>(space_.num_states())) {
         throw std::invalid_argument("NeuralUpperPolicy::decide: nu size mismatch");
     }
@@ -46,20 +46,22 @@ void NeuralUpperPolicy::decide_impl(std::span<const double> nu, std::size_t lamb
     for (std::size_t s = 0; s < num_lambda_states_; ++s) {
         scratch.obs[nu.size() + s] = s == lambda_state ? 1.0 : 0.0;
     }
-    policy_->mean_action_batch(scratch.obs, 1, scratch.ws, scratch.raw);
+    // The network's output is [mean | log-std]; the rule reads the mean.
+    const std::span<const double> mean =
+        policy_->network().forward_span(scratch.obs, scratch.ws).first(policy_->action_dim());
     switch (parameterization_) {
     case RuleParameterization::Logits:
-        out.set_from_logits(scratch.raw);
+        out.set_from_logits(mean);
         break;
     case RuleParameterization::Simplex:
-        out.set_from_probabilities(scratch.raw);
+        out.set_from_probabilities(mean);
         break;
     }
 }
 
 DecisionRule NeuralUpperPolicy::decide(std::span<const double> nu, std::size_t lambda_state,
                                        Rng& /*rng*/) const {
-    BatchScratch scratch(*policy_);
+    QueryScratch scratch(*policy_);
     DecisionRule out(space_);
     decide_impl(nu, lambda_state, scratch, out);
     return out;
@@ -67,11 +69,11 @@ DecisionRule NeuralUpperPolicy::decide(std::span<const double> nu, std::size_t l
 
 void NeuralUpperPolicy::decide_into(std::span<const double> nu, std::size_t lambda_state,
                                     Rng& /*rng*/, Scratch* scratch, DecisionRule& out) const {
-    if (auto* batch = dynamic_cast<BatchScratch*>(scratch)) {
-        decide_impl(nu, lambda_state, *batch, out);
+    if (auto* query = dynamic_cast<QueryScratch*>(scratch)) {
+        decide_impl(nu, lambda_state, *query, out);
         return;
     }
-    BatchScratch local(*policy_);
+    QueryScratch local(*policy_);
     decide_impl(nu, lambda_state, local, out);
 }
 

@@ -31,27 +31,27 @@ public:
     DecisionRule decide(std::span<const double> nu, std::size_t lambda_state,
                         Rng& rng) const override;
 
-    /// Workspace for the batched (GEMM) epoch query. One per calling system,
-    /// never shared: the policy itself stays const and thread-safe.
-    struct BatchScratch final : UpperLevelPolicy::Scratch {
-        explicit BatchScratch(const rl::GaussianPolicy& policy);
-        std::vector<double> obs;    ///< 1 × obs_dim observation row.
-        std::vector<double> raw;    ///< 1 × action_dim mean-action row.
-        rl::Mlp::BatchWorkspace ws; ///< batch-of-1 forward workspace.
+    /// Workspace for the epoch query. One per calling system, never shared:
+    /// the policy itself stays const and thread-safe.
+    struct QueryScratch final : UpperLevelPolicy::Scratch {
+        explicit QueryScratch(const rl::GaussianPolicy& policy);
+        std::vector<double> obs; ///< observation (H, one-hot λ).
+        rl::Mlp::Workspace ws;   ///< per-sample forward activations.
     };
     std::unique_ptr<UpperLevelPolicy::Scratch> make_scratch() const override;
 
-    /// Batched epoch inference: runs the network through the GEMM batch path
-    /// (rl::GaussianPolicy::mean_action_batch) and realizes the rule in place
-    /// via DecisionRule::set_from_*. Allocation-free once warm; bit-identical
-    /// to decide(), which routes through the same path.
+    /// Epoch inference: one per-sample forward pass (rl::Mlp::forward_span,
+    /// the arithmetic of rl::GaussianPolicy::mean_action) whose mean half
+    /// is realized in place via DecisionRule::set_from_*. Allocation-free
+    /// once warm; bit-identical to decide(), which routes through the same
+    /// path.
     void decide_into(std::span<const double> nu, std::size_t lambda_state, Rng& rng,
                      Scratch* scratch, DecisionRule& out) const override;
 
     std::string name() const override { return name_; }
 
 private:
-    void decide_impl(std::span<const double> nu, std::size_t lambda_state, BatchScratch& scratch,
+    void decide_impl(std::span<const double> nu, std::size_t lambda_state, QueryScratch& scratch,
                      DecisionRule& out) const;
 
     TupleSpace space_;

@@ -47,6 +47,9 @@ DesSystem::DesSystem(FiniteSystemConfig config)
             static_cast<double>(config_.d * config_.num_clients) / static_cast<double>(m);
         classes_ = ClassCountSampler(num_z, m, max_mean);
     }
+    if (config_.track_sojourn) {
+        sojourn_ = std::make_unique<SojournRecorder>();
+    }
     telemetry_series_ = "des_epoch";
     if (config_.telemetry != nullptr) {
         set_telemetry(config_.telemetry);
@@ -105,7 +108,7 @@ void DesSystem::reset_state(Rng& rng) {
 
     if (config_.track_sojourn) {
         jobs_.reset(queues_, config_.queue.buffer);
-        sojourn_.reset();
+        sojourn_->reset();
     }
 }
 
@@ -257,7 +260,7 @@ void DesSystem::handle_departure(std::size_t j, double t, Rng& rng, EpochStats& 
         const double sojourn = jobs_[j].pop(t);
         stats.mean_sojourn += sojourn; // running sum; divided at epoch end.
         ++stats.completed_jobs;
-        sojourn_.record(sojourn);
+        sojourn_->record(sojourn);
     }
     if (queues_[j] > 0) {
         // The departure event is still at the FEL front; move it to the next

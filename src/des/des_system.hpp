@@ -51,6 +51,7 @@
 #include "support/rng.hpp"
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace mflb {
@@ -64,7 +65,10 @@ public:
     const FutureEventList& event_queue() const noexcept { return fel_; }
 
     std::array<double, 3> sojourn_percentiles() const override {
-        return {sojourn_.p50(), sojourn_.p95(), sojourn_.p99()};
+        if (!sojourn_) {
+            return {};
+        }
+        return {sojourn_->p50(), sojourn_->p95(), sojourn_->p99()};
     }
 
 protected:
@@ -167,9 +171,10 @@ private:
     double job_area_ = 0.0;   ///< ∫ Σ_j z_j dτ within the epoch.
     double busy_area_ = 0.0;  ///< ∫ #busy dτ within the epoch.
 
-    // Per-job sojourn tracking (track_sojourn only).
+    // Per-job sojourn tracking (track_sojourn only). The 49 KB recorder is
+    // allocated only when tracking, so untracked replications never fill it.
     JobRings jobs_;
-    SojournRecorder sojourn_;
+    std::unique_ptr<SojournRecorder> sojourn_;
 
     // FEL telemetry: per-epoch deltas of the facade's lifetime counters,
     // published into the registry's serial lane at each epoch end.

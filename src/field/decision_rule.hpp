@@ -40,7 +40,7 @@ public:
     /// each row is clamped to be non-negative and renormalized.
     static DecisionRule from_probabilities(const TupleSpace& space, std::span<const double> probs);
 
-    /// In-place counterparts for the epoch hot paths (the sharded backend
+    /// In-place counterparts for the epoch hot paths (the epoch engine
     /// realizes the policy's rule into a persistent table every epoch): same
     /// per-row arithmetic as the static factories bit for bit, zero heap
     /// traffic.

@@ -50,7 +50,7 @@ public:
                                 Rng& rng) const = 0;
 
     /// Opaque per-caller scratch for `decide_into`. Policies whose epoch
-    /// query needs workspace (e.g. the neural policy's batched forward pass)
+    /// query needs workspace (e.g. the neural policy's forward activations)
     /// keep it here rather than in mutable members, so one policy instance
     /// stays shareable across concurrently running systems (the evaluator
     /// fans replications out over the thread pool against a single const
@@ -70,7 +70,7 @@ public:
 
     /// True when `decide`/`decide_into` actually draw from `rng` (stochastic
     /// rule selection). All shipped policies are deterministic epoch queries,
-    /// so the default is false. The sharded DES epoch barrier uses this to
+    /// so the default is false. `FiniteSystem`'s epoch barrier uses this to
     /// decide whether the query may run on the overlapped compute task:
     /// deterministic queries overlap; rng-consuming ones stay in the serial
     /// prologue so the caller-RNG draw order is position-independent.

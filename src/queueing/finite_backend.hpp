@@ -1,7 +1,7 @@
 /// \file finite_backend.hpp
-/// The configuration and the public surface shared by the three simulators
-/// of the Section 2.1 finite system — `FiniteSystem` (epoch-synchronous),
-/// `DesSystem` (event-driven) and `ShardedDesSystem` (epoch-parallel) —
+/// The configuration and the public surface shared by the two simulators of
+/// the Section 2.1 finite system — `FiniteSystem` (the epoch engine: K queue
+/// shards, run in parallel when K > 1) and `DesSystem` (event-driven) —
 /// which are statistically identical by contract.
 ///
 /// `FiniteBackend` defines that surface once: the conditioned reset, the
@@ -39,7 +39,7 @@ enum class ClientModel {
 /// *exact same* event order (and hence bit-identical episodes): the calendar
 /// queue keeps within-bucket events in (time, id) order, so the pop sequence
 /// matches the heap's tie-broken total order event for event. See
-/// des/calendar_queue.hpp; `FiniteSystem` and `ShardedDesSystem` ignore it.
+/// des/calendar_queue.hpp; `FiniteSystem` ignores it.
 enum class FelKind {
     Heap,     ///< indexed binary min-heap: O(log n) per operation.
     Calendar, ///< calendar queue: amortized O(1) schedule/pop/cancel.
@@ -63,18 +63,19 @@ struct FiniteSystemConfig {
     /// policy sees an *estimate* of H_t^M built from this many uniformly
     /// sampled queues instead of the exact histogram. 0 = exact.
     std::size_t histogram_sample_size = 0;
-    /// Sharded backend (`ShardedDesSystem`) only: number of
-    /// queue shards K (0 = min(8, num_queues)). Results are a function of
-    /// (seed, shards); the other backends ignore it.
+    /// `FiniteSystem` only: number of queue shards K, clamped to
+    /// [1, num_queues] (0 = 1). Results are a function of (seed, shards);
+    /// `DesSystem` ignores it. `make_backend` sets it per `SimBackend`.
     std::size_t shards = 0;
-    /// Sharded backend only: worker threads for the epoch-parallel phase
-    /// (0 = all hardware threads). Never affects results, only wall clock.
+    /// `FiniteSystem` only: worker threads for the epoch-parallel phase when
+    /// K > 1 (0 = all hardware threads). Never affects results, only wall
+    /// clock.
     std::size_t threads = 0;
     /// `DesSystem` only: future-event-list implementation for the event
     /// loop. Both kinds pop events in the identical (time, id) order, so
     /// episodes are bit-identical; `Calendar` is amortized O(1) per event
     /// and the default, `Heap` is the O(log n) baseline (still fastest for
-    /// tiny fleets). `FiniteSystem` and `ShardedDesSystem` ignore it.
+    /// tiny fleets). `FiniteSystem` ignores it.
     FelKind fel = FelKind::Calendar;
     /// Routing discipline. `Policy` (default) is the paper's decision-rule
     /// path; any classical kind makes the backends ignore the upper-level
@@ -94,7 +95,7 @@ struct FiniteSystemConfig {
     TelemetrySession* telemetry = nullptr;
 };
 
-/// Base of the three finite-system backends (see file comment). Draw order
+/// Base of the two finite-system simulators (see file comment). Draw order
 /// is the backends' own: the guards and the conservation check consume no
 /// RNG draws, so every backend stays bit-identical to its epoch body.
 class FiniteBackend : public SystemBase {

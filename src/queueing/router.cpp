@@ -145,7 +145,7 @@ void EpochRouter::epoch_weights(std::span<const int> snapshot, int epoch,
     case RouterKind::Random:
     case RouterKind::RoundRobin:
         // Round-robin's weight law is its equal-split mean behavior, which
-        // FiniteSystem and ShardedDesSystem simulate; DesSystem overrides
+        // FiniteSystem simulates; DesSystem overrides
         // per-arrival destinations with a cyclic cursor instead.
         std::fill(weights.begin(), weights.end(), 1.0);
         return;

@@ -8,15 +8,13 @@
 /// every decision epoch it maps the Δt-stale snapshot of queue states to a
 /// per-queue routing weight vector w; the backends then realize the common
 /// job-stream semantics each in their own exact way —
-///  - `FiniteSystem` converts weights to frozen per-queue Poisson rates
-///    M·λ_t·w_j/Σw for its per-queue epoch kernels;
+///  - `FiniteSystem` sums the weights into per-shard masses at the barrier
+///    (Σw in fixed shard order) and each shard task runs its per-queue
+///    epoch kernels at the frozen Poisson rates M·λ_t·w_j/Σw, keeping the
+///    parallel phase lock-free;
 ///  - `DesSystem` thins the aggregated Poisson arrival stream by binary
-///    search on the weight prefix sums (one destination draw per job);
-///  - `ShardedDesSystem` sums the weights into per-shard masses at the
-///    barrier (Σw in fixed shard order) and each shard task runs the same
-///    per-queue kernels at M·λ_t·w_j/Σw, keeping the parallel phase
-///    lock-free.
-/// Because all three consume the identical law, the routers are
+///    search on the weight prefix sums (one destination draw per job).
+/// Because both consume the identical law, the routers are
 /// statistically equivalent across backends by construction
 /// (tests/test_router_equivalence.cpp). Classical routers operate at the
 /// job-stream level (the N → ∞ Poisson limit): `ClientModel` and
@@ -26,7 +24,7 @@
 /// The exception is round-robin, which is *not* a weight law (its
 /// interarrival times per queue are Erlang, not exponential): `DesSystem`
 /// realizes it with a global cyclic arrival cursor, while the rate-based
-/// `FiniteSystem` and `ShardedDesSystem` can only represent its equal-split
+/// `FiniteSystem` can only represent its equal-split
 /// mean behavior (equal weights, every queue at rate λ_t; documented caveat:
 /// drop/length statistics then coincide with `random`).
 ///

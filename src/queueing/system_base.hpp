@@ -113,7 +113,7 @@ public:
     /// Absolute time of the current decision epoch's boundaries, computed
     /// from the epoch index (drift-free — never accumulated). These are the
     /// barrier points of the epoch structure: `DesSystem` runs its event
-    /// loop on [epoch_start_time, epoch_end_time), and the sharded backend's
+    /// loop on [epoch_start_time, epoch_end_time), and `FiniteSystem`'s
     /// shard tasks advance their queues from epoch_start_time and
     /// synchronize exactly at these points.
     double epoch_start_time() const noexcept { return dt_ * static_cast<double>(t_); }

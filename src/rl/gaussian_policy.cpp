@@ -73,18 +73,6 @@ std::vector<double> GaussianPolicy::mean_action(std::span<const double> obs) con
     return moments(obs).mean;
 }
 
-void GaussianPolicy::mean_action_batch(std::span<const double> obs, std::size_t batch,
-                                       Mlp::BatchWorkspace& ws, std::span<double> means) const {
-    if (obs.size() != batch * obs_dim_ || means.size() != batch * action_dim_) {
-        throw std::invalid_argument("GaussianPolicy::mean_action_batch: size mismatch");
-    }
-    const std::span<const double> out = net_.forward_cached_batch(obs, batch, ws);
-    const std::size_t out_dim = net_.output_dim(); // 2 * action_dim_: [mean | log-std]
-    for (std::size_t b = 0; b < batch; ++b) {
-        std::copy_n(out.data() + b * out_dim, action_dim_, means.data() + b * action_dim_);
-    }
-}
-
 GaussianPolicy::Eval GaussianPolicy::evaluate(std::span<const double> obs,
                                               std::span<const double> action,
                                               Mlp::Workspace& ws) const {

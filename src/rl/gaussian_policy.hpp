@@ -50,15 +50,6 @@ public:
                                std::span<double> log_std) const;
     /// Deterministic (mean) action for evaluation.
     std::vector<double> mean_action(std::span<const double> obs) const;
-    /// Batched deterministic (mean) actions over `batch` row-major
-    /// observation rows through the GEMM batch path: writes batch ×
-    /// action_dim() mean rows into `means`, dropping the log-std half of the
-    /// network output. Allocation-free once `ws` is warm; agrees with
-    /// mean_action() per row within the GEMM kernels' 1e-12 FMA-contraction
-    /// contract. This is the epoch-inference path of the deployed policy
-    /// (core/neural_policy.hpp).
-    void mean_action_batch(std::span<const double> obs, std::size_t batch,
-                           Mlp::BatchWorkspace& ws, std::span<double> means) const;
 
     /// Log-density and entropy of `action` at `obs`, with activations cached
     /// for a subsequent backward().

@@ -186,7 +186,11 @@ void parallel_for(std::size_t n, IndexFnRef body, std::size_t threads) {
         return;
     }
     if (threads == 0) {
-        threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+        // Resolved once: the hardware query reads sysfs (system calls), and
+        // every epoch of the epoch engine fans its shards out through here.
+        static const std::size_t hardware =
+            std::max<std::size_t>(1, std::thread::hardware_concurrency());
+        threads = hardware;
     }
     threads = std::min(threads, n);
     // Serial path: explicit single-thread request, or the nested-use guard —

@@ -1,17 +1,18 @@
 // Tests for the finite N-client/M-queue simulator (Algorithm 1), including
 // the exact-equivalence of the aggregated client model, and the contract all
 // three finite-system backends share (guards, conservation, conditioned
-// replay, sojourn percentiles, evaluator), run on each through make_backend.
+// replay, sojourn percentiles, evaluator), run on each through make_backend:
+// the epoch engine at K = 1 (finite) and K > 1 (sharded-des), and DesSystem.
 #include "queueing/finite_system.hpp"
 #include "core/evaluator.hpp"
 #include "des/des_system.hpp"
-#include "des/sharded_des_system.hpp"
 #include "policies/fixed.hpp"
 #include "support/statistics.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -57,9 +58,11 @@ TEST(FiniteSystem, EveryBackendRejectsBadConfigs) {
         const char* name;
         std::function<void(const FiniteSystemConfig&)> construct;
     } backends[] = {
-        {"FiniteSystem", [](const FiniteSystemConfig& c) { FiniteSystem system(c); }},
-        {"DesSystem", [](const FiniteSystemConfig& c) { DesSystem system(c); }},
-        {"ShardedDesSystem", [](const FiniteSystemConfig& c) { ShardedDesSystem system(c); }},
+        {"FiniteSystem",
+         [](const FiniteSystemConfig& c) { (void)make_backend(SimBackend::Finite, c); }},
+        {"DesSystem", [](const FiniteSystemConfig& c) { (void)make_backend(SimBackend::Des, c); }},
+        {"FiniteSystem",
+         [](const FiniteSystemConfig& c) { (void)make_backend(SimBackend::ShardedDes, c); }},
     };
     using Spoil = std::function<void(FiniteSystemConfig&)>;
     const auto speed = [](double bad) {
@@ -206,6 +209,48 @@ TEST(FiniteSystem, AggregatedMatchesPerClientInDistribution) {
                                              aggregated.standard_error() *
                                                  aggregated.standard_error());
     EXPECT_NEAR(per_client.mean(), aggregated.mean(), joint_err + 0.05);
+}
+
+TEST(FiniteSystem, ComputeQueueRatesLeavesTheTrajectoryAlone) {
+    // compute_queue_rates runs the barrier's rate inputs from the RNG it is
+    // given, so probing it on a clone of the caller's RNG before every step
+    // leaves the episode bit-identical: no shard stream moves.
+    for (const ClientModel model :
+         {ClientModel::PerClient, ClientModel::Aggregated, ClientModel::InfiniteClients}) {
+        for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "model " << static_cast<int>(model) << " K " << shards);
+            const auto run = [&](bool probe) {
+                FiniteSystemConfig config = small_config(model);
+                config.shards = shards;
+                config.track_sojourn = true;
+                FiniteSystem system(config);
+                const FixedRulePolicy jsq = make_jsq_policy(system.tuple_space());
+                Rng rng(17);
+                system.reset(rng);
+                std::vector<double> trace;
+                while (!system.done()) {
+                    if (probe) {
+                        Rng clone = rng;
+                        EXPECT_EQ(system.compute_queue_rates(jsq.rule(), clone).size(),
+                                  config.num_queues);
+                    }
+                    const EpochStats stats = system.step(jsq, rng);
+                    trace.insert(trace.end(),
+                                 {static_cast<double>(stats.accepted_packets),
+                                  static_cast<double>(stats.dropped_packets),
+                                  static_cast<double>(stats.served_packets),
+                                  stats.mean_queue_length, stats.mean_sojourn});
+                }
+                const std::array<double, 3> q = system.sojourn_percentiles();
+                trace.insert(trace.end(), q.begin(), q.end());
+                trace.insert(trace.end(), system.queue_states().begin(),
+                             system.queue_states().end());
+                return trace;
+            };
+            EXPECT_EQ(run(true), run(false));
+        }
+    }
 }
 
 TEST(FiniteSystem, InfiniteClientRatesEqualMeanFieldFlow) {
@@ -582,8 +627,7 @@ TEST_P(BackendContract, EvaluateBackendAveragesItsOwnReplications) {
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendContract,
                          ::testing::Values(BackendCase{SimBackend::Finite, "FiniteSystem"},
                                            BackendCase{SimBackend::Des, "DesSystem"},
-                                           BackendCase{SimBackend::ShardedDes,
-                                                       "ShardedDesSystem"}),
+                                           BackendCase{SimBackend::ShardedDes, "FiniteSystem"}),
                          [](const ::testing::TestParamInfo<BackendCase>& info) {
                              std::string name(backend_name(info.param.backend));
                              std::replace(name.begin(), name.end(), '-', '_');
@@ -604,13 +648,13 @@ protected:
 };
 
 template <class System>
-void expect_lost_job_is_caught(const std::string& name) {
+void expect_lost_job_is_caught(const std::string& name, std::size_t shards) {
     for (const bool router : {false, true}) {
         for (const bool via_policy : {false, true}) {
-            SCOPED_TRACE(::testing::Message()
-                         << name << " router " << router << " via_policy " << via_policy);
+            SCOPED_TRACE(::testing::Message() << name << " K " << shards << " router " << router
+                                              << " via_policy " << via_policy);
             FiniteSystemConfig config = small_config();
-            config.shards = 2;
+            config.shards = shards;
             if (router) {
                 config.router.kind = RouterKind::Random;
             }
@@ -640,9 +684,9 @@ void expect_lost_job_is_caught(const std::string& name) {
 }
 
 TEST(FiniteBackend, EpochThatLosesAJobThrowsNamingTheBackendAndEpoch) {
-    expect_lost_job_is_caught<FiniteSystem>("FiniteSystem");
-    expect_lost_job_is_caught<DesSystem>("DesSystem");
-    expect_lost_job_is_caught<ShardedDesSystem>("ShardedDesSystem");
+    expect_lost_job_is_caught<FiniteSystem>("FiniteSystem", 1);
+    expect_lost_job_is_caught<DesSystem>("DesSystem", 0);
+    expect_lost_job_is_caught<FiniteSystem>("FiniteSystem", 2);
 }
 
 } // namespace

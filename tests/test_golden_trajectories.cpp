@@ -27,14 +27,14 @@ TEST(GoldenTrajectories, FiniteSystemAggregatedJsq) {
     Rng rng(42);
     system.reset(rng);
     const EpisodeStats stats = system.run_episode(jsq, rng);
-    // Re-recorded with the class-level Aggregated draw (sample_class_totals
-    // + ClassCountSampler), which changed the per-queue count draws.
-    EXPECT_EQ(stats.total_drops_per_queue, 0.65625);
-    EXPECT_EQ(stats.discounted_return, -0.55961398145381258);
-    EXPECT_EQ(stats.dropped_packets, 21u);
-    EXPECT_EQ(stats.accepted_packets, 1288u);
-    EXPECT_EQ(stats.mean_queue_length, 1.7828727622176084);
-    EXPECT_EQ(stats.server_utilization, 0.76934138442191258);
+    // Re-recorded when FiniteSystem became the epoch engine at K = 1: every
+    // queue draw now comes from the shard stream fork(0), not the caller's.
+    EXPECT_EQ(stats.total_drops_per_queue, 1.4375);
+    EXPECT_EQ(stats.discounted_return, -1.2615107429108432);
+    EXPECT_EQ(stats.dropped_packets, 46u);
+    EXPECT_EQ(stats.accepted_packets, 1262u);
+    EXPECT_EQ(stats.mean_queue_length, 1.8782165686390444);
+    EXPECT_EQ(stats.server_utilization, 0.7799490436102624);
     EXPECT_EQ(stats.drops_per_epoch.size(), 25u);
 }
 
@@ -50,12 +50,14 @@ TEST(GoldenTrajectories, FiniteSystemPerClientRnd) {
     Rng rng(7);
     system.reset(rng);
     const EpisodeStats stats = system.run_episode(rnd, rng);
-    EXPECT_EQ(stats.total_drops_per_queue, 2.0);
-    EXPECT_EQ(stats.discounted_return, -1.918138342388084);
-    EXPECT_EQ(stats.dropped_packets, 32u);
-    EXPECT_EQ(stats.accepted_packets, 345u);
-    EXPECT_EQ(stats.mean_queue_length, 1.8213789813900392);
-    EXPECT_EQ(stats.server_utilization, 0.69627632740769607);
+    // Re-recorded when FiniteSystem became the epoch engine at K = 1: every
+    // queue draw now comes from the shard stream fork(0), not the caller's.
+    EXPECT_EQ(stats.total_drops_per_queue, 4.5);
+    EXPECT_EQ(stats.discounted_return, -4.2789305291824995);
+    EXPECT_EQ(stats.dropped_packets, 72u);
+    EXPECT_EQ(stats.accepted_packets, 366u);
+    EXPECT_EQ(stats.mean_queue_length, 2.3210840442412612);
+    EXPECT_EQ(stats.server_utilization, 0.77124322002079415);
 }
 
 TEST(GoldenTrajectories, FiniteSystemInfiniteClientsSojournSampledHistogram) {
@@ -71,14 +73,17 @@ TEST(GoldenTrajectories, FiniteSystemInfiniteClientsSojournSampledHistogram) {
     Rng rng(11);
     system.reset(rng);
     const EpisodeStats stats = system.run_episode(jsq, rng);
-    EXPECT_EQ(stats.total_drops_per_queue, 0.70000000000000007);
-    EXPECT_EQ(stats.discounted_return, -0.64604749813255746);
-    EXPECT_EQ(stats.dropped_packets, 14u);
-    EXPECT_EQ(stats.accepted_packets, 395u);
-    EXPECT_EQ(stats.mean_queue_length, 1.8009749698492543);
-    EXPECT_EQ(stats.server_utilization, 0.74497660532051346);
-    EXPECT_EQ(stats.mean_sojourn, 2.1016641979868171);
-    EXPECT_EQ(stats.completed_jobs, 358u);
+    // Re-recorded when FiniteSystem became the epoch engine at K = 1: every
+    // queue draw now comes from the shard stream fork(0), and idle queues
+    // are thinned (a Geometric skip, then the first arrival's time).
+    EXPECT_EQ(stats.total_drops_per_queue, 0.10000000000000001);
+    EXPECT_EQ(stats.discounted_return, -0.093734053750440222);
+    EXPECT_EQ(stats.dropped_packets, 2u);
+    EXPECT_EQ(stats.accepted_packets, 399u);
+    EXPECT_EQ(stats.mean_queue_length, 1.3649626559304036);
+    EXPECT_EQ(stats.server_utilization, 0.68851548117524464);
+    EXPECT_EQ(stats.mean_sojourn, 1.6266050572220674);
+    EXPECT_EQ(stats.completed_jobs, 372u);
 }
 
 TEST(GoldenTrajectories, FiniteSystemConditionedLambdaReplay) {
@@ -92,18 +97,21 @@ TEST(GoldenTrajectories, FiniteSystemConditionedLambdaReplay) {
     Rng rng(13);
     system.reset_conditioned({0, 1, 1, 0, 1, 0, 0, 1}, rng);
     const EpisodeStats stats = system.run_episode(jsq, rng);
-    // Re-recorded with the class-level Aggregated draw.
-    EXPECT_EQ(stats.total_drops_per_queue, 0.20833333333333331);
-    EXPECT_EQ(stats.discounted_return, -0.20299917082499999);
-    EXPECT_EQ(stats.dropped_packets, 5u);
-    EXPECT_EQ(stats.accepted_packets, 282u);
-    EXPECT_EQ(stats.mean_queue_length, 1.2694848598501314);
-    EXPECT_EQ(stats.server_utilization, 0.65006233431378446);
+    // Re-recorded when FiniteSystem became the epoch engine at K = 1: every
+    // queue draw now comes from the shard stream fork(0), not the caller's.
+    EXPECT_EQ(stats.total_drops_per_queue, 0.25);
+    EXPECT_EQ(stats.discounted_return, -0.23576628320437498);
+    EXPECT_EQ(stats.dropped_packets, 6u);
+    EXPECT_EQ(stats.accepted_packets, 271u);
+    EXPECT_EQ(stats.mean_queue_length, 1.3269082304728756);
+    EXPECT_EQ(stats.server_utilization, 0.61926084374066359);
 }
 
 TEST(GoldenTrajectories, HeterogeneousFleetSedDAndJsqD) {
     // The Section 5 fleet (half the servers at speed 0.5, half at 1.5) on
-    // FiniteSystem under the sed-d and jsq-d routers.
+    // FiniteSystem under the sed-d and jsq-d routers. Re-recorded when
+    // FiniteSystem became the epoch engine at K = 1: every queue draw now
+    // comes from the shard stream fork(0), not the caller's.
     FiniteSystemConfig config;
     config.dt = 2.0;
     config.num_queues = 24;
@@ -118,9 +126,9 @@ TEST(GoldenTrajectories, HeterogeneousFleetSedDAndJsqD) {
         Rng rng(7);
         system.reset(rng);
         const EpisodeStats stats = system.run_episode(rng);
-        EXPECT_EQ(stats.total_drops_per_queue, 0.5);
-        EXPECT_EQ(stats.dropped_packets, 12u);
-        EXPECT_EQ(stats.mean_queue_length, 1.4460353690749392);
+        EXPECT_EQ(stats.total_drops_per_queue, 1.3333333333333333);
+        EXPECT_EQ(stats.dropped_packets, 32u);
+        EXPECT_EQ(stats.mean_queue_length, 1.8594222338374196);
     }
     {
         config.router.kind = RouterKind::JsqD;
@@ -128,9 +136,9 @@ TEST(GoldenTrajectories, HeterogeneousFleetSedDAndJsqD) {
         Rng rng(7);
         system.reset(rng);
         const EpisodeStats stats = system.run_episode(rng);
-        EXPECT_EQ(stats.total_drops_per_queue, 1.7083333333333335);
-        EXPECT_EQ(stats.dropped_packets, 41u);
-        EXPECT_EQ(stats.mean_queue_length, 2.1784095929680776);
+        EXPECT_EQ(stats.total_drops_per_queue, 1.5);
+        EXPECT_EQ(stats.dropped_packets, 36u);
+        EXPECT_EQ(stats.mean_queue_length, 2.1756979261886888);
     }
 }
 
@@ -226,7 +234,7 @@ TEST(GoldenTrajectories, ShardedDesSystemJsqFourShards) {
     config.shards = 4;
     config.threads = 1;
     config.track_sojourn = true;
-    ShardedDesSystem system(config);
+    FiniteSystem system(config);
     const FixedRulePolicy jsq = make_jsq_policy(system.tuple_space());
     Rng rng(17);
     system.reset(rng);

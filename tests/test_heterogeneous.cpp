@@ -65,40 +65,40 @@ TEST(SedDRouter, ValidatesItsInputs) {
     }
 }
 
-template <class System>
-void expect_runs_to_horizon(const FiniteSystemConfig& config, const char* backend) {
-    System system(config);
+constexpr SimBackend kBackends[] = {SimBackend::Finite, SimBackend::Des,
+                                    SimBackend::ShardedDes};
+
+void expect_runs_to_horizon(SimBackend backend, const FiniteSystemConfig& config) {
+    const auto system = make_backend(backend, config);
     Rng rng(5);
-    system.reset(rng);
-    const EpisodeStats stats = system.run_episode(rng);
-    EXPECT_TRUE(system.done()) << backend;
-    EXPECT_GT(stats.accepted_packets, 0u) << backend;
-    EXPECT_GE(stats.total_drops_per_queue, 0.0) << backend;
-    EXPECT_GE(stats.mean_queue_length, 0.0) << backend;
-    EXPECT_THROW(system.step_router(rng), std::logic_error) << backend;
+    system->reset(rng);
+    const EpisodeStats stats = system->run_episode(rng);
+    EXPECT_TRUE(system->done()) << backend_name(backend);
+    EXPECT_GT(stats.accepted_packets, 0u) << backend_name(backend);
+    EXPECT_GE(stats.total_drops_per_queue, 0.0) << backend_name(backend);
+    EXPECT_GE(stats.mean_queue_length, 0.0) << backend_name(backend);
+    EXPECT_THROW(system->step_router(rng), std::logic_error) << backend_name(backend);
 }
 
 TEST(SedDRouter, EpisodeRunsToHorizonOnEveryBackend) {
     const FiniteSystemConfig config = mixed_config(RouterKind::SedD);
-    expect_runs_to_horizon<FiniteSystem>(config, "finite");
-    expect_runs_to_horizon<DesSystem>(config, "des");
-    expect_runs_to_horizon<ShardedDesSystem>(config, "sharded");
+    for (const SimBackend backend : kBackends) {
+        expect_runs_to_horizon(backend, config);
+    }
 }
 
-template <class System>
-double mean_drops(const FiniteSystemConfig& config) {
+double mean_drops(SimBackend backend, const FiniteSystemConfig& config) {
     RunningStat drops;
     for (int rep = 0; rep < 25; ++rep) {
-        System system(config);
+        const auto system = make_backend(backend, config);
         Rng rng(100 + rep);
-        system.reset(rng);
-        drops.add(system.run_episode(rng).total_drops_per_queue);
+        system->reset(rng);
+        drops.add(system->run_episode(rng).total_drops_per_queue);
     }
     return drops.mean();
 }
 
-template <class System>
-void expect_sed_beats_jsq(const char* backend) {
+void expect_sed_beats_jsq(SimBackend backend) {
     // With strongly heterogeneous speeds and small delay, exploiting the
     // speeds (SED) should drop fewer jobs than fill-only JSQ.
     FiniteSystemConfig sed = mixed_config(RouterKind::SedD, 0.2, 1.8);
@@ -106,15 +106,15 @@ void expect_sed_beats_jsq(const char* backend) {
     sed.horizon = 60;
     FiniteSystemConfig jsq = sed;
     jsq.router.kind = RouterKind::JsqD;
-    const double sed_drops = mean_drops<System>(sed);
-    const double jsq_drops = mean_drops<System>(jsq);
-    EXPECT_LT(sed_drops, jsq_drops) << backend;
+    const double sed_drops = mean_drops(backend, sed);
+    const double jsq_drops = mean_drops(backend, jsq);
+    EXPECT_LT(sed_drops, jsq_drops) << backend_name(backend);
 }
 
 TEST(SedDRouter, BeatsJsqDWithVeryUnevenServersOnEveryBackend) {
-    expect_sed_beats_jsq<FiniteSystem>("finite");
-    expect_sed_beats_jsq<DesSystem>("des");
-    expect_sed_beats_jsq<ShardedDesSystem>("sharded");
+    for (const SimBackend backend : kBackends) {
+        expect_sed_beats_jsq(backend);
+    }
 }
 
 } // namespace

@@ -5,9 +5,9 @@
 // must not touch the heap. Verified by replacing the global allocator with a
 // counting one in this test binary — any hidden vector/matrix construction
 // in the step path shows up as a nonzero delta.
+#include "core/evaluator.hpp"
 #include "core/neural_policy.hpp"
 #include "des/des_system.hpp"
-#include "des/sharded_des_system.hpp"
 #include "field/mfc_env.hpp"
 #include "field/transition.hpp"
 #include "policies/fixed.hpp"
@@ -94,15 +94,16 @@ TEST(HotPathAllocations, DesSystemStepWithRuleAllClientModels) {
     }
 }
 
-/// Allocations of 40 JSQ(2) epochs of an Aggregated `System` after one
-/// warmup epoch, in three regimes of the class-level count draw:
+/// Allocations of 40 JSQ(2) epochs of an Aggregated `System` (at `shards`
+/// shards; DesSystem ignores it) after one warmup epoch, in three regimes of
+/// the class-level count draw:
 ///  - M = 3: the lone queue at the minimum draws most of N and the other
 ///    classes' Poisson means jump between epochs;
 ///  - d·N/M above the sampler's table ceiling: classes take the
 ///    conditional-binomial fallback;
 ///  - N < M with N ≤ 9: every class mean is 0, so every client is a top-up.
 template <class System>
-void expect_aggregated_draw_allocation_free() {
+void expect_aggregated_draw_allocation_free(std::size_t shards) {
     const struct {
         std::size_t queues;
         std::uint64_t clients;
@@ -119,7 +120,7 @@ void expect_aggregated_draw_allocation_free() {
         config.num_clients = c.clients;
         config.dt = 2.0;
         config.horizon = 1 << 20;
-        config.shards = 2;
+        config.shards = shards;
         config.threads = 1;
         System system(config);
         Rng rng(31);
@@ -139,15 +140,40 @@ void expect_aggregated_draw_allocation_free() {
 }
 
 TEST(HotPathAllocations, FiniteSystemAggregatedDrawAcrossMeanRegimes) {
-    expect_aggregated_draw_allocation_free<FiniteSystem>();
+    expect_aggregated_draw_allocation_free<FiniteSystem>(1);
 }
 
 TEST(HotPathAllocations, DesSystemAggregatedDrawAcrossMeanRegimes) {
-    expect_aggregated_draw_allocation_free<DesSystem>();
+    expect_aggregated_draw_allocation_free<DesSystem>(0);
 }
 
 TEST(HotPathAllocations, ShardedAggregatedDrawAcrossMeanRegimes) {
-    expect_aggregated_draw_allocation_free<ShardedDesSystem>();
+    expect_aggregated_draw_allocation_free<FiniteSystem>(2);
+}
+
+TEST(HotPathAllocations, SojournRecorderAllocatedOnlyWhenTracking) {
+    // A SojournRecorder carries a 49 KB histogram. Built with tracking off,
+    // neither backend allocates one: DesSystem (its object included, as
+    // make_backend puts it on the heap) and the engine's eight shards
+    // together allocate less than one recorder; with tracking on, each holds
+    // at least one.
+    for (const SimBackend backend : {SimBackend::Des, SimBackend::ShardedDes}) {
+        for (const bool track : {false, true}) {
+            SCOPED_TRACE(::testing::Message() << backend_name(backend) << " track " << track);
+            FiniteSystemConfig config;
+            config.num_queues = 16;
+            config.client_model = ClientModel::InfiniteClients;
+            config.track_sojourn = track;
+            const std::size_t before = counting_allocator::bytes();
+            const std::unique_ptr<FiniteBackend> system = make_backend(backend, config);
+            const std::size_t bytes = counting_allocator::bytes() - before;
+            if (track) {
+                EXPECT_GE(bytes, sizeof(SojournRecorder));
+            } else {
+                EXPECT_LT(bytes, sizeof(SojournRecorder));
+            }
+        }
+    }
 }
 
 TEST(HotPathAllocations, DesSystemStepAllocationFreeUnderBothFelKinds) {
@@ -233,8 +259,8 @@ TEST(HotPathAllocations, FiniteSystemGeneralServiceKernel) {
 }
 
 TEST(HotPathAllocations, NeuralPolicyDecideIntoReusesScratch) {
-    // The batched epoch query: decide_into with a caller-owned BatchScratch
-    // routes the network through the GEMM batch path and realizes the rule in
+    // The epoch query: decide_into with a caller-owned QueryScratch runs the
+    // per-sample forward pass in its workspace and realizes the rule in
     // place — zero heap traffic once the scratch and output rule exist.
     const TupleSpace space(6, 2);
     Rng rng(17);
@@ -281,7 +307,7 @@ TEST(HotPathAllocations, ShardedDesStepWithNeuralPolicy) {
         config.track_sojourn = true;
         config.client_model = c.model;
         config.service.kind = c.service;
-        ShardedDesSystem system(config);
+        FiniteSystem system(config);
         Rng net_rng(19);
         const std::size_t num_lambda = system.arrivals().num_states();
         const TupleSpace space(config.queue.num_states(), config.d);
@@ -314,7 +340,7 @@ TEST(HotPathAllocations, ShardedDesPolicyAlternationReusesBothScratches) {
     config.horizon = 1 << 20;
     config.shards = 4;
     config.threads = 1;
-    ShardedDesSystem system(config);
+    FiniteSystem system(config);
     Rng net_rng(19);
     const std::size_t num_lambda = system.arrivals().num_states();
     const TupleSpace space(config.queue.num_states(), config.d);
@@ -366,7 +392,7 @@ TEST(HotPathAllocations, ShardedEpisodeWithTelemetryAddsNoAllocations) {
         const auto episode_allocations = [&](TelemetrySession* attached) {
             FiniteSystemConfig run_config = config;
             run_config.telemetry = attached;
-            ShardedDesSystem system(run_config);
+            FiniteSystem system(run_config);
             const FixedRulePolicy policy = make_jsq_policy(system.tuple_space());
             Rng rng(29);
             for (int warmup = 0; warmup < 2; ++warmup) {

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 namespace mflb {
 namespace {
 
@@ -128,6 +131,35 @@ TEST(NeuralPolicy, DeterministicMeanAction) {
     const DecisionRule a = policy.decide(nu, 0, r1);
     const DecisionRule b = policy.decide(nu, 0, r2);
     EXPECT_LT(a.max_abs_diff(b), 1e-15);
+}
+
+TEST(NeuralPolicy, DecideDecideIntoAndMeanActionAgreeBitForBit) {
+    // Both epoch queries run the per-sample forward pass of mean_action, so
+    // the rules from decide, from decide_into (warm scratch, reused rule)
+    // and from the logits mean_action returns are equal bit for bit.
+    const TupleSpace space(6, 2);
+    Rng rng(10);
+    auto net =
+        std::make_shared<rl::GaussianPolicy>(8, 72, std::vector<std::size_t>{32, 32}, rng);
+    net->network().output_bias()[5] = 0.7; // a rule visibly off uniform
+    const NeuralUpperPolicy policy(space, 2, net);
+    const std::unique_ptr<UpperLevelPolicy::Scratch> scratch = policy.make_scratch();
+    DecisionRule into(space);
+    for (const std::vector<double>& nu :
+         {std::vector<double>{0.3, 0.3, 0.2, 0.1, 0.05, 0.05},
+          std::vector<double>{0.0, 0.1, 0.1, 0.2, 0.25, 0.35}}) {
+        for (const std::size_t lambda : {std::size_t{0}, std::size_t{1}}) {
+            std::vector<double> obs = nu;
+            obs.push_back(lambda == 0 ? 1.0 : 0.0);
+            obs.push_back(lambda == 1 ? 1.0 : 0.0);
+            DecisionRule expected(space);
+            expected.set_from_logits(net->mean_action(obs));
+            const DecisionRule decided = policy.decide(nu, lambda, rng);
+            policy.decide_into(nu, lambda, rng, scratch.get(), into);
+            EXPECT_EQ(decided.max_abs_diff(expected), 0.0);
+            EXPECT_EQ(into.max_abs_diff(expected), 0.0);
+        }
+    }
 }
 
 TEST(MfcRlEnvAdapter, ActionDecoding) {

@@ -1,7 +1,8 @@
 // Cross-backend equivalence of the classical routers. The weight-law routers
 // (random, jsq, jsq-d, sed-d, sq-stale) feed the identical epoch-barrier law
-// to all three backends — frozen Poisson rates on FiniteSystem and
-// ShardedDesSystem, a thinned aggregated stream on DesSystem — so their drop
+// to all three backends — frozen Poisson rates on the epoch engine at K = 1
+// (finite) and K = 4 (sharded-des), a thinned aggregated stream on
+// DesSystem — so their drop
 // statistics must agree within Monte Carlo confidence intervals. sq-stale
 // with a zero refresh period goes through the same code path as jsq and is
 // pinned bit-identical to it, as is sed-d to jsq-d on a homogeneous fleet;
@@ -42,13 +43,12 @@ FiniteSystemConfig two_speed_fleet(RouterSpec router) {
     return config;
 }
 
-template <class System>
-ConfidenceInterval drops_ci(const FiniteSystemConfig& config, std::size_t episodes,
-                            std::uint64_t seed) {
+ConfidenceInterval drops_ci(SimBackend backend, const FiniteSystemConfig& config,
+                            std::size_t episodes, std::uint64_t seed) {
     const auto drops = run_replications(episodes, seed, 0, [&](std::size_t, Rng& rng) {
-        System system(config);
-        system.reset(rng);
-        return system.run_episode(rng).total_drops_per_queue;
+        const auto system = make_backend(backend, config);
+        system->reset(rng);
+        return system->run_episode(rng).total_drops_per_queue;
     });
     RunningStat stat;
     for (const double d : drops) {
@@ -77,9 +77,10 @@ TEST(RouterEquivalence, WeightLawRoutersAgreeAcrossBackends) {
     };
     for (const FiniteSystemConfig& config : configs) {
         const std::size_t episodes = 12;
-        const ConfidenceInterval finite = drops_ci<FiniteSystem>(config, episodes, 11);
-        const ConfidenceInterval des = drops_ci<DesSystem>(config, episodes, 11);
-        const ConfidenceInterval sharded = drops_ci<ShardedDesSystem>(config, episodes, 11);
+        const ConfidenceInterval finite = drops_ci(SimBackend::Finite, config, episodes, 11);
+        const ConfidenceInterval des = drops_ci(SimBackend::Des, config, episodes, 11);
+        const ConfidenceInterval sharded =
+            drops_ci(SimBackend::ShardedDes, config, episodes, 11);
         const std::string label(router_name(config.router.kind));
         expect_overlap(finite, des, (label + " finite/des").c_str());
         expect_overlap(finite, sharded, (label + " finite/sharded").c_str());
@@ -88,27 +89,26 @@ TEST(RouterEquivalence, WeightLawRoutersAgreeAcrossBackends) {
 }
 
 TEST(RouterEquivalence, RoundRobinAgreesOnEventBackends) {
-    // Only DesSystem realizes round-robin as a per-job cyclic cursor.
-    // FiniteSystem and ShardedDesSystem both carry its equal-split mean
-    // behavior (every queue at rate λ_t — see queueing/router.hpp), so those
-    // two must agree in distribution.
+    // Only DesSystem realizes round-robin as a per-job cyclic cursor. The
+    // epoch engine carries its equal-split mean behavior (every queue at
+    // rate λ_t — see queueing/router.hpp), so its K = 1 and K = 4 runs must
+    // agree in distribution.
     const FiniteSystemConfig config = fleet_config({RouterKind::RoundRobin, 2, 0.0});
-    const ConfidenceInterval finite = drops_ci<FiniteSystem>(config, 12, 23);
-    const ConfidenceInterval sharded = drops_ci<ShardedDesSystem>(config, 12, 23);
+    const ConfidenceInterval finite = drops_ci(SimBackend::Finite, config, 12, 23);
+    const ConfidenceInterval sharded = drops_ci(SimBackend::ShardedDes, config, 12, 23);
     expect_overlap(finite, sharded, "round-robin finite/sharded");
 }
 
-template <class System>
-void expect_same_episode(const FiniteSystemConfig& a, const FiniteSystemConfig& b,
-                         std::uint64_t seed, const char* label) {
-    System sys_a(a);
-    System sys_b(b);
+void expect_same_episode(SimBackend backend, const FiniteSystemConfig& a,
+                         const FiniteSystemConfig& b, std::uint64_t seed, const char* label) {
+    const auto sys_a = make_backend(backend, a);
+    const auto sys_b = make_backend(backend, b);
     Rng rng_a(seed);
     Rng rng_b(seed);
-    sys_a.reset(rng_a);
-    sys_b.reset(rng_b);
-    const EpisodeStats ep_a = sys_a.run_episode(rng_a);
-    const EpisodeStats ep_b = sys_b.run_episode(rng_b);
+    sys_a->reset(rng_a);
+    sys_b->reset(rng_b);
+    const EpisodeStats ep_a = sys_a->run_episode(rng_a);
+    const EpisodeStats ep_b = sys_b->run_episode(rng_b);
     EXPECT_DOUBLE_EQ(ep_a.total_drops_per_queue, ep_b.total_drops_per_queue) << label;
     EXPECT_DOUBLE_EQ(ep_a.discounted_return, ep_b.discounted_return) << label;
     EXPECT_EQ(ep_a.dropped_packets, ep_b.dropped_packets) << label;
@@ -123,9 +123,9 @@ TEST(RouterEquivalence, SqStaleAtZeroPeriodIsExactlyJsq) {
     // identical draw order) — the regression pin for the staleness knob.
     const FiniteSystemConfig jsq = fleet_config({RouterKind::Jsq, 2, 0.0});
     const FiniteSystemConfig sq0 = fleet_config({RouterKind::SqStale, 2, 0.0});
-    expect_same_episode<FiniteSystem>(jsq, sq0, 31, "finite");
-    expect_same_episode<DesSystem>(jsq, sq0, 31, "des");
-    expect_same_episode<ShardedDesSystem>(jsq, sq0, 31, "sharded");
+    expect_same_episode(SimBackend::Finite, jsq, sq0, 31, "finite");
+    expect_same_episode(SimBackend::Des, jsq, sq0, 31, "des");
+    expect_same_episode(SimBackend::ShardedDes, jsq, sq0, 31, "sharded");
 }
 
 TEST(RouterEquivalence, SedDOnAHomogeneousFleetIsExactlyJsqD) {
@@ -133,9 +133,9 @@ TEST(RouterEquivalence, SedDOnAHomogeneousFleetIsExactlyJsqD) {
     // ties the same queues, so sed-d must reproduce jsq-d bit for bit.
     const FiniteSystemConfig jsqd = fleet_config({RouterKind::JsqD, 2, 0.0});
     const FiniteSystemConfig sedd = fleet_config({RouterKind::SedD, 2, 0.0});
-    expect_same_episode<FiniteSystem>(jsqd, sedd, 31, "finite");
-    expect_same_episode<DesSystem>(jsqd, sedd, 31, "des");
-    expect_same_episode<ShardedDesSystem>(jsqd, sedd, 31, "sharded");
+    expect_same_episode(SimBackend::Finite, jsqd, sedd, 31, "finite");
+    expect_same_episode(SimBackend::Des, jsqd, sedd, 31, "des");
+    expect_same_episode(SimBackend::ShardedDes, jsqd, sedd, 31, "sharded");
 }
 
 /// `w / Σw`.
@@ -274,22 +274,22 @@ TEST(RouterEquivalence, RouterPathIgnoresThePolicyArgument) {
     EXPECT_EQ(ep_a.accepted_packets, ep_b.accepted_packets);
 }
 
-template <class System>
-void expect_rule_step_rejected(const FiniteSystemConfig& config, const std::string& backend) {
-    System system(config);
-    const DecisionRule h = DecisionRule::mf_rnd(system.tuple_space());
+void expect_rule_step_rejected(SimBackend backend, const FiniteSystemConfig& config,
+                               const std::string& name) {
+    const auto system = make_backend(backend, config);
+    const DecisionRule h = DecisionRule::mf_rnd(system->tuple_space());
     Rng rng(3);
-    system.reset(rng);
+    system->reset(rng);
     try {
-        system.step_with_rule(h, rng);
-        ADD_FAILURE() << backend << " stepped a rule under a classical router";
+        system->step_with_rule(h, rng);
+        ADD_FAILURE() << name << " stepped a rule under a classical router";
     } catch (const std::logic_error& e) {
         EXPECT_EQ(std::string(e.what()),
-                  backend + "::step_with_rule: a classical router is configured; use step_router");
+                  name + "::step_with_rule: a classical router is configured; use step_router");
     }
-    EXPECT_EQ(system.time(), 0) << backend; // the rejected call ran no epoch
-    system.step_router(rng);
-    EXPECT_EQ(system.time(), 1) << backend;
+    EXPECT_EQ(system->time(), 0) << name; // the rejected call ran no epoch
+    system->step_router(rng);
+    EXPECT_EQ(system->time(), 1) << name;
 }
 
 TEST(RouterEquivalence, RuleStepUnderARouterThrowsOnEveryBackend) {
@@ -302,9 +302,9 @@ TEST(RouterEquivalence, RuleStepUnderARouterThrowsOnEveryBackend) {
         SCOPED_TRACE(static_cast<int>(model));
         FiniteSystemConfig config = fleet_config({RouterKind::Jsq, 2, 0.0});
         config.client_model = model;
-        expect_rule_step_rejected<FiniteSystem>(config, "FiniteSystem");
-        expect_rule_step_rejected<DesSystem>(config, "DesSystem");
-        expect_rule_step_rejected<ShardedDesSystem>(config, "ShardedDesSystem");
+        expect_rule_step_rejected(SimBackend::Finite, config, "FiniteSystem");
+        expect_rule_step_rejected(SimBackend::Des, config, "DesSystem");
+        expect_rule_step_rejected(SimBackend::ShardedDes, config, "FiniteSystem");
     }
 }
 
@@ -322,10 +322,10 @@ TEST(RouterEquivalence, ShardedThreadCountInvariantWithGeneralService) {
         two.threads = 2;
         FiniteSystemConfig eight = config;
         eight.threads = 8;
-        expect_same_episode<ShardedDesSystem>(config, two, 47,
-                                              service_dist_name(kind).data());
-        expect_same_episode<ShardedDesSystem>(config, eight, 47,
-                                              service_dist_name(kind).data());
+        expect_same_episode(SimBackend::ShardedDes, config, two, 47,
+                            service_dist_name(kind).data());
+        expect_same_episode(SimBackend::ShardedDes, config, eight, 47,
+                            service_dist_name(kind).data());
     }
 }
 

@@ -1,12 +1,13 @@
-// Tests for the sharded epoch-parallel simulator (src/des/sharded_des_system):
-// shard partition sanity, the determinism contract (bit-identical results
-// for fixed (seed, K) regardless of thread count, all three client models),
-// statistical equivalence to DesSystem on registry scenarios (CI overlap)
-// and to FiniteSystem on a shared conditioned λ path (coupled oracle,
-// including an idle fleet), and the backend-name plumbing. What every
-// backend shares (conservation, conditioned replay, guards, sojourn
-// percentiles) is the BackendContract suite in test_finite_system.cpp.
-#include "des/sharded_des_system.hpp"
+// Tests for the epoch engine's K-shard epoch-parallel phase
+// (src/queueing/finite_system): shard partition sanity, the determinism
+// contract (bit-identical results for fixed (seed, K) regardless of thread
+// count, all three client models), statistical equivalence to DesSystem on
+// registry scenarios (CI overlap) and on a shared conditioned λ path
+// (coupled oracle against the event-driven engine, including an idle
+// fleet), and the backend-name plumbing. What every backend shares
+// (conservation, conditioned replay, guards, sojourn percentiles) is the
+// BackendContract suite in test_finite_system.cpp.
+#include "queueing/finite_system.hpp"
 
 #include "core/evaluator.hpp"
 #include "core/scenarios.hpp"
@@ -41,7 +42,7 @@ FiniteSystemConfig small_config(ClientModel model, std::size_t shards, double dt
 TEST(ShardedDesSystem, PartitionCoversAllQueuesInContiguousBlocks) {
     FiniteSystemConfig config = small_config(ClientModel::Aggregated, 4);
     config.num_queues = 10;
-    ShardedDesSystem system(config);
+    FiniteSystem system(config);
     ASSERT_EQ(system.num_shards(), 4u);
     // 10 over 4: near-equal blocks {3, 3, 2, 2}, contiguous and exhaustive.
     std::size_t expected_begin = 0;
@@ -58,12 +59,20 @@ TEST(ShardedDesSystem, PartitionCoversAllQueuesInContiguousBlocks) {
 TEST(ShardedDesSystem, ShardCountClampsAndDefaults) {
     FiniteSystemConfig config = small_config(ClientModel::Aggregated, 100);
     config.num_queues = 5;
-    EXPECT_EQ(ShardedDesSystem(config).num_shards(), 5u); // K clamped to M
+    EXPECT_EQ(FiniteSystem(config).num_shards(), 5u); // K clamped to M
     config.shards = 0;
-    EXPECT_EQ(ShardedDesSystem(config).num_shards(), 5u); // default min(8, M)
+    EXPECT_EQ(FiniteSystem(config).num_shards(), 1u); // 0 is one shard
+    // make_backend keeps each backend's K: sharded-des defaults 0 to
+    // kDefaultShards (clamped to M), finite always runs one shard.
+    const auto shards_of = [](SimBackend backend, const FiniteSystemConfig& c) {
+        return dynamic_cast<const FiniteSystem&>(*make_backend(backend, c)).num_shards();
+    };
+    EXPECT_EQ(shards_of(SimBackend::ShardedDes, config), 5u); // default min(8, M)
     config.num_queues = 100;
-    EXPECT_EQ(ShardedDesSystem(config).num_shards(),
-              ShardedDesSystem::kDefaultShards);
+    EXPECT_EQ(shards_of(SimBackend::ShardedDes, config), kDefaultShards);
+    config.shards = 6;
+    EXPECT_EQ(shards_of(SimBackend::ShardedDes, config), 6u);
+    EXPECT_EQ(shards_of(SimBackend::Finite, config), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -75,7 +84,7 @@ EpisodeStats run_sharded_episode(ClientModel model, std::size_t shards, std::siz
     FiniteSystemConfig config = small_config(model, shards, 2.0, 25);
     config.threads = threads;
     config.track_sojourn = sojourn;
-    ShardedDesSystem system(config);
+    FiniteSystem system(config);
     const TupleSpace space(config.queue.num_states(), config.d);
     const FixedRulePolicy policy = make_jsq_policy(space);
     Rng rng(91);
@@ -146,7 +155,7 @@ TEST(ShardedDesSystem, SkewedInitialLoadStaysThreadInvariant) {
         config.threads = threads;
         config.track_sojourn = true;
         config.nu0 = {0.1, 0.0, 0.0, 0.0, 0.1, 0.8};
-        ShardedDesSystem system(config);
+        FiniteSystem system(config);
         const TupleSpace space(config.queue.num_states(), config.d);
         const FixedRulePolicy policy = make_jsq_policy(space);
         Rng rng(97);
@@ -162,7 +171,7 @@ TEST(ShardedDesSystem, SkewedInitialLoadStaysThreadInvariant) {
 TEST(ShardedDesSystem, BarrierProfileSplitsEpochTime) {
     FiniteSystemConfig config = small_config(ClientModel::Aggregated, 4, 2.0, 12);
     config.threads = 1;
-    ShardedDesSystem system(config);
+    FiniteSystem system(config);
     const DecisionRule h = DecisionRule::mf_jsq(system.tuple_space());
     Rng rng(5);
     system.reset(rng);
@@ -170,7 +179,7 @@ TEST(ShardedDesSystem, BarrierProfileSplitsEpochTime) {
     while (!system.done()) {
         system.step_with_rule(h, rng);
     }
-    const ShardedDesSystem::BarrierProfile& profile = system.barrier_profile();
+    const FiniteSystem::BarrierProfile& profile = system.barrier_profile();
     EXPECT_EQ(profile.epochs, 12u);
     EXPECT_GT(profile.serial_seconds(), 0.0);
     EXPECT_GE(profile.serial_prologue_seconds, 0.0);
@@ -276,7 +285,7 @@ TEST(ShardedDesSystem, ClassicalRouterEpisodesMatchRecordedRows) {
         config.router.kind = kind;
         config.router.d = 2;
         config.router.stale_period = 4.0;
-        ShardedDesSystem system(config);
+        FiniteSystem system(config);
         Rng rng(91);
         system.reset(rng);
         return system.run_episode(rng);
@@ -316,7 +325,7 @@ TEST(ShardedDesSystem, ThrowingPolicyInPipelinedBarrierPropagates) {
     for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
         FiniteSystemConfig config = small_config(ClientModel::Aggregated, 4);
         config.threads = threads;
-        ShardedDesSystem system(config);
+        FiniteSystem system(config);
         Rng rng(3);
         system.reset(rng);
         const ThrowingPolicy policy;
@@ -397,7 +406,7 @@ TEST(ShardedVsDes, PerClientModelAgrees) {
 }
 
 // ---------------------------------------------------------------------------
-// Coupled oracle: FiniteSystem on the same conditioned λ path
+// Coupled oracle: the event-driven DesSystem on the same conditioned λ path
 // ---------------------------------------------------------------------------
 
 /// JSQ at Δt = 5 over 20 epochs with Table-1 queues and arrivals.
@@ -418,57 +427,57 @@ double standard_error(const ConfidenceInterval& ci) {
 
 /// Both backends simulate the same model on the same λ path with
 /// independent queue randomness, so their episode means may differ only by
-/// noise: 1% of the FiniteSystem mean plus 3 combined standard errors.
-void expect_coupled_agreement(const ConfidenceInterval& finite,
-                              const ConfidenceInterval& sharded, const char* what) {
-    const double noise = 3.0 * std::hypot(standard_error(finite), standard_error(sharded));
-    EXPECT_LE(std::abs(sharded.mean - finite.mean), 0.01 * std::abs(finite.mean) + noise)
-        << what << ": finite " << finite.mean << " +- " << finite.half_width << ", sharded "
-        << sharded.mean << " +- " << sharded.half_width;
+/// noise: 1% of the DesSystem mean plus 3 combined standard errors.
+void expect_coupled_agreement(const ConfidenceInterval& des, const ConfidenceInterval& engine,
+                              const char* what) {
+    const double noise = 3.0 * std::hypot(standard_error(des), standard_error(engine));
+    EXPECT_LE(std::abs(engine.mean - des.mean), 0.01 * std::abs(des.mean) + noise)
+        << what << ": des " << des.mean << " +- " << des.half_width << ", engine "
+        << engine.mean << " +- " << engine.half_width;
 }
 
-/// Evaluates `config` on FiniteSystem and on ShardedDesSystem at K = 1 and
-/// K = 8, all on the λ path drawn from one seed.
-void expect_sharded_matches_finite(FiniteSystemConfig config, bool compare_accepted) {
+/// Evaluates `config` on the event-driven DesSystem — per-job d-sampling on
+/// a future event list, no code shared with the epoch engine's per-queue
+/// kernels or idle thinning — and on the engine at K = 1 and K = 8, all on
+/// the λ path drawn from one seed.
+void expect_engine_matches_des(FiniteSystemConfig config, bool compare_accepted) {
     const TupleSpace space(config.queue.num_states(), config.d);
     const FixedRulePolicy jsq = make_jsq_policy(space);
     constexpr std::size_t kEpisodes = 16;
     constexpr std::uint64_t kSeed = 2024;
-    const CoupledEvaluation finite = evaluate_coupled(config, jsq, kEpisodes, kSeed);
+    const CoupledEvaluation des =
+        evaluate_coupled(config, jsq, kEpisodes, kSeed, 0, SimBackend::Des);
     for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
         SCOPED_TRACE(::testing::Message() << "K " << shards);
         config.shards = shards;
-        const CoupledEvaluation sharded =
+        const CoupledEvaluation engine =
             evaluate_coupled(config, jsq, kEpisodes, kSeed, 0, SimBackend::ShardedDes);
-        ASSERT_EQ(sharded.lambda_sequence, finite.lambda_sequence);
+        ASSERT_EQ(engine.lambda_sequence, des.lambda_sequence);
         if (compare_accepted) {
-            expect_coupled_agreement(finite.finite_accepted, sharded.finite_accepted,
+            expect_coupled_agreement(des.finite_accepted, engine.finite_accepted,
                                      "accepted jobs per queue");
         } else {
-            expect_coupled_agreement(finite.finite_drops, sharded.finite_drops,
-                                     "drops per queue");
+            expect_coupled_agreement(des.finite_drops, engine.finite_drops, "drops per queue");
         }
     }
 }
 
-TEST(ShardedVsFinite, CoupledPathDropsAgreeForEveryClientModel) {
+TEST(CoupledEngineVsDes, CoupledPathDropsAgreeForEveryClientModel) {
     // JSQ at Δt = 5 herds onto the stale minimum, so drops are large and
     // sensitive to the routing law: relative standard errors are 0.2-0.35%
     // at M = 4000 and ~1.2% for PerClient at M = 400.
-    expect_sharded_matches_finite(coupled_config(ClientModel::InfiniteClients, 4000, 0),
-                                  false);
-    expect_sharded_matches_finite(coupled_config(ClientModel::Aggregated, 4000, 40000000),
-                                  false);
-    expect_sharded_matches_finite(coupled_config(ClientModel::PerClient, 400, 40000), false);
+    expect_engine_matches_des(coupled_config(ClientModel::InfiniteClients, 4000, 0), false);
+    expect_engine_matches_des(coupled_config(ClientModel::Aggregated, 4000, 40000000), false);
+    expect_engine_matches_des(coupled_config(ClientModel::PerClient, 400, 40000), false);
 }
 
-TEST(ShardedVsFinite, IdleFleetAcceptsAsManyJobsAsFiniteSystem) {
+TEST(CoupledEngineVsDes, IdleFleetAcceptsAsManyJobsAsDesSystem) {
     // Per-queue load ≈ 0.01 from an empty fleet: nearly every queue-epoch
-    // starts idle, so the sharded backend's idle thinning decides almost
-    // every arrival. Drops are ≈ 0, so accepted jobs carry the comparison.
+    // starts idle, so the engine's idle thinning decides almost every
+    // arrival. Drops are ≈ 0, so accepted jobs carry the comparison.
     FiniteSystemConfig config = coupled_config(ClientModel::InfiniteClients, 4000, 0);
     config.arrivals = ArrivalProcess::paper_two_state(0.012, 0.008);
-    expect_sharded_matches_finite(config, true);
+    expect_engine_matches_des(config, true);
 }
 
 // ---------------------------------------------------------------------------
@@ -488,7 +497,7 @@ TEST(ShardedDesSystem, LargeNShardedScenarioSmokeRuns) {
     const Scenario& scenario = scenario_or_die("large-n-sharded");
     EXPECT_EQ(scenario.experiment.backend, SimBackend::ShardedDes);
     EXPECT_EQ(scenario.experiment.shards, 8u);
-    ShardedDesSystem system(scenario.experiment.finite_system());
+    FiniteSystem system(scenario.experiment.finite_system());
     EXPECT_EQ(system.num_shards(), 8u);
     const DecisionRule h = DecisionRule::mf_jsq(system.tuple_space());
     Rng rng(5);

@@ -1,10 +1,9 @@
 // Unified telemetry layer: metrics registry merge semantics, histogram
 // accuracy against exact sample quantiles, series-sink formats, tracer span
-// nesting/ordering, and the end-to-end determinism contract — the sharded
-// backend's emitted series is a function of (seed, K) only (bit-identical at
+// nesting/ordering, and the end-to-end determinism contract — the epoch
+// engine's emitted series is a function of (seed, K) only (bit-identical at
 // 1/2/8 worker threads once wall-clock gauges are stripped), and enabling
 // telemetry never changes simulation results.
-#include "des/sharded_des_system.hpp"
 #include "field/decision_rule.hpp"
 #include "policies/fixed.hpp"
 #include "queueing/finite_system.hpp"
@@ -258,7 +257,7 @@ std::string run_sharded_series(std::size_t threads) {
     config.threads = threads;
     const auto session = TelemetrySession::in_memory(SeriesFormat::Jsonl, false);
     config.telemetry = session.get();
-    ShardedDesSystem system(config);
+    FiniteSystem system(config);
     Rng rng(7);
     system.reset(rng);
     const FixedRulePolicy policy = make_jsq_policy(system.tuple_space());
@@ -269,7 +268,8 @@ std::string run_sharded_series(std::size_t threads) {
 TEST(TelemetryEndToEnd, ShardedSeriesIsThreadCountInvariant) {
     const std::string serial = run_sharded_series(1);
     EXPECT_GT(serial.size(), 0u);
-    EXPECT_NE(serial.find("\"series\":\"sharded_epoch\""), std::string::npos);
+    EXPECT_NE(serial.find("\"series\":\"finite_epoch\""), std::string::npos);
+    EXPECT_NE(serial.find("\"shards\":4"), std::string::npos);
     EXPECT_NE(serial.find("\"des_events_total\""), std::string::npos);
     EXPECT_NE(serial.find("\"sojourn_p95\""), std::string::npos);
     EXPECT_EQ(run_sharded_series(2), serial);
@@ -282,7 +282,7 @@ TEST(TelemetryEndToEnd, EnablingTelemetryDoesNotPerturbResults) {
     const auto run = [&](TelemetrySession* session) {
         FiniteSystemConfig run_config = config;
         run_config.telemetry = session;
-        ShardedDesSystem system(run_config);
+        FiniteSystem system(run_config);
         Rng rng(11);
         system.reset(rng);
         const FixedRulePolicy policy = make_jsq_policy(system.tuple_space());
@@ -317,7 +317,7 @@ TEST(TelemetryEndToEnd, FileSessionWritesSeriesAndTrace) {
         TelemetrySession session(telemetry);
         FiniteSystemConfig config = small_sharded_config();
         config.telemetry = &session;
-        ShardedDesSystem system(config);
+        FiniteSystem system(config);
         Rng rng(3);
         system.reset(rng);
         const FixedRulePolicy policy = make_jsq_policy(system.tuple_space());
@@ -341,7 +341,7 @@ TEST(TelemetryEndToEnd, FileSessionWritesSeriesAndTrace) {
         return out;
     };
     const std::string metrics = slurp(metrics_path);
-    EXPECT_NE(metrics.find("\"series\":\"sharded_epoch\""), std::string::npos);
+    EXPECT_NE(metrics.find("\"series\":\"finite_epoch\""), std::string::npos);
     EXPECT_EQ(static_cast<std::size_t>(std::count(metrics.begin(), metrics.end(), '\n')), 8u);
     const std::string trace = slurp(trace_path);
     EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
