@@ -7,12 +7,16 @@
 /// too, so the full seed-vs-now win only shows in the end-to-end numbers:
 /// evaluate_mfc measured 1.5x faster than the seed library at Table-1 dt=1),
 /// and times Table-1-sized evaluate_finite / evaluate_mfc runs. Emits JSON
-/// timings via --json so the perf trajectory is trackable across PRs.
+/// timings via --json so the perf trajectory is trackable across PRs. Also
+/// times the per-queue epoch kernel alone at Table-1 load.
 #include "bench_common.hpp"
 #include "support/counting_allocator.inc"
 
 #include <chrono>
+#include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 namespace {
 
@@ -254,6 +258,44 @@ int main(int argc, char** argv) {
         time_backend(SimBackend::Finite, "finite");
         time_backend(SimBackend::Des, "des");
         time_backend(SimBackend::ShardedDes, "sharded");
+    }
+
+    // --- 6. Per-queue epoch kernel at Table-1 load ----------------------
+    // Seconds per queue-epoch of simulate_queue_epoch, the loop every shard
+    // of the epoch engine runs: rho = 0.75, mu = 1, B = 5, each queue
+    // starting from nu0 (the truncated geometric at rho).
+    {
+        const int buffer = 5;
+        const double rho = 0.75;
+        std::vector<double> nu0;
+        for (int z = 0; z <= buffer; ++z) {
+            nu0.push_back(std::pow(rho, z));
+        }
+        Rng rng(cli.get_int("seed"));
+        std::vector<int> fill(std::size_t{1} << 14);
+        for (int& z : fill) {
+            z = static_cast<int>(rng.categorical(nu0));
+        }
+        const std::size_t rounds = full ? 64 : 16;
+        std::printf("\nPer-queue epoch kernel (rho=%.2f, mu=1, B=%d, fill from nu0):\n", rho,
+                    buffer);
+        for (const int dt : {1, 5}) {
+            std::uint64_t events = 0;
+            const auto start = Clock::now();
+            for (std::size_t r = 0; r < rounds; ++r) {
+                for (const int z0 : fill) {
+                    const QueueEpochResult q = simulate_queue_epoch(z0, rho, 1.0, buffer, dt, rng);
+                    events += q.arrivals + q.drops + q.services;
+                }
+            }
+            const double elapsed = seconds_since(start);
+            const double queue_epochs = static_cast<double>(rounds * fill.size());
+            timings.record("queue_kernel_epoch_dt=" + std::to_string(dt), elapsed / queue_epochs);
+            std::printf("  dt=%d: %.1f ns/queue-epoch, %.1f ns/event (%.2f events/queue-epoch)\n",
+                        dt, 1e9 * elapsed / queue_epochs,
+                        1e9 * elapsed / static_cast<double>(events),
+                        static_cast<double>(events) / queue_epochs);
+        }
     }
 
     timings.write(cli.get("json"));

@@ -27,7 +27,7 @@ struct QueueEpochResult {
 
 /// Simulates a single queue starting at fill `z0` with Poisson arrivals at
 /// `arrival_rate`, exponential services at `service_rate`, buffer `buffer`,
-/// over an epoch of length `dt`. Exact: samples every event.
+/// over an epoch of length `dt`. Exact: samples every event (ziggurat clocks).
 QueueEpochResult simulate_queue_epoch(int z0, double arrival_rate, double service_rate,
                                       int buffer, double dt, Rng& rng) noexcept;
 

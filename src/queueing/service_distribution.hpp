@@ -14,9 +14,9 @@
 /// call for each kind (exponential 1, deterministic 0, hyperexponential 2,
 /// bounded Pareto 1) and never allocates, so the per-shard draw-order
 /// determinism of the sharded DES backend is preserved for every kind; the
-/// `Exponential` kind delegates to `Rng::exponential` so default-configured
-/// trajectories stay bit-identical to the pre-refactor constants
-/// (tests/test_golden_trajectories.cpp).
+/// `Exponential` kind delegates to `Rng::exponential` (one draw; a ziggurat
+/// sample's count varies) so default-configured trajectories stay
+/// bit-identical to the pre-refactor constants (tests/test_golden_trajectories.cpp).
 ///
 /// Closed forms (mean, second moment, CDF) are exposed for the analytic
 /// oracles: Pollaczek–Khinchine mean sojourn for M/G/1 validation and

@@ -21,54 +21,6 @@ void JobRings::reset(std::span<const int> fill, int capacity) {
     }
 }
 
-SojournEpochResult simulate_queue_epoch_sojourn(JobRing jobs, double t0,
-                                                double arrival_rate, double service_rate,
-                                                int buffer, double dt, Rng& rng,
-                                                SojournRecorder* recorder) {
-    SojournEpochResult result;
-    int z = jobs.size();
-    double t = 0.0;
-    while (true) {
-        const double service = z > 0 ? service_rate : 0.0;
-        const double total = arrival_rate + service;
-        if (total <= 0.0) {
-            break;
-        }
-        const double wait = rng.exponential(total);
-        if (t + wait > dt) {
-            break;
-        }
-        result.queue.queue_length_area += static_cast<double>(z) * wait;
-        if (z > 0) {
-            result.queue.busy_time += wait;
-        }
-        t += wait;
-        if (rng.uniform() * total < arrival_rate) {
-            if (z < buffer) {
-                ++z;
-                ++result.queue.arrivals;
-                jobs.push(t0 + t);
-            } else {
-                ++result.queue.drops;
-            }
-        } else {
-            --z;
-            ++result.queue.services;
-            const double sojourn = jobs.pop(t0 + t);
-            result.sojourn.add(sojourn);
-            if (recorder != nullptr) {
-                recorder->record(sojourn);
-            }
-        }
-    }
-    result.queue.queue_length_area += static_cast<double>(z) * (dt - t);
-    if (z > 0) {
-        result.queue.busy_time += dt - t;
-    }
-    result.queue.final_state = z;
-    return result;
-}
-
 SojournEpochResult simulate_queue_epoch_general(int z0, double arrival_rate,
                                                 const ServiceDistribution& service,
                                                 double speed, int buffer, double t0,

@@ -139,10 +139,10 @@ struct SojournEpochResult {
     RunningStat sojourn;              ///< completed jobs' sojourn times.
 };
 
-/// Exact simulation of one queue for `dt` units starting at absolute time
-/// `t0`, with the jobs currently in the buffer described by `jobs` (whose
-/// size must equal the queue fill). Updates `jobs` in place. Each completed
-/// sojourn is also recorded into `recorder` when it is non-null.
+/// `simulate_queue_epoch` (same loop, draws and `queue` counters) for `dt`
+/// units from absolute time `t0`, with the jobs in the buffer described by
+/// `jobs` (whose size must equal the queue fill), updated in place. Each
+/// completed sojourn also goes to `recorder` when it is non-null.
 SojournEpochResult simulate_queue_epoch_sojourn(JobRing jobs, double t0,
                                                 double arrival_rate, double service_rate,
                                                 int buffer, double dt, Rng& rng,

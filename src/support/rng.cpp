@@ -14,10 +14,6 @@ std::uint64_t splitmix64(std::uint64_t& state) noexcept {
 }
 
 namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-    return (x << k) | (x >> (64 - k));
-}
-
 /// ln Γ(x). std::lgamma also stores the sign of Γ(x) in the global
 /// `signgam`, a data race when shard streams sample binomials on several
 /// threads at once; glibc's lgamma_r computes the same value and keeps the
@@ -37,18 +33,6 @@ Rng::Rng(std::uint64_t seed) noexcept {
     for (auto& word : state_) {
         word = splitmix64(s);
     }
-}
-
-Rng::result_type Rng::operator()() noexcept {
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
 }
 
 void Rng::long_jump() noexcept {
@@ -96,11 +80,6 @@ Rng Rng::fork(std::uint64_t stream_id) const noexcept {
     return child;
 }
 
-double Rng::uniform() noexcept {
-    // 53-bit mantissa method: uniform in [0,1).
-    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
 double Rng::uniform(double lo, double hi) noexcept {
     return lo + (hi - lo) * uniform();
 }
@@ -125,6 +104,34 @@ double Rng::exponential(double rate) noexcept {
     // Inversion on (0,1]: avoids log(0).
     double u = 1.0 - uniform();
     return -std::log(u) / rate;
+}
+
+ExpZiggurat ExpZiggurat::build() noexcept {
+    // Marsaglia & Tsang's set-up with 2⁵³ for 2³²: down from x_255 = r, each
+    // lower edge x_{i−1} leaves area v in layer i (the top layer is all wedge).
+    constexpr double kScale = 0x1.0p53;
+    ExpZiggurat z{};
+    const double base_width = kArea / std::exp(-kTail); // r + 1
+    z.layers[0] = {static_cast<std::uint64_t>(kTail / base_width * kScale), base_width / kScale};
+    z.density[0] = 1.0;
+    double x = kTail;
+    for (int i = 255; i >= 1; --i) {
+        const double lower = i > 1 ? -std::log(kArea / x + std::exp(-x)) : 0.0;
+        z.layers[i] = {static_cast<std::uint64_t>(lower / x * kScale), x / kScale};
+        z.density[i] = std::exp(-x);
+        x = lower;
+    }
+    return z;
+}
+
+double Rng::exponential_outside(const ExpZiggurat& zig, std::uint64_t bits) noexcept {
+    const std::size_t i = bits & 0xff;
+    if (i == 0) {
+        return ExpZiggurat::kTail + standard_exponential(zig); // X | X > r is r + Exp(1)
+    }
+    const double x = static_cast<double>(bits >> 11) * zig.layers[i].scale;
+    const double y = zig.density[i] + uniform() * (zig.density[i - 1] - zig.density[i]);
+    return y < std::exp(-x) ? x : standard_exponential(zig); // wedge: accept or retry
 }
 
 double Rng::normal() noexcept {

@@ -7,16 +7,45 @@
 /// derives statistically independent child streams, which is how the Monte
 /// Carlo sweep hands one generator to each replication (and each worker
 /// thread) without sharing state.
+///
+/// Two samplers share the Exp law: `exponential(rate)` inverts one uniform
+/// (one draw per call, which fixed-draw-count callers rely on), and the
+/// ziggurat `standard_exponential()` costs one draw and no `log` in ≈ 98%.
 /// \see core/evaluator.hpp, whose thread-count-independent results rest on
 /// this per-replication seeding contract.
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 namespace mflb {
+
+/// Tables of the exponential ziggurat behind `Rng::standard_exponential`:
+/// layer 0 is the base strip of width r + 1 and the tail beyond r; layers
+/// 1..255 have equal area v, with right edges x_i falling from x_255 = r.
+struct ExpZiggurat {
+    static constexpr double kTail = 7.69711747013104972;  ///< r
+    static constexpr double kArea = 3.949659822581572e-3; ///< v
+    struct Layer {
+        std::uint64_t inner; ///< ⌊x_{i−1}/x_i·2⁵³⌋: mantissas below lie under the curve.
+        double scale;        ///< x_i·2⁻⁵³ (layer 0: (r + 1)·2⁻⁵³).
+    };
+    std::array<Layer, 256> layers;
+    std::array<double, 256> density; ///< e^(−x_i); density[0] = 1, the top.
+
+    /// The shared tables, built on first use (a function-local static, so no
+    /// static-initialization order applies); hot loops fetch them once.
+    static const ExpZiggurat& get() noexcept {
+        static const ExpZiggurat tables = build();
+        return tables;
+    }
+
+private:
+    static ExpZiggurat build() noexcept;
+};
 
 /// xoshiro256** engine. Satisfies std::uniform_random_bit_generator, so it
 /// can drive the standard <random> distributions as well as the bespoke
@@ -33,7 +62,17 @@ public:
     static constexpr result_type max() noexcept { return ~result_type{0}; }
 
     /// Next 64 uniformly random bits.
-    result_type operator()() noexcept;
+    result_type operator()() noexcept {
+        const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+        const std::uint64_t t = state_[1] << 17;
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = std::rotl(state_[3], 45);
+        return result;
+    }
 
     /// Derives an independent child generator. Implemented as the xoshiro
     /// long-jump applied to a copy, then perturbed by a fresh draw, so parent
@@ -50,14 +89,29 @@ public:
     /// a sequential dependency chain (or ad-hoc `seed + i` offsets).
     Rng fork(std::uint64_t stream_id) const noexcept;
 
-    /// Uniform double in [0, 1).
-    double uniform() noexcept;
+    /// Uniform double in [0, 1): the top 53 bits of one draw.
+    double uniform() noexcept { return static_cast<double>((*this)() >> 11) * 0x1.0p-53; }
     /// Uniform double in [lo, hi).
     double uniform(double lo, double hi) noexcept;
     /// Uniform integer in {0, ..., n-1}; n must be > 0.
     std::uint64_t uniform_below(std::uint64_t n) noexcept;
     /// Exponential variate with the given rate (mean 1/rate); rate must be > 0.
+    /// Inversion: exactly one draw per call.
     double exponential(double rate) noexcept;
+    /// Exp(1) variate from the ziggurat `zig`: one draw gives the layer (low
+    /// 8 bits) and a 53-bit mantissa (top 53 bits), and mantissa·scale is the
+    /// sample when it falls in the layer's inner rectangle; else a wedge test
+    /// or, past r, r plus a fresh sample. Consumes ≥ 1 draw: deterministic
+    /// given the stream, but not a fixed count per call.
+    double standard_exponential(const ExpZiggurat& zig = ExpZiggurat::get()) noexcept {
+        const std::uint64_t bits = (*this)();
+        const ExpZiggurat::Layer& layer = zig.layers[bits & 0xff];
+        const std::uint64_t mantissa = bits >> 11;
+        if (mantissa < layer.inner) [[likely]] {
+            return static_cast<double>(mantissa) * layer.scale;
+        }
+        return exponential_outside(zig, bits);
+    }
     /// Standard normal variate (Box-Muller with cached spare).
     double normal() noexcept;
     /// Normal variate with the given mean and standard deviation.
@@ -100,6 +154,8 @@ private:
     bool has_spare_normal_ = false;
 
     void long_jump() noexcept;
+    /// `standard_exponential` once `bits` missed its layer's inner rectangle.
+    double exponential_outside(const ExpZiggurat& zig, std::uint64_t bits) noexcept;
 };
 
 /// splitmix64 step; exposed for seeding utilities and tests.

@@ -20,6 +20,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace mflb {
 namespace {
@@ -249,6 +250,51 @@ TEST(FiniteSystem, ComputeQueueRatesLeavesTheTrajectoryAlone) {
                 return trace;
             };
             EXPECT_EQ(run(true), run(false));
+        }
+    }
+}
+
+TEST(FiniteSystem, SojournTrackingNeverMovesATrajectory) {
+    // The kernel's sojourn instantiation runs the plain loop with bookkeeping
+    // that draws nothing, so tracking changes only the sojourn fields: every
+    // other EpochStats field is bit-identical, epoch by epoch.
+    for (const ClientModel model :
+         {ClientModel::PerClient, ClientModel::Aggregated, ClientModel::InfiniteClients}) {
+        for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "model " << static_cast<int>(model) << " K " << shards);
+            const auto run = [&](bool track) {
+                FiniteSystemConfig config = small_config(model);
+                config.shards = shards;
+                config.track_sojourn = track;
+                FiniteSystem system(config);
+                const FixedRulePolicy jsq = make_jsq_policy(system.tuple_space());
+                Rng rng(23);
+                system.reset(rng);
+                std::vector<EpochStats> epochs;
+                while (!system.done()) {
+                    epochs.push_back(system.step(jsq, rng));
+                }
+                return std::pair(epochs, system.queue_states());
+            };
+            const auto [tracked, tracked_queues] = run(true);
+            const auto [untracked, untracked_queues] = run(false);
+            ASSERT_EQ(tracked.size(), untracked.size());
+            std::uint64_t completed = 0;
+            for (std::size_t t = 0; t < tracked.size(); ++t) {
+                SCOPED_TRACE(::testing::Message() << "epoch " << t);
+                const EpochStats& a = tracked[t];
+                const EpochStats& b = untracked[t];
+                EXPECT_EQ(a.drops_per_queue, b.drops_per_queue);
+                EXPECT_EQ(a.dropped_packets, b.dropped_packets);
+                EXPECT_EQ(a.accepted_packets, b.accepted_packets);
+                EXPECT_EQ(a.served_packets, b.served_packets);
+                EXPECT_EQ(a.mean_queue_length, b.mean_queue_length);
+                EXPECT_EQ(a.server_utilization, b.server_utilization);
+                completed += a.completed_jobs;
+            }
+            EXPECT_EQ(tracked_queues, untracked_queues);
+            EXPECT_GT(completed, 0u); // the tracked run really recorded sojourns
         }
     }
 }

@@ -27,14 +27,15 @@ TEST(GoldenTrajectories, FiniteSystemAggregatedJsq) {
     Rng rng(42);
     system.reset(rng);
     const EpisodeStats stats = system.run_episode(jsq, rng);
-    // Re-recorded when FiniteSystem became the epoch engine at K = 1: every
-    // queue draw now comes from the shard stream fork(0), not the caller's.
-    EXPECT_EQ(stats.total_drops_per_queue, 1.4375);
-    EXPECT_EQ(stats.discounted_return, -1.2615107429108432);
-    EXPECT_EQ(stats.dropped_packets, 46u);
-    EXPECT_EQ(stats.accepted_packets, 1262u);
-    EXPECT_EQ(stats.mean_queue_length, 1.8782165686390444);
-    EXPECT_EQ(stats.server_utilization, 0.7799490436102624);
+    // Re-recorded when the per-queue kernel moved to ziggurat clocks and
+    // stopped drawing a choice at an idle server; the class draws on the
+    // caller's stream then re-draw the λ path too.
+    EXPECT_EQ(stats.total_drops_per_queue, 1.0625);
+    EXPECT_EQ(stats.discounted_return, -0.91200503731196447);
+    EXPECT_EQ(stats.dropped_packets, 34u);
+    EXPECT_EQ(stats.accepted_packets, 1250u);
+    EXPECT_EQ(stats.mean_queue_length, 1.7138471787023049);
+    EXPECT_EQ(stats.server_utilization, 0.74820552324444534);
     EXPECT_EQ(stats.drops_per_epoch.size(), 25u);
 }
 
@@ -50,14 +51,15 @@ TEST(GoldenTrajectories, FiniteSystemPerClientRnd) {
     Rng rng(7);
     system.reset(rng);
     const EpisodeStats stats = system.run_episode(rnd, rng);
-    // Re-recorded when FiniteSystem became the epoch engine at K = 1: every
-    // queue draw now comes from the shard stream fork(0), not the caller's.
-    EXPECT_EQ(stats.total_drops_per_queue, 4.5);
-    EXPECT_EQ(stats.discounted_return, -4.2789305291824995);
-    EXPECT_EQ(stats.dropped_packets, 72u);
-    EXPECT_EQ(stats.accepted_packets, 366u);
-    EXPECT_EQ(stats.mean_queue_length, 2.3210840442412612);
-    EXPECT_EQ(stats.server_utilization, 0.77124322002079415);
+    // Re-recorded when the per-queue kernel moved to ziggurat clocks and
+    // stopped drawing a choice at an idle server; Algorithm 1's draws on the
+    // caller's stream then re-draw the λ path too.
+    EXPECT_EQ(stats.total_drops_per_queue, 3.6875);
+    EXPECT_EQ(stats.discounted_return, -3.5219526959673573);
+    EXPECT_EQ(stats.dropped_packets, 59u);
+    EXPECT_EQ(stats.accepted_packets, 372u);
+    EXPECT_EQ(stats.mean_queue_length, 1.9297635717857269);
+    EXPECT_EQ(stats.server_utilization, 0.74341644230720183);
 }
 
 TEST(GoldenTrajectories, FiniteSystemInfiniteClientsSojournSampledHistogram) {
@@ -73,17 +75,16 @@ TEST(GoldenTrajectories, FiniteSystemInfiniteClientsSojournSampledHistogram) {
     Rng rng(11);
     system.reset(rng);
     const EpisodeStats stats = system.run_episode(jsq, rng);
-    // Re-recorded when FiniteSystem became the epoch engine at K = 1: every
-    // queue draw now comes from the shard stream fork(0), and idle queues
-    // are thinned (a Geometric skip, then the first arrival's time).
-    EXPECT_EQ(stats.total_drops_per_queue, 0.10000000000000001);
-    EXPECT_EQ(stats.discounted_return, -0.093734053750440222);
-    EXPECT_EQ(stats.dropped_packets, 2u);
-    EXPECT_EQ(stats.accepted_packets, 399u);
-    EXPECT_EQ(stats.mean_queue_length, 1.3649626559304036);
-    EXPECT_EQ(stats.server_utilization, 0.68851548117524464);
-    EXPECT_EQ(stats.mean_sojourn, 1.6266050572220674);
-    EXPECT_EQ(stats.completed_jobs, 372u);
+    // Re-recorded when the per-queue kernel moved to ziggurat clocks and
+    // stopped drawing a choice at an idle server.
+    EXPECT_EQ(stats.total_drops_per_queue, 0.80000000000000016);
+    EXPECT_EQ(stats.discounted_return, -0.75100941021071166);
+    EXPECT_EQ(stats.dropped_packets, 16u);
+    EXPECT_EQ(stats.accepted_packets, 411u);
+    EXPECT_EQ(stats.mean_queue_length, 1.9891501593734671);
+    EXPECT_EQ(stats.server_utilization, 0.80401434325908061);
+    EXPECT_EQ(stats.mean_sojourn, 2.3214740024091984);
+    EXPECT_EQ(stats.completed_jobs, 361u);
 }
 
 TEST(GoldenTrajectories, FiniteSystemConditionedLambdaReplay) {
@@ -97,14 +98,14 @@ TEST(GoldenTrajectories, FiniteSystemConditionedLambdaReplay) {
     Rng rng(13);
     system.reset_conditioned({0, 1, 1, 0, 1, 0, 0, 1}, rng);
     const EpisodeStats stats = system.run_episode(jsq, rng);
-    // Re-recorded when FiniteSystem became the epoch engine at K = 1: every
-    // queue draw now comes from the shard stream fork(0), not the caller's.
-    EXPECT_EQ(stats.total_drops_per_queue, 0.25);
-    EXPECT_EQ(stats.discounted_return, -0.23576628320437498);
-    EXPECT_EQ(stats.dropped_packets, 6u);
-    EXPECT_EQ(stats.accepted_packets, 271u);
-    EXPECT_EQ(stats.mean_queue_length, 1.3269082304728756);
-    EXPECT_EQ(stats.server_utilization, 0.61926084374066359);
+    // Re-recorded when the per-queue kernel moved to ziggurat clocks and
+    // stopped drawing a choice at an idle server.
+    EXPECT_EQ(stats.total_drops_per_queue, 0.083333333333333329);
+    EXPECT_EQ(stats.discounted_return, -0.079253173308374988);
+    EXPECT_EQ(stats.dropped_packets, 2u);
+    EXPECT_EQ(stats.accepted_packets, 256u);
+    EXPECT_EQ(stats.mean_queue_length, 1.0687725132778294);
+    EXPECT_EQ(stats.server_utilization, 0.59163833425865719);
 }
 
 TEST(GoldenTrajectories, HeterogeneousFleetSedDAndJsqD) {
@@ -154,17 +155,19 @@ TEST(GoldenTrajectories, MemorySystemAllDisciplines) {
         system.reset(rng);
         return system.run_episode(discipline, rng);
     };
+    // Re-recorded when the per-queue kernel moved to ziggurat clocks and
+    // stopped drawing a choice at an idle server.
     const MemoryEpisodeStats with_memory = run(MemoryDiscipline::JsqDMemory);
-    EXPECT_EQ(with_memory.total_drops_per_queue, 3.1000000000000005);
-    EXPECT_EQ(with_memory.dropped_packets, 62u);
-    EXPECT_EQ(with_memory.memory_hit_rate, 0.15229166666666666);
+    EXPECT_EQ(with_memory.total_drops_per_queue, 1.5999999999999996);
+    EXPECT_EQ(with_memory.dropped_packets, 32u);
+    EXPECT_EQ(with_memory.memory_hit_rate, 0.15479166666666666);
     const MemoryEpisodeStats jsq = run(MemoryDiscipline::JsqD);
-    EXPECT_EQ(jsq.total_drops_per_queue, 2.5000000000000004);
-    EXPECT_EQ(jsq.dropped_packets, 50u);
+    EXPECT_EQ(jsq.total_drops_per_queue, 2.3500000000000001);
+    EXPECT_EQ(jsq.dropped_packets, 47u);
     EXPECT_EQ(jsq.memory_hit_rate, 0.0);
     const MemoryEpisodeStats rnd = run(MemoryDiscipline::Random);
-    EXPECT_EQ(rnd.total_drops_per_queue, 3.7499999999999991);
-    EXPECT_EQ(rnd.dropped_packets, 75u);
+    EXPECT_EQ(rnd.total_drops_per_queue, 2.6499999999999999);
+    EXPECT_EQ(rnd.dropped_packets, 53u);
     EXPECT_EQ(rnd.memory_hit_rate, 0.0);
 }
 
@@ -240,21 +243,22 @@ TEST(GoldenTrajectories, ShardedDesSystemJsqFourShards) {
     system.reset(rng);
     const EpisodeStats stats = system.run_episode(jsq, rng);
     // Recorded from the per-queue-kernel shard tasks with the class-level
-    // Aggregated draw, not the seed implementation: the sharded draw order
-    // changed with them.
-    EXPECT_EQ(stats.total_drops_per_queue, 0.71875);
-    EXPECT_EQ(stats.discounted_return, -0.63793141639688511);
-    EXPECT_EQ(stats.dropped_packets, 23u);
-    EXPECT_EQ(stats.accepted_packets, 997u);
-    EXPECT_EQ(stats.mean_queue_length, 1.6009754552066287);
-    EXPECT_EQ(stats.server_utilization, 0.73798915891325279);
-    EXPECT_EQ(stats.mean_sojourn, 2.0278602184001402);
-    EXPECT_EQ(stats.completed_jobs, 924u);
+    // Aggregated draw, not the seed implementation; re-recorded when the
+    // kernel moved to ziggurat clocks and stopped drawing a choice at an
+    // idle server.
+    EXPECT_EQ(stats.total_drops_per_queue, 1.03125);
+    EXPECT_EQ(stats.discounted_return, -0.92549792680087861);
+    EXPECT_EQ(stats.dropped_packets, 33u);
+    EXPECT_EQ(stats.accepted_packets, 1043u);
+    EXPECT_EQ(stats.mean_queue_length, 1.7909735836587228);
+    EXPECT_EQ(stats.server_utilization, 0.7805116646069602);
+    EXPECT_EQ(stats.mean_sojourn, 2.200580143138521);
+    EXPECT_EQ(stats.completed_jobs, 981u);
     // Exact cross-shard histogram merge: bucket midpoints of the merged
     // per-shard recorders.
-    EXPECT_EQ(stats.sojourn_p50, 1.60546875);
-    EXPECT_EQ(stats.sojourn_p95, 5.390625);
-    EXPECT_EQ(stats.sojourn_p99, 8.34375);
+    EXPECT_EQ(stats.sojourn_p50, 1.87890625);
+    EXPECT_EQ(stats.sojourn_p95, 5.859375);
+    EXPECT_EQ(stats.sojourn_p99, 7.765625);
 }
 
 TEST(GoldenTrajectories, MfcEnvUniformizationArithmetic) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 #include <vector>
@@ -163,6 +164,47 @@ TEST(Rng, ExponentialMoments) {
     const double var = sq / n - mean * mean;
     EXPECT_NEAR(mean, 1.0 / rate, 0.01);
     EXPECT_NEAR(var, 1.0 / (rate * rate), 0.02);
+}
+
+TEST(Rng, StandardExponentialZigguratHasTheExpOneLaw) {
+    // P(X > x) = e^(-x) at probes inside the inner rectangles (0.01, 0.5,
+    // 1, 3), in the wedges near the base (7), at the tail edge r and in the
+    // tail (10), plus the mean and the variance, each within 4 SE.
+    Rng rng(21);
+    const ExpZiggurat& zig = ExpZiggurat::get();
+    const std::array<double, 7> probes{0.01, 0.5, 1.0, 3.0, 7.0, ExpZiggurat::kTail, 10.0};
+    std::array<std::uint64_t, 7> above{};
+    double sum = 0.0, sum_sq_dev = 0.0; // Σ x and Σ (x − 1)², about the known mean
+    const int n = 10'000'000;
+    for (int i = 0; i < n; ++i) {
+        const double x = rng.standard_exponential(zig);
+        ASSERT_GE(x, 0.0);
+        sum += x;
+        sum_sq_dev += (x - 1.0) * (x - 1.0);
+        for (std::size_t k = 0; k < probes.size(); ++k) {
+            above[k] += x > probes[k] ? 1 : 0;
+        }
+    }
+    for (std::size_t k = 0; k < probes.size(); ++k) {
+        const double p = std::exp(-probes[k]);
+        const double se = std::sqrt(p * (1.0 - p) / n);
+        EXPECT_NEAR(static_cast<double>(above[k]) / n, p, 4.0 * se) << "x = " << probes[k];
+    }
+    // Exp(1): variance 1, and Var((X − 1)²) = E(X − 1)⁴ − 1 = 9 − 1 = 8.
+    EXPECT_NEAR(sum / n, 1.0, 4.0 / std::sqrt(n));
+    EXPECT_NEAR(sum_sq_dev / n, 1.0, 4.0 * std::sqrt(8.0 / n));
+}
+
+TEST(Rng, StandardExponentialIsAFunctionOfTheStream) {
+    // Forked twins give the same samples, and the default tables are the
+    // shared ones a hot loop passes in.
+    const Rng parent(5);
+    Rng a = parent.fork(3);
+    Rng b = parent.fork(3);
+    for (int i = 0; i < 100000; ++i) {
+        ASSERT_EQ(a.standard_exponential(), b.standard_exponential(ExpZiggurat::get()));
+    }
+    EXPECT_EQ(a(), b()); // both consumed the same number of draws
 }
 
 TEST(Rng, NormalMoments) {

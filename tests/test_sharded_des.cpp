@@ -235,34 +235,35 @@ TEST(ShardedDesSystem, EpisodesMatchRecordedRows) {
         std::size_t shards;
         RecordedEpisode want;
     } rows[] = {
+        // Every row re-recorded when the per-queue kernel moved to ziggurat
+        // clocks and stopped drawing a choice at an idle server.
         {ClientModel::PerClient, 1,
-         {18, 1098, 1061, 0.59999999999999998, -0.52484914872776389, 1.4551965528376201,
-          0.70630787078298174, 1.990730725048151, 1.58984375, 5.171875, 7.640625}},
+         {12, 1048, 1002, 0.39999999999999997, -0.33626075358817387, 1.5823241208264318,
+          0.72241219685133262, 2.2368060933784344, 1.76953125, 5.921875, 7.734375}},
         {ClientModel::PerClient, 5,
-         {19, 1116, 1055, 0.6333333333333333, -0.53877459725349663, 1.6199082332124053,
-          0.71555742022712421, 2.1447728240443333, 1.66015625, 5.703125, 7.546875}},
+         {17, 1142, 1097, 0.56666666666666665, -0.48585563469302406, 1.6432345390543999,
+          0.74851504769932276, 2.1447954353629299, 1.69140625, 5.578125, 7.484375}},
         {ClientModel::PerClient, 8,
-         {23, 1102, 1056, 0.76666666666666661, -0.68196240127729957, 1.4261475200593103,
-          0.68732620984679382, 1.9330827986622536, 1.62109375, 4.859375, 6.703125}},
-        // Aggregated rows re-recorded with the class-level count draw.
+         {11, 1119, 1072, 0.36666666666666664, -0.32582351089276718, 1.5189520656948563,
+          0.70283196236497181, 2.0450750376718565, 1.58984375, 5.828125, 7.515625}},
         {ClientModel::Aggregated, 1,
-         {16, 1047, 990, 0.53333333333333333, -0.44355552634995854, 1.4083450556954538,
-          0.67700455179815411, 1.998090128443077, 1.48828125, 5.578125, 10.15625}},
+         {26, 1153, 1079, 0.86666666666666659, -0.73777498710059619, 1.6870818007226169,
+          0.75505347732854899, 2.1926167368541138, 1.75390625, 5.828125, 8.21875}},
         {ClientModel::Aggregated, 5,
-         {36, 1204, 1146, 1.2000000000000002, -1.0277830574697071, 1.7135282917090691,
-          0.75823760735360435, 2.1480718992551746, 1.69140625, 5.765625, 7.859375}},
+         {15, 1077, 1031, 0.49999999999999994, -0.44452793055846279, 1.4755603274206432,
+          0.69166981812041817, 2.068332101669117, 1.58203125, 5.828125, 7.984375}},
         {ClientModel::Aggregated, 8,
-         {34, 1217, 1166, 1.1333333333333333, -1.0047549749431535, 1.7971937642882601,
-          0.76573363152941232, 2.2381192826566845, 1.74609375, 5.984375, 8.40625}},
+         {29, 1052, 1013, 0.96666666666666656, -0.81459374940455709, 1.5241780309154322,
+          0.67637182658681683, 2.2173899287550629, 1.78515625, 5.828125, 8.09375}},
         {ClientModel::InfiniteClients, 1,
-         {13, 1048, 1008, 0.43333333333333329, -0.37550988818536701, 1.3406902293589271,
-          0.68548145004623284, 1.9454140558608601, 1.58203125, 4.703125, 6.765625}},
+         {8, 1087, 1035, 0.26666666666666666, -0.23404600101515083, 1.5402305226509609,
+          0.70412563982720255, 2.1227768410345234, 1.55859375, 5.703125, 8.03125}},
         {ClientModel::InfiniteClients, 5,
-         {18, 1113, 1063, 0.59999999999999998, -0.4952667305301936, 1.5417069375589285,
-          0.69660293940118645, 2.0866800201471576, 1.60546875, 5.578125, 7.515625}},
+         {16, 1140, 1075, 0.53333333333333333, -0.44492828378614058, 1.4686300959007916,
+          0.68371402857147345, 1.9463320501838817, 1.45703125, 5.328125, 7.359375}},
         {ClientModel::InfiniteClients, 8,
-         {30, 1140, 1078, 1, -0.84642232056304967, 1.6489512454204887,
-          0.71314448641463546, 2.1577436367381604, 1.64453125, 5.859375, 9.59375}},
+         {22, 1180, 1101, 0.73333333333333328, -0.64481734979254635, 1.5138046908760054,
+          0.69825990964446594, 1.8940863500341119, 1.41796875, 5.828125, 7.390625}},
     };
     for (const auto& row : rows) {
         for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
@@ -294,12 +295,14 @@ TEST(ShardedDesSystem, ClassicalRouterEpisodesMatchRecordedRows) {
         RouterKind kind;
         RecordedEpisode want;
     } rows[] = {
+        // Re-recorded when the per-queue kernel moved to ziggurat clocks and
+        // stopped drawing a choice at an idle server.
         {RouterKind::JsqD,
-         {27, 1124, 1078, 0.89999999999999991, -0.754069415675507, 1.6830592750254956,
-          0.73350662716552695, 2.2547730608551793, 1.82421875, 6.078125, 8.46875}},
+         {35, 1103, 1035, 1.1666666666666667, -0.98321091353784218, 1.5212238082016145,
+          0.69401398484945009, 2.0477348678588427, 1.59765625, 5.390625, 7.609375}},
         {RouterKind::SqStale,
-         {141, 993, 936, 4.6999999999999993, -4.0260623339439059, 1.5469715648446458,
-          0.63123370919184463, 2.3314035557039339, 1.93359375, 5.609375, 7.546875}},
+         {156, 1007, 965, 5.2000000000000011, -4.496598685003268, 1.5895695850309486,
+          0.62981392579757733, 2.3827843316925277, 1.86328125, 6.234375, 8.84375}},
     };
     for (const auto& row : rows) {
         for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
