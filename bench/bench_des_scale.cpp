@@ -88,13 +88,14 @@ EpisodeRun run_one_episode(const FiniteSystemConfig& config, const DecisionRule&
 }
 
 /// Sharded episode with the backend's own barrier accounting attached: how
-/// much wall clock the epochs spent in the irreducibly serial barrier phases
-/// (RNG prologue + reduction tail) vs the overlappable epoch compute and the
+/// much wall clock the epochs spent in the RNG prologue + reduction tail, in
+/// the deterministic epoch compute (policy query, routing or rate table —
+/// also serial on the calling thread, but reported apart) and in the
 /// parallel shard loops — the Amdahl split that bounds thread scaling.
 struct ShardedRun {
     EpisodeRun episode;
-    double serial_s = 0.0;  ///< prologue + reduction (cannot overlap shards).
-    double overlap_s = 0.0; ///< offloaded epoch compute.
+    double serial_s = 0.0;  ///< prologue + reduction (serial_seconds()).
+    double overlap_s = 0.0; ///< deterministic epoch compute.
     double parallel_s = 0.0;
 
     double serial_fraction() const {
@@ -370,14 +371,13 @@ int main(int argc, char** argv) {
     {
         // Ten million queues under the fixed total load, InfiniteClients (no
         // per-client state), short horizon: the point is that the epoch
-        // barrier — eager reduction folds, a |Z|-sized rate table instead of
-        // an 80 MB per-queue law, and the shard tasks' idle thinning, which
-        // skips idle queues geometrically — keeps the O(M) epoch cost
-        // tractable at a fleet size three decades past the
-        // epoch-synchronous backend's budget. The
-        // serial-fraction row tracks how much of the barrier remains
-        // irreducibly serial. K = 8 is the default shard count; K = 32
-        // repeats the episode with a deeper reduction tree and shorter shards.
+        // barrier — a |Z|-sized rate table instead of an 80 MB per-queue
+        // law, the shard tasks' idle thinning, which skips idle queues
+        // geometrically, and an O(K·|Z|) fold over the shards — keeps the
+        // O(M) epoch cost tractable at a fleet size three decades past the
+        // epoch-synchronous backend's budget. The serial-fraction row tracks
+        // how much of the barrier remains serial. K = 8 is the default shard
+        // count; K = 32 repeats the episode with more, shorter shards.
         const std::size_t m = 10000000;
         const int short_horizon = MfcConfig::horizon_for_total_time(5.0, dt);
         FiniteSystemConfig config = scale_config(m, lambda_total, dt, short_horizon,

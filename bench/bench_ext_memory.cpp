@@ -24,8 +24,9 @@ int main(int argc, char** argv) {
 
     Table table({"dt", "JSQ(2)+mem", "JSQ(2)", "RND", "memory hit rate"});
     for (const double dt : cli.get_double_list("dts")) {
-        // Registry's "memory" scenario with (M, dt) overridden per cell.
-        MemorySystemConfig config = *scenario_or_die("memory").memory;
+        // Registry's "memory" scenario with (M, N, dt, horizon) overridden per
+        // cell.
+        MemorySystemConfig config = scenario_or_die("memory").experiment.memory_system();
         config.num_queues = static_cast<std::size_t>(cli.get_int("m"));
         config.num_clients = config.num_queues * config.num_queues;
         config.dt = dt;

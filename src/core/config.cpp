@@ -72,6 +72,19 @@ FiniteSystemConfig ExperimentConfig::finite_system() const {
     return config;
 }
 
+MemorySystemConfig ExperimentConfig::memory_system() const {
+    MemorySystemConfig config;
+    config.buffer = queue.buffer;
+    config.service_rate = queue.service_rate;
+    config.d = d;
+    config.dt = dt;
+    config.arrivals = arrivals();
+    config.num_clients = num_clients;
+    config.num_queues = num_queues;
+    config.horizon = eval_horizon();
+    return config;
+}
+
 Table ExperimentConfig::to_table() const {
     Table table({"Symbol", "Name", "Value"});
     table.row().cell("dt").cell("Time step size").cell(dt, 2);

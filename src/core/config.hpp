@@ -7,6 +7,7 @@
 #include "field/arrival_process.hpp"
 #include "field/mfc_env.hpp"
 #include "queueing/finite_system.hpp"
+#include "queueing/memory_system.hpp"
 #include "rl/ppo.hpp"
 #include "support/table.hpp"
 
@@ -107,6 +108,9 @@ struct ExperimentConfig {
     MfcConfig mfc(bool eval_horizon_instead = false) const;
     /// Finite-system simulation with the evaluation horizon T_e.
     FiniteSystemConfig finite_system() const;
+    /// Client-memory simulation (B, α, d, Δt, arrivals, N, M) with the
+    /// evaluation horizon T_e.
+    MemorySystemConfig memory_system() const;
 
     /// Renders the resolved parameters as the paper's Table 1.
     Table to_table() const;

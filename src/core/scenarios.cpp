@@ -57,14 +57,9 @@ Scenario make_memory() {
     Scenario s;
     s.name = "memory";
     s.summary = "Power-of-d-with-memory extension ([3]): JSQ(2)+memory under stale snapshots";
-    MemorySystemConfig memory;
-    memory.num_queues = 100;
-    memory.num_clients = 100ULL * 100ULL;
-    memory.horizon = 100;
-    s.experiment.num_queues = memory.num_queues;
-    s.experiment.num_clients = memory.num_clients;
-    s.memory = std::move(memory);
-    return s;
+    s.experiment.num_queues = 100;
+    s.experiment.num_clients = 100ULL * 100ULL;
+    return s; // experiment.memory_system() builds the simulator's config.
 }
 
 Scenario make_partial_info() {

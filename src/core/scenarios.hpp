@@ -2,12 +2,11 @@
 /// Named, paper-anchored experiment scenarios — the single source of the
 /// workload configurations used across benches, examples, and mflb_cli.
 ///
-/// Each registry entry bundles the Table-1-style system parameters
+/// Each registry entry is a set of Table-1-style system parameters
 /// (`ExperimentConfig`, which also carries heterogeneous server speeds and
-/// the router) with, where applicable, the config of the client-memory
-/// simulator. Callers resolve a scenario by name and then override the swept
-/// dimension (dt, M, ...), so a new workload is one registry entry instead of
-/// a new binary.
+/// the router, and resolves into every simulator's config). Callers resolve
+/// a scenario by name and then override the swept dimension (dt, M, ...), so
+/// a new workload is one registry entry instead of a new binary.
 ///
 /// Adding a scenario: append one `Scenario` in `scenario_registry()`
 /// (src/core/scenarios.cpp) with a unique kebab-case name and a one-line
@@ -17,22 +16,18 @@
 #pragma once
 
 #include "core/config.hpp"
-#include "queueing/memory_system.hpp"
 
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace mflb {
 
-/// One named workload: Table-1-style parameters plus the optional config of
-/// the one simulator whose knobs ExperimentConfig does not cover.
+/// One named workload: its Table-1-style parameters.
 struct Scenario {
     std::string name;    ///< unique kebab-case id, e.g. "table1".
     std::string summary; ///< one line: which paper artifact / extension.
     ExperimentConfig experiment;
-    std::optional<MemorySystemConfig> memory;
 };
 
 /// All registered scenarios, in presentation order.

@@ -13,7 +13,6 @@
 
 namespace mflb {
 
-
 EpochStats QueueTally::epoch_stats(std::size_t num_queues, double dt) const {
     EpochStats stats;
     stats.dropped_packets = dropped;
@@ -110,23 +109,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-/// out[0, max_hi) = a + b on the shared prefix, then the taller child's
-/// tail. Entries at and above max_hi are left stale — both children are
-/// all-zero there by the high-water invariant, and readers never look.
-void combine_counts(std::vector<int>& out, std::size_t& out_hi, const std::vector<int>& a,
-                    std::size_t a_hi, const std::vector<int>& b, std::size_t b_hi) {
-    const std::size_t lo = std::min(a_hi, b_hi);
-    const std::size_t hi = std::max(a_hi, b_hi);
-    for (std::size_t z = 0; z < lo; ++z) {
-        out[z] = a[z] + b[z];
-    }
-    const std::vector<int>& tall = a_hi >= b_hi ? a : b;
-    std::copy(tall.begin() + static_cast<std::ptrdiff_t>(lo),
-              tall.begin() + static_cast<std::ptrdiff_t>(hi),
-              out.begin() + static_cast<std::ptrdiff_t>(lo));
-    out_hi = hi;
-}
-
 } // namespace
 
 FiniteSystem::FiniteSystem(FiniteSystemConfig config)
@@ -158,23 +140,7 @@ FiniteSystem::FiniteSystem(FiniteSystemConfig config)
     }
 
     state_counts_.assign(num_z, 0);
-    state_hi_ = num_z;
 
-    // Reduction-tree shape (level widths K, ⌈K/2⌉, …, 1) is fixed by K
-    // alone, never by thread count; K == 1 reduces straight off the shard.
-    std::size_t width = k;
-    while (width > 1) {
-        const std::size_t next = (width + 1) / 2;
-        tree_off_.push_back(tree_.size());
-        level_width_.push_back(width);
-        for (std::size_t i = 0; i < next; ++i) {
-            tree_.emplace_back(num_z);
-        }
-        width = next;
-    }
-    // Eager-fold pending counters, one per node, sized once here (atomics
-    // are immovable, so the vector is constructed in place and never grown).
-    tree_pending_ = std::vector<PendingCount>(tree_.size());
     // Barrier buffers, sized once per client model / router so the epoch
     // stays allocation-free: routers need the per-queue weight law and the
     // shard masses, Aggregated the K×|Z| (shard, class) cells and a class
@@ -244,7 +210,7 @@ void FiniteSystem::append_epoch_telemetry(MetricsRow& row) {
     row.push("qlen_empty_frac", static_cast<double>(state_counts_[0]) / m);
     row.push("qlen_full_frac",
              static_cast<double>(state_counts_[state_counts_.size() - 1]) / m);
-    std::size_t hi = state_hi_;
+    std::size_t hi = state_counts_.size();
     while (hi > 1 && state_counts_[hi - 1] == 0) {
         --hi;
     }
@@ -263,9 +229,6 @@ void FiniteSystem::reset_state(Rng& rng) {
     kernel_.reset(queues_);
 
     std::fill(state_counts_.begin(), state_counts_.end(), 0);
-    state_hi_ = state_counts_.size();
-    epochs_run_ = 0;
-    merged_for_ = ~std::uint64_t{0};
     profile_ = BarrierProfile{};
     policy_scratches_.clear();
     for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -275,14 +238,11 @@ void FiniteSystem::reset_state(Rng& rng) {
         shard.rng = rng.fork(s);
         kernel_.start_service(queues_, shard.begin, shard.end, shard.rng);
         std::fill(shard.state_counts.begin(), shard.state_counts.end(), 0);
-        shard.hot_hi = 1;
         if (shard.sojourn) {
             shard.sojourn->reset();
         }
         for (std::size_t j = shard.begin; j < shard.end; ++j) {
-            const auto z = static_cast<std::size_t>(queues_[j]);
-            ++shard.state_counts[z];
-            shard.hot_hi = std::max(shard.hot_hi, z + 1);
+            ++shard.state_counts[static_cast<std::size_t>(queues_[j])];
         }
         for (std::size_t z = 0; z < state_counts_.size(); ++z) {
             state_counts_[z] += shard.state_counts[z];
@@ -296,7 +256,7 @@ void FiniteSystem::empirical_distribution_into(std::vector<double>& out) const {
 
 std::int64_t FiniteSystem::jobs_in_system() const noexcept {
     std::int64_t jobs = 0;
-    for (std::size_t z = 1; z < state_hi_; ++z) {
+    for (std::size_t z = 1; z < state_counts_.size(); ++z) {
         jobs += static_cast<std::int64_t>(z) * state_counts_[z];
     }
     return jobs;
@@ -306,7 +266,6 @@ void FiniteSystem::settle(Shard& shard, std::size_t j, int z, int next) noexcept
     if (next != z) {
         --shard.state_counts[static_cast<std::size_t>(z)];
         ++shard.state_counts[static_cast<std::size_t>(next)];
-        shard.hot_hi = std::max(shard.hot_hi, static_cast<std::size_t>(next) + 1);
         queues_[j] = next;
     }
 }
@@ -380,11 +339,6 @@ void FiniteSystem::run_shard_epoch(std::size_t s, double epoch_start) {
             return rate_scale_ * static_cast<double>(counts_[j]);
         });
     }
-    // Lower the high-water mark past any emptied top states so the barrier
-    // reduction walks only the occupied prefix next epoch.
-    while (shard.hot_hi > 1 && shard.state_counts[shard.hot_hi - 1] == 0) {
-        --shard.hot_hi;
-    }
     // One lane write per epoch (not per event): the shard owns slot s until
     // the barrier's merge_slots, so this stays wait-free and allocation-free.
     if (shard_registry_ != nullptr) {
@@ -393,137 +347,37 @@ void FiniteSystem::run_shard_epoch(std::size_t s, double epoch_start) {
             static_cast<double>(shard.tally.accepted + shard.tally.dropped + shard.tally.served),
             s);
     }
-    // Eager reduction: fold this shard's integer payloads into the tree now,
-    // concurrently with still-running shards. Must be the shard task's final
-    // action — everything combine_node reads is written above, and the
-    // acq_rel pending counters order child writes before the combining
-    // thread's reads.
-    if (shards_.size() > 1) {
-        eager_fold_from_shard(s);
-    }
-}
-
-void FiniteSystem::combine_node(std::size_t level, std::size_t i) {
-    // Combines node (level, i) from its two children — shards at level 0,
-    // level-1 nodes above — or passes an orphan child through at odd widths.
-    // The node writes only its own slot and sums integers, so whichever
-    // child arrives last (and so combines) cannot change the result.
-    const std::size_t width = level_width_[level];
-    ReduceNode& node = tree_[tree_off_[level] + i];
-    const std::size_t a = 2 * i;
-    const std::size_t b = a + 1;
-    if (level == 0) {
-        const Shard& sa = shards_[a];
-        if (b < width) {
-            const Shard& sb = shards_[b];
-            combine_counts(node.counts, node.hi, sa.state_counts, sa.hot_hi,
-                           sb.state_counts, sb.hot_hi);
-            node.dropped = sa.tally.dropped + sb.tally.dropped;
-            node.accepted = sa.tally.accepted + sb.tally.accepted;
-            node.served = sa.tally.served + sb.tally.served;
-            node.completed = sa.tally.completed + sb.tally.completed;
-        } else { // odd level width: pass the orphan child through.
-            std::copy_n(sa.state_counts.data(), sa.hot_hi, node.counts.data());
-            node.hi = sa.hot_hi;
-            node.dropped = sa.tally.dropped;
-            node.accepted = sa.tally.accepted;
-            node.served = sa.tally.served;
-            node.completed = sa.tally.completed;
-        }
-    } else {
-        const ReduceNode* in = tree_.data() + tree_off_[level - 1];
-        const ReduceNode& na = in[a];
-        if (b < width) {
-            const ReduceNode& nb = in[b];
-            combine_counts(node.counts, node.hi, na.counts, na.hi, nb.counts, nb.hi);
-            node.dropped = na.dropped + nb.dropped;
-            node.accepted = na.accepted + nb.accepted;
-            node.served = na.served + nb.served;
-            node.completed = na.completed + nb.completed;
-        } else {
-            std::copy_n(na.counts.data(), na.hi, node.counts.data());
-            node.hi = na.hi;
-            node.dropped = na.dropped;
-            node.accepted = na.accepted;
-            node.served = na.served;
-            node.completed = na.completed;
-        }
-    }
-}
-
-void FiniteSystem::reset_tree_pending() {
-    // Serial O(#nodes) re-arm before the shard fan-out; the parallel_for
-    // submission provides the happens-before to the shard tasks, so relaxed
-    // stores suffice.
-    for (std::size_t level = 0; level < tree_off_.size(); ++level) {
-        const std::size_t width = level_width_[level];
-        const std::size_t next = (width + 1) / 2;
-        for (std::size_t i = 0; i < next; ++i) {
-            tree_pending_[tree_off_[level] + i].n.store(2 * i + 1 < width ? 2 : 1,
-                                                        std::memory_order_relaxed);
-        }
-    }
-}
-
-void FiniteSystem::eager_fold_from_shard(std::size_t s) {
-    // Arrive at the leaf-level parent; the last child to arrive at each node
-    // (acq_rel decrement, so the combiner observes both children's writes)
-    // combines it and climbs while it remains last. Exactly one arrival
-    // reaches each node per child per epoch, so every node is combined
-    // exactly once, inside some shard task — the fan-out join therefore
-    // implies the root is folded, and publishes it to the main thread.
-    std::size_t level = 0;
-    std::size_t i = s / 2;
-    while (true) {
-        std::atomic<int>& pending = tree_pending_[tree_off_[level] + i].n;
-        if (pending.fetch_sub(1, std::memory_order_acq_rel) != 1) {
-            return; // a sibling is still running; it will combine this node.
-        }
-        combine_node(level, i);
-        ++level;
-        if (level == tree_off_.size()) {
-            return; // root combined.
-        }
-        i /= 2;
-    }
 }
 
 EpochStats FiniteSystem::reduce_tail() {
+    // One pass over the shards in index order. The integer sums are exact in
+    // any order; the floating-point sums (area, busy time, sojourns) are not,
+    // so this fixed order is part of the determinism contract.
+    std::fill(state_counts_.begin(), state_counts_.end(), 0);
     QueueTally total;
-    // Root readout: the single shard directly, or the tree root the shard
-    // tasks folded eagerly.
-    std::size_t root_hi;
-    if (shards_.size() == 1) {
-        const Shard& shard = shards_[0];
-        root_hi = shard.hot_hi;
-        std::copy_n(shard.state_counts.data(), root_hi, state_counts_.data());
-        total.dropped = shard.tally.dropped;
-        total.accepted = shard.tally.accepted;
-        total.served = shard.tally.served;
-        total.completed = shard.tally.completed;
-    } else {
-        const ReduceNode& root = tree_[tree_off_.back()];
-        root_hi = root.hi;
-        std::copy_n(root.counts.data(), root_hi, state_counts_.data());
-        total.dropped = root.dropped;
-        total.accepted = root.accepted;
-        total.served = root.served;
-        total.completed = root.completed;
-    }
-    // Zero exactly the stale tail left by the previous (possibly taller)
-    // histogram; entries at state_hi_ and above are already zero.
-    if (state_hi_ > root_hi) {
-        std::fill(state_counts_.begin() + static_cast<std::ptrdiff_t>(root_hi),
-                  state_counts_.begin() + static_cast<std::ptrdiff_t>(state_hi_), 0);
-    }
-    state_hi_ = root_hi;
-
-    // The floating-point accumulators keep their fixed serial shard order —
-    // part of the determinism contract.
     for (const Shard& shard : shards_) {
-        total.sojourn_sum += shard.tally.sojourn_sum;
+        for (std::size_t z = 0; z < state_counts_.size(); ++z) {
+            state_counts_[z] += shard.state_counts[z];
+        }
+        total.dropped += shard.tally.dropped;
+        total.accepted += shard.tally.accepted;
+        total.served += shard.tally.served;
+        total.completed += shard.tally.completed;
         total.area += shard.tally.area;
         total.busy += shard.tally.busy;
+        total.sojourn_sum += shard.tally.sojourn_sum;
+    }
+    // Histogram mass: every queue sits in exactly one state. A slip in the
+    // shard histograms' bookkeeping that the job count cannot see (a queue
+    // leaving state 0 adds nothing to Σ z·n_z) shows here.
+    std::int64_t counted = 0;
+    for (const int n : state_counts_) {
+        counted += n;
+    }
+    if (counted != static_cast<std::int64_t>(queues_.size())) {
+        throw std::logic_error(std::string(name()) + "::step: epoch " + std::to_string(time()) +
+                               " histogram counts " + std::to_string(counted) + " queues, not " +
+                               std::to_string(queues_.size()));
     }
     return total.epoch_stats(queues_.size(), config_.dt);
 }
@@ -662,10 +516,11 @@ EpochStats FiniteSystem::run_epoch(const UpperLevelPolicy* policy,
     // query writes rule_ first thing in the compute phase.
     const DecisionRule* rule = policy != nullptr ? &rule_ : h;
 
-    // ---- Deterministic compute: every RNG-free input of the epoch — the
-    // rule (RNG-free policy query), the routing table, the InfiniteClients
-    // rate table or the classical weight law, then the router's per-shard
-    // masses, one pool task per shard (each writes only its own mass slot).
+    // ---- Deterministic compute, on the calling thread: every RNG-free input
+    // of the epoch — the rule (RNG-free policy query), the routing table, the
+    // InfiniteClients rate table or the classical weight law, then the
+    // router's per-shard masses, one pool task per shard (each writes only
+    // its own mass slot).
     const auto t0 = std::chrono::steady_clock::now();
     {
         trace::ScopedSpan span(tracer_, "barrier_overlap");
@@ -689,8 +544,7 @@ EpochStats FiniteSystem::run_epoch(const UpperLevelPolicy* policy,
     const auto t1 = std::chrono::steady_clock::now();
     profile_.overlapped_compute_seconds += std::chrono::duration<double>(t1 - t0).count();
 
-    // ---- Serial prologue: the caller-RNG draws and O(K·|Z|) bookkeeping
-    // that genuinely cannot overlap shard work.
+    // ---- Serial prologue: the caller-RNG draws and O(K·|Z|) bookkeeping.
     {
         trace::ScopedSpan span(tracer_, "barrier_prologue");
         if (router_.active()) {
@@ -704,33 +558,28 @@ EpochStats FiniteSystem::run_epoch(const UpperLevelPolicy* policy,
         } else {
             draw_rule_inputs(*rule, rng);
         }
-        if (k > 1) {
-            reset_tree_pending();
-        }
     }
     const auto t2 = std::chrono::steady_clock::now();
     profile_.serial_prologue_seconds += std::chrono::duration<double>(t2 - t1).count();
 
-    // ---- Parallel phase with eager reduction folds (inline on the calling
-    // thread when K = 1). Thread count never changes which shard consumes
-    // which draws, only which core runs them.
+    // ---- Parallel phase (inline on the calling thread when K = 1). Thread
+    // count never changes which shard consumes which draws, only which core
+    // runs them.
     parallel_for(
         k, [&](std::size_t s) { run_shard_epoch(s, epoch_start); }, threads_);
     const auto t3 = std::chrono::steady_clock::now();
     profile_.parallel_seconds += std::chrono::duration<double>(t3 - t2).count();
 
-    // ---- Reduction tail: the tree root is already folded (inside whichever
-    // shard task arrived last — the fan-out join published it); read it out,
-    // run the fixed-order floating-point pass, advance λ.
+    // ---- Reduction tail: the fixed-order fold over the shards (the join
+    // published their writes), the histogram-mass check, the λ advance.
     EpochStats stats;
     {
-        trace::ScopedSpan span(tracer_, "reduction_tree");
+        trace::ScopedSpan span(tracer_, "barrier_reduce");
         stats = reduce_tail();
     }
     advance_epoch(rng);
     profile_.reduction_seconds += seconds_since(t3);
     ++profile_.epochs;
-    ++epochs_run_; // invalidates the merged-quantile cache.
     return stats;
 }
 
@@ -738,18 +587,13 @@ std::array<double, 3> FiniteSystem::sojourn_percentiles() const {
     if (!config_.track_sojourn) {
         return {};
     }
-    if (merged_for_ != epochs_run_) {
-        // One pass over the shards fills all three percentiles; re-merged
-        // only after a new epoch. The merge adds bucket counts, so the result
-        // equals a single recorder fed every shard's jobs.
-        SojournRecorder merged;
-        for (const Shard& shard : shards_) {
-            merged.merge(*shard.sojourn);
-        }
-        merged_q_ = {merged.p50(), merged.p95(), merged.p99()};
-        merged_for_ = epochs_run_;
+    // The merge adds bucket counts, so the result equals a single recorder
+    // fed every shard's jobs.
+    SojournRecorder merged;
+    for (const Shard& shard : shards_) {
+        merged.merge(*shard.sojourn);
     }
-    return merged_q_;
+    return {merged.p50(), merged.p95(), merged.p99()};
 }
 
 } // namespace mflb

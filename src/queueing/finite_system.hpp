@@ -22,8 +22,8 @@
 /// One epoch engine for every fleet size: the M queues are partitioned into
 /// K contiguous shards (`FiniteSystemConfig::shards`; 0 or 1 is one shard)
 /// that advance *between* decision epochs and synchronize only at the epoch
-/// barrier. With K = 1 the single shard runs inline on the calling thread
-/// and there is no reduction tree; with K > 1 the shards run in parallel.
+/// barrier. With K = 1 the single shard runs inline on the calling thread;
+/// with K > 1 the shards run in parallel.
 ///
 /// Why sharding is exact and not an approximation: the paper's whole premise
 /// is that routing decisions are made on Δt-stale information — within a
@@ -61,8 +61,9 @@
 /// load and a compare, so idle fleets keep their O(events) cost.
 ///
 /// Epoch structure (on `SystemBase`'s clock; see the "Epoch engine" section
-/// of docs/ARCHITECTURE.md) — one barrier, in which only the caller-RNG
-/// draws and O(K·|Z|) bookkeeping are serial:
+/// of docs/ARCHITECTURE.md) — one barrier, in which everything but the shard
+/// tasks (and the router's per-shard mass sums) runs serially on the calling
+/// thread:
 ///  1. *Deterministic compute* — the RNG-free policy query and its
 ///     row-stochastic check, the routing table (or the InfiniteClients rate
 ///     table, or the classical weight law and its per-shard masses fanned
@@ -70,23 +71,17 @@
 ///  2. *Serial prologue* — Algorithm 1 client sampling (PerClient) or the
 ///     (shard, class) cell totals (Aggregated) from the caller's RNG;
 ///  3. *Parallel phase* — each shard advances its queue slice to the epoch
-///     end, touching only its own queues — lock-free, no cross-shard reads.
-///     Each shard task ends by folding its integer payloads (state counts up
-///     to its occupied high-water mark, packet counters) into a fixed-shape
-///     pairwise tree: atomic pending counters pick the last-arriving child
-///     to combine each node, which is order-immaterial because only integers
-///     travel through the tree (eager reduction);
-///  4. *Reduction tail (serial)* — root readout, a fixed-order serial pass
-///     over the K shards for the floating-point accumulators (areas,
-///     sojourn sums), λ advances.
+///     end, touching only its own queues — lock-free, no cross-shard reads;
+///  4. *Reduction tail* — after the join, one pass over the K shards in
+///     index order sums their state counts and tallies, O(K·|Z|); checks
+///     that the counts still hold all M queues; advances λ.
 ///
 /// Determinism contract: results are a function of (seed, K) only — never
 /// of the thread count — because every RNG stream is owned by exactly one
-/// shard (or the serial phase), shard work is self-contained, the reduction
-/// tree's shape is fixed by K alone (each node writes only its own slot, and
-/// its payloads are integers, so the combine order within a level is
-/// immaterial), and the floating-point sums keep their fixed serial shard
-/// order. tests/test_sharded_des.cpp pins bit-identical episodes across
+/// shard (or the calling thread), shard work is self-contained, and the
+/// reduction sums the shards in index order: the integer sums are exact in
+/// any order, and the floating-point sums (areas, sojourn sums) keep that
+/// fixed order. tests/test_sharded_des.cpp pins bit-identical episodes across
 /// 1/2/8 threads for all three client models, and holds the engine to the
 /// event-driven `DesSystem` on a shared conditioned λ path.
 ///
@@ -107,7 +102,6 @@
 #include "queueing/sojourn.hpp"
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -200,9 +194,9 @@ public:
     /// and the rule live in reused buffers, and an RNG-free query runs in the
     /// barrier's deterministic compute phase (see file comment).
     EpochStats step(const UpperLevelPolicy& policy, Rng& rng) override;
-    /// Merged across shards (exact histogram merge: the same values as one
-    /// recorder fed every shard's jobs, whatever K or the merge order); one
-    /// shard pass per epoch, cached.
+    /// Merged across shards on every call (exact histogram merge: the same
+    /// values as one recorder fed every shard's jobs, whatever K or the
+    /// merge order).
     std::array<double, 3> sojourn_percentiles() const override;
 
     /// Per-queue arrival rates under `h` for the *current* snapshot — eq.
@@ -215,15 +209,16 @@ public:
 
     /// Cumulative wall-clock split of the epoch since the last reset — the
     /// Amdahl accounting that `bench_des_scale` reports. Four components:
-    /// the irreducibly serial prologue (caller-RNG draws + O(K·|Z|)
-    /// bookkeeping, plus the policy query when it draws from the caller's
-    /// RNG), the deterministic barrier compute (RNG-free policy query,
-    /// routing table, the router's per-shard mass fan-out), the reduction
-    /// tail (root readout + fixed-order floating-point pass + λ advance),
-    /// and the parallel shard tasks (which include the Aggregated count
-    /// draw). The serial fraction is serial_seconds() /
-    /// total_seconds(): prologue and reduction are the phases that cannot
-    /// overlap shard work.
+    /// the serial prologue (caller-RNG draws + O(K·|Z|) bookkeeping, plus
+    /// the policy query when it draws from the caller's RNG), the
+    /// deterministic barrier compute (RNG-free policy query, routing or rate
+    /// table, the router's per-shard mass fan-out), the reduction tail (the
+    /// fixed-order fold over the shards + λ advance), and the parallel shard
+    /// tasks (which include the Aggregated count draw). The deterministic
+    /// compute runs on the calling thread before the fan-out, so it is
+    /// serial as well; `overlapped_compute_seconds` keeps the name of a
+    /// phase that once overlapped shard work. serial_seconds() counts the
+    /// prologue and the reduction only.
     struct BarrierProfile {
         double serial_prologue_seconds = 0.0;    ///< RNG draws + O(K·|Z|) bookkeeping.
         double overlapped_compute_seconds = 0.0; ///< deterministic barrier compute.
@@ -271,10 +266,6 @@ private:
         std::size_t end = 0;              ///< past-the-end queue index.
         Rng rng{0};                       ///< fork(shard_id) stream, reset-owned.
         std::vector<int> state_counts;    ///< local histogram over Z.
-        std::size_t hot_hi = 0;           ///< 1 + highest occupied state index:
-                                          ///< state_counts[z] == 0 for z >= hot_hi,
-                                          ///< so reductions stop at the high-water
-                                          ///< mark instead of walking all of Z.
         ClassCountSampler classes;        ///< per-class count draw (Aggregated).
         QueueTally tally;                 ///< this epoch's counters and sums.
         /// Local sojourn histogram (merged across shards on demand);
@@ -286,8 +277,8 @@ private:
     };
 
     /// Parallel phase: shard s's epoch from `epoch_start` — its Aggregated
-    /// client counts within its (shard, class) cells, the per-queue kernels
-    /// over its slice, then the eager fold into the reduction tree.
+    /// client counts within its (shard, class) cells, then the per-queue
+    /// kernels over its slice.
     void run_shard_epoch(std::size_t s, double epoch_start);
     /// Runs the kernel on every queue of the shard at rate `rate_of(j, z)`.
     template <class RateOf>
@@ -307,21 +298,11 @@ private:
     /// Shard s's half of the Aggregated draw: its queues' counts within its
     /// (shard, class) cells, from `rng`.
     void spread_cell_counts(std::size_t s, Rng& rng);
-    /// Combines tree node (level, i) from its children (shards at level 0).
-    /// Writes only the node's own slot; integer payloads, so which child
-    /// arrives last is immaterial.
-    void combine_node(std::size_t level, std::size_t i);
-    /// Reduction tail: reads the folded root (or the single shard), zeroes
-    /// the stale histogram tail, runs the fixed-order floating-point pass,
-    /// and finalizes the epoch stats.
+    /// Reduction tail, after the shard join: sums every shard's state
+    /// counts and tally in shard order, throws std::logic_error (naming the
+    /// epoch) unless the counts hold exactly M queues, and finalizes the
+    /// epoch stats.
     EpochStats reduce_tail();
-    /// Eager reduction: shard s's task arrives at its leaf-level parent; the
-    /// last child to arrive (atomic pending counter) combines the node and
-    /// climbs while it remains last. All folding happens inside shard tasks,
-    /// so the parallel_for join implies tree completion.
-    void eager_fold_from_shard(std::size_t s);
-    /// Re-arms the eager-fold pending counters (child counts) for an epoch.
-    void reset_tree_pending();
     /// One decision epoch, the tail of every entry point. Exactly one of
     /// {policy, h} is non-null for the policy/rule paths; both null means
     /// the classical-router path. `policy` non-null runs the (RNG-free)
@@ -334,42 +315,11 @@ private:
     /// rebuilding on every switch. Entries live until reset().
     UpperLevelPolicy::Scratch* scratch_for(const UpperLevelPolicy& policy);
 
-    /// One node of the pairwise reduction tree. Only integer-exact payloads
-    /// travel through the tree (state counts, packet counters) so the combine
-    /// order within a level cannot perturb results; `counts` entries at and
-    /// above `hi` are stale leftovers from earlier epochs and are never read.
-    struct ReduceNode {
-        explicit ReduceNode(std::size_t num_states) : counts(num_states, 0) {}
-        std::vector<int> counts;
-        std::size_t hi = 0;
-        std::uint64_t dropped = 0;
-        std::uint64_t accepted = 0;
-        std::uint64_t served = 0;
-        std::uint64_t completed = 0;
-    };
-
     QueueKernel kernel_; ///< per-queue kernels; queue j touched by its shard only.
     std::size_t threads_ = 0;
 
     std::vector<Shard> shards_;
     std::vector<std::size_t> shard_begin_; ///< K+1 fence posts over [0, M].
-
-    // Fixed-shape pairwise reduction tree over the K shards: level widths
-    // K, ⌈K/2⌉, …, 1, flattened into `tree_` with `tree_off_[l]` the offset
-    // of level l's first node (empty when K == 1). `level_width_[l]` is the
-    // *input* width of level l (K, then ⌈K/2⌉, …). For the eager fold each
-    // node carries a cache-line-padded pending counter, re-armed
-    // to its child count every epoch; the counters live in their own array
-    // because atomics are not movable and two adjacent nodes' counters must
-    // not false-share.
-    std::vector<ReduceNode> tree_;
-    std::vector<std::size_t> tree_off_;
-    std::vector<std::size_t> level_width_;
-    struct alignas(64) PendingCount {
-        std::atomic<int> n{0};
-    };
-    std::vector<PendingCount> tree_pending_;
-    std::size_t state_hi_ = 0; ///< valid extent of state_counts_; zeros above.
 
     // Global barrier-phase state.
     std::vector<int> state_counts_;        ///< cross-shard reduction (|Z|).
@@ -389,12 +339,6 @@ private:
                                            ///< (K·|Z|, Aggregated).
     std::vector<double> cell_weights_;     ///< cell weights n_c·σ_z (K·|Z|).
     std::vector<std::uint64_t> cell_clients_; ///< cell totals N_c (K·|Z|).
-
-    // Epoch-keyed cache of the cross-shard sojourn percentiles: one merge
-    // pass fills all three; invalidated by advancing an epoch or resetting.
-    std::uint64_t epochs_run_ = 0;
-    mutable std::array<double, 3> merged_q_{};
-    mutable std::uint64_t merged_for_ = ~std::uint64_t{0};
 
     BarrierProfile profile_;
 

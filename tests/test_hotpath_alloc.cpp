@@ -282,8 +282,8 @@ TEST(HotPathAllocations, ShardedDesStepWithNeuralPolicy) {
     // The full epoch barrier on one thread — observed-distribution snapshot,
     // batched policy query (cached scratch), destination law or rate table,
     // shard masses, shard multinomials, per-queue kernels with sojourn
-    // recording, and the eager pairwise reduction folds — allocation-free in
-    // steady state. K = 4 keeps a two-level tree in play. InfiniteClients
+    // recording, and the fixed-order fold over the shards — allocation-free
+    // in steady state. K = 4 runs the fold over several shards. InfiniteClients
     // from an empty fleet runs the idle thinning; the hyperexponential law
     // runs the general-service kernel with its carried completion clocks.
     const struct {

@@ -46,7 +46,8 @@ TEST(Scenarios, Table1MatchesPaperBaseline) {
 TEST(Scenarios, EveryScenarioYieldsConstructibleSystems) {
     for (const Scenario& scenario : scenario_registry()) {
         SCOPED_TRACE(scenario.name);
-        // The Table-1-style core must resolve into valid finite + MFC configs.
+        // The Table-1-style core must resolve into valid finite, MFC and
+        // client-memory configs.
         EXPECT_NO_THROW({
             FiniteSystem system(scenario.experiment.finite_system());
             (void)system;
@@ -55,12 +56,10 @@ TEST(Scenarios, EveryScenarioYieldsConstructibleSystems) {
             MfcEnv env(scenario.experiment.mfc(true));
             (void)env;
         });
-        if (scenario.memory) {
-            EXPECT_NO_THROW({
-                MemorySystem system(*scenario.memory);
-                (void)system;
-            });
-        }
+        EXPECT_NO_THROW({
+            MemorySystem system(scenario.experiment.memory_system());
+            (void)system;
+        });
     }
 }
 

@@ -132,10 +132,12 @@ TEST(ShardedDesSystem, DeterministicForFixedSeedAndShards) {
 }
 
 TEST(ShardedDesSystem, OddAndSingleShardCountsStayThreadInvariant) {
-    // Odd K exercises the pass-through (orphan child) nodes of the pairwise
-    // reduction tree at every level; K = 1 bypasses the tree entirely. Both
-    // must honor the same bit-identity contract as the power-of-two case.
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{5}, std::size_t{7}}) {
+    // Odd K splits the 30 queues into uneven blocks, K = 1 runs its one
+    // shard inline on the calling thread, and K = M = 30 gives every shard a
+    // single queue. All must honor the same bit-identity contract as the
+    // power-of-two case.
+    for (const std::size_t shards :
+         {std::size_t{1}, std::size_t{5}, std::size_t{7}, std::size_t{30}}) {
         SCOPED_TRACE(shards);
         const EpisodeStats one = run_sharded_episode(ClientModel::Aggregated, shards, 1, true);
         const EpisodeStats two = run_sharded_episode(ClientModel::Aggregated, shards, 2, true);
@@ -146,10 +148,9 @@ TEST(ShardedDesSystem, OddAndSingleShardCountsStayThreadInvariant) {
 }
 
 TEST(ShardedDesSystem, SkewedInitialLoadStaysThreadInvariant) {
-    // Nearly-full initial queues start the per-shard high-water marks at the
-    // top of the state space and drain them down over the episode, covering
-    // the hot_hi raise (arrivals) and shrink (empty-top) paths on both sides
-    // of the reduction tree.
+    // Nearly-full initial queues start every shard histogram at the top of
+    // the state space and drain it over the episode, so the barrier's fold
+    // sums counts that move across all of Z, drops included.
     const auto run = [](std::size_t threads) {
         FiniteSystemConfig config = small_config(ClientModel::Aggregated, 5, 2.0, 25);
         config.threads = threads;
@@ -225,11 +226,11 @@ void expect_recorded(const EpisodeStats& got, const RecordedEpisode& want) {
 }
 
 TEST(ShardedDesSystem, EpisodesMatchRecordedRows) {
-    // The epoch barrier (eager reduction folds, class-level count draw,
-    // idle thinning, per-queue kernels) must reproduce the recorded episodes
-    // bit for bit — for every client model, tree shapes with and without
-    // orphan nodes (K = 1 bypasses the tree, K = 5 has pass-through
-    // children, K = 8 is the full binary case), on 1, 2, and 8 threads.
+    // The epoch barrier (class-level count draw, idle thinning, per-queue
+    // kernels, the fixed-order fold over the shards) must reproduce the
+    // recorded episodes bit for bit — for every client model, at K = 1 (one
+    // inline shard), K = 5 (uneven blocks) and K = 8, on 1, 2, and 8
+    // threads.
     const struct {
         ClientModel model;
         std::size_t shards;
