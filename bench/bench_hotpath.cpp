@@ -8,10 +8,13 @@
 /// evaluate_mfc measured 1.5x faster than the seed library at Table-1 dt=1),
 /// and times Table-1-sized evaluate_finite / evaluate_mfc runs. Emits JSON
 /// timings via --json so the perf trajectory is trackable across PRs. Also
-/// times the per-queue epoch kernel alone at Table-1 load.
+/// times the per-queue epoch kernel alone at Table-1 load, the deployed
+/// Table-2 network's policy query, and how much of four cores a four-strip
+/// `parallel_for` keeps busy.
 #include "bench_common.hpp"
 #include "support/counting_allocator.inc"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <memory>
@@ -25,6 +28,12 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
     return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+double median(std::vector<double> xs) {
+    std::nth_element(xs.begin(), xs.begin() + static_cast<std::ptrdiff_t>(xs.size() / 2),
+                     xs.end());
+    return xs[xs.size() / 2];
 }
 
 } // namespace
@@ -296,6 +305,74 @@ int main(int argc, char** argv) {
                         1e9 * elapsed / static_cast<double>(events),
                         static_cast<double>(events) / queue_epochs);
         }
+    }
+
+    // --- 7. Deployed policy query on the Table-2 network ------------------
+    // Seconds per NeuralUpperPolicy::decide_into on a seed-initialised
+    // Table-2 network (8 → 256 → 256 tanh → 144): one per-sample forward
+    // pass (math/vec_ops matvec + vec_tanh) per decision epoch.
+    {
+        const ExperimentConfig experiment = scenario_or_die("table1").experiment;
+        const TupleSpace space(experiment.queue.num_states(), experiment.d);
+        const std::size_t lambda_states = experiment.arrivals().num_states();
+        Rng rng(cli.get_int("seed"));
+        const auto network = std::make_shared<const rl::GaussianPolicy>(
+            static_cast<std::size_t>(space.num_states()) + lambda_states,
+            space.size() * static_cast<std::size_t>(space.d()),
+            std::vector<std::size_t>{256, 256}, rng);
+        const NeuralUpperPolicy policy(space, lambda_states, network);
+        const std::unique_ptr<UpperLevelPolicy::Scratch> scratch = policy.make_scratch();
+        DecisionRule rule(space);
+        std::vector<double> nu(static_cast<std::size_t>(space.num_states()));
+        for (double& v : nu) {
+            v = rng.uniform();
+        }
+        policy.decide_into(nu, 0, rng, scratch.get(), rule); // warmup sizes the workspace
+        const int queries = full ? 20000 : 4000;
+        const auto start = Clock::now();
+        for (int i = 0; i < queries; ++i) {
+            policy.decide_into(nu, static_cast<std::size_t>(i) % lambda_states, rng,
+                               scratch.get(), rule);
+        }
+        const double elapsed = seconds_since(start);
+        timings.record("policy_query_table2", elapsed / queries);
+        std::printf("\nNeuralUpperPolicy::decide_into (Table-2 net, %zu params):\n"
+                    "  %.1f us/query over %d queries\n",
+                    network->parameter_count(), 1e6 * elapsed / queries, queries);
+    }
+
+    // --- 8. parallel_for strip efficiency ------------------------------------
+    // One fixed-work strip run serially ÷ parallel_for(4, …, 4) over four
+    // such strips, medians over rounds: 1 when the four strips run on four
+    // cores at once, 0.5 when the call takes two strips' time.
+    {
+        constexpr std::size_t kStrips = 4;
+        constexpr int kStripWork = 100000; // a dependent chain, ~0.3 ms
+        const std::size_t rounds = full ? 400 : 100;
+        std::vector<double> sink(kStrips, 0.0);
+        const auto strip = [&](std::size_t i) {
+            double acc = static_cast<double>(i);
+            for (int k = 0; k < kStripWork; ++k) {
+                acc = acc * 0.999999 + 1.0;
+            }
+            sink[i] += acc;
+        };
+        std::vector<double> serial_s, parallel_s;
+        for (std::size_t r = 0; r < rounds; ++r) {
+            const auto start_serial = Clock::now();
+            strip(0);
+            serial_s.push_back(seconds_since(start_serial));
+            const auto start_parallel = Clock::now();
+            parallel_for(kStrips, strip, kStrips);
+            parallel_s.push_back(seconds_since(start_parallel));
+        }
+        const double serial = median(serial_s);
+        const double parallel = median(parallel_s);
+        timings.record("parallel_for_strip_efficiency", serial / parallel);
+        std::printf("\nparallel_for(%zu, fixed-work strips, %zu), %zu rounds (checksum %.3g):\n"
+                    "  one strip %.1f us, the fan-out %.1f us  ->  strip efficiency %.2f\n",
+                    kStrips, kStrips, rounds, sink[0] + sink[kStrips - 1], 1e6 * serial,
+                    1e6 * parallel, serial / parallel);
     }
 
     timings.write(cli.get("json"));

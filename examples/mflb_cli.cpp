@@ -390,6 +390,10 @@ int main(int argc, char** argv) {
         // A flag value the library's config checks reject (e.g. --dt nan).
         std::fprintf(stderr, "error: %s\n", error.what());
         return 2;
+    } catch (const std::exception& error) {
+        // A failed library invariant (e.g. a per-epoch conservation check).
+        std::fprintf(stderr, "error: %s\n", error.what());
+        return 1;
     }
     if (mode == "scenarios") {
         std::printf("Registered scenarios:\n%s", scenario_list_text().c_str());

@@ -8,9 +8,10 @@
 #
 # Row semantics, matching the bench label conventions:
 #   - plain rows carry seconds: regression = new > old * (1 + threshold);
-#   - "*speedup*" and "*event_rate*" rows carry ratios / throughputs where
-#     bigger is better: regression = new < old / (1 + threshold) — the
-#     thread-scaling and FEL speedups and the event rates;
+#   - "*speedup*", "*event_rate*" and "*efficiency*" rows carry ratios /
+#     throughputs where bigger is better: regression = new < old /
+#     (1 + threshold) — the thread-scaling and FEL speedups, the event rates
+#     and parallel_for's strip efficiency;
 #   - "*fraction*" rows are dimensionless splits (e.g. the barrier's serial
 #     fraction or the telemetry overhead) whose healthy value depends on the
 #     host — they are reported but never gate.
@@ -98,7 +99,7 @@ for key in sorted(old.keys() | new.keys()):
     if "fraction" in key:
         print(f"  info {key}: {a:.4f} -> {b:.4f} (not gated)")
         continue
-    if "speedup" in key or "event_rate" in key:
+    if "speedup" in key or "event_rate" in key or "efficiency" in key:
         ok = b >= a / (1.0 + threshold)
         change = f"{a:.3f}x -> {b:.3f}x"
     else:

@@ -22,11 +22,10 @@
 /// output elements or to a fixed accumulator split that is part of the
 /// kernel's contract. The only machine-visible difference the AVX2 clone may
 /// introduce is FMA contraction (one rounding per multiply-add instead of
-/// two), bounded by the 1e-12 agreement tests; pure-add kernels (prefix
-/// sums, partition sums) have no contractible pattern and are bit-identical
-/// across ISAs. The AVX-512 GEMM does one FMA per multiply-add, as the
-/// AVX2 clone's contraction does, so the two are bit-identical (pinned in
-/// test_mlp.cpp).
+/// two), bounded by the 1e-12 agreement tests; vec_ops.cpp is built
+/// `-ffp-contract=off`, so its kernels are bit-identical across ISAs. The
+/// AVX-512 GEMM does one FMA per multiply-add, as the AVX2 clone's
+/// contraction does, so the two are bit-identical (pinned in test_mlp.cpp).
 #pragma once
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \

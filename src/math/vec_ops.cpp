@@ -2,6 +2,10 @@
 
 #include "math/simd_dispatch.hpp"
 
+#include <bit>
+#include <cmath>
+#include <cstring>
+#include <numeric>
 #include <stdexcept>
 
 namespace mflb {
@@ -33,25 +37,6 @@ double sum4_impl(Src xs, std::size_t n) noexcept {
         total += static_cast<double>(xs[i]);
     }
     return total;
-}
-
-template <class In>
-double sum_reference_impl(const In* __restrict xs, std::size_t n) noexcept {
-    double total = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        total += static_cast<double>(xs[i]);
-    }
-    return total;
-}
-
-template <class In>
-void scan_reference_impl(const In* __restrict in, double* __restrict out,
-                         std::size_t n) noexcept {
-    double running = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        running += static_cast<double>(in[i]);
-        out[i] = running;
-    }
 }
 
 template <class Src>
@@ -104,6 +89,45 @@ void scan4_impl(Src in, double* out, std::size_t n) noexcept {
     }
 }
 
+typedef double Vec4 __attribute__((vector_size(32))); // elementwise IEEE ops
+
+/// Rows of y = b + W·x from o on, in blocks of R sharing each x load while
+/// whole blocks fit; returns the first row left over. Lane j of a row sums
+/// w[8i+j]·x[8i+j] (two Vec4s), then the fixed tree, the tail and the bias:
+/// R does not change a row's arithmetic.
+template <std::size_t R>
+[[gnu::always_inline]] inline std::size_t matvec_rows(std::size_t o, std::span<const double> w,
+                                                      std::span<const double> x,
+                                                      std::span<const double> b,
+                                                      std::span<double> y) noexcept {
+    const std::size_t in = x.size();
+    const std::size_t in8 = in / 8 * 8;
+    for (; o + R <= y.size(); o += R) {
+        const double* __restrict row = w.data() + o * in;
+        Vec4 acc[R][2] = {};
+        for (std::size_t i = 0; i < in8; i += 8) {
+            for (std::size_t q = 0; q < 2; ++q) {
+                Vec4 xv, wv;
+                std::memcpy(&xv, x.data() + i + 4 * q, sizeof xv);
+                for (std::size_t r = 0; r < R; ++r) {
+                    std::memcpy(&wv, row + r * in + i + 4 * q, sizeof wv);
+                    acc[r][q] += wv * xv;
+                }
+            }
+        }
+        for (std::size_t r = 0; r < R; ++r) {
+            double l[8];
+            std::memcpy(l, acc[r], sizeof l);
+            double sum = ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
+            for (std::size_t i = in8; i < in; ++i) {
+                sum += row[r * in + i] * x[i];
+            }
+            y[o + r] = b[o + r] + sum;
+        }
+    }
+    return o;
+}
+
 } // namespace
 
 MFLB_SIMD_CLONES
@@ -112,7 +136,11 @@ double vec_sum(std::span<const double> xs) noexcept {
 }
 
 double vec_sum_reference(std::span<const double> xs) noexcept {
-    return sum_reference_impl(xs.data(), xs.size());
+    double total = 0.0;
+    for (const double x : xs) {
+        total += x;
+    }
+    return total;
 }
 
 MFLB_SIMD_CLONES
@@ -127,7 +155,11 @@ void inclusive_prefix_sum_reference(std::span<const std::uint64_t> in, std::span
     if (out.size() != in.size()) {
         throw std::invalid_argument("inclusive_prefix_sum_reference: output size mismatch");
     }
-    scan_reference_impl(in.data(), out.data(), in.size());
+    double running = 0.0;
+    for (std::size_t i = 0; i < in.size(); ++i) {
+        running += static_cast<double>(in[i]);
+        out[i] = running;
+    }
 }
 
 MFLB_SIMD_CLONES
@@ -141,6 +173,65 @@ void gather_scale(std::span<const int> idx, std::span<const double> table, doubl
     double* __restrict o = out.data();
     for (std::size_t i = 0; i < idx.size(); ++i) {
         o[i] = scale * tab[static_cast<std::size_t>(ix[i])];
+    }
+}
+
+MFLB_SIMD_CLONES
+void matvec(std::span<const double> w, std::span<const double> x, std::span<const double> b,
+            std::span<double> y) {
+    if (w.size() != y.size() * x.size() || b.size() != y.size()) {
+        throw std::invalid_argument("matvec: size mismatch");
+    }
+    matvec_rows<1>(matvec_rows<4>(0, w, x, b, y), w, x, b, y);
+}
+
+void matvec_reference(std::span<const double> w, std::span<const double> x,
+                      std::span<const double> b, std::span<double> y) noexcept {
+    for (std::size_t o = 0; o < y.size(); ++o) {
+        y[o] = std::inner_product(x.begin(), x.end(), w.begin() + o * x.size(), b[o]);
+    }
+}
+
+/// tanh on |x|, sign restored last (so ±0 keeps its sign). Both forms are
+/// computed and one selected, so the loop vectorizes; NaN fails every
+/// comparison and flows through the exp form, never clamped. There e^y =
+/// 2^k·(1 + expm1(r)), k = round(y / ln 2), r = y − k·ln 2 with fdlibm's split
+/// ln 2 (k·hi is exact), expm1 by Taylor to r^13 (< 0.02 ulp).
+MFLB_SIMD_CLONES
+void vec_tanh(std::span<double> xs) noexcept {
+    constexpr double kOne = 19.1; // tanh rounds to 1 from here on
+    constexpr double kLn2Hi = 0.6931471803691238, kLn2Lo = 1.9082149292705877e-10;
+    constexpr double kRound = 0x1.8p52; // t + kRound keeps round(t) in its low bits
+    constexpr double kInvFact[] = {1 / 6227020800.0, 1 / 479001600.0, 1 / 39916800.0,
+                                   1 / 3628800.0, 1 / 362880.0, 1 / 40320.0, 1 / 5040.0,
+                                   1 / 720.0, 1 / 120.0, 1 / 24.0, 1 / 6.0, 0.5};
+    // Cephes' tanh(x) = x + x·s·P(s)/Q(s), s = x², below |x| = 0.625.
+    constexpr double kP[] = {-0.9643991794250523, -99.28772310019185, -1614.6876844170845};
+    constexpr double kQ[] = {112.81167849163293, 2235.4883906010045, 4844.063053251255};
+    for (double& v : xs) {
+        const double z = std::fabs(v);
+        const double y = 2.0 * (z > kOne ? kOne : z);
+        const double kd = y * 1.4426950408889634 + kRound; // y / ln 2
+        const double r = (y - (kd - kRound) * kLn2Hi) - (kd - kRound) * kLn2Lo;
+        double p = kInvFact[0];
+        for (std::size_t c = 1; c < std::size(kInvFact); ++c) {
+            p = p * r + kInvFact[c];
+        }
+        const double scale = // 2^k, from k in the low bits of kd
+            std::bit_cast<double>((std::bit_cast<std::uint64_t>(kd) << 52) + 0x3ff0000000000000);
+        const double denom = (scale + 1.0) + scale * (r + r * r * p); // e^{2z} + 1
+        const double s = z * z;
+        const double num = z * s * ((kP[0] * s + kP[1]) * s + kP[2]);
+        const double den = ((s + kQ[0]) * s + kQ[1]) * s + kQ[2];
+        const bool small = z < 0.625;
+        const double t = (small ? num : 2.0) / (small ? den : denom);
+        v = std::copysign(z >= kOne ? 1.0 : small ? z + t : 1.0 - t, v);
+    }
+}
+
+void vec_tanh_reference(std::span<double> xs) noexcept {
+    for (double& x : xs) {
+        x = std::tanh(x);
     }
 }
 

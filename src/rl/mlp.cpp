@@ -1,6 +1,7 @@
 #include "rl/mlp.hpp"
 
 #include "math/gemm.hpp"
+#include "math/vec_ops.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -74,22 +75,15 @@ std::span<const double> Mlp::forward_span(std::span<const double> input, Workspa
     const std::size_t num_layers = layers_.size();
     ws.activations.resize(num_layers);
     ws.activations[0].assign(input.begin(), input.end());
+    const std::span<const double> params(params_);
     for (std::size_t l = 0; l + 1 < num_layers; ++l) {
-        const std::size_t in_dim = layers_[l];
         const std::size_t out_dim = layers_[l + 1];
-        const double* w = params_.data() + weight_offset(l); // row-major out x in
-        const double* b = params_.data() + bias_offset(l);
-        const std::vector<double>& x = ws.activations[l];
         std::vector<double>& y = ws.activations[l + 1];
-        y.assign(out_dim, 0.0);
-        const bool is_output = (l + 2 == num_layers);
-        for (std::size_t o = 0; o < out_dim; ++o) {
-            const double* row = w + o * in_dim;
-            double acc = b[o];
-            for (std::size_t i = 0; i < in_dim; ++i) {
-                acc += row[i] * x[i];
-            }
-            y[o] = is_output ? acc : std::tanh(acc);
+        y.resize(out_dim);
+        matvec(params.subspan(weight_offset(l), out_dim * layers_[l]), ws.activations[l],
+               params.subspan(bias_offset(l), out_dim), y);
+        if (l + 2 < num_layers) {
+            vec_tanh(y);
         }
     }
     return ws.activations.back();
@@ -255,9 +249,7 @@ std::span<const double> Mlp::forward_rows(std::span<const double> inputs, std::s
         transpose(rows, in_dim, x, at); // -> in x rows
         gemm_tn_acc(rows, out_dim, in_dim, at, ws.wt[l].data(), y);
         if (l + 2 < num_layers) {
-            for (std::size_t idx = 0; idx < rows * out_dim; ++idx) {
-                y[idx] = std::tanh(y[idx]);
-            }
+            vec_tanh(std::span<double>(y, rows * out_dim));
         }
     }
     return std::span<const double>(ws.activations.back().data() + r0 * layers_.back(),

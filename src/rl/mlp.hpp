@@ -6,13 +6,13 @@
 ///
 /// Two compute paths share the same parameters:
 ///  - the per-sample path (`forward`/`forward_cached`/`backward`) used by
-///    rollout collection and policy inference (core/neural_policy.hpp), and
+///    rollout collection and policy inference (core/neural_policy.hpp); its
+///    forward pass runs the math/vec_ops kernels `matvec` and `vec_tanh`;
 ///  - the batch-major path (`forward_batch`/`forward_cached_batch`/
 ///    `backward_batch`) over row-major (batch × dim) buffers, built on the
-///    cache-blocked GEMM kernels of math/gemm.hpp. The GEMM kernels
-///    accumulate every reduction in ascending order, so the batched passes
-///    agree with running the per-sample path row by row to 1e-12 (the only
-///    difference is FMA contraction in the kernels' AVX2 clone).
+///    cache-blocked GEMM kernels of math/gemm.hpp and `vec_tanh`. It agrees
+///    with the per-sample path row by row to 1e-12 (the GEMM accumulates in
+///    ascending order with FMA, `matvec` in 8 unfused lanes).
 /// The batched pass also comes in pieces for multi-threaded training: after
 /// a serial `begin_batch`, `forward_rows` and `backprop_rows` work on one
 /// range of rows each, and `accumulate_gradient` sums one range of a

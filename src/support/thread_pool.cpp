@@ -114,12 +114,12 @@ struct alignas(64) StripCursor {
 
 /// Shared state of one parallel_for call, stack-owned by the caller. Tasks
 /// capture a single pointer to it so the submit() closures fit
-/// std::function's small-buffer optimization.
+/// std::function's small-buffer optimization; `done` counts the pool tasks.
 struct ForContext {
     ForContext(std::size_t threads_, std::size_t chunk_, IndexFnRef body_,
                StripCursor* cursors_)
         : threads(threads_), chunk(chunk_), body(body_), cursors(cursors_),
-          done(static_cast<std::ptrdiff_t>(threads_)) {}
+          done(static_cast<std::ptrdiff_t>(threads_ - 1)) {}
 
     std::size_t threads;
     std::size_t chunk;
@@ -132,8 +132,8 @@ struct ForContext {
 };
 
 /// Worker t drains its own strip in `chunk`-sized claims, then steals
-/// chunks from the other strips round-robin (t+1, t+2, …).
-void drain_strips(ForContext& ctx, std::size_t t) {
+/// chunks from the other strips round-robin (t+1, t+2, …); nothing leaves it.
+void drain_strips(ForContext& ctx, std::size_t t) noexcept {
     bool stop = false;
     for (std::size_t off = 0; off < ctx.threads && !stop; ++off) {
         StripCursor& cur = ctx.cursors[(t + off) % ctx.threads];
@@ -206,13 +206,13 @@ void parallel_for(std::size_t n, IndexFnRef body, std::size_t threads) {
         return;
     }
 
-    // Chunked work-stealing fan-out onto the persistent pool: indices are
-    // pre-split into per-worker strips, claimed in ~8 chunks per worker so
-    // an unlucky strip (one shard with most of the events) is stolen from
-    // rather than waited on. Completion is tracked by a per-call latch (not
-    // wait_idle) so concurrent parallel_for calls from different threads
-    // never wait on each other's tasks. The schedule decides placement
-    // only, never results (per-index RNG-stream contract).
+    // Chunked work-stealing fan-out: indices are pre-split into per-worker
+    // strips, claimed in ~8 chunks per worker so an unlucky strip (one shard
+    // with most of the events) is stolen from rather than waited on. Strips
+    // 1…T−1 go to the persistent pool, whose completion is tracked by a
+    // per-call latch (not wait_idle) so concurrent parallel_for calls from
+    // different threads never wait on each other's tasks. The schedule
+    // decides placement only, never results (per-index RNG-stream contract).
     std::vector<StripCursor> cursors(threads);
     for (std::size_t t = 0; t < threads; ++t) {
         cursors[t].next.store(t * n / threads, std::memory_order_relaxed);
@@ -221,9 +221,14 @@ void parallel_for(std::size_t n, IndexFnRef body, std::size_t threads) {
     ForContext ctx(threads, std::max<std::size_t>(1, n / (threads * 8)), body,
                    cursors.data());
     ThreadPool& pool = shared_thread_pool();
-    for (std::size_t t = 0; t < threads; ++t) {
+    for (std::size_t t = 1; t < threads; ++t) {
         pool.submit([&ctx, t] { run_strips(ctx, t); });
     }
+    // The caller drains strip 0 (and steals) instead of sleeping, marked as
+    // a worker so nested fan-outs run inline; it rethrows only after done.
+    const bool was_worker = std::exchange(t_on_pool_worker, true);
+    drain_strips(ctx, 0);
+    t_on_pool_worker = was_worker;
     ctx.done.wait();
     if (ctx.first_error) {
         std::rethrow_exception(ctx.first_error);

@@ -6,10 +6,10 @@
 /// `parallel_for` runs on a lazily-constructed process-wide pool
 /// (`shared_thread_pool`) instead of spawning and joining workers per call:
 /// the sharded simulator issues one fan-out per decision epoch, so thread
-/// churn would otherwise dominate short epochs. Calls from inside a pool
-/// worker (nested use — e.g. sharded epochs inside parallel replications)
-/// degrade to inline serial execution, which keeps results identical and
-/// cannot deadlock the fixed-size pool.
+/// churn would otherwise dominate short epochs. Bodies run on pool workers
+/// or the caller; nested calls (e.g. sharded epochs inside parallel
+/// replications) degrade to inline serial execution, which keeps results
+/// identical and cannot deadlock the fixed-size pool.
 ///
 /// The evaluation harness gives every loop index its own forked RNG stream,
 /// so results are identical regardless of the number of worker threads. On a
@@ -83,9 +83,9 @@ ThreadPool& shared_thread_pool();
 
 /// True when called from any `ThreadPool` worker thread (the shared pool's
 /// or a private one's) — e.g. from inside a `parallel_for` body or a
-/// `submit()`ed task. Used as the nested-use guard: a nested fan-out runs
-/// inline instead of blocking on pool capacity the caller may itself be
-/// occupying.
+/// `submit()`ed task — and on a `parallel_for` caller while it drains its
+/// own strip. Used as the nested-use guard: a nested fan-out runs inline
+/// instead of blocking on pool capacity the caller may itself be occupying.
 bool on_pool_worker() noexcept;
 
 /// Non-owning reference to a callable `void(std::size_t)` — the
@@ -115,19 +115,19 @@ private:
     void (*call_)(void*, std::size_t);
 };
 
-/// Runs body(i) for i in [0, n), distributed over up to `threads` workers
-/// (0 = hardware concurrency) of the shared pool. Indices are pre-split
-/// into per-worker strips claimed in cache-friendly chunks (≈8 per worker);
-/// a worker that drains its own strip steals chunks from the others
+/// Runs body(i) for i in [0, n), split into up to `threads` strips (0 =
+/// hardware concurrency): the caller drains strip 0, shared-pool workers the
+/// rest. Strips are claimed in cache-friendly chunks (≈8 per worker); a
+/// worker that drains its own strip steals chunks from the others
 /// round-robin, so one slow strip cannot serialize the epoch tail. The
 /// schedule only decides *where* each index runs — bodies must not depend
 /// on execution order, which the per-index RNG-stream contract already
 /// guarantees; results stay thread-count independent. If `body` throws, the
 /// first exception is captured, remaining un-started chunks are skipped,
-/// and the exception is rethrown on the calling thread once this call's
-/// work has drained — so a throwing replication surfaces as a normal
-/// exception instead of std::terminate. Indices already in flight still run
-/// to completion. Nested calls (from inside a body) execute serially inline.
+/// and the exception is rethrown on the calling thread once every pool task
+/// of this call has finished — so a throwing replication surfaces as a
+/// normal exception instead of std::terminate. Indices already in flight
+/// still run to completion. Nested calls (from inside a body) run inline.
 void parallel_for(std::size_t n, IndexFnRef body, std::size_t threads = 0);
 
 } // namespace mflb

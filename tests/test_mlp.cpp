@@ -128,34 +128,42 @@ TEST(Mlp, BackwardAccumulates) {
 }
 
 TEST(Mlp, BatchedForwardMatchesScalarRows) {
+    // A small net and the Table-2 policy net, whose per-sample pass runs the
+    // 8-lane matvec against the batched pass's ascending GEMM.
     Rng rng(21);
-    Mlp net({4, 16, 9, 3}, rng, 1.0);
-    const std::size_t batch = 7;
-    std::vector<double> inputs(batch * 4);
-    for (double& v : inputs) {
-        v = rng.normal();
-    }
-    Mlp::BatchWorkspace bws(net, batch);
-    const std::span<const double> out = net.forward_cached_batch(inputs, batch, bws);
-    ASSERT_EQ(out.size(), batch * 3);
-    for (std::size_t row = 0; row < batch; ++row) {
-        const auto scalar =
-            net.forward(std::span<const double>(inputs.data() + row * 4, 4));
-        for (std::size_t o = 0; o < 3; ++o) {
-            EXPECT_NEAR(out[row * 3 + o], scalar[o], 1e-12) << "row " << row << " out " << o;
+    for (const std::vector<std::size_t>& layers :
+         {std::vector<std::size_t>{4, 16, 9, 3}, std::vector<std::size_t>{8, 256, 256, 144}}) {
+        Mlp net(layers, rng, 1.0);
+        const std::size_t in = layers.front();
+        const std::size_t outs = layers.back();
+        const std::size_t batch = 7;
+        std::vector<double> inputs(batch * in);
+        for (double& v : inputs) {
+            v = rng.normal();
         }
+        Mlp::BatchWorkspace bws(net, batch);
+        const std::span<const double> out = net.forward_cached_batch(inputs, batch, bws);
+        ASSERT_EQ(out.size(), batch * outs);
+        for (std::size_t row = 0; row < batch; ++row) {
+            const auto scalar =
+                net.forward(std::span<const double>(inputs.data() + row * in, in));
+            for (std::size_t o = 0; o < outs; ++o) {
+                EXPECT_NEAR(out[row * outs + o], scalar[o], 1e-12)
+                    << "in " << in << " row " << row << " out " << o;
+            }
+        }
+        // forward_batch copies the same rows into a caller buffer.
+        std::vector<double> copied(batch * outs, 0.0);
+        net.forward_batch(inputs, batch, bws, copied);
+        for (std::size_t i = 0; i < copied.size(); ++i) {
+            EXPECT_DOUBLE_EQ(copied[i], out[i]);
+        }
+        // A smaller batch through the same constructor-sized workspace.
+        const std::span<const double> small = net.forward_cached_batch(
+            std::span<const double>(inputs.data(), 2 * in), 2, bws);
+        EXPECT_EQ(small.size(), 2u * outs);
+        EXPECT_THROW(net.forward_cached_batch(inputs, batch + 1, bws), std::invalid_argument);
     }
-    // forward_batch copies the same rows into a caller buffer.
-    std::vector<double> copied(batch * 3, 0.0);
-    net.forward_batch(inputs, batch, bws, copied);
-    for (std::size_t i = 0; i < copied.size(); ++i) {
-        EXPECT_DOUBLE_EQ(copied[i], out[i]);
-    }
-    // A smaller batch through the same constructor-sized workspace.
-    const std::span<const double> small = net.forward_cached_batch(
-        std::span<const double>(inputs.data(), 2 * 4), 2, bws);
-    EXPECT_EQ(small.size(), 2u * 3);
-    EXPECT_THROW(net.forward_cached_batch(inputs, batch + 1, bws), std::invalid_argument);
 }
 
 TEST(Mlp, BatchedBackwardMatchesScalarSum) {

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <numeric>
@@ -362,9 +363,10 @@ TEST(ParallelFor, SerialPathPropagatesException) {
 
 TEST(ParallelFor, ReusesThePersistentSharedPool) {
     // Regression for the spawn-per-call era: every parallel_for body must
-    // execute on a worker of the process-wide pool (no fresh threads).
-    // Enumerate the pool's worker ids by submitting one blocking task per
-    // worker, then check parallel_for bodies land only on those ids.
+    // execute on a worker of the process-wide pool or on the calling thread,
+    // which drains one strip itself (no fresh threads). Enumerate the pool's
+    // worker ids by submitting one blocking task per worker, then check
+    // parallel_for bodies land only on those ids or the caller's.
     ThreadPool& pool = shared_thread_pool();
     EXPECT_EQ(&pool, &shared_thread_pool()); // one pool, lazily constructed
     const std::size_t workers = pool.thread_count();
@@ -401,9 +403,69 @@ TEST(ParallelFor, ReusesThePersistentSharedPool) {
             4);
     }
     for (const auto& id : body_ids) {
-        EXPECT_TRUE(pool_ids.count(id) > 0) << "body ran outside the shared pool";
-        EXPECT_NE(id, std::this_thread::get_id());
+        EXPECT_TRUE(pool_ids.count(id) > 0 || id == std::this_thread::get_id())
+            << "body ran on a thread that is neither a pool worker nor the caller";
     }
+}
+
+TEST(ParallelFor, CallerDrainsAStripMarkedAsAWorker) {
+    // n = T = 4: one index per strip. Bodies sleep, so no worker finishes
+    // its own strip and steals strip 0 before the caller claims it; retry a
+    // few rounds in case a round is scheduled otherwise.
+    const auto caller = std::this_thread::get_id();
+    std::atomic<bool> ran_on_caller{false};
+    std::atomic<int> nested_indices{0};
+    std::atomic<int> nested_off_caller{0};
+    std::atomic<int> unmarked{0};
+    for (int round = 0; round < 5 && !ran_on_caller.load(); ++round) {
+        parallel_for(
+            4,
+            [&](std::size_t) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                if (std::this_thread::get_id() != caller) {
+                    return;
+                }
+                ran_on_caller.store(true);
+                unmarked.fetch_add(on_pool_worker() ? 0 : 1);
+                parallel_for(
+                    20,
+                    [&](std::size_t) {
+                        nested_indices.fetch_add(1);
+                        if (std::this_thread::get_id() != caller) {
+                            nested_off_caller.fetch_add(1);
+                        }
+                    },
+                    4);
+            },
+            4);
+    }
+    ASSERT_TRUE(ran_on_caller.load()) << "the caller never ran a body";
+    EXPECT_EQ(unmarked.load(), 0) << "the caller's strip ran outside the nested-use guard";
+    EXPECT_EQ(nested_indices.load() % 20, 0);
+    EXPECT_GT(nested_indices.load(), 0);
+    EXPECT_EQ(nested_off_caller.load(), 0) << "a nested fan-out left the caller";
+    EXPECT_FALSE(on_pool_worker()); // the mark is restored on return
+}
+
+TEST(ParallelFor, CallerWaitsForEveryTaskBeforeRethrowing) {
+    // Every body sleeps, counts itself finished, then throws. Index 0 (the
+    // caller's strip) sleeps least, so a caller that rethrew as soon as its
+    // own body threw would unwind while pool tasks still run bodies and
+    // hold the call's stack-owned context.
+    std::atomic<int> started{0};
+    std::atomic<int> finished{0};
+    EXPECT_THROW(parallel_for(
+                     4,
+                     [&](std::size_t i) {
+                         started.fetch_add(1);
+                         std::this_thread::sleep_for(std::chrono::milliseconds(1 + 10 * i));
+                         finished.fetch_add(1);
+                         throw std::runtime_error("boom");
+                     },
+                     4),
+                 std::runtime_error);
+    EXPECT_EQ(finished.load(), started.load());
+    EXPECT_FALSE(on_pool_worker());
 }
 
 TEST(ParallelFor, NestedCallsRunInlineOnTheOuterWorker) {
