@@ -36,7 +36,7 @@ public:
         for (std::size_t i = 0; i < entries_.size(); ++i) {
             char line[256];
             std::snprintf(line, sizeof(line),
-                          "  {\"bench\": \"%s\", \"label\": \"%s\", \"seconds\": %.6f}%s\n",
+                          "  {\"bench\": \"%s\", \"label\": \"%s\", \"seconds\": %.9g}%s\n",
                           bench_.c_str(), entries_[i].label.c_str(), entries_[i].seconds,
                           i + 1 < entries_.size() ? "," : "");
             out += line;

@@ -9,8 +9,8 @@
 /// and times Table-1-sized evaluate_finite / evaluate_mfc runs. Emits JSON
 /// timings via --json so the perf trajectory is trackable across PRs. Also
 /// times the per-queue epoch kernel alone at Table-1 load, the deployed
-/// Table-2 network's policy query, and how much of four cores a four-strip
-/// `parallel_for` keeps busy.
+/// Table-2 network's policy query, how much of four cores a four-strip
+/// `parallel_for` keeps busy, and what an empty four-strip fan-out costs.
 #include "bench_common.hpp"
 #include "support/counting_allocator.inc"
 
@@ -373,6 +373,29 @@ int main(int argc, char** argv) {
                     "  one strip %.1f us, the fan-out %.1f us  ->  strip efficiency %.2f\n",
                     kStrips, kStrips, rounds, sink[0] + sink[kStrips - 1], 1e6 * serial,
                     1e6 * parallel, serial / parallel);
+    }
+
+    // --- 9. parallel_for hand-off ----------------------------------------------
+    // Seconds per empty parallel_for(4, …, 4), back to back after a warm-up:
+    // what publishing a fan-out to the team and waiting for it costs.
+    {
+        constexpr std::size_t kStrips = 4;
+        const std::size_t calls = full ? 20000 : 4000;
+        const auto empty = [](std::size_t) {};
+        for (std::size_t i = 0; i < 200; ++i) {
+            parallel_for(kStrips, empty, kStrips);
+        }
+        std::vector<double> dispatch_s(calls);
+        for (double& seconds : dispatch_s) {
+            const auto start = Clock::now();
+            parallel_for(kStrips, empty, kStrips);
+            seconds = seconds_since(start);
+        }
+        const double dispatch = median(dispatch_s);
+        timings.record("parallel_for_dispatch", dispatch);
+        std::printf("\nempty parallel_for(%zu, …, %zu), %zu calls back to back:\n"
+                    "  %.2f us per call (median)\n",
+                    kStrips, kStrips, calls, 1e6 * dispatch);
     }
 
     timings.write(cli.get("json"));

@@ -519,8 +519,8 @@ EpochStats FiniteSystem::run_epoch(const UpperLevelPolicy* policy,
     // ---- Deterministic compute, on the calling thread: every RNG-free input
     // of the epoch — the rule (RNG-free policy query), the routing table, the
     // InfiniteClients rate table or the classical weight law, then the
-    // router's per-shard masses, one pool task per shard (each writes only
-    // its own mass slot).
+    // router's per-shard masses, one parallel_for index per shard (each
+    // writes only its own mass slot).
     const auto t0 = std::chrono::steady_clock::now();
     {
         trace::ScopedSpan span(tracer_, "barrier_overlap");

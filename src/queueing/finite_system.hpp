@@ -67,7 +67,7 @@
 ///  1. *Deterministic compute* — the RNG-free policy query and its
 ///     row-stochastic check, the routing table (or the InfiniteClients rate
 ///     table, or the classical weight law and its per-shard masses fanned
-///     out over the pool);
+///     out with `parallel_for`);
 ///  2. *Serial prologue* — Algorithm 1 client sampling (PerClient) or the
 ///     (shard, class) cell totals (Aggregated) from the caller's RNG;
 ///  3. *Parallel phase* — each shard advances its queue slice to the epoch

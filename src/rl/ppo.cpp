@@ -174,7 +174,7 @@ PpoTrainer::PpoTrainer(const EnvFactory& make_env, PpoConfig config, Rng rng)
     const std::size_t threads = config_.train_threads != 0
                                     ? config_.train_threads
                                     : std::max(1u, std::thread::hardware_concurrency());
-    row_chunks_ = threads == 1 ? 1 : 2 * threads;
+    row_chunks_ = threads;
     old_moments_scratch_.mean.assign(act_dim_, 0.0);
     old_moments_scratch_.log_std.assign(act_dim_, 0.0);
 }
@@ -309,10 +309,10 @@ void PpoTrainer::optimize_batched(PpoIterationStats& stats) {
             // for one chunk of minibatch rows. Row r of every buffer depends
             // only on row r, so chunks write disjoint rows, and chunk edges
             // on the GEMM tile grid make every chunking bitwise equal to the
-            // whole-minibatch pass. One thread takes the minibatch in one
-            // piece (each weight matrix is then streamed once per row tile
-            // while it is hot); more threads get about two chunks each, so a
-            // slow chunk is stolen from rather than waited on.
+            // whole-minibatch pass. Each thread takes one chunk, so it
+            // streams both nets' weights once per chunk; at 4 threads a
+            // chunk is 32 Table-2 rows. The team starts every chunk within
+            // microseconds, so no spare chunk is kept for stealing.
             const std::size_t chunk_rows =
                 (rows + row_chunks_ * kGemmRowTile - 1) / (row_chunks_ * kGemmRowTile) *
                 kGemmRowTile;
@@ -404,9 +404,8 @@ void PpoTrainer::optimize_batched(PpoIterationStats& stats) {
                     config_.train_threads);
             } else {
                 // Without clipping each block steps right after its sums,
-                // while its gradient rows are still in cache, and the pool
-                // wakes once less per minibatch: the two-fan-out form above
-                // runs a Table-2 iteration about 12% slower.
+                // while its gradient rows are still in cache, and the
+                // minibatch takes one fan-out less than the form above.
                 parallel_for(
                     grad_blocks_.size(),
                     [this](std::size_t b) {

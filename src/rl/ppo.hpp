@@ -14,8 +14,8 @@
 ///    serial reduction — results are bit-identical for fixed
 ///    (seed, num_envs) at any `train_threads` count;
 ///  - the SGD epochs run whole minibatches through the GEMM-backed batched
-///    MLP passes (rl/mlp.hpp), each minibatch as two fan-outs on the same
-///    pool: (A) chunks of rows run the forward passes, the per-row loss
+///    MLP passes (rl/mlp.hpp), each minibatch as two fan-outs on the thread
+///    team: (A) chunks of rows run the forward passes, the per-row loss
 ///    terms and delta back-propagation; (B) blocks of gradient rows finish
 ///    the minibatch for their own weight and bias rows: zero the gradient,
 ///    sum it over all minibatch rows in ascending order, apply Adam
@@ -25,7 +25,7 @@
 ///    With `max_grad_norm > 0`, (B) splits in two around the serial
 ///    global-norm sums that clipping needs. Workspaces are
 ///    constructor-sized, so the steady-state update is allocation-free at
-///    `train_threads = 1`. The legacy per-sample update is kept behind
+///    any `train_threads`. The legacy per-sample update is kept behind
 ///    `batched_update = false` as the benchmark baseline; the two paths
 ///    agree to 1e-12 (FMA contraction in the GEMM kernels is the only
 ///    difference).
@@ -247,8 +247,8 @@ private:
     std::vector<double> policy_grad_;
     std::vector<double> value_grad_;
     std::vector<GradBlock> grad_blocks_; ///< the reduction fan-out's work items.
-    /// Work items per minibatch of the row-parallel fan-out: 1 on one
-    /// thread, else two per thread (see optimize_batched()).
+    /// Work items per minibatch of the row-parallel fan-out: one per
+    /// training thread (see optimize_batched()).
     std::size_t row_chunks_ = 1;
     // Scalar-path scratch (legacy update baseline).
     Mlp::Workspace scalar_policy_ws_;

@@ -215,8 +215,8 @@ struct TelemetryConfig {
 
 /// Owning bundle of registry + sink + tracer behind one pointer. A
 /// default-constructed session is fully disabled; a configured one opens its
-/// sinks up front and installs its tracer as the ambient tracer (so thread
-/// pool task spans attach) until destruction. Flushes on destruction.
+/// sinks up front and installs its tracer as the ambient tracer (so the
+/// `parallel_for` team's `pool_task` spans attach) until destruction. Flushes on destruction.
 class TelemetrySession {
 public:
     TelemetrySession() = default;

@@ -109,8 +109,8 @@ private:
 };
 
 /// Installs `tracer` as the process-wide ambient tracer (nullptr clears).
-/// Components without an explicit tracer handle — the shared thread pool's
-/// fan-out tasks, bench section timers — consult this; everything else receives
+/// Components without an explicit tracer handle — the `parallel_for` team's
+/// workers, bench section timers — consult this; everything else receives
 /// its Tracer* through the TelemetrySession plumbing.
 void set_active_tracer(Tracer* tracer) noexcept;
 /// Current ambient tracer, or nullptr (one relaxed atomic load).

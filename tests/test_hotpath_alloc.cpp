@@ -279,31 +279,35 @@ TEST(HotPathAllocations, NeuralPolicyDecideIntoReusesScratch) {
 }
 
 TEST(HotPathAllocations, ShardedDesStepWithNeuralPolicy) {
-    // The full epoch barrier on one thread — observed-distribution snapshot,
-    // batched policy query (cached scratch), destination law or rate table,
-    // shard masses, shard multinomials, per-queue kernels with sojourn
-    // recording, and the fixed-order fold over the shards — allocation-free
-    // in steady state. K = 4 runs the fold over several shards. InfiniteClients
-    // from an empty fleet runs the idle thinning; the hyperexponential law
-    // runs the general-service kernel with its carried completion clocks.
+    // The full epoch barrier — observed-distribution snapshot, batched policy
+    // query (cached scratch), destination law or rate table, shard masses,
+    // shard multinomials, per-queue kernels with sojourn recording, and the
+    // fixed-order fold over the shards — allocation-free in steady state.
+    // K = 4 runs the fold over several shards. InfiniteClients from an empty
+    // fleet runs the idle thinning; the hyperexponential law runs the
+    // general-service kernel with its carried completion clocks. On four
+    // threads the shards fan out on the parallel_for team.
     const struct {
         ClientModel model;
         ServiceDistKind service;
+        std::size_t threads;
     } cases[] = {
-        {ClientModel::Aggregated, ServiceDistKind::Exponential},
-        {ClientModel::InfiniteClients, ServiceDistKind::Exponential},
-        {ClientModel::InfiniteClients, ServiceDistKind::HyperExp},
+        {ClientModel::Aggregated, ServiceDistKind::Exponential, 1},
+        {ClientModel::InfiniteClients, ServiceDistKind::Exponential, 1},
+        {ClientModel::InfiniteClients, ServiceDistKind::HyperExp, 1},
+        {ClientModel::Aggregated, ServiceDistKind::Exponential, 4},
     };
     for (const auto& c : cases) {
         SCOPED_TRACE(::testing::Message() << "model " << static_cast<int>(c.model) << " "
-                                          << service_dist_name(c.service));
+                                          << service_dist_name(c.service) << " threads "
+                                          << c.threads);
         FiniteSystemConfig config;
         config.num_queues = 48;
         config.num_clients = 2400;
         config.dt = 2.0;
         config.horizon = 1 << 20;
         config.shards = 4;
-        config.threads = 1;
+        config.threads = c.threads;
         config.track_sojourn = true;
         config.client_model = c.model;
         config.service.kind = c.service;
@@ -537,25 +541,30 @@ private:
 };
 
 TEST(HotPathAllocations, PpoOptimizePhaseIsAllocationFree) {
-    rl::PpoConfig config;
-    config.hidden = {32, 32};
-    config.train_batch_size = 128;
-    config.minibatch_size = 32;
-    config.num_epochs = 2;
-    config.num_envs = 2;
-    config.train_threads = 1;
-    rl::PpoTrainer trainer([] { return std::make_unique<ProbeEnv>(); }, config, Rng(11));
-    (void)trainer.train_iteration(); // warmup sizes every workspace
-    rl::PpoIterationStats stats;
-    trainer.collect_phase(stats);
-    const std::size_t before = counting_allocator::count();
-    trainer.optimize_phase(stats);
-    EXPECT_EQ(counting_allocator::count() - before, 0u);
-    // A second full update stays allocation-free too (steady state).
-    trainer.collect_phase(stats);
-    const std::size_t again = counting_allocator::count();
-    trainer.optimize_phase(stats);
-    EXPECT_EQ(counting_allocator::count() - again, 0u);
+    // On four threads the row and gradient-block passes fan out on the
+    // parallel_for team.
+    for (const std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE(::testing::Message() << "train_threads " << threads);
+        rl::PpoConfig config;
+        config.hidden = {32, 32};
+        config.train_batch_size = 128;
+        config.minibatch_size = 32;
+        config.num_epochs = 2;
+        config.num_envs = 2;
+        config.train_threads = threads;
+        rl::PpoTrainer trainer([] { return std::make_unique<ProbeEnv>(); }, config, Rng(11));
+        (void)trainer.train_iteration(); // warmup sizes every workspace
+        rl::PpoIterationStats stats;
+        trainer.collect_phase(stats);
+        const std::size_t before = counting_allocator::count();
+        trainer.optimize_phase(stats);
+        EXPECT_EQ(counting_allocator::count() - before, 0u);
+        // A second full update stays allocation-free too (steady state).
+        trainer.collect_phase(stats);
+        const std::size_t again = counting_allocator::count();
+        trainer.optimize_phase(stats);
+        EXPECT_EQ(counting_allocator::count() - again, 0u);
+    }
 }
 
 TEST(HotPathAllocations, BatchedMlpPassesAreAllocationFree) {

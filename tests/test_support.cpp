@@ -17,6 +17,7 @@
 #include <stdexcept>
 #include <string_view>
 #include <thread>
+#include <vector>
 
 namespace mflb {
 namespace {
@@ -275,38 +276,6 @@ TEST(Logging, ConcurrentLoggingAndLevelChangesAreSerialized) {
     }
 }
 
-TEST(ThreadPool, RunsAllTasks) {
-    ThreadPool pool(4);
-    std::atomic<int> counter{0};
-    for (int i = 0; i < 100; ++i) {
-        pool.submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleRethrowsAThrowingSubmittedTask) {
-    // Regression: an exception escaping a submitted task reached the worker
-    // thread's top level and called std::terminate.
-    ThreadPool pool(2);
-    std::atomic<int> counter{0};
-    pool.submit([] { throw std::runtime_error("task failed"); });
-    for (int i = 0; i < 10; ++i) {
-        pool.submit([&counter] { counter.fetch_add(1); });
-    }
-    try {
-        pool.wait_idle();
-        FAIL() << "expected std::runtime_error";
-    } catch (const std::runtime_error& error) {
-        EXPECT_STREQ(error.what(), "task failed");
-    }
-    EXPECT_EQ(counter.load(), 10); // the other tasks still ran
-    // The error is reported once; the pool keeps working afterwards.
-    pool.submit([&counter] { counter.fetch_add(1); });
-    EXPECT_NO_THROW(pool.wait_idle());
-    EXPECT_EQ(counter.load(), 11);
-}
-
 TEST(ParallelFor, CoversAllIndicesOnce) {
     std::vector<std::atomic<int>> hits(257);
     parallel_for(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); }, 4);
@@ -362,50 +331,72 @@ TEST(ParallelFor, SerialPathPropagatesException) {
 }
 
 TEST(ParallelFor, ReusesThePersistentSharedPool) {
-    // Regression for the spawn-per-call era: every parallel_for body must
-    // execute on a worker of the process-wide pool or on the calling thread,
-    // which drains one strip itself (no fresh threads). Enumerate the pool's
-    // worker ids by submitting one blocking task per worker, then check
-    // parallel_for bodies land only on those ids or the caller's.
-    ThreadPool& pool = shared_thread_pool();
-    EXPECT_EQ(&pool, &shared_thread_pool()); // one pool, lazily constructed
-    const std::size_t workers = pool.thread_count();
-    ASSERT_GE(workers, 1u);
-
+    // Regression for the spawn-per-call era: every parallel_for body runs on
+    // a worker of the process-wide team or on the calling thread, which
+    // drains one strip itself, and the team has one worker per hardware
+    // thread but the caller's. A fan-out of one index per thread, each body
+    // waiting until every thread has checked in, enumerates the team; later
+    // fan-outs of any width must land only on those ids.
+    const std::size_t hardware = std::max(1u, std::thread::hardware_concurrency());
+    const auto caller = std::this_thread::get_id();
     std::mutex mutex;
-    std::set<std::thread::id> pool_ids;
-    {
-        // Hold every worker until all have checked in, so each distinct
-        // worker id is observed exactly once.
-        std::condition_variable all_in;
-        std::size_t arrived = 0;
-        for (std::size_t i = 0; i < workers; ++i) {
-            pool.submit([&] {
-                std::unique_lock lock(mutex);
-                pool_ids.insert(std::this_thread::get_id());
-                ++arrived;
-                all_in.notify_all();
-                all_in.wait(lock, [&] { return arrived == workers; });
-            });
-        }
-        pool.wait_idle();
-    }
-    ASSERT_EQ(pool_ids.size(), workers);
+    std::condition_variable all_in;
+    std::set<std::thread::id> team_ids;
+    parallel_for(
+        hardware,
+        [&](std::size_t) {
+            std::unique_lock lock(mutex);
+            team_ids.insert(std::this_thread::get_id());
+            all_in.notify_all();
+            // Bounded, so a team short of workers fails below instead of
+            // hanging here.
+            all_in.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return team_ids.size() == hardware; });
+        },
+        hardware);
+    ASSERT_EQ(team_ids.size(), hardware) << "a fan-out over every hardware thread left one idle";
+    EXPECT_EQ(team_ids.count(caller), 1u);
 
     std::set<std::thread::id> body_ids;
-    for (int round = 0; round < 3; ++round) {
+    for (int round = 0; round < 20; ++round) {
         parallel_for(
-            64,
+            1000,
             [&](std::size_t) {
                 std::lock_guard lock(mutex);
                 body_ids.insert(std::this_thread::get_id());
             },
-            4);
+            round % 2 == 0 ? 0 : 2 * hardware);
     }
     for (const auto& id : body_ids) {
-        EXPECT_TRUE(pool_ids.count(id) > 0 || id == std::this_thread::get_id())
-            << "body ran on a thread that is neither a pool worker nor the caller";
+        EXPECT_EQ(team_ids.count(id), 1u)
+            << "body ran on a thread that is neither a team worker nor the caller";
     }
+}
+
+TEST(ParallelFor, ConcurrentCallersFromTwoThreadsEachCoverEveryIndexOnce) {
+    // Two threads that are not team workers fan out at once. The team serves
+    // one fan-out at a time, so one caller may run inline; neither may hang,
+    // lose an index or run one twice.
+    constexpr std::size_t kIndices = 1000;
+    constexpr int kCalls = 50;
+    std::atomic<int> bad_calls{0};
+    const auto caller = [&] {
+        std::vector<std::atomic<int>> hits(kIndices);
+        for (int call = 0; call < kCalls; ++call) {
+            for (auto& h : hits) {
+                h.store(0, std::memory_order_relaxed);
+            }
+            parallel_for(kIndices, [&](std::size_t i) { hits[i].fetch_add(1); }, 4);
+            const bool once = std::all_of(hits.begin(), hits.end(),
+                                          [](const std::atomic<int>& h) { return h.load() == 1; });
+            bad_calls.fetch_add(once ? 0 : 1);
+        }
+    };
+    std::thread first(caller);
+    std::thread second(caller);
+    first.join();
+    second.join();
+    EXPECT_EQ(bad_calls.load(), 0);
 }
 
 TEST(ParallelFor, CallerDrainsAStripMarkedAsAWorker) {
@@ -495,27 +486,6 @@ TEST(ParallelFor, NestedCallsRunInlineOnTheOuterWorker) {
     EXPECT_FALSE(on_pool_worker()); // caller is not a pool worker
 }
 
-TEST(ParallelFor, DirectSubmitTasksAreAlsoGuardedAgainstNestedFanOut) {
-    // A task submitted straight to the shared pool (not via parallel_for)
-    // must still hit the nested-use guard when it fans out — otherwise it
-    // could block on pool capacity it occupies and deadlock a fully busy
-    // pool. One task per worker, each fanning out, makes that concrete.
-    ThreadPool& pool = shared_thread_pool();
-    const std::size_t workers = pool.thread_count();
-    std::atomic<int> total{0};
-    std::atomic<int> guarded{0};
-    for (std::size_t t = 0; t < workers; ++t) {
-        pool.submit([&] {
-            guarded.fetch_add(on_pool_worker() ? 1 : 0);
-            parallel_for(
-                10, [&](std::size_t) { total.fetch_add(1); }, 4);
-        });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(total.load(), static_cast<int>(workers) * 10);
-    EXPECT_EQ(guarded.load(), static_cast<int>(workers));
-}
-
 TEST(ParallelFor, NestedExceptionPropagatesThroughBothLevels) {
     EXPECT_THROW(parallel_for(
                      3,
@@ -531,22 +501,6 @@ TEST(ParallelFor, NestedExceptionPropagatesThroughBothLevels) {
                      },
                      2),
                  std::runtime_error);
-}
-
-TEST(Latch, BlocksUntilCountReachesZero) {
-    Latch latch(3);
-    std::atomic<bool> released{false};
-    std::thread waiter([&] {
-        latch.wait();
-        released.store(true);
-    });
-    latch.count_down();
-    latch.count_down();
-    EXPECT_FALSE(released.load());
-    latch.count_down();
-    waiter.join();
-    EXPECT_TRUE(released.load());
-    latch.wait(); // already zero: returns immediately
 }
 
 TEST(Logging, LevelFiltering) {
